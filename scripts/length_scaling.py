@@ -8,7 +8,6 @@ length are both expected.
 """
 
 from argparse import ArgumentParser
-import json
 
 import numpy as np
 
@@ -26,8 +25,7 @@ def main():
     args = parser.parse_args()
 
     if args.model:
-        with open(args.model) as fh:
-            model = load_model(json.load(fh))
+        model = load_model(args.model)
     else:
         model = build_model(PATH4["letters"], PATH4["dependence"])
 

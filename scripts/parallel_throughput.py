@@ -7,7 +7,6 @@ CPU box, where extra workers just add scheduling overhead.
 """
 
 from argparse import ArgumentParser
-import json
 import os
 import time
 
@@ -27,8 +26,7 @@ def main():
     args = parser.parse_args()
 
     if args.model:
-        with open(args.model) as fh:
-            model = load_model(json.load(fh))
+        model = load_model(args.model)
     else:
         model = build_model(PATH4["letters"], PATH4["dependence"])
     pivot = args.pivot or model.letters[0]

@@ -8,7 +8,6 @@ distribution, so the TV columns should agree up to sampling noise.
 """
 
 from argparse import ArgumentParser
-import json
 
 from tracegen import SamplerParams, build_model, load_model, sample_many, smallest_root
 from tracegen.oracle import enumerate_traces, tv_distance
@@ -29,8 +28,7 @@ def main():
     args = parser.parse_args()
 
     if args.model:
-        with open(args.model) as fh:
-            model = load_model(json.load(fh))
+        model = load_model(args.model)
     else:
         model = build_model(PATH4["letters"], PATH4["dependence"])
 

@@ -161,14 +161,6 @@ def open_stream(
     return stream
 
 
-def next_block(stream: BlockStream) -> Trace:
-    return stream.next_block()
-
-
-def run(stream: BlockStream, blocks: int) -> Trace:
-    return stream.run(blocks)
-
-
 def _block_words_range(
     model: IndependenceModel,
     pivot: str,

@@ -19,12 +19,7 @@ from .mobius import (
     mobius_polynomial,
     smallest_root,
 )
-from .monoid import (
-    cliques,
-    format_trace,
-    load_model,
-    trace_to_lists,
-)
+from .monoid import format_trace, load_model, trace_to_lists
 from .oracle import MAX_ORACLE_LENGTH  # noqa: F401  (re-exported limit for --help text)
 from .sampler import SamplerParams, sample_many
 from .verify import DEFAULT_SEED, run_suite
@@ -42,10 +37,11 @@ def _add_model_argument(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     model = load_model(args.model)
+    poly = mobius_polynomial(model)
     result = {
         "letters": list(model.letters),
-        "clique_count": len(cliques(model)),
-        "mobius_coefficients": list(mobius_polynomial(model).coefficients),
+        "clique_count": poly.clique_count(),
+        "mobius_coefficients": list(poly.coefficients),
         "p_sigma": round(smallest_root(model), 12),
         "irreducible": is_irreducible(model),
     }

@@ -1,11 +1,19 @@
 """Mobius polynomials of independence alphabets and derived quantities.
 
-The Mobius polynomial of a subalphabet X is the clique polynomial with
+The Mobius polynomial of a subalphabet S is the clique polynomial with
 alternating signs: the coefficient of degree d is (-1)^d times the number
-of d element cliques of pairwise independent letters in X.  Its reciprocal
-is the generating series of the trace monoid over X, so the smallest
+of d element cliques of pairwise independent letters in S.  Its reciprocal
+is the generating series of the trace monoid over S, so the smallest
 positive root governs the growth rate and is the largest usable parameter
 for the multiplicative probability laws on traces.
+
+The coefficients come from the pivot deletion identity
+mu_S = mu_{S minus a} - X mu_{S minus link(a)}, with a the lowest letter
+of S and mu of the empty alphabet equal to 1: a clique of S either avoids
+a or is a plus a clique of the letters independent of a.  The integer
+coefficient tuples are memoised per model, keyed by subset mask, so no
+clique is ever listed: a path of n letters reaches n + 1 subsets where it
+has Fibonacci many cliques.
 
 The smallest root p_sigma is certified: it is computed in exact integer
 arithmetic (square free part, Sturm sequence, bisection over doubles with
@@ -25,11 +33,10 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .monoid import IndependenceModel, clique_size_counts, iter_bits
+from .monoid import IndependenceModel, iter_bits
 
 ROOT_MARGIN = 1e-9
 _FORM_AGREEMENT = 1e-10
@@ -67,11 +74,41 @@ class MobiusPolynomial:
         return sum(abs(c) for c in self.coefficients)
 
 
+@lru_cache(maxsize=64)
+def _coefficient_memo(model: IndependenceModel) -> dict[int, tuple[int, ...]]:
+    """Mobius coefficients of the subsets of one model met so far."""
+    return {0: (1,)}
+
+
+def _coefficients(
+    memo: dict[int, tuple[int, ...]], dep: tuple[int, ...], subset: int
+) -> tuple[int, ...]:
+    try:
+        return memo[subset]
+    except KeyError:
+        pass
+    low = subset & -subset
+    without = _coefficients(memo, dep, subset ^ low)
+    nolink = _coefficients(memo, dep, subset & ~dep[low.bit_length() - 1])
+    # S minus link(a) lies inside S minus a, so nolink is never longer, and
+    # equal degree terms share a sign: no leading coefficient cancels
+    out = list(without)
+    if len(nolink) == len(out):
+        out.append(0)
+    for d, c in enumerate(nolink, 1):
+        out[d] -= c
+    memo[subset] = coefficients = tuple(out)
+    return coefficients
+
+
 def mobius_polynomial(model: IndependenceModel, subset: int | None = None) -> MobiusPolynomial:
-    """Clique polynomial of a subalphabet with alternating signs."""
-    counts = clique_size_counts(model, subset)
+    """Clique polynomial of a subalphabet with alternating signs, by the
+    memoised pivot deletion recurrence on the lowest letter."""
+    mask = model.full_mask if subset is None else subset
+    if mask >> model.size:
+        raise ValueError("subset mask has bits outside the alphabet")
     return MobiusPolynomial(
-        tuple(c if d % 2 == 0 else -c for d, c in enumerate(counts))
+        _coefficients(_coefficient_memo(model), model.dependence, mask)
     )
 
 
@@ -326,9 +363,8 @@ def is_irreducible(model: IndependenceModel) -> bool:
 class MobiusTable:
     """Memoised Mobius evaluations of one model at one fixed parameter.
 
-    Values are pure functions of (subset, p), so concurrent lookups are
-    safe; insertion is guarded by a lock to keep the cache consistent under
-    threaded use.
+    Values are pure functions of (subset, p); each table has a single
+    owner, and parallel runs build one table per worker process.
     """
 
     def __init__(self, model: IndependenceModel, p: float):
@@ -336,17 +372,14 @@ class MobiusTable:
         self.p = float(p)
         self._values: dict[int, float] = {}
         self._occurrence: dict[tuple[int, int], float] = {}
-        self._lock = threading.Lock()
 
     def value(self, subset: int) -> float:
         try:
             return self._values[subset]
         except KeyError:
             pass
-        val = mobius_eval(self.model, subset, self.p)
-        with self._lock:
-            self._values.setdefault(subset, val)
-        return self._values[subset]
+        self._values[subset] = val = mobius_eval(self.model, subset, self.p)
+        return val
 
     def occurrence(self, subset: int, pivot_index: int) -> float:
         """Probability that a trace over ``subset`` contains the pivot.
@@ -370,9 +403,8 @@ class MobiusTable:
             raise RuntimeError(
                 f"occurrence probability forms disagree: {left!r} vs {right!r}"
             )
-        with self._lock:
-            self._occurrence.setdefault(key, left)
-        return self._occurrence[key]
+        self._occurrence[key] = left
+        return left
 
 
 def occurrence_probability(

@@ -161,46 +161,36 @@ def cliques(model: IndependenceModel, subset: int | None = None) -> list[int]:
     entry.  Order is deterministic: a depth first walk adding letters in
     index order.
     """
-    out: list[int] = []
-    full = model.full_mask if subset is None else subset
-    if full >> model.size:
-        raise ValueError("subset mask has bits outside the alphabet")
-    dep = model.dependence
-
-    def grow(clique: int, candidates: int) -> None:
-        out.append(clique)
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            grow(clique | low, rest & ~dep[i])
-
-    grow(0, full)
-    return out
+    return list(_walk_cliques(model, subset))
 
 
 def clique_size_counts(model: IndependenceModel, subset: int | None = None) -> list[int]:
     """Number of cliques of each size inside a subset; entry d counts size d."""
+    counts = [0]
+    for clique in _walk_cliques(model, subset):
+        size = clique.bit_count()
+        if size == len(counts):
+            counts.append(0)
+        counts[size] += 1
+    return counts
+
+
+def _walk_cliques(model: IndependenceModel, subset: int | None) -> Iterator[int]:
+    # the one clique walk: preorder, each clique before its extensions
     full = model.full_mask if subset is None else subset
     if full >> model.size:
         raise ValueError("subset mask has bits outside the alphabet")
     dep = model.dependence
-    counts = [0]
-
-    def grow(size: int, candidates: int) -> None:
-        if size == len(counts):
-            counts.append(0)
-        counts[size] += 1
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            grow(size + 1, rest & ~dep[i])
-
-    grow(0, full)
-    return counts
+    stack = [(0, full)]
+    while stack:
+        clique, candidates = stack.pop()
+        yield clique
+        children = []
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            children.append((clique | low, candidates & ~dep[low.bit_length() - 1]))
+        stack.extend(reversed(children))
 
 
 # ---------------------------------------------------------------------------

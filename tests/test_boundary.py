@@ -73,6 +73,18 @@ def test_blocks_at_critical_parameter_on_long_alphabets(model):
         assert tg.is_pyramidal(model, stream.next_block(), pivot)
 
 
+@pytest.mark.parametrize(
+    "model, blocks", [(cycle_model(48), 200), (path_model(48), 50)],
+    ids=["cycle48", "path48"],
+)
+def test_blocks_at_critical_parameter_on_48_letters(model, blocks):
+    # a 48-letter path has F(50), about 1.3e10, cliques: too many to list
+    pivot = model.letters[0]
+    stream = tg.open_stream(model, pivot, seed=5)
+    for _ in range(blocks):
+        assert tg.is_pyramidal(model, stream.next_block(), pivot)
+
+
 def test_accumulated_equals_block_product(path4):
     stream = tg.open_stream(path4, "a", seed=4)
     product = UNIT

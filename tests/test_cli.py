@@ -173,6 +173,18 @@ def test_stream_rejects_reducible_model(tmp_path, capsys):
     assert "irreducible" in err
 
 
+def test_analyze_counts_cliques_of_a_48_letter_path(capsys, tmp_path):
+    letters = [f"x{i}" for i in range(48)]
+    model_file = tmp_path / "path48.json"
+    model_file.write_text(json.dumps({
+        "letters": letters,
+        "dependence": [list(pair) for pair in zip(letters, letters[1:])],
+    }))
+    code, out, err = run_cli(capsys, "analyze", "--model", str(model_file))
+    assert code == 0 and err == ""
+    assert json.loads(out)["clique_count"] == 12_586_269_025  # F(50)
+
+
 def test_verify_mobius_suite(capsys, tmp_path):
     report_file = tmp_path / "report.json"
     code, out, err = run_cli(

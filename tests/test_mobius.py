@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import tracegen as tg
 from tracegen.mobius import ROOT_MARGIN, _square_free_part
+from tracegen.monoid import clique_size_counts
 
 from conftest import cycle_model, path_model, random_model
 
@@ -140,6 +141,26 @@ def test_deletion_identity_on_random_models():
         pivot = model.letters[rng.randrange(model.size)]
         res = tg.recurrence_residual_coefficients(model, model.full_mask, pivot)
         assert all(c == 0 for c in res)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_polynomial_matches_clique_walk(seed):
+    # the memoised recurrence against the signed sizes of the walked cliques
+    rng = random.Random(seed)
+    model = random_model(rng, rng.randint(1, 8))
+    subset = rng.randrange(model.full_mask + 1)
+    counts = clique_size_counts(model, subset)
+    signed = tuple(-c if d % 2 else c for d, c in enumerate(counts))
+    assert tg.mobius_polynomial(model, subset).coefficients == signed
+
+
+def test_path_clique_counts_are_fibonacci():
+    # a path of n letters has F(n + 2) independent sets, the empty one included
+    fib = [0, 1]
+    while len(fib) < 67:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 65):
+        assert tg.mobius_polynomial(path_model(n)).clique_count() == fib[n + 2]
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -13,6 +13,8 @@ from tracegen.verify import (
     run_mobius_suite,
 )
 
+from conftest import path_model
+
 
 def test_report_comparisons():
     assert TestReport.make("x", 0.5, 1.0, "le", 1, 0).passed
@@ -43,6 +45,26 @@ def test_mobius_suite_on_larger_random_alphabet():
     config = MobiusSuiteConfig(exhaustive_limit=4, sampled_checks=64)
     reports = run_mobius_suite(model, seed=5, config=config)
     assert all(r.passed for r in reports)
+
+
+def test_mobius_suite_walks_cliques_of_every_small_subset(path4):
+    reports = {r.name: r for r in run_mobius_suite(path4, seed=101)}
+    walk = reports["mobius-matches-clique-walk"]
+    assert walk.passed and walk.sample_size == 15
+    assert walk.details == {"over_budget": 0}
+
+
+def test_mobius_suite_on_a_48_letter_path():
+    # the full alphabet alone has F(50) cliques: only subsets within the
+    # budget are walked, the rest of the suite runs on the recurrence
+    config = MobiusSuiteConfig(sampled_checks=32, chain_checks=10)
+    reports = {
+        r.name: r for r in run_mobius_suite(path_model(48), seed=5, config=config)
+    }
+    assert all(r.passed for r in reports.values())
+    walk = reports["mobius-matches-clique-walk"]
+    assert walk.sample_size + walk.details["over_budget"] <= 32
+    assert walk.details["over_budget"] > 0
 
 
 SMALL_FINITE = FiniteSuiteConfig(

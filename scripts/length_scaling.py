@@ -8,26 +8,24 @@ length are both expected.
 """
 
 from argparse import ArgumentParser
+from pathlib import Path
 
 import numpy as np
 
-from tracegen import build_model, load_model, open_stream
+from tracegen import load_model, open_stream
 
-PATH4 = {"letters": ["a", "b", "c", "d"],
-         "dependence": [["a", "b"], ["b", "c"], ["c", "d"]]}
+DEFAULT_MODEL = Path(__file__).resolve().parent.parent / "models" / "p4.json"
 
 
 def main():
     parser = ArgumentParser(description="Prefix length scaling of the block stream")
-    parser.add_argument("--model", help="model JSON file (default: 4 letter path)")
+    parser.add_argument("--model", default=str(DEFAULT_MODEL),
+                        help="model JSON file (default: models/p4.json, the 4 letter path)")
     parser.add_argument("--blocks", default=2000, type=int, help="blocks per stream")
     parser.add_argument("--seed", default=7, type=int)
     args = parser.parse_args()
 
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = build_model(PATH4["letters"], PATH4["dependence"])
+    model = load_model(args.model)
 
     ks = np.arange(1, args.blocks + 1)
     print(f"{'pivot':>6} {'slope':>8} {'R^2':>10} {'steps/letter':>13}")

@@ -8,27 +8,25 @@ CPU box, where extra workers just add scheduling overhead.
 
 from argparse import ArgumentParser
 import os
+from pathlib import Path
 import time
 
-from tracegen import build_model, load_model, parallel_run
+from tracegen import load_model, parallel_run
 
-PATH4 = {"letters": ["a", "b", "c", "d"],
-         "dependence": [["a", "b"], ["b", "c"], ["c", "d"]]}
+DEFAULT_MODEL = Path(__file__).resolve().parent.parent / "models" / "p4.json"
 
 
 def main():
     parser = ArgumentParser(description="Parallel block generation throughput")
-    parser.add_argument("--model", help="model JSON file (default: 4 letter path)")
+    parser.add_argument("--model", default=str(DEFAULT_MODEL),
+                        help="model JSON file (default: models/p4.json, the 4 letter path)")
     parser.add_argument("--pivot", default=None, help="pivot letter (default: first)")
     parser.add_argument("--blocks", default=20000, type=int)
     parser.add_argument("--seed", default=3, type=int)
     parser.add_argument("--workers", default="1,2,4,8", help="comma separated worker counts")
     args = parser.parse_args()
 
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = build_model(PATH4["letters"], PATH4["dependence"])
+    model = load_model(args.model)
     pivot = args.pivot or model.letters[0]
 
     print(f"blocks={args.blocks} pivot={pivot} cpus={os.cpu_count()}")

@@ -8,29 +8,27 @@ distribution, so the TV columns should agree up to sampling noise.
 """
 
 from argparse import ArgumentParser
+from pathlib import Path
 
-from tracegen import SamplerParams, build_model, load_model, sample_many, smallest_root
+from tracegen import SamplerParams, load_model, sample_many, smallest_root
 from tracegen.oracle import enumerate_traces, tv_distance
 from tracegen.sampler import PIVOT_RULES
 from tracegen.verify import empirical_distribution
 
-PATH4 = {"letters": ["a", "b", "c", "d"],
-         "dependence": [["a", "b"], ["b", "c"], ["c", "d"]]}
+DEFAULT_MODEL = Path(__file__).resolve().parent.parent / "models" / "p4.json"
 
 
 def main():
     parser = ArgumentParser(description="Law invariance across pivot rules")
-    parser.add_argument("--model", help="model JSON file (default: 4 letter path)")
+    parser.add_argument("--model", default=str(DEFAULT_MODEL),
+                        help="model JSON file (default: models/p4.json, the 4 letter path)")
     parser.add_argument("--p", default=0.2, type=float)
     parser.add_argument("--n", default=50000, type=int, help="samples per rule")
     parser.add_argument("--seed", default=11, type=int)
     parser.add_argument("--cutoff", default=4, type=int, help="trace length cap for the TV")
     args = parser.parse_args()
 
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = build_model(PATH4["letters"], PATH4["dependence"])
+    model = load_model(args.model)
 
     root = smallest_root(model)
     if args.p >= root:

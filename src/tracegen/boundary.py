@@ -23,7 +23,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 
 from .mobius import ROOT_MARGIN, MobiusTable, NotIrreducibleError, is_irreducible, smallest_root
-from .monoid import IndependenceModel, Trace, _heap_levels, _push
+from .monoid import Heap, IndependenceModel, Trace, normalize_indices
 from .sampler import (
     RandomStream,
     SamplerParams,
@@ -47,13 +47,7 @@ class BlockStream:
     time proportional to its own length only.
     """
 
-    def __init__(
-        self,
-        model: IndependenceModel,
-        pivot: str,
-        seed: int,
-        pivot_rule: str = "lowindex",
-    ):
+    def __init__(self, model: IndependenceModel, pivot: str, seed: int):
         self.model = model
         self.pivot = pivot
         self.pivot_index = model.index_of(pivot)
@@ -65,27 +59,21 @@ class BlockStream:
         self.stream = RandomStream(self.seed)
         self.counter = StepCounter()
         self.blocks_done = 0
-        self._params = SamplerParams(p=self.p_star, seed=self.seed, pivot=pivot_rule)
-        self._choose = _pivot_chooser(model, self._params)
-        self._factors: list[int] = []
-        self._levels = [-1] * model.size
+        self._choose = _pivot_chooser(model, SamplerParams(p=self.p_star, seed=self.seed))
+        self._heap = Heap(model)
         self._length = 0
 
     @property
     def accumulated(self) -> Trace:
         """Product of all blocks emitted so far."""
-        return Trace(tuple(self._factors))
+        return self._heap.trace()
 
     @property
     def length(self) -> int:
         return self._length
 
-    def block_word(self, index: int) -> list[int]:
-        """Letter indices of block ``index`` (0 based), by pure replay.
-
-        The block depends only on (seed, index), not on the stream state,
-        so any block can be recomputed at will.
-        """
+    def draw_block(self, stream: RandomStream) -> list[int]:
+        """Letter indices of one block drawn from ``stream``, apex last."""
         word: list[int] = []
         _sample_into(
             self.model,
@@ -93,27 +81,30 @@ class BlockStream:
             self.block_target,
             self.table,
             self._choose,
-            self.stream.split(index),
+            stream,
             self.counter,
             word,
         )
         word.append(self.pivot_index)
         return word
 
+    def block_word(self, index: int) -> list[int]:
+        """Letter indices of block ``index`` (0 based), by pure replay.
+
+        The block depends only on (seed, index), not on the stream state,
+        so any block can be recomputed at will.
+        """
+        return self.draw_block(self.stream.split(index))
+
     def next_block(self) -> Trace:
         """Draw the next block, append it to the accumulated trace, and
         return the block itself."""
         word = self.block_word(self.blocks_done)
-        dep = self.model.dependence
-        bf: list[int] = []
-        bl = [-1] * self.model.size
-        for i in word:
-            _push(self._factors, self._levels, i, dep)
-            _push(bf, bl, i, dep)
+        self._heap.extend(word)
         self._length += len(word)
         self.blocks_done += 1
         self.counter.steps += 1
-        return Trace(tuple(bf))
+        return normalize_indices(self.model, word)
 
     def run(self, blocks: int) -> Trace:
         """Advance by the given number of blocks, returning the accumulated
@@ -127,7 +118,6 @@ def open_stream(
     model: IndependenceModel,
     pivot: str,
     seed: int,
-    pivot_rule: str = "lowindex",
     allow_trivial: bool = False,
 ) -> BlockStream:
     """Validate the model and prepare a boundary stream.
@@ -150,8 +140,8 @@ def open_stream(
                 "one letter alphabet: the boundary is a single point; pass "
                 "allow_trivial=True to emit it anyway"
             )
-        return BlockStream(model, pivot, seed, pivot_rule)
-    stream = BlockStream(model, pivot, seed, pivot_rule)
+        return BlockStream(model, pivot, seed)
+    stream = BlockStream(model, pivot, seed)
     sub_root = smallest_root(model, stream.block_subset)
     if not stream.p_star <= sub_root - ROOT_MARGIN:
         raise GapViolationError(
@@ -165,12 +155,11 @@ def _block_words_range(
     model: IndependenceModel,
     pivot: str,
     seed: int,
-    pivot_rule: str,
     lo: int,
     hi: int,
 ) -> tuple[list[list[int]], int]:
     """Worker body: blocks lo..hi-1 as words, plus the steps spent."""
-    stream = BlockStream(model, pivot, seed, pivot_rule)
+    stream = BlockStream(model, pivot, seed)
     words = [stream.block_word(i) for i in range(lo, hi)]
     return words, stream.counter.steps
 
@@ -181,7 +170,6 @@ def parallel_run(
     seed: int,
     blocks: int,
     workers: int = 1,
-    pivot_rule: str = "lowindex",
     allow_trivial: bool = False,
     counter: StepCounter | None = None,
 ) -> Trace:
@@ -192,7 +180,7 @@ def parallel_run(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    stream = open_stream(model, pivot, seed, pivot_rule, allow_trivial)
+    stream = open_stream(model, pivot, seed, allow_trivial)
     if workers == 1:
         out = stream.run(blocks)
         if counter is not None:
@@ -202,21 +190,16 @@ def parallel_run(
     ranges = [(lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(
-                _block_words_range, model, pivot, seed, pivot_rule, lo, hi
-            )
+            pool.submit(_block_words_range, model, pivot, seed, lo, hi)
             for lo, hi in ranges
         ]
         parts = [f.result() for f in futures]
-    factors: list[int] = []
-    levels = _heap_levels(model.size, factors)
-    dep = model.dependence
+    heap = Heap(model)
     steps = 0
     for words, spent in parts:
         steps += spent
         for word in words:
-            for i in word:
-                _push(factors, levels, i, dep)
+            heap.extend(word)
     if counter is not None:
         counter.add(steps + blocks)
-    return Trace(tuple(factors))
+    return heap.trace()

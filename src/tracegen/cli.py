@@ -14,18 +14,30 @@ import json
 import sys
 
 from .mobius import (
+    ROOT_MARGIN,
     NotIrreducibleError,
     is_irreducible,
     mobius_polynomial,
     smallest_root,
 )
 from .monoid import format_trace, load_model, trace_to_lists
-from .oracle import MAX_ORACLE_LENGTH  # noqa: F401  (re-exported limit for --help text)
-from .sampler import SamplerParams, sample_many
+from .sampler import SamplerParams, check_parameter, sample_many
 from .verify import DEFAULT_SEED, run_suite
 from . import boundary
 
-_PIVOT_CHOICES = {"lowindex": "lowindex", "maxdeg": "maxdeg"}
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    convert.__name__ = "integer"  # named in argparse's "invalid integer value"
+    return convert
+
+
+_COUNT = _int_at_least(0)
 
 
 def _add_model_argument(parser: argparse.ArgumentParser) -> None:
@@ -65,13 +77,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    root = smallest_root(model)
-    if not 0.0 < args.p < root:
-        sys.stderr.write(
-            f"error: p={args.p} is out of range; the multiplicative law needs "
-            f"0 < p < {root:.12f} (smallest Mobius root of this alphabet)\n"
-        )
-        return 2
+    check_parameter(model, model.full_mask, args.p)
     params = SamplerParams(p=args.p, seed=args.seed, pivot=args.pivot)
     if args.format == "json":
         print(json.dumps({"seed": args.seed, "p": args.p, "n": args.n}))
@@ -176,11 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_argument(p_sample)
     p_sample.add_argument("--p", type=float, required=True,
-                          help="law parameter, 0 < p < smallest root")
-    p_sample.add_argument("--n", type=int, default=1, help="number of traces")
-    p_sample.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                          help=f"law parameter, 0 < p <= smallest root - {ROOT_MARGIN}")
+    p_sample.add_argument("--n", type=_COUNT, default=1, help="number of traces")
+    p_sample.add_argument("--seed", type=_COUNT, default=DEFAULT_SEED,
                           help=f"random seed (default {DEFAULT_SEED})")
-    p_sample.add_argument("--pivot", choices=sorted(_PIVOT_CHOICES),
+    p_sample.add_argument("--pivot", choices=("lowindex", "maxdeg"),
                           default="lowindex", help="pivot selection rule")
     p_sample.add_argument("--format", choices=("brackets", "json"),
                           default="brackets", help="output format")
@@ -193,13 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--pivot-letter", metavar="LETTER", default=None,
                           help="block apex letter (default: first letter)")
     stop = p_stream.add_mutually_exclusive_group()
-    stop.add_argument("--blocks", type=int, default=0,
+    stop.add_argument("--blocks", type=_COUNT, default=0,
                       help="stop after this many blocks; 0 means endless")
-    stop.add_argument("--min-length", type=int, default=0,
+    stop.add_argument("--min-length", type=_COUNT, default=0,
                       help="stop once the accumulated trace reaches this length")
-    p_stream.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p_stream.add_argument("--seed", type=_COUNT, default=DEFAULT_SEED,
                           help=f"random seed (default {DEFAULT_SEED})")
-    p_stream.add_argument("--workers", type=int, default=1,
+    p_stream.add_argument("--workers", type=_int_at_least(1), default=1,
                           help="worker processes (needs --blocks)")
     p_stream.add_argument("--emit", choices=("each-block", "final"),
                           default="each-block",
@@ -214,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_argument(p_verify)
     p_verify.add_argument("--suite", choices=("mobius", "finite", "boundary", "all"),
                           default="all")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p_verify.add_argument("--seed", type=_COUNT, default=DEFAULT_SEED,
                           help=f"random seed (default {DEFAULT_SEED})")
     p_verify.add_argument("--pivot-letter", metavar="LETTER", default=None)
     p_verify.add_argument("--report", metavar="FILE", default=None,

@@ -407,6 +407,16 @@ class MobiusTable:
         return left
 
 
+def check_below_root(model: IndependenceModel, subset: int, p: float) -> None:
+    """Raise ValueError unless 0 < p < smallest_root(subset)."""
+    root = smallest_root(model, subset)
+    if not 0.0 < p < root:
+        raise ValueError(
+            f"p={p!r} is out of range: need 0 < p < {root!r}, the smallest "
+            f"Mobius root of the subalphabet"
+        )
+
+
 def occurrence_probability(
     model: IndependenceModel, subset: int, pivot: str, p: float
 ) -> float:
@@ -416,23 +426,13 @@ def occurrence_probability(
     Requires 0 < p < smallest_root(subset).  Both closed forms are computed
     and must agree to 1e-10 relative; the quotient form is returned.
     """
-    root = smallest_root(model, subset)
-    if not 0.0 < p < root:
-        raise ValueError(
-            f"p={p!r} is out of range: need 0 < p < {root!r}, the smallest "
-            f"Mobius root of the subalphabet"
-        )
+    check_below_root(model, subset, p)
     return MobiusTable(model, p).occurrence(subset, model.index_of(pivot))
 
 
 def expected_length(model: IndependenceModel, p: float, subset: int | None = None) -> float:
     """Mean trace length under the multiplicative law at parameter p."""
     mask = model.full_mask if subset is None else subset
-    root = smallest_root(model, mask)
-    if not 0.0 < p < root:
-        raise ValueError(
-            f"p={p!r} is out of range: need 0 < p < {root!r}, the smallest "
-            f"Mobius root of the subalphabet"
-        )
+    check_below_root(model, mask, p)
     poly = mobius_polynomial(model, mask)
     return -p * poly.derivative_at(p) / poly.evaluate(p)

@@ -52,6 +52,11 @@ class IndependenceModel:
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.letters)}
 
+    @cached_property
+    def links(self) -> tuple[tuple[int, ...], ...]:
+        """``links[i]`` lists the letters dependent on letter i, i included."""
+        return tuple(tuple(iter_bits(mask)) for mask in self.dependence)
+
     @property
     def size(self) -> int:
         return len(self.letters)
@@ -225,32 +230,42 @@ class Trace:
 UNIT = Trace()
 
 
-def _heap_levels(size: int, factors: Sequence[int]) -> list[int]:
-    """Highest level at which each letter occurs, -1 for absent letters."""
-    levels = [-1] * size
-    for lvl, f in enumerate(factors):
-        for i in iter_bits(f):
-            levels[i] = lvl
-    return levels
+class Heap:
+    """A heap of pieces under construction: normal forms, products and
+    block streams are all built by dropping pieces on one of these.
 
-
-def _push(factors: list[int], levels: list[int], index: int, dep: Sequence[int]) -> int:
-    """Drop one piece on the heap, updating factors and levels in place.
-
-    Returns the level the piece came to rest at.  The piece lands one level
-    above the highest piece it depends on, or at the bottom if there is
-    none.
+    ``factors`` are the height levels, bottom first, and ``levels[i]`` is
+    the level of the highest piece labelled i, -1 when there is none.  A
+    dropped piece lands one level above the highest piece it depends on,
+    or at the bottom if there is none.
     """
-    lvl = 0
-    for j in iter_bits(dep[index]):
-        if levels[j] >= lvl:
-            lvl = levels[j] + 1
-    if lvl == len(factors):
-        factors.append(1 << index)
-    else:
-        factors[lvl] |= 1 << index
-    levels[index] = lvl
-    return lvl
+
+    __slots__ = ("links", "factors", "levels")
+
+    def __init__(self, model: IndependenceModel, factors: Sequence[int] = ()):
+        self.links = model.links
+        self.factors = list(factors)
+        self.levels = [-1] * model.size
+        for lvl, f in enumerate(self.factors):
+            for i in iter_bits(f):
+                self.levels[i] = lvl
+
+    def extend(self, indices: Iterable[int]) -> None:
+        """Drop the pieces with the given letter indices, in order."""
+        links, factors, levels = self.links, self.factors, self.levels
+        for i in indices:
+            lvl = 0
+            for j in links[i]:
+                if levels[j] >= lvl:
+                    lvl = levels[j] + 1
+            if lvl == len(factors):
+                factors.append(1 << i)
+            else:
+                factors[lvl] |= 1 << i
+            levels[i] = lvl
+
+    def trace(self) -> Trace:
+        return Trace(tuple(self.factors))
 
 
 def _word_to_indices(model: IndependenceModel, word: Iterable[str]) -> list[int]:
@@ -278,13 +293,10 @@ def normalize(model: IndependenceModel, word: Iterable[str]) -> Trace:
     return normalize_indices(model, _word_to_indices(model, word))
 
 
-def normalize_indices(model: IndependenceModel, indices: Sequence[int]) -> Trace:
-    factors: list[int] = []
-    levels = [-1] * model.size
-    dep = model.dependence
-    for i in indices:
-        _push(factors, levels, i, dep)
-    return Trace(tuple(factors))
+def normalize_indices(model: IndependenceModel, indices: Iterable[int]) -> Trace:
+    heap = Heap(model)
+    heap.extend(indices)
+    return heap.trace()
 
 
 def concat(model: IndependenceModel, x: Trace, y: Trace) -> Trace:
@@ -293,12 +305,9 @@ def concat(model: IndependenceModel, x: Trace, y: Trace) -> Trace:
         return y
     if y.is_unit:
         return x
-    factors = list(x.factors)
-    levels = _heap_levels(model.size, factors)
-    dep = model.dependence
-    for i in word_indices(y):
-        _push(factors, levels, i, dep)
-    return Trace(tuple(factors))
+    heap = Heap(model, x.factors)
+    heap.extend(word_indices(y))
+    return heap.trace()
 
 
 def max_letters(model: IndependenceModel, x: Trace) -> int:
@@ -338,12 +347,7 @@ def left_divide(model: IndependenceModel, y: Trace, letter: str) -> Trace | None
 
 def is_left_divisor(model: IndependenceModel, x: Trace, y: Trace) -> bool:
     """Whether y == x . z for some trace z."""
-    rest: Trace | None = y
-    for i in word_indices(x):
-        rest = _left_divide_index(model, rest, i)
-        if rest is None:
-            return False
-    return True
+    return left_quotient(model, x, y) is not None
 
 
 def left_quotient(model: IndependenceModel, x: Trace, y: Trace) -> Trace | None:

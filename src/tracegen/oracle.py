@@ -14,7 +14,7 @@ from typing import Iterator, Mapping, Sequence
 
 from scipy.stats import chi2
 
-from .mobius import mobius_eval, mobius_polynomial, smallest_root
+from .mobius import check_below_root, mobius_eval, mobius_polynomial
 from .monoid import (
     IndependenceModel,
     Trace,
@@ -58,6 +58,21 @@ def _extensions(
             yield factors[:lvl] + (factors[lvl] | (1 << i),) + factors[lvl + 1:]
 
 
+def _frontiers(
+    model: IndependenceModel, subset: int, n_max: int
+) -> Iterator[set[tuple[int, ...]]]:
+    """Breadth first: the normal forms of length 0, 1, ..., n_max over
+    ``subset``, one set of factor tuples per length."""
+    _check_guardrails(model, subset, n_max)
+    frontier: set[tuple[int, ...]] = {()}
+    yield frontier
+    for _ in range(n_max):
+        frontier = {
+            ext for fac in frontier for ext in _extensions(model, subset, fac)
+        }
+        yield frontier
+
+
 @dataclass(frozen=True)
 class EnumerationIndex:
     """All traces of a subalphabet up to a length bound, grouped by length."""
@@ -90,15 +105,11 @@ def enumerate_traces(
     deterministic order.
     """
     mask = model.full_mask if subset is None else subset
-    _check_guardrails(model, mask, n_max)
-    levels: list[tuple[Trace, ...]] = [(Trace(),)]
-    frontier: set[tuple[int, ...]] = {()}
-    for _ in range(n_max):
-        frontier = {
-            ext for fac in frontier for ext in _extensions(model, mask, fac)
-        }
-        levels.append(tuple(Trace(f) for f in sorted(frontier)))
-    return EnumerationIndex(model, mask, tuple(levels))
+    levels = tuple(
+        tuple(Trace(f) for f in sorted(frontier))
+        for frontier in _frontiers(model, mask, n_max)
+    )
+    return EnumerationIndex(model, mask, levels)
 
 
 def count_traces(
@@ -110,15 +121,7 @@ def count_traces(
     is what makes length 12 counts practical.
     """
     mask = model.full_mask if subset is None else subset
-    _check_guardrails(model, mask, n_max)
-    counts = [1]
-    frontier: set[tuple[int, ...]] = {()}
-    for _ in range(n_max):
-        frontier = {
-            ext for fac in frontier for ext in _extensions(model, mask, fac)
-        }
-        counts.append(len(frontier))
-    return counts
+    return [len(frontier) for frontier in _frontiers(model, mask, n_max)]
 
 
 def series_coefficients(
@@ -144,12 +147,7 @@ def exact_probability(
 ) -> float:
     """Probability mu(p) * p^|x| of one trace under the multiplicative law."""
     mask = model.full_mask if subset is None else subset
-    root = smallest_root(model, mask)
-    if not 0.0 < p < root:
-        raise ValueError(
-            f"p={p!r} is out of range: need 0 < p < {root!r}, the smallest "
-            f"Mobius root of the subalphabet"
-        )
+    check_below_root(model, mask, p)
     return mobius_eval(model, mask, p) * p**x.length
 
 
@@ -164,14 +162,8 @@ def check_series_identity(
     series_tail_bound for the same arguments.
     """
     full = model.full_mask
-    _check_guardrails(model, full, n_max)
     partial = 0.0
-    frontier: set[tuple[int, ...]] = {()}
-    partial += 1.0  # the unit trace has no maximal pieces at all
-    for n in range(1, n_max + 1):
-        frontier = {
-            ext for fac in frontier for ext in _extensions(model, full, fac)
-        }
+    for n, frontier in enumerate(_frontiers(model, full, n_max)):
         weight = p**n
         for fac in frontier:
             if max_letters(model, Trace(fac)) & ~target == 0:

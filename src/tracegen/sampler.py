@@ -163,6 +163,18 @@ def _sample_into(
     counter.steps += 1
 
 
+def check_parameter(model: IndependenceModel, subset: int, p: float) -> None:
+    """Raise ValueError unless 0 < p <= smallest_root(subset) - ROOT_MARGIN,
+    the range the sampler accepts."""
+    root = smallest_root(model, subset)
+    if not 0.0 < p <= root - ROOT_MARGIN:
+        raise ValueError(
+            f"p={p!r} is out of range: need 0 < p <= root - ROOT_MARGIN, where "
+            f"root={root!r} is the smallest Mobius root of the subalphabet and "
+            f"ROOT_MARGIN={ROOT_MARGIN!r}"
+        )
+
+
 def sample_trace(
     model: IndependenceModel,
     subset: int,
@@ -182,12 +194,7 @@ def sample_trace(
     if subset >> model.size or target >> model.size:
         raise ValueError("subset mask has bits outside the alphabet")
     if subset & target:
-        root = smallest_root(model, subset)
-        if not 0.0 < params.p <= root - ROOT_MARGIN:
-            raise ValueError(
-                f"p={params.p!r} is out of range: need 0 < p < {root!r}, the "
-                f"smallest Mobius root of the subalphabet"
-            )
+        check_parameter(model, subset, params.p)
     if stream is None:
         stream = RandomStream(params.seed)
     if table is None:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import chi2_contingency
 
-from .boundary import BlockStream, open_stream, parallel_run
+from .boundary import open_stream, parallel_run
 from .mobius import (
     MobiusTable,
     expected_length,
@@ -27,6 +27,7 @@ from .mobius import (
     smallest_root,
 )
 from .monoid import (
+    Heap,
     IndependenceModel,
     Trace,
     clique_size_counts,
@@ -51,8 +52,6 @@ from .sampler import (
     RandomStream,
     SamplerParams,
     StepCounter,
-    _pivot_chooser,
-    _sample_into,
     sample_many,
     sample_trace,
 )
@@ -274,20 +273,14 @@ def verify_cylinders(
     compared with the target.
 
     One stream per run; a run is extended once through the whole
-    checkpoint ladder while only the bottom x_max_len heap levels are
-    retained, since a divisor of length L lives entirely in the bottom L
-    levels.  The first checkpoint at which each short divisor appears is
-    recorded, which gives every frequency in the ladder in a single pass.
+    checkpoint ladder, and at each checkpoint only the bottom x_max_len
+    heap levels are read, since a divisor of length L lives entirely in
+    the bottom L levels.  The first checkpoint at which each short divisor
+    appears is recorded, which gives every frequency in the ladder in a
+    single pass.
     """
-    stream0 = open_stream(model, pivot, seed)
-    p_star = stream0.p_star
-    pivot_index = stream0.pivot_index
-    block_subset = stream0.block_subset
-    block_target = stream0.block_target
-    table = stream0.table
-    choose = _pivot_chooser(model, SamplerParams(p=p_star, seed=seed))
-    dep = model.dependence
-    counter = StepCounter()
+    blocks = open_stream(model, pivot, seed)
+    p_star = blocks.p_star
 
     arrivals: dict[Trace, np.ndarray] = {}
     n_checkpoints = len(ladder)
@@ -295,41 +288,23 @@ def verify_cylinders(
 
     for run_idx in range(runs):
         stream = RandomStream(seed, (run_idx,))
-        levels = [-1] * model.size
-        prefix = [0] * x_max_len
-        changed = False
+        heap = Heap(model)
+        bottom: tuple[int, ...] = ()
         seen: set[Trace] = set()
         cp = 0
         for k in range(1, k_max + 1):
-            word: list[int] = []
-            _sample_into(
-                model, block_subset, block_target, table, choose,
-                stream, counter, word,
-            )
-            word.append(pivot_index)
-            for i in word:
-                lvl = 0
-                for j in iter_bits(dep[i]):
-                    if levels[j] >= lvl:
-                        lvl = levels[j] + 1
-                levels[i] = lvl
-                if lvl < x_max_len:
-                    prefix[lvl] |= 1 << i
-                    changed = True
+            heap.extend(blocks.draw_block(stream))
             if k == ladder[cp]:
-                if changed:
-                    depth = next(
-                        (d for d, f in enumerate(prefix) if f == 0), x_max_len
-                    )
-                    low = Trace(tuple(prefix[:depth]))
-                    for d in left_divisors(model, low, x_max_len):
+                low = tuple(heap.factors[:x_max_len])
+                if low != bottom:
+                    bottom = low
+                    for d in left_divisors(model, Trace(low), x_max_len):
                         if d not in seen:
                             seen.add(d)
                             slot = arrivals.get(d)
                             if slot is None:
                                 slot = arrivals[d] = np.zeros(n_checkpoints, dtype=np.int64)
                             slot[cp] += 1
-                    changed = False
                 cp += 1
 
     details: dict[str, dict] = {}

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from tracegen.cli import main
+from tracegen.mobius import ROOT_MARGIN
 
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "p4.json")
 
@@ -83,6 +84,35 @@ def test_sample_rejects_p_beyond_root(capsys):
     )
     assert code == 2 and out == ""
     assert "0.333333333333" in err
+
+
+def test_sample_rejects_p_inside_the_root_margin(capsys):
+    # below the root but within ROOT_MARGIN of it: the sampler refuses it,
+    # so the command must fail before writing its header
+    code, out, err = run_cli(
+        capsys, "sample", "--model", MODEL, "--p", "0.3333333333"
+    )
+    assert code == 2 and out == ""
+    assert repr(1 / 3) in err
+    assert f"ROOT_MARGIN={ROOT_MARGIN!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--model", MODEL, "--p", "0.2", "--n", "-3"),
+    ("sample", "--model", MODEL, "--p", "0.2", "--seed", "-1"),
+    ("stream", "--model", MODEL, "--blocks", "-2"),
+    ("stream", "--model", MODEL, "--min-length", "-1"),
+    ("stream", "--model", MODEL, "--blocks", "3", "--workers", "0"),
+    ("stream", "--model", MODEL, "--blocks", "3", "--seed", "-1"),
+    ("verify", "--model", MODEL, "--suite", "mobius", "--seed", "-1"),
+], ids=["n", "sample-seed", "blocks", "min-length", "workers", "stream-seed",
+        "verify-seed"])
+def test_bad_numbers_exit_2_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "must be at least" in captured.err
 
 
 def test_unreadable_model_file(capsys):

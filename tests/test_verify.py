@@ -4,6 +4,7 @@ import pytest
 
 import tracegen as tg
 from tracegen.verify import (
+    DEFAULT_SEED,
     BoundarySuiteConfig,
     FiniteSuiteConfig,
     MobiusSuiteConfig,
@@ -168,6 +169,35 @@ def test_cylinders_standalone(path4):
             continue
         assert entry["target"] == pytest.approx(1 / 3, abs=1e-9)
         assert abs(entry["frequency"] - 1 / 3) < 0.06
+
+
+# counts out of 200 runs of each cylinder frequency in the report below,
+# recorded from the sampler before the heap and block draw were shared
+PINNED_CYLINDER_COUNTS = {
+    "(a c)": 14, "(a c)(a)": 2, "(a c)(b)": 6, "(a c)(c)": 6, "(a c)(d)": 4,
+    "(a d)": 17, "(a d)(a)": 2, "(a d)(b)": 7, "(a d)(c)": 6, "(a d)(d)": 5,
+    "(a)": 50, "(a)(a)": 12, "(a)(a)(a)": 4, "(a)(a)(b)": 7, "(a)(b)": 18,
+    "(a)(b)(a)": 11, "(a)(b)(b)": 2, "(a)(b)(c)": 5, "(b d)": 23, "(b d)(a)": 8,
+    "(b d)(b)": 8, "(b d)(c)": 4, "(b d)(d)": 12, "(b)": 68, "(b)(a c)": 10,
+    "(b)(a)": 23, "(b)(a)(a)": 6, "(b)(a)(b)": 7, "(b)(b)": 23, "(b)(b)(a)": 5,
+    "(b)(b)(b)": 11, "(b)(b)(c)": 6, "(b)(c)": 25, "(b)(c)(b)": 9, "(b)(c)(c)": 8,
+    "(b)(c)(d)": 8, "(c)": 74, "(c)(b d)": 10, "(c)(b)": 27, "(c)(b)(a)": 13,
+    "(c)(b)(b)": 9, "(c)(b)(c)": 5, "(c)(c)": 28, "(c)(c)(b)": 10, "(c)(c)(c)": 9,
+    "(c)(c)(d)": 9, "(c)(d)": 25, "(c)(d)(c)": 6, "(c)(d)(d)": 14, "(d)": 62,
+    "(d)(c)": 22, "(d)(c)(b)": 10, "(d)(c)(c)": 7, "(d)(c)(d)": 5, "(d)(d)": 23,
+    "(d)(d)(c)": 5, "(d)(d)(d)": 7, "1": 200,
+}
+
+
+def test_cylinders_draw_order_is_pinned(path4):
+    report = tg.verify_cylinders(
+        path4, "a", seed=DEFAULT_SEED, x_max_len=3, runs=200
+    )
+    assert report.statistic == 0.08333333333333331
+    per_trace = report.details["per_trace"]
+    assert {name: entry["frequency"] for name, entry in per_trace.items()} == {
+        name: count / 200 for name, count in PINNED_CYLINDER_COUNTS.items()
+    }
 
 
 def test_run_suite_dispatch(path4):

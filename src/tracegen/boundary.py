@@ -22,15 +22,9 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
-from .mobius import ROOT_MARGIN, MobiusTable, NotIrreducibleError, is_irreducible, smallest_root
+from .mobius import ROOT_MARGIN, NotIrreducibleError, is_irreducible, smallest_root
 from .monoid import Heap, IndependenceModel, Trace, normalize_indices
-from .sampler import (
-    RandomStream,
-    SamplerParams,
-    StepCounter,
-    _pivot_chooser,
-    _sample_into,
-)
+from .sampler import RandomStream, Sampler, SamplerParams, StepCounter
 
 
 class GapViolationError(RuntimeError):
@@ -55,11 +49,10 @@ class BlockStream:
         self.p_star = smallest_root(model)
         self.block_target = model.dependence[self.pivot_index]
         self.block_subset = model.full_mask & ~(1 << self.pivot_index)
-        self.table = MobiusTable(model, self.p_star)
+        self._sampler = Sampler(model, SamplerParams(p=self.p_star))
+        self.counter = self._sampler.counter
         self.stream = RandomStream(self.seed)
-        self.counter = StepCounter()
         self.blocks_done = 0
-        self._choose = _pivot_chooser(model, SamplerParams(p=self.p_star, seed=self.seed))
         self._heap = Heap(model)
         self._length = 0
 
@@ -74,17 +67,7 @@ class BlockStream:
 
     def draw_block(self, stream: RandomStream) -> list[int]:
         """Letter indices of one block drawn from ``stream``, apex last."""
-        word: list[int] = []
-        _sample_into(
-            self.model,
-            self.block_subset,
-            self.block_target,
-            self.table,
-            self._choose,
-            stream,
-            self.counter,
-            word,
-        )
+        word = self._sampler.draw(self.block_subset, self.block_target, stream)
         word.append(self.pivot_index)
         return word
 
@@ -180,20 +163,18 @@ def parallel_run(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    stream = open_stream(model, pivot, seed, allow_trivial)
+    open_stream(model, pivot, seed, allow_trivial)
     if workers == 1:
-        out = stream.run(blocks)
-        if counter is not None:
-            counter.add(stream.counter.steps)
-        return out
-    chunk = max(1, -(-blocks // workers))
-    ranges = [(lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_block_words_range, model, pivot, seed, lo, hi)
-            for lo, hi in ranges
-        ]
-        parts = [f.result() for f in futures]
+        parts = [_block_words_range(model, pivot, seed, 0, blocks)]
+    else:
+        chunk = max(1, -(-blocks // workers))
+        ranges = [(lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_block_words_range, model, pivot, seed, lo, hi)
+                for lo, hi in ranges
+            ]
+            parts = [f.result() for f in futures]
     heap = Heap(model)
     steps = 0
     for words, spent in parts:

@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--seed", type=_COUNT, default=DEFAULT_SEED,
                           help=f"random seed (default {DEFAULT_SEED})")
     p_stream.add_argument("--workers", type=_int_at_least(1), default=1,
-                          help="worker processes (needs --blocks)")
+                          help="worker processes (needs --blocks); above one, only "
+                               "the final record is printed, as with --emit final")
     p_stream.add_argument("--emit", choices=("each-block", "final"),
                           default="each-block",
                           help="emit one record per block, or only the final trace")

@@ -138,6 +138,8 @@ def model_to_dict(model: IndependenceModel) -> dict:
 def restrict(model: IndependenceModel, letters: Iterable[str] | int) -> IndependenceModel:
     """Submodel induced on a subset of the alphabet, order preserved."""
     mask = letters if isinstance(letters, int) else model.subset(letters)
+    if mask >> model.size:
+        raise ValueError("subset mask has bits outside the alphabet")
     keep = list(iter_bits(mask))
     if not keep:
         raise ValueError("cannot restrict to an empty alphabet")

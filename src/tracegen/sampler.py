@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -102,65 +102,75 @@ class SamplerParams:
             raise ValueError('pivot "order" needs a nonempty pivot_order')
 
 
-def _pivot_chooser(
-    model: IndependenceModel, params: SamplerParams
-) -> Callable[[int, int], int]:
-    if params.pivot == "lowindex":
-        def choose(subset: int, candidates: int) -> int:
-            return (candidates & -candidates).bit_length() - 1
-    elif params.pivot == "maxdeg":
-        dep = model.dependence
+class Sampler:
+    """The pivot recursion for one model, parameter and pivot rule.
 
-        def choose(subset: int, candidates: int) -> int:
-            best = -1
-            best_deg = -1
-            for i in iter_bits(candidates):
-                deg = (dep[i] & subset).bit_count()
-                if deg > best_deg:
-                    best, best_deg = i, deg
-            return best
-    else:
-        order = tuple(model.index_of(ch) for ch in params.pivot_order or ())
-
-        def choose(subset: int, candidates: int) -> int:
-            for i in order:
-                if (candidates >> i) & 1:
-                    return i
-            return (candidates & -candidates).bit_length() - 1
-    return choose
-
-
-def _sample_into(
-    model: IndependenceModel,
-    subset: int,
-    target: int,
-    table: MobiusTable,
-    choose: Callable[[int, int], int],
-    stream: RandomStream,
-    counter: StepCounter,
-    out: list[int],
-) -> None:
-    """Append the letters of one conditioned sample to ``out``.
-
-    Emits a trace over ``subset`` distributed as the multiplicative law
-    conditioned on all maximal pieces lying in ``target``; the letters are
-    appended in a valid linearisation order.
+    Built once and reused for every draw: it holds the memoised Mobius
+    values at ``params.p``, the pivot rule and the step counter.  It does
+    not check ``p``; callers check it against the root of the subalphabet
+    they draw over (``check_parameter``).
     """
-    counter.steps += 1
-    candidates = subset & target
-    if not candidates:
-        return
-    pivot = choose(subset, candidates)
-    k = sample_geometric(table.occurrence(subset, pivot), stream)
-    counter.steps += k + 1
-    rest = subset & ~(1 << pivot)
-    lk = model.dependence[pivot]
-    for _ in range(k):
-        _sample_into(model, rest, lk, table, choose, stream, counter, out)
-        out.append(pivot)
+
+    def __init__(
+        self,
+        model: IndependenceModel,
+        params: SamplerParams,
+        counter: StepCounter | None = None,
+    ):
+        self.model = model
+        self.table = MobiusTable(model, params.p)
+        self.counter = StepCounter() if counter is None else counter
+        if params.pivot == "order":
+            self._order = tuple(model.index_of(ch) for ch in params.pivot_order)
+        self._choose = getattr(self, f"_choose_{params.pivot}")
+
+    @staticmethod
+    def _choose_lowindex(subset: int, candidates: int) -> int:
+        return (candidates & -candidates).bit_length() - 1
+
+    def _choose_maxdeg(self, subset: int, candidates: int) -> int:
+        dep = self.model.dependence
+        best = -1
+        best_deg = -1
+        for i in iter_bits(candidates):
+            deg = (dep[i] & subset).bit_count()
+            if deg > best_deg:
+                best, best_deg = i, deg
+        return best
+
+    def _choose_order(self, subset: int, candidates: int) -> int:
+        for i in self._order:
+            if (candidates >> i) & 1:
+                return i
+        return (candidates & -candidates).bit_length() - 1
+
+    def draw(self, subset: int, target: int, stream: RandomStream) -> list[int]:
+        """Letter indices of one sample over ``subset`` conditioned on all
+        maximal pieces lying in ``target``, in a valid linearisation order.
+        """
+        out: list[int] = []
+        self._fill(subset, target, stream, out)
+        return out
+
+    def _fill(self, subset: int, target: int, stream: RandomStream, out: list[int]) -> None:
+        # a method, not a closure inside draw: a recursive closure refers to
+        # itself, so every draw would leave a cycle for the garbage collector
+        counter = self.counter
         counter.steps += 1
-    _sample_into(model, rest, target, table, choose, stream, counter, out)
-    counter.steps += 1
+        candidates = subset & target
+        if not candidates:
+            return
+        pivot = self._choose(subset, candidates)
+        k = sample_geometric(self.table.occurrence(subset, pivot), stream)
+        counter.steps += k + 1
+        rest = subset & ~(1 << pivot)
+        lk = self.model.dependence[pivot]
+        for _ in range(k):
+            self._fill(rest, lk, stream, out)
+            out.append(pivot)
+            counter.steps += 1
+        self._fill(rest, target, stream, out)
+        counter.steps += 1
 
 
 def check_parameter(model: IndependenceModel, subset: int, p: float) -> None:
@@ -175,13 +185,28 @@ def check_parameter(model: IndependenceModel, subset: int, p: float) -> None:
         )
 
 
+def _checked_sampler(
+    model: IndependenceModel,
+    subset: int,
+    target: int,
+    params: SamplerParams,
+    counter: StepCounter | None,
+) -> Sampler:
+    """A Sampler for draws over ``subset`` conditioned on ``target``, once
+    the masks and the parameter are checked."""
+    if subset >> model.size or target >> model.size:
+        raise ValueError("subset mask has bits outside the alphabet")
+    if subset & target:
+        check_parameter(model, subset, params.p)
+    return Sampler(model, params, counter)
+
+
 def sample_trace(
     model: IndependenceModel,
     subset: int,
     target: int,
     params: SamplerParams,
     stream: RandomStream | None = None,
-    table: MobiusTable | None = None,
     counter: StepCounter | None = None,
 ) -> Trace:
     """Sample the multiplicative law over ``subset`` conditioned on the
@@ -191,33 +216,21 @@ def sample_trace(
     below the smallest Mobius root of ``subset``; the recursion only ever
     shrinks the subalphabet, which can only move that root up.
     """
-    if subset >> model.size or target >> model.size:
-        raise ValueError("subset mask has bits outside the alphabet")
-    if subset & target:
-        check_parameter(model, subset, params.p)
+    sampler = _checked_sampler(model, subset, target, params, counter)
     if stream is None:
         stream = RandomStream(params.seed)
-    if table is None:
-        table = MobiusTable(model, params.p)
-    if counter is None:
-        counter = StepCounter()
-    word: list[int] = []
-    _sample_into(
-        model, subset, target, table, _pivot_chooser(model, params), stream, counter, word
-    )
-    return normalize_indices(model, word)
+    return normalize_indices(model, sampler.draw(subset, target, stream))
 
 
 def sample(
     model: IndependenceModel,
     params: SamplerParams,
     stream: RandomStream | None = None,
-    table: MobiusTable | None = None,
     counter: StepCounter | None = None,
 ) -> Trace:
     """One unconditioned sample over the full alphabet."""
     full = model.full_mask
-    return sample_trace(model, full, full, params, stream, table, counter)
+    return sample_trace(model, full, full, params, stream, counter)
 
 
 def sample_many(
@@ -231,14 +244,14 @@ def sample_many(
     """Yield n independent samples, one split child stream per index.
 
     Sample i depends only on (seed, i), so the sequence is reproducible
-    and insensitive to how many samples are drawn around it.
+    and insensitive to how many samples are drawn around it.  The masks
+    and the parameter are checked once, and one Sampler draws every
+    sample.
     """
     full = model.full_mask
     subset = full if subset is None else subset
     target = subset if target is None else target
+    sampler = _checked_sampler(model, subset, target, params, counter)
     base = RandomStream(params.seed)
-    table = MobiusTable(model, params.p)
     for i in range(n):
-        yield sample_trace(
-            model, subset, target, params, base.split(i), table, counter
-        )
+        yield normalize_indices(model, sampler.draw(subset, target, base.split(i)))

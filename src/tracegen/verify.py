@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -108,21 +108,27 @@ class TestReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def empirical_distribution(samples: Sequence[Trace]) -> dict[Trace, float]:
     n = len(samples)
     return {x: c / n for x, c in Counter(samples).items()}
+
+
+def _law_report(
+    name: str,
+    samples: Sequence[Trace],
+    exact: dict[Trace, float],
+    cutoff: int,
+    threshold: float,
+    seed: int,
+    **details,
+) -> TestReport:
+    """Total variation between the empirical law of ``samples`` and the
+    exact table, on traces of length at most ``cutoff``."""
+    tv = tv_distance(empirical_distribution(samples), exact, cutoff)
+    return TestReport.make(name, tv, threshold, "le", len(samples), seed, **details)
 
 
 def conditioned_probability_table(
@@ -214,12 +220,9 @@ def verify_decomposition_law(
     exact = conditioned_probability_table(
         model, rest, model.dependence[pivot_index], p, 3
     )
-    emp = empirical_distribution(first_bodies)
-    tv = tv_distance(emp, exact, support_cutoff=3)
     reports.append(
-        TestReport.make(
-            "decomposition-first-body-law", tv, tv_threshold, "le",
-            len(first_bodies), seed,
+        _law_report(
+            "decomposition-first-body-law", first_bodies, exact, 3, tv_threshold, seed,
         )
     )
 
@@ -398,19 +401,21 @@ def run_mobius_suite(
     reports = []
     full = model.full_mask
     rng = random.Random(seed)
+    exhaustive = model.size <= config.exhaustive_limit
 
-    if model.size <= config.exhaustive_limit:
-        pairs = [
-            (x, i)
-            for x in range(1, full + 1)
-            for i in iter_bits(x)
-        ]
-    else:
-        pairs = []
-        for _ in range(config.sampled_checks):
-            x = rng.randrange(1, full + 1)
-            i = rng.choice(list(iter_bits(x)))
-            pairs.append((x, i))
+    def masks(low: int):
+        """Every mask from ``low`` to ``full``, or ``sampled_checks`` random
+        ones drawn lazily, so draws made while iterating interleave."""
+        if exhaustive:
+            return range(low, full + 1)
+        return (rng.randrange(low, full + 1) for _ in range(config.sampled_checks))
+
+    # each pivot of a small subset, one random pivot of a sampled one
+    pairs = [
+        (x, i)
+        for x in masks(1)
+        for i in (iter_bits(x) if exhaustive else (rng.choice(list(iter_bits(x))),))
+    ]
     violations = sum(
         1
         for x, i in pairs
@@ -475,13 +480,9 @@ def run_mobius_suite(
         )
     )
 
-    if model.size <= config.exhaustive_limit:
-        subsets = range(1, full + 1)
-    else:
-        subsets = [rng.randrange(1, full + 1) for _ in range(config.sampled_checks)]
     violations = 0
     checked = 0
-    for x in subsets:
+    for x in masks(1):
         px = smallest_root(model, x)
         sub_poly = mobius_polynomial(model, x)
         for j in range(1, 20):
@@ -497,18 +498,10 @@ def run_mobius_suite(
 
     p = 0.5 * root
     table = MobiusTable(model, p)
-    violations = sum(
-        1
-        for x in (range(0, full + 1) if model.size <= config.exhaustive_limit
-                  else [rng.randrange(0, full + 1) for _ in range(config.sampled_checks)])
-        if table.value(x) != mobius_eval(model, x, p)
-    )
+    subsets = list(masks(0))
+    violations = sum(1 for x in subsets if table.value(x) != mobius_eval(model, x, p))
     reports.append(
-        TestReport.make(
-            "memo-coherence", violations, 0, "le",
-            full + 1 if model.size <= config.exhaustive_limit else config.sampled_checks,
-            seed,
-        )
+        TestReport.make("memo-coherence", violations, 0, "le", len(subsets), seed)
     )
 
     worst = 0.0
@@ -548,10 +541,10 @@ def run_finite_suite(
 
     samples = list(sample_many(model, params, config.n_law))
     exact = enumerate_traces(model, full, config.support_cutoff).probability_table(p)
-    tv = tv_distance(empirical_distribution(samples), exact, config.support_cutoff)
     reports.append(
-        TestReport.make(
-            "finite-law-tv", tv, config.tv_threshold, "le", config.n_law, seed, p=p,
+        _law_report(
+            "finite-law-tv", samples, exact, config.support_cutoff,
+            config.tv_threshold, seed, p=p,
         )
     )
 
@@ -606,14 +599,10 @@ def run_finite_suite(
         exact_cond = conditioned_probability_table(
             model, full, target, p, config.support_cutoff
         )
-        tv = tv_distance(
-            empirical_distribution(drawn), exact_cond, config.support_cutoff
-        )
         reports.append(
-            TestReport.make(
-                f"conditioned-law-tv-{label}", tv,
-                config.conditioned_tv_threshold, "le",
-                config.n_conditioned, seed + 3,
+            _law_report(
+                f"conditioned-law-tv-{label}", drawn, exact_cond,
+                config.support_cutoff, config.conditioned_tv_threshold, seed + 3,
             )
         )
 
@@ -709,13 +698,10 @@ def run_boundary_suite(
         )
     )
     exact_blocks = pyramidal_block_table(model, pivot, p_star, config.support_cutoff)
-    tv = tv_distance(
-        empirical_distribution(blocks), exact_blocks, config.support_cutoff
-    )
     reports.append(
-        TestReport.make(
-            "block-law-tv", tv, config.tv_threshold, "le",
-            config.n_blocks_law, seed + 1, p_star=p_star,
+        _law_report(
+            "block-law-tv", blocks, exact_blocks, config.support_cutoff,
+            config.tv_threshold, seed + 1, p_star=p_star,
         )
     )
 

@@ -237,6 +237,8 @@ def test_restrict_and_link(path4):
     assert sub.letters_of(sub.dependence[sub.index_of("a")]) == ["a", "b"]
     assert path4.letters_of(link(path4, "b")) == ["a", "b", "c"]
     assert path4.letters_of(link(path4, "a")) == ["a", "b"]
+    with pytest.raises(ValueError, match="bits outside the alphabet"):
+        tg.restrict(path4, 0b10000)
 
 
 def test_build_model_validation():

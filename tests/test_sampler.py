@@ -1,5 +1,6 @@
 """Finite trace sampler: determinism, laws on moderate samples, step counts."""
 
+import hashlib
 import math
 
 import pytest
@@ -121,17 +122,16 @@ def test_unconditioned_counter_bound(path4):
 
 
 def test_all_pivot_rules_sample_the_same_law(path4):
+    # on the mirror-symmetric path the reversed order mirrors lowindex
+    # draw for draw; b d a c differs from every other rule
+    orders = {"order": (("d", "c", "b", "a"), ("b", "d", "a", "c"))}
     n = 20000
     freqs = []
     for rule in PIVOT_RULES:
-        params = tg.SamplerParams(
-            p=0.2,
-            seed=9,
-            pivot=rule,
-            pivot_order=("d", "c", "b", "a") if rule == "order" else None,
-        )
-        samples = tg.sample_many(path4, params, n)
-        freqs.append(sum(1 for x in samples if x.length <= 1) / n)
+        for order in orders.get(rule, (None,)):
+            params = tg.SamplerParams(p=0.2, seed=9, pivot=rule, pivot_order=order)
+            samples = tg.sample_many(path4, params, n)
+            freqs.append(sum(1 for x in samples if x.length <= 1) / n)
     spread = max(freqs) - min(freqs)
     assert spread < 0.02
 
@@ -141,3 +141,41 @@ def test_shared_counter_accumulates(path4):
     counter = tg.StepCounter()
     list(tg.sample_many(path4, params, 100, counter=counter))
     assert counter.steps > 100
+
+
+@pytest.mark.parametrize(
+    "pivot, seed, conditioned, letters, steps, digest",
+    [
+        ("maxdeg", 31, False, 491, 6528,
+         "13ed38df4a2da995f3dc506e54ffe47a6e16b269a6ceb41c1308a21eb58b1c9b"),
+        ("order", 32, False, 508, 6645,
+         "70d0171562336b34010878f4d6b277994061179aeba1042be1a0155aa46e6db2"),
+        ("lowindex", 33, True, 319, 3969,
+         "49a66809a517ef1325ea749770c1c0ce1871ffb7b6f9de0073af5ac1e31720d3"),
+    ],
+    ids=["maxdeg", "order", "link-a"],
+)
+def test_sample_many_draws_are_pinned(path4, pivot, seed, conditioned, letters, steps, digest):
+    # frozen output: 300 draws at p = 0.2, their letter total, the steps
+    # counted, and the sha256 of their bracket forms one per line
+    params = tg.SamplerParams(
+        p=0.2, seed=seed, pivot=pivot,
+        pivot_order=("b", "d", "a", "c") if pivot == "order" else None,
+    )
+    target = tg.link(path4, "a") if conditioned else None
+    counter = tg.StepCounter()
+    xs = list(tg.sample_many(path4, params, 300, path4.full_mask, target, counter))
+    text = "\n".join(tg.format_trace(path4, x) for x in xs)
+    assert sum(x.length for x in xs) == letters
+    assert counter.steps == steps
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_sample_calls_with_one_counter_are_pinned(path4):
+    params = tg.SamplerParams(p=0.25, seed=99)
+    counter = tg.StepCounter()
+    letters = sum(
+        tg.sample(path4, params, stream=tg.RandomStream(5, (i,)), counter=counter).length
+        for i in range(500)
+    )
+    assert (letters, counter.steps) == (1634, 15233)

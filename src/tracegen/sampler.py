@@ -5,9 +5,11 @@ mu is the Mobius polynomial of the alphabet; conditioning on the maximal
 pieces lying inside a target subset T keeps the same weights restricted to
 that event.  Sampling is by pivot decomposition: pick a pivot letter a in
 S and T, draw the number K of pyramidal prefixes with apex a from a
-geometric law, then fill each prefix and the remainder recursively over
-the alphabet without a.  The cost is linear in output length, with a
-factor for the alphabet size.
+geometric law, then fill each prefix and the remainder the same way over
+the alphabet without a.  Each state (S, T) of that recursion is compiled
+once into a node holding its pivot, the log of its geometric parameter and
+its two child states, and a draw runs the nodes on an explicit stack.  The
+cost is linear in output length, with a factor for the alphabet size.
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ from .monoid import IndependenceModel, Trace, iter_bits, normalize_indices
 
 PIVOT_RULES = ("lowindex", "maxdeg", "order")
 
+# Uniforms are drawn from the generator in chunks: the first holds
+# _FIRST_CHUNK doubles, so a short sample does not pay for many, and each
+# refill doubles the chunk up to _MAX_CHUNK.
+_FIRST_CHUNK = 4
+_MAX_CHUNK = 256
+
 
 class RandomStream:
     """Deterministic uniform stream with hierarchical splitting.
@@ -30,20 +38,30 @@ class RandomStream:
     A stream is identified by a 64 bit seed and a key tuple; ``split(i)``
     derives an independent child stream keyed by (key..., i).  Identical
     (seed, key) always reproduce the identical draw sequence, which is what
-    makes parallel block generation order independent.
+    makes parallel block generation order independent.  The doubles are
+    drawn from the generator in chunks; a chunk of n holds the same doubles
+    as n single draws, so chunking does not change the sequence.
     """
 
-    __slots__ = ("seed", "key", "_gen")
+    __slots__ = ("seed", "key", "_gen", "_chunk", "_next")
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
+        self._chunk = _FIRST_CHUNK
+        self._next = iter(()).__next__
 
     def uniform(self) -> float:
         """Next double in [0, 1)."""
-        return float(self._gen.random())
+        try:
+            return self._next()
+        except StopIteration:
+            n = self._chunk
+            self._chunk = min(2 * n, _MAX_CHUNK)
+            self._next = iter(self._gen.random(n).tolist()).__next__
+            return self._next()
 
     def split(self, index: int) -> "RandomStream":
         return RandomStream(self.seed, self.key + (index,))
@@ -55,9 +73,11 @@ class RandomStream:
 class StepCounter:
     """Abstract cost meter for the samplers.
 
-    Counts one step per recursive call, one per unit of the geometric draw
-    plus one, and one per emitted factor; these are the operations the
-    linear cost bound is stated over.
+    Counts one step per state visited by the pivot recursion, one per unit
+    of the geometric draw plus one, and one per emitted factor; these are
+    the operations the linear cost bound is stated over.  The compiled
+    sampler adds each node's share at once, empty states included, so the
+    totals are those of the plain recursion.
     """
 
     __slots__ = ("steps",)
@@ -69,14 +89,18 @@ class StepCounter:
         self.steps += n
 
 
-def sample_geometric(r: float, stream: RandomStream) -> int:
-    """Draw K with P(K = k) = (1 - r) r^k by inversion of one uniform."""
+def _log_ratio(r: float) -> float:
+    """log(r) for a geometric parameter r in [0, 1), and 0.0 for r == 0."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"geometric parameter must lie in [0, 1), got {r!r}")
+    return math.log(r) if r else 0.0
+
+
+def sample_geometric(r: float, stream: RandomStream) -> int:
+    """Draw K with P(K = k) = (1 - r) r^k by inversion of one uniform."""
+    log_r = _log_ratio(r)
     u = stream.uniform()
-    if r == 0.0:
-        return 0
-    return int(math.log1p(-u) / math.log(r))
+    return int(math.log1p(-u) / log_r) if log_r else 0
 
 
 @dataclass(frozen=True)
@@ -105,10 +129,15 @@ class SamplerParams:
 class Sampler:
     """The pivot recursion for one model, parameter and pivot rule.
 
-    Built once and reused for every draw: it holds the memoised Mobius
-    values at ``params.p``, the pivot rule and the step counter.  It does
-    not check ``p``; callers check it against the root of the subalphabet
-    they draw over (``check_parameter``).
+    Built once and reused for every draw.  Each state (subset, candidates)
+    the recursion reaches is compiled on first use into a node
+    ``[pivot, log_r, steps, steps_per_k, rest, link]``: the pivot the rule
+    picks, the log of the geometric parameter at ``params.p``, the steps
+    the node adds besides ``steps_per_k`` per geometric unit, and the rest
+    and link child states.  A child is None when it has no candidates, the
+    key of its state until it is first reached, and its node after.  The
+    sampler does not check ``p``; callers check it against the root of the
+    subalphabet they draw over (``check_parameter``).
     """
 
     def __init__(
@@ -123,6 +152,7 @@ class Sampler:
         if params.pivot == "order":
             self._order = tuple(model.index_of(ch) for ch in params.pivot_order)
         self._choose = getattr(self, f"_choose_{params.pivot}")
+        self._nodes: dict[tuple[int, int], list] = {}
 
     @staticmethod
     def _choose_lowindex(subset: int, candidates: int) -> int:
@@ -144,33 +174,74 @@ class Sampler:
                 return i
         return (candidates & -candidates).bit_length() - 1
 
+    def _node(self, state: tuple[int, int]) -> list:
+        """The node of a state (subset, candidates) with candidates."""
+        try:
+            return self._nodes[state]
+        except KeyError:
+            pass
+        subset, candidates = state
+        pivot = self._choose(subset, candidates)
+        log_r = _log_ratio(self.table.occurrence(subset, pivot))
+        rest = subset & ~(1 << pivot)
+        rest_candidates = rest & candidates
+        link_candidates = rest & self.model.dependence[pivot]
+        # a visit costs 1, the geometric draw k + 1, the k pivots and the
+        # remainder one each: 3 + 2k; an empty child is never pushed, so
+        # its one step for the visit is counted here
+        node = self._nodes[state] = [
+            pivot,
+            log_r,
+            3 if rest_candidates else 4,
+            2 if link_candidates else 3,
+            (rest, rest_candidates) if rest_candidates else None,
+            (rest, link_candidates) if link_candidates else None,
+        ]
+        return node
+
     def draw(self, subset: int, target: int, stream: RandomStream) -> list[int]:
         """Letter indices of one sample over ``subset`` conditioned on all
         maximal pieces lying in ``target``, in a valid linearisation order.
+
+        The stack holds nodes still to fill and pivot letters still to
+        emit; a node pushes its remainder, then K times its pivot and its
+        link child, so the letters come out in the recursion's order.
         """
         out: list[int] = []
-        self._fill(subset, target, stream, out)
-        return out
-
-    def _fill(self, subset: int, target: int, stream: RandomStream, out: list[int]) -> None:
-        # a method, not a closure inside draw: a recursive closure refers to
-        # itself, so every draw would leave a cycle for the garbage collector
-        counter = self.counter
-        counter.steps += 1
         candidates = subset & target
         if not candidates:
-            return
-        pivot = self._choose(subset, candidates)
-        k = sample_geometric(self.table.occurrence(subset, pivot), stream)
-        counter.steps += k + 1
-        rest = subset & ~(1 << pivot)
-        lk = self.model.dependence[pivot]
-        for _ in range(k):
-            self._fill(rest, lk, stream, out)
-            out.append(pivot)
-            counter.steps += 1
-        self._fill(rest, target, stream, out)
-        counter.steps += 1
+            self.counter.steps += 1
+            return out
+        uniform = stream.uniform
+        log1p = math.log1p
+        resolve = self._node
+        emit = out.append
+        stack = [resolve((subset, candidates))]
+        push = stack.append
+        pop = stack.pop
+        steps = 0
+        while stack:
+            node = pop()
+            if node.__class__ is int:
+                emit(node)
+                continue
+            pivot, log_r, base, per_k, rest, link = node
+            u = uniform()
+            k = int(log1p(-u) / log_r) if log_r else 0
+            steps += base + k * per_k
+            if rest is not None:
+                if rest.__class__ is tuple:
+                    rest = node[4] = resolve(rest)
+                push(rest)
+            if k:
+                if link is None:
+                    out += [pivot] * k
+                else:
+                    if link.__class__ is tuple:
+                        link = node[5] = resolve(link)
+                    stack += [pivot, link] * k
+        self.counter.steps += steps
+        return out
 
 
 def check_parameter(model: IndependenceModel, subset: int, p: float) -> None:

@@ -3,10 +3,13 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import tracegen as tg
-from tracegen.sampler import PIVOT_RULES
+from conftest import cycle_model, path_model
+from tracegen.sampler import PIVOT_RULES, Sampler
 from tracegen.verify import empirical_distribution
 
 
@@ -179,3 +182,95 @@ def test_sample_calls_with_one_counter_are_pinned(path4):
         for i in range(500)
     )
     assert (letters, counter.steps) == (1634, 15233)
+
+
+# -- the compiled sampler against the plain pivot recursion ---------------------
+
+def reference_fill(sampler, subset, target, stream, out):
+    """The pivot recursion, one call per state, as the compiled nodes run it."""
+    counter = sampler.counter
+    counter.steps += 1
+    candidates = subset & target
+    if not candidates:
+        return
+    pivot = sampler._choose(subset, candidates)
+    k = tg.sample_geometric(sampler.table.occurrence(subset, pivot), stream)
+    counter.steps += k + 1
+    rest = subset & ~(1 << pivot)
+    lk = sampler.model.dependence[pivot]
+    for _ in range(k):
+        reference_fill(sampler, rest, lk, stream, out)
+        out.append(pivot)
+        counter.steps += 1
+    reference_fill(sampler, rest, target, stream, out)
+    counter.steps += 1
+
+
+def reference_draw(model, params, subset, target, stream):
+    sampler = Sampler(model, params)
+    out = []
+    reference_fill(sampler, subset, target, stream, out)
+    return out, sampler.counter.steps
+
+
+@st.composite
+def sampler_case(draw):
+    n = draw(st.integers(1, 8))
+    letters = "abcdefgh"[:n]
+    pairs = [
+        (letters[i], letters[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    ]
+    model = tg.build_model(letters, pairs)
+    rule = draw(st.sampled_from(PIVOT_RULES))
+    order = None
+    if rule == "order":
+        order = tuple(draw(st.permutations(letters))[: draw(st.integers(1, n))])
+    subset = draw(st.integers(1, model.full_mask))
+    target = draw(st.integers(0, model.full_mask))
+    p = 0.9 * tg.smallest_root(model, subset)
+    params = tg.SamplerParams(p=p, seed=draw(st.integers(0, 2**32)), pivot=rule, pivot_order=order)
+    return model, params, subset, target
+
+
+@given(sampler_case())
+def test_compiled_draw_matches_recursion(case):
+    model, params, subset, target = case
+    sampler = Sampler(model, params)
+    for i in range(4):
+        before = sampler.counter.steps
+        got = sampler.draw(subset, target, tg.RandomStream(params.seed, (i,)))
+        want, steps = reference_draw(
+            model, params, subset, target, tg.RandomStream(params.seed, (i,))
+        )
+        assert got == want
+        assert sampler.counter.steps - before == steps
+
+
+@pytest.mark.parametrize("model", [path_model(16), cycle_model(20)], ids=["path16", "cycle20"])
+def test_compiled_blocks_match_recursion_at_p_sigma(model):
+    stream = tg.open_stream(model, "x0", 23)
+    params = tg.SamplerParams(p=stream.p_star)
+    for i in range(200):
+        before = stream.counter.steps
+        got = stream.block_word(i)
+        want, steps = reference_draw(
+            model, params, stream.block_subset, stream.block_target, stream.stream.split(i)
+        )
+        assert got == want + [stream.pivot_index]
+        assert stream.counter.steps - before == steps
+
+
+def test_compiled_node_checks_geometric_parameter(path4, monkeypatch):
+    monkeypatch.setattr(tg.MobiusTable, "occurrence", lambda self, subset, pivot: 1.0)
+    with pytest.raises(ValueError, match=r"got 1\.0"):
+        tg.sample(path4, tg.SamplerParams(p=0.2, seed=1))
+
+
+@pytest.mark.parametrize("seed, key", [(0, ()), (42, ()), (7, (3,)), (2**63 + 5, (1, 2, 3))])
+def test_chunked_uniforms_equal_scalar_draws(seed, key):
+    stream = tg.RandomStream(seed, key)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    assert [stream.uniform() for _ in range(1000)] == [float(gen.random()) for _ in range(1000)]

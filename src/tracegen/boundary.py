@@ -79,21 +79,26 @@ class BlockStream:
         """
         return self.draw_block(self.stream.split(index))
 
-    def next_block(self) -> Trace:
-        """Draw the next block, append it to the accumulated trace, and
-        return the block itself."""
+    def _advance(self) -> list[int]:
+        """Draw the next block and append it to the accumulated trace;
+        return its letter indices."""
         word = self.block_word(self.blocks_done)
         self._heap.extend(word)
         self._length += len(word)
         self.blocks_done += 1
         self.counter.steps += 1
-        return normalize_indices(self.model, word)
+        return word
+
+    def next_block(self) -> Trace:
+        """Draw the next block, append it to the accumulated trace, and
+        return the block itself."""
+        return normalize_indices(self.model, self._advance())
 
     def run(self, blocks: int) -> Trace:
         """Advance by the given number of blocks, returning the accumulated
         trace."""
         for _ in range(blocks):
-            self.next_block()
+            self._advance()
         return self.accumulated
 
 

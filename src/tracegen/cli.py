@@ -123,13 +123,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 break
             if args.min_length and stream.length >= args.min_length:
                 break
-            block = stream.next_block()
             if emit_each:
+                block = stream.next_block()
                 print(json.dumps({
                     "k": stream.blocks_done,
                     "block": trace_to_lists(model, block),
                     "length": stream.length,
                 }), flush=not args.blocks)
+            else:
+                stream._advance()
     except KeyboardInterrupt:
         pass
     if not emit_each:

@@ -10,12 +10,20 @@ the alphabet without a.  Each state (S, T) of that recursion is compiled
 once into a node holding its pivot, the log of its geometric parameter and
 its two child states, and a draw runs the nodes on an explicit stack.  The
 cost is linear in output length, with a factor for the alphabet size.
+
+Every sample and boundary block draws from its own stream keyed by
+(seed, index): numpy's SeedSequence -> PCG64 stream, whose state an
+in-repo copy of SeedSequence's hash computes, drawn through one shared
+generator that is re-seated for each stream.  The doubles are numpy's own,
+so the output is that of a SeedSequence and a PCG64 built per stream.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -31,25 +39,209 @@ PIVOT_RULES = ("lowindex", "maxdeg", "order")
 _FIRST_CHUNK = 4
 _MAX_CHUNK = 256
 
+# RandomStream derives numpy's SeedSequence -> PCG64 state in Python
+# integers.  SeedSequence hashes the seed's 32 bit words, zero padded to
+# four, into a pool of four words and mixes them across it; each further
+# seed word, then each word of the spawn key, is hashed four times and
+# mixed into every pool word.  PCG64 seeds from the pool's 8 output words.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A = 0x43B0D7E5
+_HASH_MULT_A = 0x931E8875
+_HASH_INIT_B = 0x8B51F9DD
+_HASH_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _lanes(values: list[int], width: int) -> int:
+    """One integer holding values[j] at bit width * j."""
+    return sum(v << (width * j) for j, v in enumerate(values))
+
+
+# The four pool words are kept as 32 bit lanes of one integer, 320 bits
+# apart, so a key word is hashed into all of them by a few big-integer
+# operations.  A product of 4 lanes 64 bits apart and 4 lanes 256 bits
+# apart puts each of its 16 partial products, all below 2**64, in its own
+# 64 bit slot, and the 4 wanted ones (equal lane numbers) 320 bits apart;
+# the generate_state product of 320-bit and 80-bit lanes likewise puts
+# them 400 bits apart.
+_POOL_MASK = _lanes([_MASK32] * 4, 320)
+_SPREAD = _lanes([1] * 4, 64)
+_MIX_OFFSET = _lanes([_MIX_MULT_R << 32] * 4, 320)  # keeps every lane >= 0
+
+
+def _words(n: int) -> list[int]:
+    """The 32 bit words of a non-negative integer, least significant first,
+    as SeedSequence splits seeds and key elements."""
+    if n < 0:
+        raise ValueError(f"seed and key elements must be non-negative, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+@lru_cache(maxsize=64)
+def _hash_constants(t: int) -> tuple[int, int]:
+    """The hash constants of the t-th word hashed after the first four:
+    the four it is xored with, as 64-bit lanes, and the four it is then
+    multiplied by, as 256-bit lanes."""
+    h = [
+        _HASH_INIT_A * pow(_HASH_MULT_A, 16 + 4 * t + j, 1 << 32) & _MASK32
+        for j in range(5)
+    ]
+    return _lanes(h[:4], 64), _lanes(h[1:], 256)
+
+
+def _absorb(pool: int, t: int, n: int) -> tuple[int, int]:
+    """Hash the words of n into the pool, whose next word is the t-th."""
+    for w in _words(n):
+        xor, mult = _hash_constants(t)
+        v = (w * _SPREAD ^ xor) * mult & _POOL_MASK
+        v = (v ^ v >> 16) & _POOL_MASK
+        pool = (_MIX_MULT_L * pool + _MIX_OFFSET - _MIX_MULT_R * v) & _POOL_MASK
+        pool = (pool ^ pool >> 16) & _POOL_MASK
+        t += 1
+    return pool, t
+
+
+@lru_cache(maxsize=64)
+def _pool(seed: int, key: tuple[int, ...]) -> tuple[int, int]:
+    """SeedSequence(seed, spawn_key=key)'s pool, and the number of words
+    hashed into it after the first four."""
+    if key:
+        return _absorb(*_pool(seed, key[:-1]), key[-1])
+    words = _words(seed)
+    words += [0] * (4 - len(words))
+    h = _HASH_INIT_A
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * _HASH_MULT_A & _MASK32
+        v = v * h & _MASK32
+        return v ^ v >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])) & _MASK32
+                pool[dst] = v ^ v >> 16
+    packed, t = _lanes(pool, 320), 0
+    for w in words[4:]:
+        packed, t = _absorb(packed, t, w)
+    return packed, t
+
+
+def _output_constants() -> tuple[int, int, int, int]:
+    """generate_state's xor and multiplier constants for its output words
+    0-3 and 4-7, as 320-bit and 80-bit lanes."""
+    h = _HASH_INIT_B
+    xors, mults = [], []
+    for _ in range(8):
+        xors.append(h)
+        h = h * _HASH_MULT_B & _MASK32
+        mults.append(h)
+    return (_lanes(xors[:4], 320), _lanes(mults[:4], 80),
+            _lanes(xors[4:], 320), _lanes(mults[4:], 80))
+
+
+_XOR_LO, _MULT_LO, _XOR_HI, _MULT_HI = _output_constants()
+_OUTPUT_MASK = _lanes([_MASK32] * 4, 400)
+
+
+def _pcg64_seed(pool: int) -> tuple[int, int]:
+    """PCG64's (state, inc) when seeded from the pool.
+
+    generate_state(4, uint64) hashes the pool words in turn, twice; words
+    0-3 give the seed and 4-7 the increment, each as the 128-bit number
+    w0 << 64 | w1 << 96 | w2 | w3 << 32.  pcg64_set_seed then runs two
+    LCG steps from state 0.
+    """
+    lo = (pool ^ _XOR_LO) * _MULT_LO & _OUTPUT_MASK
+    hi = (pool ^ _XOR_HI) * _MULT_HI & _OUTPUT_MASK
+    lo = (lo ^ lo >> 16) & _OUTPUT_MASK
+    hi = (hi ^ hi >> 16) & _OUTPUT_MASK
+    # lanes 0-3 sit at bits 0, 400, 800, 1200; shifting down by 800 and up
+    # by 64 puts them at 64, 464, 0, 400 (and higher), folding down by 368
+    # at 64, 96, 0, 32
+    lo = lo >> 800 | lo << 64
+    hi = hi >> 800 | hi << 64
+    state = (lo | lo >> 368) & _MASK128
+    inc = ((hi | hi >> 368) << 1 | 1) & _MASK128
+    return ((inc + state) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _jumps() -> dict[int, tuple[int, int]]:
+    """For each chunk size n, (A, C) with the PCG64 state after n steps
+    equal to state * A + inc * C modulo 2**128."""
+    a, c = 1, 0
+    for _ in range(_FIRST_CHUNK):
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    jumps = {}
+    n = _FIRST_CHUNK
+    while n <= _MAX_CHUNK:
+        jumps[n] = (a, c)
+        a, c = a * a & _MASK128, c * (a + 1) & _MASK128
+        n *= 2
+    return jumps
+
+
+_JUMPS = _jumps()
+
+
+class _SharedGenerator:
+    """The one PCG64 generator every RandomStream refills its chunks from.
+
+    ``owner`` is the stream whose state the generator holds; any other
+    stream writes its own state in first.  The lock keeps the write and the
+    draw together, so streams in different threads stay independent.
+    """
+
+    def __init__(self) -> None:
+        self.bitgen = np.random.PCG64(0)
+        self.random = np.random.Generator(self.bitgen).random
+        self.lock = threading.Lock()
+        self.owner: RandomStream | None = None
+
+
+_SHARED = _SharedGenerator()
+
 
 class RandomStream:
     """Deterministic uniform stream with hierarchical splitting.
 
-    A stream is identified by a 64 bit seed and a key tuple; ``split(i)``
-    derives an independent child stream keyed by (key..., i).  Identical
-    (seed, key) always reproduce the identical draw sequence, which is what
-    makes parallel block generation order independent.  The doubles are
-    drawn from the generator in chunks; a chunk of n holds the same doubles
-    as n single draws, so chunking does not change the sequence.
+    A stream is identified by a non-negative seed and a key tuple;
+    ``split(i)`` derives an independent child stream keyed by (key..., i).
+    Identical (seed, key) always reproduce the identical draw sequence,
+    which is what makes parallel block generation order independent.
+
+    The stream is numpy's ``PCG64(SeedSequence(seed, spawn_key=key))``,
+    double for double.  Its 128 bit PCG64 state is derived here by a copy
+    of SeedSequence's hash in Python integers, from the cached pool of
+    (seed, key[:-1]); a negative seed or key element raises ValueError, as
+    SeedSequence does.  The doubles are drawn in chunks from one shared
+    generator, into which a stream writes its state when it was not the
+    last to draw; the stream then advances its own copy of the state by
+    the chunk's length.  A chunk of n holds the same doubles as n single
+    draws, so neither chunking nor sharing changes the sequence.
     """
 
-    __slots__ = ("seed", "key", "_gen", "_chunk", "_next")
+    __slots__ = ("seed", "key", "_state", "_inc", "_chunk", "_next")
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.key = tuple(int(k) for k in key)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        self.seed = seed = int(seed)
+        self.key = key = tuple(map(int, key))
+        if key:
+            pool, _ = _absorb(*_pool(seed, key[:-1]), key[-1])
+        else:
+            pool, _ = _pool(seed, key)
+        self._state, self._inc = _pcg64_seed(pool)
         self._chunk = _FIRST_CHUNK
         self._next = iter(()).__next__
 
@@ -60,7 +252,20 @@ class RandomStream:
         except StopIteration:
             n = self._chunk
             self._chunk = min(2 * n, _MAX_CHUNK)
-            self._next = iter(self._gen.random(n).tolist()).__next__
+            a, c = _JUMPS[n]
+            shared = _SHARED
+            with shared.lock:
+                if shared.owner is not self:
+                    shared.bitgen.state = {
+                        "bit_generator": "PCG64",
+                        "state": {"state": self._state, "inc": self._inc},
+                        "has_uint32": 0,
+                        "uinteger": 0,
+                    }
+                    shared.owner = self
+                doubles = shared.random(n).tolist()
+                self._state = (self._state * a + self._inc * c) & _MASK128
+            self._next = iter(doubles).__next__
             return self._next()
 
     def split(self, index: int) -> "RandomStream":

@@ -744,7 +744,7 @@ def run_boundary_suite(
     n_letters = model.size
     calibrated: float | None = None
     for k in range(1, config.k_linearity + 1):
-        lin_stream.next_block()
+        lin_stream._advance()
         lengths.append(lin_stream.length)
         if k == max(50, config.k_linearity // 10):
             calibrated = 2.0 * lin_stream.counter.steps / (n_letters * lin_stream.length)

@@ -1,5 +1,8 @@
 """Boundary block stream: validation, pyramidality, growth, parallel replay."""
 
+import hashlib
+import json
+
 import pytest
 
 import tracegen as tg
@@ -154,3 +157,18 @@ def test_counter_grows_linearly_with_blocks(path4):
     stream.run(100)
     assert stream.blocks_done == 200
     assert stream.counter.steps <= 2 * at_100 + 200 * 3 * (path4.size + 1)
+
+
+def test_run_and_next_block_are_pinned():
+    # recorded before run() stopped normalising the blocks it discards
+    model = path_model(16)
+    stream = tg.open_stream(model, "x0", 11)
+    xi = stream.run(1000)
+    assert (xi.length, stream.counter.steps) == (149193, 891050)
+    digest = hashlib.sha256(json.dumps(tg.trace_to_lists(model, xi)).encode()).hexdigest()
+    assert digest == "af21bfd65271570bc02f54707765c0ae9a5a4d4a745425840d075d588e5417a4"
+    stream = tg.open_stream(model, "x0", 11)
+    blocks = [tg.trace_to_lists(model, stream.next_block()) for _ in range(200)]
+    assert (stream.length, stream.counter.steps) == (36496, 217981)
+    digest = hashlib.sha256(json.dumps(blocks).encode()).hexdigest()
+    assert digest == "138f74f5d7cb5ad3b7c5bb6d6d088e6cfd5a6386ff2febea41b724ce989bad35"

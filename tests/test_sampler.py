@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -274,3 +277,81 @@ def test_chunked_uniforms_equal_scalar_draws(seed, key):
     stream = tg.RandomStream(seed, key)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
     assert [stream.uniform() for _ in range(1000)] == [float(gen.random()) for _ in range(1000)]
+
+
+def numpy_doubles(seed, key, n):
+    """n doubles of numpy's own SeedSequence -> PCG64 stream, the reference."""
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.Generator(bitgen).random(n).tolist()
+
+
+key_elements = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**70]), st.integers(0, 2**72))
+
+
+@given(
+    st.one_of(st.sampled_from([0, 2**128 - 1, 2**128, 2**200 + 3]), st.integers(0, 2**130)),
+    st.lists(key_elements, max_size=3).map(tuple),
+)
+def test_derived_streams_equal_numpy_seed_sequence(seed, key):
+    want = numpy_doubles(seed, key, 50)
+    stream = tg.RandomStream(seed, key)
+    assert [stream.uniform() for _ in range(50)] == want
+    if key:
+        child = tg.RandomStream(seed, key[:-1]).split(key[-1])
+        assert [child.uniform() for _ in range(50)] == want
+
+
+def test_interleaved_streams_equal_their_solo_draws():
+    first, second = tg.RandomStream(9, (1,)), tg.RandomStream(9, (2,))
+    got_first, got_second = [], []
+    for i in range(600):
+        got_first.append(first.uniform())
+        got_second.append(second.uniform())
+        if i % 7 == 0:
+            got_first.append(first.uniform())
+    assert got_first == numpy_doubles(9, (1,), len(got_first))
+    assert got_second == numpy_doubles(9, (2,), 600)
+
+
+def test_threads_drawing_concurrently_equal_sequential_draws():
+    # more threads than cores and a short switch interval, so the threads
+    # refill from the shared generator in between each other's refills
+    keys = [(t, i) for t in range(4) for i in range(12)]
+    want = {key: numpy_doubles(13, key, 700) for key in keys}
+    got = {}
+
+    def work(t):
+        base = tg.RandomStream(13, (t,))
+        for i in range(12):
+            stream = base.split(i)
+            got[(t, i)] = [stream.uniform() for _ in range(700)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed, key", [(-1, ()), (-(2**40), ()), (5, (-1,)), (5, (2, -3))])
+def test_negative_seed_or_key_raises(seed, key):
+    # a word splitter that shifts a negative number right never reaches
+    # zero, so an alarm stops the check if it has not raised in time
+    def expire(signum, frame):
+        raise TimeoutError("RandomStream did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(ValueError, match="non-negative"):
+            tg.RandomStream(seed, key)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -33,7 +33,7 @@ def main():
         stream = open_stream(model, pivot, seed=args.seed)
         lengths = []
         for _ in range(args.blocks):
-            stream.next_block()
+            stream.advance()
             lengths.append(stream.length)
         lengths = np.array(lengths)
         slope, intercept = np.polyfit(ks, lengths, 1)

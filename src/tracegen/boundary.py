@@ -79,7 +79,7 @@ class BlockStream:
         """
         return self.draw_block(self.stream.split(index))
 
-    def _advance(self) -> list[int]:
+    def advance(self) -> list[int]:
         """Draw the next block and append it to the accumulated trace;
         return its letter indices."""
         word = self.block_word(self.blocks_done)
@@ -92,13 +92,13 @@ class BlockStream:
     def next_block(self) -> Trace:
         """Draw the next block, append it to the accumulated trace, and
         return the block itself."""
-        return normalize_indices(self.model, self._advance())
+        return normalize_indices(self.model, self.advance())
 
     def run(self, blocks: int) -> Trace:
         """Advance by the given number of blocks, returning the accumulated
         trace."""
         for _ in range(blocks):
-            self._advance()
+            self.advance()
         return self.accumulated
 
 

@@ -131,7 +131,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     "length": stream.length,
                 }), flush=not args.blocks)
             else:
-                stream._advance()
+                stream.advance()
     except KeyboardInterrupt:
         pass
     if not emit_each:

@@ -328,23 +328,13 @@ def max_letters(model: IndependenceModel, x: Trace) -> int:
     return out
 
 
-def _left_divide_index(model: IndependenceModel, y: Trace, index: int) -> Trace | None:
-    if not y.factors or not (y.factors[0] >> index) & 1:
-        return None
-    first = y.factors[0] & ~(1 << index)
-    indices = list(iter_bits(first))
-    for f in y.factors[1:]:
-        indices.extend(iter_bits(f))
-    return normalize_indices(model, indices)
-
-
 def left_divide(model: IndependenceModel, y: Trace, letter: str) -> Trace | None:
     """Remove one minimal piece labelled ``letter``, or None if there is none.
 
     The letter must sit in the bottom factor of y; the remainder z satisfies
     letter . z == y.
     """
-    return _left_divide_index(model, y, model.index_of(letter))
+    return left_quotient(model, Trace((1 << model.index_of(letter),)), y)
 
 
 def is_left_divisor(model: IndependenceModel, x: Trace, y: Trace) -> bool:
@@ -353,13 +343,31 @@ def is_left_divisor(model: IndependenceModel, x: Trace, y: Trace) -> bool:
 
 
 def left_quotient(model: IndependenceModel, x: Trace, y: Trace) -> Trace | None:
-    """The z with y == x . z, or None when x does not divide y."""
-    rest: Trace | None = y
+    """The z with y == x . z, or None when x does not divide y.
+
+    A left divisor is a downward closed set of pieces of y, made of the
+    first occurrences of its letters.  One pass over y's canonical word
+    sends the occurrences x still needs to the head, failing if one rests
+    on a piece left behind, and every other piece to the tail.
+    """
+    need = [0] * model.size
     for i in word_indices(x):
-        rest = _left_divide_index(model, rest, i)
-        if rest is None:
-            return None
-    return rest
+        need[i] += 1
+    head: list[int] = []
+    tail: list[int] = []
+    behind = 0
+    for i in word_indices(y):
+        if need[i]:
+            if behind >> i & 1:
+                return None
+            need[i] -= 1
+            head.append(i)
+        else:
+            tail.append(i)
+            behind |= model.dependence[i]
+    if normalize_indices(model, head) != x:
+        return None
+    return normalize_indices(model, tail)
 
 
 def left_divisors(model: IndependenceModel, x: Trace, max_length: int) -> set[Trace]:
@@ -368,13 +376,14 @@ def left_divisors(model: IndependenceModel, x: Trace, max_length: int) -> set[Tr
     A nonempty divisor starts with a minimal piece of x, so the search
     branches over the bottom factor and recurses on the quotient.
     """
+    if max_length < 0:
+        raise ValueError(f"max_length must be non-negative, got {max_length}")
     out = {UNIT}
     if max_length == 0 or x.is_unit:
         return out
     for i in iter_bits(x.factors[0]):
-        rest = _left_divide_index(model, x, i)
         head = Trace((1 << i,))
-        for d in left_divisors(model, rest, max_length - 1):
+        for d in left_divisors(model, left_quotient(model, head, x), max_length - 1):
             out.add(concat(model, head, d))
     return out
 

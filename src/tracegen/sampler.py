@@ -13,7 +13,7 @@ cost is linear in output length, with a factor for the alphabet size.
 
 Every sample and boundary block draws from its own stream keyed by
 (seed, index): numpy's SeedSequence -> PCG64 stream, whose state an
-in-repo copy of SeedSequence's hash computes, drawn through one shared
+in-repo copy of SeedSequence's key hash computes, drawn through one shared
 generator that is re-seated for each stream.  The doubles are numpy's own,
 so the output is that of a SeedSequence and a PCG64 built per stream.
 """
@@ -43,7 +43,9 @@ _MAX_CHUNK = 256
 # integers.  SeedSequence hashes the seed's 32 bit words, zero padded to
 # four, into a pool of four words and mixes them across it; each further
 # seed word, then each word of the spawn key, is hashed four times and
-# mixed into every pool word.  PCG64 seeds from the pool's 8 output words.
+# mixed into every pool word.  The root pool of a seed is numpy's own;
+# the spawn key words are hashed here.  PCG64 seeds from the pool's 8
+# output words.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _HASH_INIT_A = 0x43B0D7E5
@@ -112,30 +114,13 @@ def _absorb(pool: int, t: int, n: int) -> tuple[int, int]:
 @lru_cache(maxsize=64)
 def _pool(seed: int, key: tuple[int, ...]) -> tuple[int, int]:
     """SeedSequence(seed, spawn_key=key)'s pool, and the number of words
-    hashed into it after the first four."""
+    hashed into it after the first four.  The root pool is SeedSequence's
+    own; checking the seed's words first keeps this module's ValueError
+    for a negative seed."""
     if key:
         return _absorb(*_pool(seed, key[:-1]), key[-1])
-    words = _words(seed)
-    words += [0] * (4 - len(words))
-    h = _HASH_INIT_A
-
-    def hashmix(v: int) -> int:
-        nonlocal h
-        v ^= h
-        h = h * _HASH_MULT_A & _MASK32
-        v = v * h & _MASK32
-        return v ^ v >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])) & _MASK32
-                pool[dst] = v ^ v >> 16
-    packed, t = _lanes(pool, 320), 0
-    for w in words[4:]:
-        packed, t = _absorb(packed, t, w)
-    return packed, t
+    extra = max(len(_words(seed)) - 4, 0)
+    return _lanes([int(w) for w in np.random.SeedSequence(seed).pool], 320), extra
 
 
 def _output_constants() -> tuple[int, int, int, int]:
@@ -222,14 +207,15 @@ class RandomStream:
     which is what makes parallel block generation order independent.
 
     The stream is numpy's ``PCG64(SeedSequence(seed, spawn_key=key))``,
-    double for double.  Its 128 bit PCG64 state is derived here by a copy
-    of SeedSequence's hash in Python integers, from the cached pool of
-    (seed, key[:-1]); a negative seed or key element raises ValueError, as
-    SeedSequence does.  The doubles are drawn in chunks from one shared
-    generator, into which a stream writes its state when it was not the
-    last to draw; the stream then advances its own copy of the state by
-    the chunk's length.  A chunk of n holds the same doubles as n single
-    draws, so neither chunking nor sharing changes the sequence.
+    double for double.  Its 128 bit PCG64 state is derived here in Python
+    integers by hashing the last key element into the cached pool of
+    (seed, key[:-1]); the seed's own pool comes once from SeedSequence.  A
+    negative seed or key element raises ValueError, as SeedSequence does.
+    The doubles are drawn in chunks from one shared generator, into which
+    a stream writes its state when it was not the last to draw; the
+    stream then advances its own copy of the state by the chunk's length.
+    A chunk of n holds the same doubles as n single draws, so neither
+    chunking nor sharing changes the sequence.
     """
 
     __slots__ = ("seed", "key", "_state", "_inc", "_chunk", "_next")

@@ -38,9 +38,7 @@ from .monoid import (
     iter_bits,
     left_divisors,
     max_letters,
-    normalize_indices,
     pyramidal_decompose,
-    word_indices,
 )
 from .oracle import (
     chi_square,
@@ -162,13 +160,6 @@ def pyramidal_block_table(
     return table
 
 
-def _strip_apex(model: IndependenceModel, part: Trace, pivot_index: int) -> Trace:
-    # a pyramidal part ends with its apex in the canonical linearisation
-    word = word_indices(part)
-    assert word[-1] == pivot_index
-    return normalize_indices(model, word[:-1])
-
-
 # ---------------------------------------------------------------------------
 # Decomposition law
 
@@ -192,19 +183,23 @@ def verify_decomposition_law(
     params = SamplerParams(p=p, seed=seed)
     r = MobiusTable(model, p).occurrence(full, pivot_index)
 
+    # a pyramidal part's top level is its apex alone; the levels below are its body
+    apex = 1 << pivot_index
+    cap = 2
     ks: list[int] = []
     first_bodies: list[Trace] = []
-    pair_lengths: list[tuple[int, int]] = []
+    pair_cells: Counter[tuple[int, int]] = Counter()
     for x in sample_many(model, params, n, full, target):
         k = x.letter_count(pivot_index)
         ks.append(k)
         if k >= 1:
             parts, _ = pyramidal_decompose(model, x, pivot)
-            v0 = _strip_apex(model, parts[0], pivot_index)
+            assert all(part.factors[-1] == apex for part in parts[:2])
+            v0 = Trace(parts[0].factors[:-1])
             first_bodies.append(v0)
             if k >= 2:
-                v1 = _strip_apex(model, parts[1], pivot_index)
-                pair_lengths.append((v0.length, v1.length))
+                v1 = Trace(parts[1].factors[:-1])
+                pair_cells[min(v0.length, cap), min(v1.length, cap)] += 1
 
     reports = []
     observed, expected = geometric_bins(ks, r)
@@ -226,18 +221,15 @@ def verify_decomposition_law(
         )
     )
 
-    cap = 2
-    table = np.zeros((cap + 1, cap + 1))
-    for a, b in pair_lengths:
-        table[min(a, cap), min(b, cap)] += 1
-    keep_rows = table.sum(axis=1) > 0
-    keep_cols = table.sum(axis=0) > 0
-    table = table[keep_rows][:, keep_cols]
+    # the pair-length table without its empty rows and columns
+    rows = sorted({a for a, _ in pair_cells})
+    cols = sorted({b for _, b in pair_cells})
+    table = [[pair_cells[a, b] for b in cols] for a in rows]
     stat, pvalue, _, _ = chi2_contingency(table, correction=False)
     reports.append(
         TestReport.make(
             "decomposition-pair-independence", pvalue, chi_alpha, "gt",
-            len(pair_lengths), seed, statistic_chi2=float(stat),
+            pair_cells.total(), seed, statistic_chi2=float(stat),
         )
     )
     return reports
@@ -249,14 +241,6 @@ def verify_decomposition_law(
 CHECKPOINT_LADDER = (4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192)
 
 
-def _doubling_schedule(start: int, ladder: Sequence[int]) -> list[int]:
-    steps = {k for k in ladder}
-    out = [start]
-    while out[-1] * 2 in steps:
-        out.append(out[-1] * 2)
-    return out
-
-
 def verify_cylinders(
     model: IndependenceModel,
     pivot: str,
@@ -264,76 +248,68 @@ def verify_cylinders(
     x_max_len: int = 3,
     runs: int = 10_000,
     tolerance: float = 0.015,
-    ladder: Sequence[int] = CHECKPOINT_LADDER,
 ) -> TestReport:
     """Check the cylinder law of the boundary measure by direct frequency.
 
     Every trace x with |x| <= x_max_len should be a prefix of the infinite
     trace with probability p_star^|x|.  The frequency of the event
     "x divides the first K blocks" is monotone in K; for each x the number
-    of blocks is doubled, starting from 4 |x|, until the observed increment
-    over a doubling falls under 1e-3, and the frequency at that point is
-    compared with the target.
+    of blocks is doubled, from the first checkpoint at or above 4 |x|,
+    until the observed increment over a doubling falls under 1e-3, and the
+    frequency at that point is compared with the target.
 
     One stream per run; a run is extended once through the whole
     checkpoint ladder, and at each checkpoint only the bottom x_max_len
     heap levels are read, since a divisor of length L lives entirely in
     the bottom L levels.  The first checkpoint at which each short divisor
-    appears is recorded, which gives every frequency in the ladder in a
+    appears is counted, which gives every frequency in the ladder in a
     single pass.
     """
     blocks = open_stream(model, pivot, seed)
     p_star = blocks.p_star
 
-    arrivals: dict[Trace, np.ndarray] = {}
-    n_checkpoints = len(ladder)
-    k_max = ladder[-1]
-
+    arrivals: Counter[tuple[Trace, int]] = Counter()
     for run_idx in range(runs):
         stream = RandomStream(seed, (run_idx,))
         heap = Heap(model)
         bottom: tuple[int, ...] = ()
         seen: set[Trace] = set()
-        cp = 0
-        for k in range(1, k_max + 1):
-            heap.extend(blocks.draw_block(stream))
-            if k == ladder[cp]:
-                low = tuple(heap.factors[:x_max_len])
-                if low != bottom:
-                    bottom = low
-                    for d in left_divisors(model, Trace(low), x_max_len):
-                        if d not in seen:
-                            seen.add(d)
-                            slot = arrivals.get(d)
-                            if slot is None:
-                                slot = arrivals[d] = np.zeros(n_checkpoints, dtype=np.int64)
-                            slot[cp] += 1
-                cp += 1
+        drawn = 0
+        for k in CHECKPOINT_LADDER:
+            for _ in range(k - drawn):
+                heap.extend(blocks.draw_block(stream))
+            drawn = k
+            low = tuple(heap.factors[:x_max_len])
+            if low != bottom:
+                bottom = low
+                for d in left_divisors(model, Trace(low), x_max_len):
+                    if d not in seen:
+                        seen.add(d)
+                        arrivals[d, k] += 1
+
+    def frequency(x: Trace, k: int) -> float:
+        """Share of runs in which x divides the first k blocks."""
+        return sum(arrivals[x, j] for j in CHECKPOINT_LADDER if j <= k) / runs
 
     details: dict[str, dict] = {}
     worst = 0.0
-    ladder_index = {k: i for i, k in enumerate(ladder)}
     for x in enumerate_traces(model, model.full_mask, x_max_len):
         target_prob = p_star**x.length
-        counts = arrivals.get(x)
-        cum = np.zeros(n_checkpoints) if counts is None else np.cumsum(counts)
-        freqs = cum / runs
-        schedule = _doubling_schedule(max(4 * x.length, ladder[0]), ladder)
-        report_at = schedule[0]
+        k = min(j for j in CHECKPOINT_LADDER if j >= 4 * x.length)
+        freq = frequency(x, k)
         capped = True
-        for prev_k, next_k in zip(schedule, schedule[1:]):
-            gain = freqs[ladder_index[next_k]] - freqs[ladder_index[prev_k]]
-            report_at = next_k
-            if gain < 1e-3:
+        while 2 * k in CHECKPOINT_LADDER:
+            k, prev = 2 * k, freq
+            freq = frequency(x, k)
+            if freq - prev < 1e-3:
                 capped = False
                 break
-        freq = float(freqs[ladder_index[report_at]])
         deviation = abs(freq - target_prob)
         worst = max(worst, deviation)
         details[format_trace(model, x)] = {
             "frequency": freq,
             "target": target_prob,
-            "blocks": report_at,
+            "blocks": k,
             "capped": capped,
         }
     return TestReport.make(
@@ -744,15 +720,14 @@ def run_boundary_suite(
     n_letters = model.size
     calibrated: float | None = None
     for k in range(1, config.k_linearity + 1):
-        lin_stream._advance()
+        lin_stream.advance()
         lengths.append(lin_stream.length)
         if k == max(50, config.k_linearity // 10):
             calibrated = 2.0 * lin_stream.counter.steps / (n_letters * lin_stream.length)
         if calibrated is not None:
             if lin_stream.counter.steps > calibrated * n_letters * lin_stream.length:
                 cum_bad += 1
-    ks = np.arange(1, config.k_linearity + 1, dtype=float)
-    r_squared = float(np.corrcoef(ks, np.array(lengths, dtype=float))[0, 1] ** 2)
+    r_squared = float(np.corrcoef(range(1, config.k_linearity + 1), lengths)[0, 1] ** 2)
     reports.append(
         TestReport.make(
             "length-linear-in-blocks", r_squared, config.r_squared_threshold,

@@ -105,6 +105,18 @@ def test_prefixes_are_left_divisors(path4):
         assert tg.is_left_divisor(path4, before, after)
 
 
+def test_first_prefixes_of_a_path16_stream_divide_it():
+    model = path_model(16)
+    stream = tg.open_stream(model, "x0", seed=13)
+    prefixes = []
+    for _ in range(50):
+        stream.advance()
+        prefixes.append(stream.accumulated)
+    xi = prefixes[-1]
+    assert all(tg.is_left_divisor(model, x, xi) for x in prefixes)
+    assert not tg.is_left_divisor(model, xi, prefixes[0])
+
+
 def test_pivot_count_tracks_blocks(path4):
     stream = tg.open_stream(path4, "c", seed=6)
     xi = stream.run(500)

@@ -166,6 +166,28 @@ def test_left_divisors_enumeration(path4):
     assert divisors == brute
     full = left_divisors(path4, x, x.length)
     assert x in full and UNIT in full
+    with pytest.raises(ValueError):
+        left_divisors(path4, x, -1)
+
+
+@given(model_and_word(), st.data())
+def test_left_quotient_is_the_one_division(mw, data):
+    # y is the word's trace; x is a prefix of the word (a divisor of y) or
+    # an unrelated short word (usually not one)
+    model, word = mw
+    y = tg.normalize_indices(model, word)
+    short = st.lists(st.integers(0, model.size - 1), max_size=4)
+    cut = data.draw(st.integers(0, min(4, len(word))))
+    z = tg.normalize_indices(model, data.draw(short))
+    for x in (
+        tg.normalize_indices(model, word[:cut]),
+        tg.normalize_indices(model, data.draw(short)),
+    ):
+        assert tg.left_quotient(model, x, tg.concat(model, x, z)) == z
+        q = tg.left_quotient(model, x, y)
+        assert (q is None) == (x not in left_divisors(model, y, x.length))
+        if q is not None:
+            assert tg.concat(model, x, q) == y
 
 
 def test_pyramidal_predicates(path4):

@@ -205,3 +205,71 @@ def test_run_suite_dispatch(path4):
         tg.run_suite("bogus", path4)
     reports = tg.run_suite("mobius", path4, seed=9)
     assert reports and all(r.passed for r in reports)
+
+
+# full to_dict() of two reports recorded before the divisor helpers, the
+# cylinder counts and the decomposition bodies were rewritten; each row is
+# (name, statistic, threshold, comparison, sample_size, seed, passed, details)
+REPORT_FIELDS = (
+    "name", "statistic", "threshold", "comparison", "sample_size", "seed",
+    "passed", "details",
+)
+PINNED_DECOMPOSITION = [
+    ("decomposition-count-geometric", 0.3730911605418116, 0.005, "gt", 2000, 404,
+     True, {"r": 0.2727272727272727, "statistic_chi2": 4.251078703703712, "bins": 5}),
+    ("decomposition-first-body-law", 0.026694017094017086, 0.015, "le", 585, 404,
+     False, {}),
+    ("decomposition-pair-independence", 0.7560122463771167, 0.005, "gt", 165, 404,
+     True, {"statistic_chi2": 1.8898340274176817}),
+]
+TINY_BOUNDARY = BoundarySuiteConfig(
+    n_blocks_law=2_000,
+    cylinder_runs=100,
+    x_max_len=1,
+    k_monotone=60,
+    k_divisor_check=20,
+    k_linearity=100,
+    k_equivalence=20,
+    workers=2,
+    tv_threshold=0.05,
+    cylinder_threshold=0.15,
+)
+THIRD = 0.3333333333333333
+PINNED_TINY_BOUNDARY = [
+    ("critical-gap", 0.04863267791677178, 1e-09, "ge", 1, 303, True,
+     {"p_star": THIRD, "pivot_free_root": 0.3819660112501051}),
+    ("block-conditioning-is-link", 0.0, 0.0, "le", 1, 303, True, {}),
+    ("blocks-pyramidal", 0.0, 0.0, "le", 2000, 304, True, {}),
+    ("block-law-tv", 0.019209876543209693, 0.05, "le", 2000, 304, True,
+     {"p_star": THIRD}),
+    ("prefix-monotone", 0.0, 0.0, "le", 8457, 305, True,
+     {"blocks": 60, "division_checks": 20}),
+    ("pivot-count-per-block", 0.0, 0.0, "le", 60, 305, True, {}),
+    ("length-linear-in-blocks", 0.9961482777082453, 0.99, "ge", 100, 306, True, {}),
+    ("step-bound-stream", 0.0, 0.0, "le", 100, 306, True,
+     {"fitted_constant": 2.718849840255591}),
+    ("parallel-equivalence", 0.0, 0.0, "le", 20, 307, True, {"workers": 2}),
+    ("determinism", 0.0, 0.0, "le", 20, 307, True, {}),
+    ("boundary-cylinder-law", 0.08333333333333331, 0.15, "le", 100, 309, True,
+     {"p_star": THIRD, "per_trace": {
+         "1": {"frequency": 1.0, "target": 1.0, "blocks": 8, "capped": False},
+         "(a)": {"frequency": 0.34, "target": THIRD, "blocks": 8, "capped": False},
+         "(b)": {"frequency": 0.35, "target": THIRD, "blocks": 8, "capped": False},
+         "(c)": {"frequency": 0.25, "target": THIRD, "blocks": 16, "capped": False},
+         "(d)": {"frequency": 0.39, "target": THIRD, "blocks": 8, "capped": False},
+     }}),
+]
+
+
+def test_decomposition_reports_are_pinned(path4):
+    reports = tg.verify_decomposition_law(path4, "a", 0.2, n=2000, seed=404)
+    assert [r.to_dict() for r in reports] == [
+        dict(zip(REPORT_FIELDS, row)) for row in PINNED_DECOMPOSITION
+    ]
+
+
+def test_boundary_suite_reports_are_pinned(path4):
+    reports = run_boundary_suite(path4, seed=303, config=TINY_BOUNDARY)
+    assert [r.to_dict() for r in reports] == [
+        dict(zip(REPORT_FIELDS, row)) for row in PINNED_TINY_BOUNDARY
+    ]

@@ -22,7 +22,7 @@ from .mobius import (
 )
 from .monoid import format_trace, load_model, trace_to_lists
 from .sampler import SamplerParams, check_parameter, sample_many
-from .verify import DEFAULT_SEED, run_suite
+from .verify import DEFAULT_SEED, SUITES, run_suite
 from . import boundary
 
 
@@ -221,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the verification suites against the oracle"
     )
     _add_model_argument(p_verify)
-    p_verify.add_argument("--suite", choices=("mobius", "finite", "boundary", "all"),
-                          default="all")
+    p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--seed", type=_COUNT, default=DEFAULT_SEED,
                           help=f"random seed (default {DEFAULT_SEED})")
     p_verify.add_argument("--pivot-letter", metavar="LETTER", default=None)

@@ -373,18 +373,24 @@ def left_quotient(model: IndependenceModel, x: Trace, y: Trace) -> Trace | None:
 def left_divisors(model: IndependenceModel, x: Trace, max_length: int) -> set[Trace]:
     """All left divisors of x of length at most max_length.
 
-    A nonempty divisor starts with a minimal piece of x, so the search
-    branches over the bottom factor and recurses on the quotient.
+    A divisor of length n + 1 is one of length n extended by a minimal
+    piece of its quotient, so the divisors are built level by level, each
+    mapped to its quotient and each found once.
     """
     if max_length < 0:
         raise ValueError(f"max_length must be non-negative, got {max_length}")
     out = {UNIT}
-    if max_length == 0 or x.is_unit:
-        return out
-    for i in iter_bits(x.factors[0]):
-        head = Trace((1 << i,))
-        for d in left_divisors(model, left_quotient(model, head, x), max_length - 1):
-            out.add(concat(model, head, d))
+    level = {UNIT: x}
+    for _ in range(max_length):
+        grown: dict[Trace, Trace] = {}
+        for d, q in level.items():
+            for i in iter_bits(q.factors[0] if q.factors else 0):
+                head = Trace((1 << i,))
+                e = concat(model, d, head)
+                if e not in grown:
+                    grown[e] = left_quotient(model, head, q)
+        out.update(grown)
+        level = grown
     return out
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from scipy.stats import chi2
-
 from .mobius import check_below_root, mobius_eval, mobius_polynomial
 from .monoid import (
     IndependenceModel,
@@ -142,13 +140,10 @@ def series_coefficients(
     return out
 
 
-def exact_probability(
-    model: IndependenceModel, x: Trace, p: float, subset: int | None = None
-) -> float:
+def exact_probability(model: IndependenceModel, x: Trace, p: float) -> float:
     """Probability mu(p) * p^|x| of one trace under the multiplicative law."""
-    mask = model.full_mask if subset is None else subset
-    check_below_root(model, mask, p)
-    return mobius_eval(model, mask, p) * p**x.length
+    check_below_root(model, model.full_mask, p)
+    return mobius_eval(model, model.full_mask, p) * p**x.length
 
 
 def check_series_identity(
@@ -172,20 +167,16 @@ def check_series_identity(
     return abs(partial - expected)
 
 
-def series_tail_bound(
-    model: IndependenceModel, p: float, n_max: int, lookahead: int = 20
-) -> float:
+def series_tail_bound(model: IndependenceModel, p: float, n_max: int) -> float:
     """Upper bound on the mass of traces longer than n_max.
 
-    Uses the exact counts up to n_max + lookahead and the observed maximal
-    growth ratio to dominate the tail by a geometric series.  Infinite
-    when p is too close to the growth radius for the bound to close.
+    Uses the exact counts up to n_max + 20 and the observed maximal growth
+    ratio to dominate the tail by a geometric series.  Infinite when p is
+    too close to the growth radius for the bound to close.
     """
-    counts = series_coefficients(model, None, n_max + lookahead + 1)
+    counts = series_coefficients(model, None, n_max + 21)
     ratios = [
-        counts[n + 1] / counts[n]
-        for n in range(n_max, n_max + lookahead)
-        if counts[n] > 0
+        counts[n + 1] / counts[n] for n in range(n_max, n_max + 20) if counts[n] > 0
     ]
     alpha = max(ratios)
     if alpha * p >= 1.0:
@@ -232,6 +223,8 @@ def chi_square(
     ``expected`` must be strictly positive and sum to the same total as
     ``observed``; degrees of freedom are the number of bins minus one.
     """
+    from scipy.stats import chi2
+
     if len(observed) != len(expected):
         raise ValueError("observed and expected must have the same length")
     if len(observed) < 2:
@@ -243,7 +236,7 @@ def chi_square(
 
 
 def geometric_bins(
-    samples: Sequence[int], r: float, total: int | None = None, min_expected: float = 5.0
+    samples: Sequence[int], r: float, min_expected: float = 5.0
 ) -> tuple[list[float], list[float]]:
     """Bin geometric draws against the law (1 - r) r^k with a lumped tail.
 
@@ -253,7 +246,7 @@ def geometric_bins(
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly between 0 and 1")
-    n = len(samples) if total is None else total
+    n = len(samples)
     k_max = 0
     while n * (1.0 - r) * r ** (k_max + 1) >= min_expected:
         k_max += 1

@@ -193,6 +193,9 @@ class _SharedGenerator:
         self.random = np.random.Generator(self.bitgen).random
         self.lock = threading.Lock()
         self.owner: RandomStream | None = None
+        # numpy's first draw in a process is slow; pay it at import, on a
+        # state no stream owns
+        self.random(_FIRST_CHUNK)
 
 
 _SHARED = _SharedGenerator()

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2_contingency
 
 from .boundary import open_stream, parallel_run
 from .mobius import (
@@ -59,6 +58,9 @@ DEFAULT_SEED = 20070919
 # the mobius suite walks the cliques of a subset only up to this many: a
 # random subset of a 48-letter path has about a million, up to 1e8
 CLIQUE_WALK_LIMIT = 20_000
+
+# law checks compare the traces of length at most this against the oracle
+SUPPORT_CUTOFF = 4
 
 
 @dataclass
@@ -169,7 +171,6 @@ def verify_decomposition_law(
     p: float,
     n: int = 100_000,
     seed: int = DEFAULT_SEED,
-    target: int | None = None,
     chi_alpha: float = 0.005,
     tv_threshold: float = 0.015,
 ) -> list[TestReport]:
@@ -177,8 +178,9 @@ def verify_decomposition_law(
     consequences of the decomposition: the pyramidal factor count is
     geometric, the first factor body follows the conditioned law, and the
     first two bodies are independent."""
+    from scipy.stats import chi2_contingency
+
     full = model.full_mask
-    target = full if target is None else target
     pivot_index = model.index_of(pivot)
     params = SamplerParams(p=p, seed=seed)
     r = MobiusTable(model, p).occurrence(full, pivot_index)
@@ -189,7 +191,7 @@ def verify_decomposition_law(
     ks: list[int] = []
     first_bodies: list[Trace] = []
     pair_cells: Counter[tuple[int, int]] = Counter()
-    for x in sample_many(model, params, n, full, target):
+    for x in sample_many(model, params, n):
         k = x.letter_count(pivot_index)
         ks.append(k)
         if k >= 1:
@@ -258,10 +260,10 @@ def verify_cylinders(
     until the observed increment over a doubling falls under 1e-3, and the
     frequency at that point is compared with the target.
 
-    One stream per run; a run is extended once through the whole
-    checkpoint ladder, and at each checkpoint only the bottom x_max_len
-    heap levels are read, since a divisor of length L lives entirely in
-    the bottom L levels.  The first checkpoint at which each short divisor
+    One stream per run, extended along the checkpoint ladder until its
+    bottom x_max_len heap levels are final.  At each checkpoint only those
+    levels are read, since a divisor of length L lives entirely in the
+    bottom L levels.  The first checkpoint at which each short divisor
     appears is counted, which gives every frequency in the ladder in a
     single pass.
     """
@@ -272,20 +274,23 @@ def verify_cylinders(
     for run_idx in range(runs):
         stream = RandomStream(seed, (run_idx,))
         heap = Heap(model)
-        bottom: tuple[int, ...] = ()
         seen: set[Trace] = set()
         drawn = 0
         for k in CHECKPOINT_LADDER:
             for _ in range(k - drawn):
                 heap.extend(blocks.draw_block(stream))
             drawn = k
-            low = tuple(heap.factors[:x_max_len])
-            if low != bottom:
-                bottom = low
-                for d in left_divisors(model, Trace(low), x_max_len):
-                    if d not in seen:
-                        seen.add(d)
-                        arrivals[d, k] += 1
+            low = Trace(tuple(heap.factors[:x_max_len]))
+            for d in left_divisors(model, low, x_max_len):
+                if d not in seen:
+                    seen.add(d)
+                    arrivals[d, k] += 1
+            # a dropped piece lands one level above the highest piece it
+            # depends on: once every letter depends on a piece at level
+            # x_max_len - 1 or higher, no later block reaches the bottom
+            floor = min(max(heap.levels[j] for j in link) for link in model.links)
+            if floor >= x_max_len - 1:
+                break
 
     def frequency(x: Trace, k: int) -> float:
         """Share of runs in which x divides the first k blocks."""
@@ -325,13 +330,11 @@ def verify_cylinders(
 class MobiusSuiteConfig:
     exhaustive_limit: int = 8
     sampled_checks: int = 512
-    grid_points: int = 50
     chain_checks: int = 100
 
 
 @dataclass(frozen=True)
 class FiniteSuiteConfig:
-    p: float | None = None
     pivot_letter: str | None = None
     n_law: int = 200_000
     n_mean: int = 100_000
@@ -339,7 +342,6 @@ class FiniteSuiteConfig:
     n_conditioned: int = 50_000
     n_pivot_rule: int = 200_000
     n_steps: int = 10_000
-    support_cutoff: int = 4
     tv_threshold: float = 0.01
     conditioned_tv_threshold: float = 0.015
     pivot_tv_threshold: float = 0.015
@@ -354,7 +356,6 @@ class BoundarySuiteConfig:
     n_blocks_law: int = 100_000
     cylinder_runs: int = 10_000
     x_max_len: int = 3
-    support_cutoff: int = 4
     k_monotone: int = 700
     k_divisor_check: int = 50
     k_linearity: int = 1_000
@@ -362,7 +363,6 @@ class BoundarySuiteConfig:
     workers: int = 8
     tv_threshold: float = 0.01
     cylinder_threshold: float = 0.015
-    r_squared_threshold: float = 0.99
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +428,10 @@ def run_mobius_suite(
     root = smallest_root(model)
     poly = mobius_polynomial(model)
     worst = max(
-        poly.evaluate(root * j / config.grid_points)
-        - (1.0 - root * j / config.grid_points)
-        for j in range(config.grid_points + 1)
+        poly.evaluate(root * j / 50) - (1.0 - root * j / 50) for j in range(51)
     )
     reports.append(
-        TestReport.make(
-            "mobius-upper-bound", worst, 1e-9, "le", config.grid_points + 1, seed,
-        )
+        TestReport.make("mobius-upper-bound", worst, 1e-9, "le", 51, seed)
     )
 
     worst = 0.0
@@ -511,15 +507,15 @@ def run_finite_suite(
     reports = []
     full = model.full_mask
     root = smallest_root(model)
-    p = config.p if config.p is not None else 0.6 * root
+    p = 0.6 * root
     pivot = config.pivot_letter or model.letters[0]
     params = SamplerParams(p=p, seed=seed)
 
     samples = list(sample_many(model, params, config.n_law))
-    exact = enumerate_traces(model, full, config.support_cutoff).probability_table(p)
+    exact = enumerate_traces(model, full, SUPPORT_CUTOFF).probability_table(p)
     reports.append(
         _law_report(
-            "finite-law-tv", samples, exact, config.support_cutoff,
+            "finite-law-tv", samples, exact, SUPPORT_CUTOFF,
             config.tv_threshold, seed, p=p,
         )
     )
@@ -573,12 +569,12 @@ def run_finite_suite(
             )
         )
         exact_cond = conditioned_probability_table(
-            model, full, target, p, config.support_cutoff
+            model, full, target, p, SUPPORT_CUTOFF
         )
         reports.append(
             _law_report(
                 f"conditioned-law-tv-{label}", drawn, exact_cond,
-                config.support_cutoff, config.conditioned_tv_threshold, seed + 3,
+                SUPPORT_CUTOFF, config.conditioned_tv_threshold, seed + 3,
             )
         )
 
@@ -594,7 +590,7 @@ def run_finite_suite(
     )
     tv = tv_distance(
         empirical_distribution(low), empirical_distribution(high),
-        config.support_cutoff,
+        SUPPORT_CUTOFF,
     )
     reports.append(
         TestReport.make(
@@ -673,10 +669,10 @@ def run_boundary_suite(
             "blocks-pyramidal", bad, 0, "le", config.n_blocks_law, seed + 1,
         )
     )
-    exact_blocks = pyramidal_block_table(model, pivot, p_star, config.support_cutoff)
+    exact_blocks = pyramidal_block_table(model, pivot, p_star, SUPPORT_CUTOFF)
     reports.append(
         _law_report(
-            "block-law-tv", blocks, exact_blocks, config.support_cutoff,
+            "block-law-tv", blocks, exact_blocks, SUPPORT_CUTOFF,
             config.tv_threshold, seed + 1, p_star=p_star,
         )
     )
@@ -730,8 +726,8 @@ def run_boundary_suite(
     r_squared = float(np.corrcoef(range(1, config.k_linearity + 1), lengths)[0, 1] ** 2)
     reports.append(
         TestReport.make(
-            "length-linear-in-blocks", r_squared, config.r_squared_threshold,
-            "ge", config.k_linearity, seed + 3,
+            "length-linear-in-blocks", r_squared, 0.99, "ge", config.k_linearity,
+            seed + 3,
         )
     )
     reports.append(

@@ -235,3 +235,14 @@ def test_module_invocation_works():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p_sigma"] == 0.333333333333
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the p-values of the verify suites
+    code = (
+        "import sys, tracegen.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tracegen as tg
+from tracegen import monoid
 from tracegen.monoid import (
     UNIT,
     cliques,
@@ -168,6 +169,24 @@ def test_left_divisors_enumeration(path4):
     assert x in full and UNIT in full
     with pytest.raises(ValueError):
         left_divisors(path4, x, -1)
+
+
+def test_left_divisors_finds_each_divisor_once(monkeypatch):
+    # 8 independent letters: every subset is a divisor, reached in 8! orders
+    model = tg.build_model("abcdefgh", [])
+    x = tg.normalize(model, "abcdefgh")
+    calls = 0
+    quotient = monoid.left_quotient
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return quotient(*args)
+
+    monkeypatch.setattr(monoid, "left_quotient", counting)
+    divisors = left_divisors(model, x, 8)
+    assert divisors == {UNIT} | {tg.Trace((mask,)) for mask in range(1, 256)}
+    assert calls <= 2_048
 
 
 @given(model_and_word(), st.data())

@@ -1,9 +1,15 @@
 """Statistical verification harness run at reduced sizes with scaled thresholds."""
 
+import functools
+from collections import Counter
+
 import pytest
 
 import tracegen as tg
+from tracegen.boundary import BlockStream
+from tracegen.monoid import Heap
 from tracegen.verify import (
+    CHECKPOINT_LADDER,
     DEFAULT_SEED,
     BoundarySuiteConfig,
     FiniteSuiteConfig,
@@ -14,7 +20,7 @@ from tracegen.verify import (
     run_mobius_suite,
 )
 
-from conftest import path_model
+from conftest import cycle_model, path_model
 
 
 def test_report_comparisons():
@@ -198,6 +204,127 @@ def test_cylinders_draw_order_is_pinned(path4):
     assert {name: entry["frequency"] for name, entry in per_trace.items()} == {
         name: count / 200 for name, count in PINNED_CYLINDER_COUNTS.items()
     }
+
+
+def test_cylinders_of_length_zero_hold_the_unit(path4):
+    report = tg.verify_cylinders(path4, "a", seed=11, x_max_len=0, runs=300)
+    assert report.passed and report.statistic == 0.0
+    assert report.details["per_trace"] == {
+        "1": {"frequency": 1.0, "target": 1.0, "blocks": 8, "capped": False}
+    }
+
+
+# -- early-stopped cylinder runs against the full checkpoint ladder -------------
+
+CYLINDER_MODELS = {
+    "p4": tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
+    "star4": tg.build_model("abcd", [("a", "b"), ("a", "c"), ("a", "d")]),
+    "triangle": tg.build_model("abc", [("a", "b"), ("b", "c"), ("a", "c")]),
+    "path6": path_model(6),
+    "cycle6": cycle_model(6),
+}
+CYLINDER_PIVOTS = [
+    ("p4", "a"), ("p4", "b"), ("p4", "c"), ("star4", "a"), ("star4", "b"),
+    ("triangle", "a"), ("path6", "x0"), ("path6", "x2"), ("cycle6", "x0"),
+]
+CYLINDER_SEED = 17
+CYLINDER_RUNS = 300
+
+
+@functools.cache
+def full_ladder_bottoms(name, pivot):
+    """The bottom three heap levels of each run at every checkpoint, with
+    every run extended through the whole ladder, as verify_cylinders ran
+    before runs stopped early."""
+    model = CYLINDER_MODELS[name]
+    blocks = tg.open_stream(model, pivot, CYLINDER_SEED)
+    bottoms = []
+    for run_idx in range(CYLINDER_RUNS):
+        stream = tg.RandomStream(CYLINDER_SEED, (run_idx,))
+        heap = Heap(model)
+        drawn = 0
+        run = []
+        for k in CHECKPOINT_LADDER:
+            for _ in range(k - drawn):
+                heap.extend(blocks.draw_block(stream))
+            drawn = k
+            run.append(tuple(heap.factors[:3]))
+        bottoms.append(run)
+    return blocks.p_star, bottoms
+
+
+def reference_cylinders(name, pivot, x_max_len):
+    """The full-ladder verify_cylinders report, from full_ladder_bottoms."""
+    model = CYLINDER_MODELS[name]
+    p_star, bottoms = full_ladder_bottoms(name, pivot)
+    arrivals = Counter()
+    for run in bottoms:
+        bottom = ()
+        seen = set()
+        for k, levels in zip(CHECKPOINT_LADDER, run):
+            low = levels[:x_max_len]
+            if low != bottom:
+                bottom = low
+                for d in tg.left_divisors(model, tg.Trace(low), x_max_len):
+                    if d not in seen:
+                        seen.add(d)
+                        arrivals[d, k] += 1
+
+    def frequency(x, k):
+        hits = sum(arrivals[x, j] for j in CHECKPOINT_LADDER if j <= k)
+        return hits / CYLINDER_RUNS
+
+    details = {}
+    worst = 0.0
+    for x in tg.enumerate_traces(model, model.full_mask, x_max_len):
+        target_prob = p_star**x.length
+        k = min(j for j in CHECKPOINT_LADDER if j >= 4 * x.length)
+        freq = frequency(x, k)
+        capped = True
+        while 2 * k in CHECKPOINT_LADDER:
+            k, prev = 2 * k, freq
+            freq = frequency(x, k)
+            if freq - prev < 1e-3:
+                capped = False
+                break
+        worst = max(worst, abs(freq - target_prob))
+        details[tg.format_trace(model, x)] = {
+            "frequency": freq,
+            "target": target_prob,
+            "blocks": k,
+            "capped": capped,
+        }
+    return TestReport.make(
+        "boundary-cylinder-law", worst, 0.015, "le", CYLINDER_RUNS, CYLINDER_SEED,
+        p_star=p_star, per_trace=details,
+    )
+
+
+@pytest.mark.parametrize("x_max_len", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name, pivot", CYLINDER_PIVOTS, ids=[f"{m}-{p}" for m, p in CYLINDER_PIVOTS]
+)
+def test_early_stopped_cylinders_match_full_ladder(name, pivot, x_max_len):
+    got = tg.verify_cylinders(
+        CYLINDER_MODELS[name], pivot, seed=CYLINDER_SEED, x_max_len=x_max_len,
+        runs=CYLINDER_RUNS,
+    )
+    assert got.to_dict() == reference_cylinders(name, pivot, x_max_len).to_dict()
+
+
+def test_cylinder_runs_stop_once_their_bottom_is_final(path4, monkeypatch):
+    draws = 0
+    draw_block = BlockStream.draw_block
+
+    def counting(self, stream):
+        nonlocal draws
+        draws += 1
+        return draw_block(self, stream)
+
+    monkeypatch.setattr(BlockStream, "draw_block", counting)
+    tg.verify_cylinders(path4, "a", seed=DEFAULT_SEED, x_max_len=3, runs=2_000)
+    ladder_draws = 2_000 * CHECKPOINT_LADDER[-1]
+    assert draws <= 0.05 * ladder_draws
 
 
 def test_run_suite_dispatch(path4):

@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Digest of a fixed set of verification reports.
+
+Runs the mobius, finite, boundary, cylinder and decomposition checks on
+small models with frozen seeds and prints the number of reports and the
+sha256 of ``json.dumps([r.to_dict() for r in reports], sort_keys=True)``.
+Two checkouts that print the same line produce the same reports, byte for
+byte.  The reduced suite configurations and the path and cycle models are
+the test suite's own, imported from ``tests/``.
+
+    PYTHONPATH=src python scripts/report_digest.py
+"""
+
+import hashlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from conftest import cycle_model, path_model  # noqa: E402
+from test_verify import SMALL_BOUNDARY, SMALL_FINITE, TINY_BOUNDARY  # noqa: E402
+
+from tracegen import (  # noqa: E402
+    build_model,
+    smallest_root,
+    verify_cylinders,
+    verify_decomposition_law,
+)
+from tracegen.verify import (  # noqa: E402
+    DEFAULT_SEED,
+    MobiusSuiteConfig,
+    run_boundary_suite,
+    run_finite_suite,
+    run_mobius_suite,
+)
+
+
+def reports() -> list:
+    p4 = build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    star4 = build_model("abcd", [("a", "b"), ("a", "c"), ("a", "d")])
+    triangle = build_model("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    out = []
+    mobius = MobiusSuiteConfig(exhaustive_limit=4, sampled_checks=64)
+    for model in (p4, star4, path_model(10), cycle_model(10)):
+        out += run_mobius_suite(model, seed=5, config=mobius)
+    for model, pivot in ((p4, "a"), (p4, "b"), (star4, "a"), (triangle, "a")):
+        out += run_finite_suite(model, seed=5, config=replace(SMALL_FINITE, pivot_letter=pivot))
+        out += run_boundary_suite(
+            model, seed=5, config=replace(SMALL_BOUNDARY, pivot_letter=pivot)
+        )
+        out.append(verify_cylinders(model, pivot, 11, 3, 600))
+        out += verify_decomposition_law(
+            model, pivot, 0.5 * smallest_root(model), n=5000, seed=7
+        )
+    out.append(verify_cylinders(p4, "a", DEFAULT_SEED, 3, 2000))
+    out += run_boundary_suite(p4, seed=303, config=TINY_BOUNDARY)
+    return out
+
+
+def main() -> None:
+    dicts = [r.to_dict() for r in reports()]
+    digest = hashlib.sha256(json.dumps(dicts, sort_keys=True).encode()).hexdigest()
+    print(len(dicts), digest)
+
+
+if __name__ == "__main__":
+    main()

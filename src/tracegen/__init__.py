@@ -42,7 +42,6 @@ from .mobius import (
     mobius_eval,
     mobius_polynomial,
     occurrence_probability,
-    recurrence_residual,
     recurrence_residual_coefficients,
     smallest_root,
 )
@@ -90,7 +89,7 @@ __all__ = [
     "word_of",
     "MobiusPolynomial", "MobiusTable", "NotIrreducibleError",
     "RootNotFoundError", "expected_length", "is_irreducible", "mobius_eval",
-    "mobius_polynomial", "occurrence_probability", "recurrence_residual",
+    "mobius_polynomial", "occurrence_probability",
     "recurrence_residual_coefficients", "smallest_root",
     "RandomStream", "SamplerParams", "StepCounter", "sample",
     "sample_geometric", "sample_many", "sample_trace",

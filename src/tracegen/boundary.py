@@ -83,11 +83,16 @@ class BlockStream:
         """Draw the next block and append it to the accumulated trace;
         return its letter indices."""
         word = self.block_word(self.blocks_done)
+        self.append(word)
+        return word
+
+    def append(self, word: list[int]) -> None:
+        """Append the letter indices of the next block to the accumulated
+        trace, one step on the counter."""
         self._heap.extend(word)
         self._length += len(word)
         self.blocks_done += 1
         self.counter.steps += 1
-        return word
 
     def next_block(self) -> Trace:
         """Draw the next block, append it to the accumulated trace, and
@@ -168,9 +173,9 @@ def parallel_run(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    open_stream(model, pivot, seed, allow_trivial)
+    stream = open_stream(model, pivot, seed, allow_trivial)
     if workers == 1:
-        parts = [_block_words_range(model, pivot, seed, 0, blocks)]
+        stream.run(blocks)
     else:
         chunk = max(1, -(-blocks // workers))
         ranges = [(lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
@@ -179,13 +184,11 @@ def parallel_run(
                 pool.submit(_block_words_range, model, pivot, seed, lo, hi)
                 for lo, hi in ranges
             ]
-            parts = [f.result() for f in futures]
-    heap = Heap(model)
-    steps = 0
-    for words, spent in parts:
-        steps += spent
-        for word in words:
-            heap.extend(word)
+            for future in futures:
+                words, spent = future.result()
+                stream.counter.steps += spent
+                for word in words:
+                    stream.append(word)
     if counter is not None:
-        counter.add(steps + blocks)
-    return heap.trace()
+        counter.add(stream.counter.steps)
+    return stream.accumulated

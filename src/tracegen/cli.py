@@ -111,35 +111,30 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             model, pivot, args.seed, args.blocks, workers=args.workers,
             allow_trivial=args.allow_trivial,
         )
-        print(json.dumps({
-            "k": args.blocks, "final": trace_to_lists(model, xi),
-            "length": xi.length,
-        }))
-        return 0
-    emit_each = args.emit == "each-block"
-    try:
-        while True:
-            if args.blocks and stream.blocks_done >= args.blocks:
-                break
-            if args.min_length and stream.length >= args.min_length:
-                break
-            if emit_each:
-                block = stream.next_block()
-                print(json.dumps({
-                    "k": stream.blocks_done,
-                    "block": trace_to_lists(model, block),
-                    "length": stream.length,
-                }), flush=not args.blocks)
-            else:
-                stream.advance()
-    except KeyboardInterrupt:
-        pass
-    if not emit_each:
-        xi = stream.accumulated
-        print(json.dumps({
-            "k": stream.blocks_done, "final": trace_to_lists(model, xi),
-            "length": xi.length,
-        }))
+        blocks = args.blocks
+    else:
+        emit_each = args.emit == "each-block"
+        try:
+            while True:
+                if args.blocks and stream.blocks_done >= args.blocks:
+                    break
+                if args.min_length and stream.length >= args.min_length:
+                    break
+                if emit_each:
+                    block = stream.next_block()
+                    print(json.dumps({
+                        "k": stream.blocks_done,
+                        "block": trace_to_lists(model, block),
+                        "length": stream.length,
+                    }), flush=not args.blocks)
+                else:
+                    stream.advance()
+        except KeyboardInterrupt:
+            pass
+        if emit_each:
+            return 0
+        xi, blocks = stream.accumulated, stream.blocks_done
+    print(json.dumps({"k": blocks, "final": trace_to_lists(model, xi), "length": xi.length}))
     return 0
 
 

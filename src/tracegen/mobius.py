@@ -25,8 +25,7 @@ Everything here is deterministic.  A double p is a dyadic rational, so a
 polynomial value at p is computed exactly in integers and rounded once;
 near p_sigma, where the value is tiny next to the clique counts, float
 Horner evaluation would lose most digits.  Evaluations used in sampling
-are memoised per subset in a MobiusTable, which also caches the
-occurrence probability of a pivot letter.
+are memoised per subset in a MobiusTable.
 """
 
 from __future__ import annotations
@@ -39,7 +38,10 @@ from functools import lru_cache
 from .monoid import IndependenceModel, iter_bits
 
 ROOT_MARGIN = 1e-9
+# the occurrence forms agree to _FORM_AGREEMENT relative, plus the rounding
+# of 1 - mu_S / mu_{S minus a}: a few units of 2^-53 however small it is
 _FORM_AGREEMENT = 1e-10
+_QUOTIENT_ROUNDING = 8 * 2.0**-53
 
 
 class RootNotFoundError(RuntimeError):
@@ -142,21 +144,6 @@ def recurrence_residual_coefficients(
     for d, c in enumerate(nolink):
         out[d + 1] += c
     return tuple(out)
-
-
-def recurrence_residual(
-    model: IndependenceModel, subset: int, pivot: str, p: float
-) -> float:
-    """Numeric residual of the pivot deletion identity at p."""
-    i = model.index_of(pivot)
-    bit = 1 << i
-    if not subset & bit:
-        raise ValueError(f"pivot {pivot!r} is not in the subset")
-    return (
-        mobius_eval(model, subset, p)
-        - mobius_eval(model, subset & ~bit, p)
-        + p * mobius_eval(model, subset & ~model.dependence[i], p)
-    )
 
 
 def _primitive(poly: list[int]) -> list[int]:
@@ -371,7 +358,6 @@ class MobiusTable:
         self.model = model
         self.p = float(p)
         self._values: dict[int, float] = {}
-        self._occurrence: dict[tuple[int, int], float] = {}
 
     def value(self, subset: int) -> float:
         try:
@@ -386,24 +372,20 @@ class MobiusTable:
 
         Computed as 1 - mu_S / mu_{S minus pivot} and cross checked against
         the equivalent form p * mu_{S minus link} / mu_{S minus pivot}; a
-        disagreement beyond rounding signals a numerical fault.
+        disagreement beyond rounding signals a numerical fault.  Not
+        memoised: the sampler compiles each state's value into its node.
         """
-        key = (subset, pivot_index)
-        try:
-            return self._occurrence[key]
-        except KeyError:
-            pass
         bit = 1 << pivot_index
         if not subset & bit:
             raise ValueError("pivot is not in the subset")
         denom = self.value(subset & ~bit)
         left = 1.0 - self.value(subset) / denom
         right = self.p * self.value(subset & ~self.model.dependence[pivot_index]) / denom
-        if abs(left - right) > _FORM_AGREEMENT * max(abs(left), abs(right), 1e-12):
+        tolerance = _FORM_AGREEMENT * max(abs(left), abs(right), 1e-12) + _QUOTIENT_ROUNDING
+        if abs(left - right) > tolerance:
             raise RuntimeError(
                 f"occurrence probability forms disagree: {left!r} vs {right!r}"
             )
-        self._occurrence[key] = left
         return left
 
 
@@ -424,7 +406,8 @@ def occurrence_probability(
     the pivot letter at least once.
 
     Requires 0 < p < smallest_root(subset).  Both closed forms are computed
-    and must agree to 1e-10 relative; the quotient form is returned.
+    and must agree to 1e-10 relative, plus the rounding of the quotient
+    form, which is returned.
     """
     check_below_root(model, subset, p)
     return MobiusTable(model, p).occurrence(subset, model.index_of(pivot))

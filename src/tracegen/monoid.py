@@ -98,16 +98,24 @@ def build_model(
         raise ValueError("alphabet must not be empty")
     if len(letters) > MAX_LETTERS:
         raise ValueError(f"alphabet larger than {MAX_LETTERS} letters")
+    bad = [name for name in letters if not isinstance(name, str) or not name]
+    if bad:
+        raise ValueError(f"letters must be non-empty strings, got {bad[0]!r}")
     if len(set(letters)) != len(letters):
         raise ValueError("duplicate letters in alphabet")
+    try:
+        pairs = [(a, b) for a, b in dependence_pairs]
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"dependence must be letter pairs, got {dependence_pairs!r}"
+        ) from None
     index = {name: i for i, name in enumerate(letters)}
     dep = [1 << i for i in range(len(letters))]
-    for pair in dependence_pairs:
-        a, b = pair
+    for a, b in pairs:
         try:
             i, j = index[a], index[b]
-        except KeyError as exc:
-            raise ValueError(f"dependence pair uses unknown letter {exc.args[0]!r}") from None
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown letter in dependence pair ({a!r}, {b!r})") from None
         dep[i] |= 1 << j
         dep[j] |= 1 << i
     return IndependenceModel(letters, tuple(dep))

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -162,40 +163,25 @@ def _pcg64_seed(pool: int) -> tuple[int, int]:
     return ((inc + state) * _PCG_MULT + inc) & _MASK128, inc
 
 
-def _jumps() -> dict[int, tuple[int, int]]:
-    """For each chunk size n, (A, C) with the PCG64 state after n steps
-    equal to state * A + inc * C modulo 2**128."""
-    a, c = 1, 0
-    for _ in range(_FIRST_CHUNK):
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-    jumps = {}
-    n = _FIRST_CHUNK
-    while n <= _MAX_CHUNK:
-        jumps[n] = (a, c)
-        a, c = a * a & _MASK128, c * (a + 1) & _MASK128
-        n *= 2
-    return jumps
-
-
-_JUMPS = _jumps()
-
-
 class _SharedGenerator:
     """The one PCG64 generator every RandomStream refills its chunks from.
 
-    ``owner`` is the stream whose state the generator holds; any other
-    stream writes its own state in first.  The lock keeps the write and the
-    draw together, so streams in different threads stay independent.
+    It holds the position of its owner, the last stream to draw, which
+    ``owner`` references weakly.  Any other stream writes its position in
+    first, and a displaced owner that is still alive reads its own back
+    out.  The lock keeps the write and the draw together, so streams in
+    different threads stay independent.
     """
 
     def __init__(self) -> None:
         self.bitgen = np.random.PCG64(0)
         self.random = np.random.Generator(self.bitgen).random
         self.lock = threading.Lock()
-        self.owner: RandomStream | None = None
-        # numpy's first draw in a process is slow; pay it at import, on a
-        # state no stream owns
+        self.owner: Callable[[], RandomStream | None] = lambda: None
+        # numpy's first draw and first state write in a process are slow;
+        # pay both at import, on a state no stream owns
         self.random(_FIRST_CHUNK)
+        self.bitgen.state = self.bitgen.state
 
 
 _SHARED = _SharedGenerator()
@@ -214,14 +200,14 @@ class RandomStream:
     integers by hashing the last key element into the cached pool of
     (seed, key[:-1]); the seed's own pool comes once from SeedSequence.  A
     negative seed or key element raises ValueError, as SeedSequence does.
-    The doubles are drawn in chunks from one shared generator, into which
-    a stream writes its state when it was not the last to draw; the
-    stream then advances its own copy of the state by the chunk's length.
-    A chunk of n holds the same doubles as n single draws, so neither
-    chunking nor sharing changes the sequence.
+    The doubles are drawn in chunks from one shared generator, which holds
+    the position of the last stream to draw; a stream displaced from it
+    that is still alive reads that position back into ``_state``.  A chunk
+    of n holds the same doubles as n single draws, so neither chunking nor
+    sharing changes the sequence.
     """
 
-    __slots__ = ("seed", "key", "_state", "_inc", "_chunk", "_next")
+    __slots__ = ("seed", "key", "_state", "_inc", "_chunk", "_next", "__weakref__")
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = seed = int(seed)
@@ -241,19 +227,20 @@ class RandomStream:
         except StopIteration:
             n = self._chunk
             self._chunk = min(2 * n, _MAX_CHUNK)
-            a, c = _JUMPS[n]
             shared = _SHARED
             with shared.lock:
-                if shared.owner is not self:
+                owner = shared.owner()
+                if owner is not self:
+                    if owner is not None:
+                        owner._state = shared.bitgen.state["state"]["state"]
                     shared.bitgen.state = {
                         "bit_generator": "PCG64",
                         "state": {"state": self._state, "inc": self._inc},
                         "has_uint32": 0,
                         "uinteger": 0,
                     }
-                    shared.owner = self
+                    shared.owner = weakref.ref(self)
                 doubles = shared.random(n).tolist()
-                self._state = (self._state * a + self._inc * c) & _MASK128
             self._next = iter(doubles).__next__
             return self._next()
 

@@ -50,7 +50,6 @@ from .sampler import (
     SamplerParams,
     StepCounter,
     sample_many,
-    sample_trace,
 )
 
 DEFAULT_SEED = 20070919
@@ -612,13 +611,12 @@ def run_finite_suite(
 
     ratios = []
     n_letters = model.size
-    for i in range(config.n_steps):
-        counter = StepCounter()
-        x = sample_trace(
-            model, full, full, params, RandomStream(seed + 7, (i,)),
-            counter=counter,
-        )
-        ratios.append(counter.steps / ((n_letters + 1) * (x.length + 1)))
+    counter = StepCounter()
+    before = 0
+    step_params = SamplerParams(p=p, seed=seed + 7)
+    for x in sample_many(model, step_params, config.n_steps, counter=counter):
+        ratios.append((counter.steps - before) / ((n_letters + 1) * (x.length + 1)))
+        before = counter.steps
     calibration = max(ratios[: max(100, config.n_steps // 10)])
     fitted_c = 2.0 * calibration
     reports.append(
@@ -779,6 +777,8 @@ def run_suite(
     """Run one named suite, or all of them, with default configurations."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITES}")
+    if pivot_letter is not None:
+        model.index_of(pivot_letter)
     reports = []
     if name in ("mobius", "all"):
         reports.extend(run_mobius_suite(model, seed))

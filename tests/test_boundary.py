@@ -142,6 +142,14 @@ def test_parallel_run_matches_sequential(path4):
     assert c_seq.steps == c_par.steps
 
 
+def test_parallel_run_with_one_worker_is_the_open_stream_run(path4):
+    counter = tg.StepCounter()
+    xi = tg.parallel_run(path4, "b", seed=31, blocks=150, workers=1, counter=counter)
+    stream = tg.open_stream(path4, "b", seed=31)
+    assert xi == stream.run(150)
+    assert counter.steps == stream.counter.steps
+
+
 def test_parallel_run_validates_workers(path4):
     with pytest.raises(ValueError):
         tg.parallel_run(path4, "a", seed=8, blocks=10, workers=0)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tracegen import verify
 from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
 
@@ -84,6 +85,28 @@ def test_sample_rejects_p_beyond_root(capsys):
     )
     assert code == 2 and out == ""
     assert "0.333333333333" in err
+
+
+@pytest.mark.parametrize("p", ["1e-7", "1e-9", "1e-12"])
+def test_sample_at_tiny_p(capsys, p):
+    code, out, err = run_cli(capsys, "sample", "--model", MODEL, "--p", p, "--n", "3")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == ["1"] * 3
+
+
+@pytest.mark.parametrize("data", [
+    {"letters": [1, 2], "dependence": [[1, 2]]},
+    {"letters": [["a"], "b"], "dependence": []},
+    {"letters": ["a", "b"], "dependence": 5},
+], ids=["integer-letters", "list-letter", "integer-dependence"])
+def test_malformed_model_exits_2_before_output(capsys, tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "sample", "--model", str(bad), "--p", "0.3", "--n", "5", "--seed", "3"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_sample_rejects_p_inside_the_root_margin(capsys):
@@ -226,6 +249,19 @@ def test_verify_mobius_suite(capsys, tmp_path):
     assert payload and all(entry["passed"] for entry in payload)
     for line in err.strip().splitlines():
         assert line.startswith("pass ")
+
+
+@pytest.mark.parametrize("suite", ["mobius", "all"])
+def test_verify_rejects_unknown_pivot_before_any_suite(capsys, monkeypatch, suite):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran before the pivot letter was checked")
+
+    monkeypatch.setattr(verify, "run_mobius_suite", refuse)
+    code, out, err = run_cli(
+        capsys, "verify", "--model", MODEL, "--suite", suite, "--pivot-letter", "zz"
+    )
+    assert code == 2 and out == ""
+    assert "'zz'" in err
 
 
 def test_module_invocation_works():

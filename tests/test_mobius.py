@@ -130,8 +130,6 @@ def test_deletion_identity_worked_example(path4):
     # removing d: mu = (1 - 3X + X^2) - X (1 - 2X) componentwise
     res = tg.recurrence_residual_coefficients(path4, path4.full_mask, "d")
     assert res == (0, 0, 0)
-    numeric = tg.recurrence_residual(path4, path4.full_mask, "d", 0.3)
-    assert abs(numeric) < 1e-14
 
 
 def test_deletion_identity_on_random_models():
@@ -199,6 +197,30 @@ def test_occurrence_forms_and_value(path4):
     assert abs(mu_full - 0.32) < 1e-12
     assert abs(mu_bcd - 0.44) < 1e-12
     assert abs(r - (1 - mu_full / mu_bcd)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [1e-7, 1e-9, 1e-12])
+def test_occurrence_at_tiny_p(path4, p):
+    # r is about p, while 1 - mu_S / mu_{S minus a} is off by up to a unit
+    # of 2^-53 whatever r is; the forms check must allow for that
+    def mu(letters):
+        coefficients = tg.mobius_polynomial(path4, path4.subset(letters)).coefficients
+        return sum(c * Fraction(p) ** d for d, c in enumerate(coefficients))
+
+    r = tg.occurrence_probability(path4, path4.full_mask, "a", p)
+    assert abs(Fraction(r) - (1 - mu("abcd") / mu("bcd"))) <= Fraction(1, 2**53)
+
+
+def test_occurrence_forms_disagreement_raises(path4):
+    table = tg.MobiusTable(path4, 0.2)
+    full = path4.full_mask
+    table._values[full] = table.value(full) * (1 + 1e-9)
+    with pytest.raises(RuntimeError, match="forms disagree") as exc:
+        table.occurrence(full, path4.index_of("a"))
+    denom = table.value(path4.subset("bcd"))
+    left = 1.0 - table.value(full) / denom
+    right = 0.2 * table.value(path4.subset("cd")) / denom
+    assert repr(left) in str(exc.value) and repr(right) in str(exc.value)
 
 
 def test_occurrence_probability_validates_range(path4):

@@ -5,6 +5,7 @@ import math
 import signal
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, strategies as st
 
 import tracegen as tg
 from conftest import cycle_model, path_model
-from tracegen.sampler import PIVOT_RULES, Sampler
+from tracegen.sampler import _SHARED, PIVOT_RULES, Sampler
 from tracegen.verify import empirical_distribution
 
 
@@ -313,6 +314,39 @@ def test_interleaved_streams_equal_their_solo_draws():
     assert got_second == numpy_doubles(9, (2,), 600)
 
 
+def test_stream_resumes_after_a_live_stream_displaced_it():
+    # 9 draws take the chunks of 4 and 8; the second stream then takes the
+    # generator over, and the first must read its position back out
+    first, second = tg.RandomStream(21, (1,)), tg.RandomStream(21, (2,))
+    head = [first.uniform() for _ in range(9)]
+    other = [second.uniform() for _ in range(5)]
+    tail = [first.uniform() for _ in range(40)]
+    assert head + tail == numpy_doubles(21, (1,), 49)
+    assert other == numpy_doubles(21, (2,), 5)
+
+
+def test_stream_resumes_after_its_displacer_was_deleted():
+    first, second = tg.RandomStream(21, (1,)), tg.RandomStream(21, (2,))
+    head = [first.uniform() for _ in range(5)]
+    second.uniform()
+    del second
+    third = tg.RandomStream(21, (3,))
+    other = [third.uniform() for _ in range(30)]
+    tail = [first.uniform() for _ in range(40)]
+    assert head + tail == numpy_doubles(21, (1,), 45)
+    assert other == numpy_doubles(21, (3,), 30)
+
+
+def test_shared_generator_keeps_no_stream_alive():
+    stream = tg.RandomStream(5, (1,))
+    stream.uniform()
+    assert _SHARED.owner() is stream
+    ref = weakref.ref(stream)
+    del stream
+    assert ref() is None
+    assert _SHARED.owner() is None
+
+
 def test_threads_drawing_concurrently_equal_sequential_draws():
     # more threads than cores and a short switch interval, so the threads
     # refill from the shared generator in between each other's refills
@@ -355,3 +389,12 @@ def test_negative_seed_or_key_raises(seed, key):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", [1e-7, 1e-9, 1e-12])
+@pytest.mark.parametrize("model", [path_model(16), cycle_model(20)], ids=["path16", "cycle20"])
+def test_sample_many_at_tiny_p(model, p):
+    # the occurrence probabilities are about p, so a tolerance of 1e-10
+    # relative is far below the quotient form's rounding of a few 2^-53
+    samples = list(tg.sample_many(model, tg.SamplerParams(p=p, seed=3), 200))
+    assert len(samples) == 200 and all(x.is_unit for x in samples)

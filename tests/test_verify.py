@@ -400,3 +400,39 @@ def test_boundary_suite_reports_are_pinned(path4):
     assert [r.to_dict() for r in reports] == [
         dict(zip(REPORT_FIELDS, row)) for row in PINNED_TINY_BOUNDARY
     ]
+
+
+PINNED_FINITE = [
+    ("finite-law-tv", 0.06630000000000029, 1.0, "le", 2000, 7, True,
+     {"p": 0.19999999999999998}),
+    ("unit-mass", 0.007999999999999952, 1.0, "le", 2000, 7, True,
+     {"frequency": 0.328, "target": 0.32000000000000006}),
+    ("mean-length", 0.0434285714285716, 1.0, "le", 1000, 8, True,
+     {"observed": 1.826, "target": 1.7499999999999998}),
+    ("decomposition-count-geometric", 0.7006826903162523, 0.0, "gt", 1000, 9, True,
+     {"r": 0.2727272727272727, "statistic_chi2": 2.190970679012345, "bins": 5}),
+    ("decomposition-first-body-law", 0.041945787545787594, 0.015, "le", 273, 9, False, {}),
+    ("decomposition-pair-independence", 0.37255368336306477, 0.0, "gt", 64, 9, True,
+     {"statistic_chi2": 4.25531781339987}),
+    ("conditioned-max-inside-link", 0.0, 0.0, "le", 1000, 10, True, {}),
+    ("conditioned-law-tv-link", 0.05622666666666719, 1.0, "le", 1000, 10, True, {}),
+    ("conditioned-max-inside-single", 0.0, 0.0, "le", 1000, 10, True, {}),
+    ("conditioned-law-tv-single", 0.024872727272727307, 1.0, "le", 1000, 10, True, {}),
+    ("pivot-rule-invariance", 0.1340000000000002, 1.0, "le", 1000, 11, True, {}),
+    ("determinism", 0.0, 0.0, "le", 200, 7, True, {}),
+    ("step-bound-linear", 2.6, 5.2, "le", 200, 14, True, {"fitted_constant": 5.2}),
+]
+
+
+def test_finite_suite_reports_are_pinned(path4):
+    # the config of test_finite_suite_is_seed_deterministic
+    config = FiniteSuiteConfig(
+        n_law=2_000, n_mean=1_000, n_decomposition=1_000, n_conditioned=1_000,
+        n_pivot_rule=1_000, n_steps=200, tv_threshold=1.0,
+        conditioned_tv_threshold=1.0, pivot_tv_threshold=1.0,
+        unit_mass_threshold=1.0, mean_relative_threshold=1.0, chi_alpha=0.0,
+    )
+    reports = run_finite_suite(path4, seed=7, config=config)
+    assert [r.to_dict() for r in reports] == [
+        dict(zip(REPORT_FIELDS, row)) for row in PINNED_FINITE
+    ]

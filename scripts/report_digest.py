@@ -22,18 +22,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import cycle_model, path_model  # noqa: E402
 from test_verify import SMALL_BOUNDARY, SMALL_FINITE, TINY_BOUNDARY  # noqa: E402
 
-from tracegen import (  # noqa: E402
-    build_model,
-    smallest_root,
-    verify_cylinders,
-    verify_decomposition_law,
-)
+from tracegen import build_model, smallest_root  # noqa: E402
 from tracegen.verify import (  # noqa: E402
     DEFAULT_SEED,
     MobiusSuiteConfig,
     run_boundary_suite,
     run_finite_suite,
     run_mobius_suite,
+    verify_cylinders,
+    verify_decomposition_law,
 )
 
 

@@ -1,9 +1,11 @@
 """Uniform random generation of traces in trace monoids.
 
-The package splits into a small algebra core (monoid, mobius), exact
+The package splits into a small algebra core (monoid, mobius) and exact
 samplers for the finite multiplicative laws and the boundary measure
-(sampler, boundary), and a brute force oracle with statistical suites
-used to verify the samplers (oracle, verify).
+(sampler, boundary); importing it loads only these.  The brute force
+oracle and the statistical suites that verify the samplers live in
+``tracegen.oracle`` and ``tracegen.verify``, and their names are imported
+from there.
 """
 
 from .monoid import (
@@ -16,21 +18,17 @@ from .monoid import (
     format_trace,
     is_left_divisor,
     is_pyramidal,
-    left_divide,
     left_divisors,
     left_quotient,
     link,
     load_model,
     max_letters,
     model_from_dict,
-    model_to_dict,
     normalize,
     normalize_indices,
     pyramidal_decompose,
     restrict,
-    trace_from_lists,
     trace_to_lists,
-    word_of,
 )
 from .mobius import (
     MobiusPolynomial,
@@ -41,7 +39,6 @@ from .mobius import (
     is_irreducible,
     mobius_eval,
     mobius_polynomial,
-    occurrence_probability,
     recurrence_residual_coefficients,
     smallest_root,
 )
@@ -50,52 +47,25 @@ from .sampler import (
     SamplerParams,
     StepCounter,
     sample,
-    sample_geometric,
     sample_many,
-    sample_trace,
 )
 from .boundary import (
     BlockStream,
-    GapViolationError,
     open_stream,
     parallel_run,
-)
-from .oracle import (
-    EnumerationIndex,
-    chi_square,
-    count_traces,
-    enumerate_traces,
-    exact_probability,
-    check_series_identity,
-    series_coefficients,
-    series_tail_bound,
-    tv_distance,
-)
-from .verify import (
-    TestReport,
-    run_suite,
-    verify_cylinders,
-    verify_decomposition_law,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "IndependenceModel", "Trace", "UNIT", "build_model", "cliques", "concat",
-    "format_trace", "is_left_divisor", "is_pyramidal", "left_divide",
-    "left_divisors", "left_quotient", "link", "load_model", "max_letters",
-    "model_from_dict", "model_to_dict", "normalize", "normalize_indices",
-    "pyramidal_decompose", "restrict", "trace_from_lists", "trace_to_lists",
-    "word_of",
+    "format_trace", "is_left_divisor", "is_pyramidal", "left_divisors",
+    "left_quotient", "link", "load_model", "max_letters", "model_from_dict",
+    "normalize", "normalize_indices", "pyramidal_decompose", "restrict",
+    "trace_to_lists",
     "MobiusPolynomial", "MobiusTable", "NotIrreducibleError",
     "RootNotFoundError", "expected_length", "is_irreducible", "mobius_eval",
-    "mobius_polynomial", "occurrence_probability",
-    "recurrence_residual_coefficients", "smallest_root",
-    "RandomStream", "SamplerParams", "StepCounter", "sample",
-    "sample_geometric", "sample_many", "sample_trace",
-    "BlockStream", "GapViolationError", "open_stream", "parallel_run",
-    "EnumerationIndex", "chi_square", "count_traces", "enumerate_traces",
-    "exact_probability", "check_series_identity", "series_coefficients",
-    "series_tail_bound", "tv_distance",
-    "TestReport", "run_suite", "verify_cylinders", "verify_decomposition_law",
+    "mobius_polynomial", "recurrence_residual_coefficients", "smallest_root",
+    "RandomStream", "SamplerParams", "StepCounter", "sample", "sample_many",
+    "BlockStream", "open_stream", "parallel_run",
 ]

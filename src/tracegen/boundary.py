@@ -20,17 +20,9 @@ parallel with output identical to the sequential run.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
-from .mobius import ROOT_MARGIN, NotIrreducibleError, is_irreducible, smallest_root
+from .mobius import NotIrreducibleError, is_irreducible, smallest_root
 from .monoid import Heap, IndependenceModel, Trace, normalize_indices
 from .sampler import RandomStream, Sampler, SamplerParams, StepCounter
-
-
-class GapViolationError(RuntimeError):
-    """The critical parameter failed to sit strictly below the root of the
-    pivot free subalphabet; for an irreducible alphabet this signals a
-    numerical fault, not a modelling choice."""
 
 
 class BlockStream:
@@ -49,7 +41,11 @@ class BlockStream:
         self.p_star = smallest_root(model)
         self.block_target = model.dependence[self.pivot_index]
         self.block_subset = model.full_mask & ~(1 << self.pivot_index)
-        self._sampler = Sampler(model, SamplerParams(p=self.p_star))
+        # the sampler's range check is the gap check: p_star must clear the
+        # root of the pivot free subalphabet by ROOT_MARGIN
+        self._sampler = Sampler(
+            model, SamplerParams(p=self.p_star), self.block_subset, self.block_target
+        )
         self.counter = self._sampler.counter
         self.stream = RandomStream(self.seed)
         self.blocks_done = 0
@@ -67,7 +63,7 @@ class BlockStream:
 
     def draw_block(self, stream: RandomStream) -> list[int]:
         """Letter indices of one block drawn from ``stream``, apex last."""
-        word = self._sampler.draw(self.block_subset, self.block_target, stream)
+        word = self._sampler.draw(stream)
         word.append(self.pivot_index)
         return word
 
@@ -118,8 +114,9 @@ def open_stream(
     The alphabet must be irreducible; a one letter alphabet is degenerate
     (the only boundary point is a . a . a ...) and is rejected unless
     allow_trivial is set.  The critical parameter must clear the root of
-    the pivot free subalphabet by a strict margin, which irreducibility
-    guarantees up to numerics.
+    the pivot free subalphabet by ROOT_MARGIN, which irreducibility
+    guarantees up to numerics; the block sampler's range check raises
+    ValueError, quoting that root and the margin, if it does not.
     """
     if not is_irreducible(model):
         raise NotIrreducibleError(
@@ -127,21 +124,12 @@ def open_stream(
             "measure needs an irreducible alphabet"
         )
     model.index_of(pivot)
-    if model.size == 1:
-        if not allow_trivial:
-            raise ValueError(
-                "one letter alphabet: the boundary is a single point; pass "
-                "allow_trivial=True to emit it anyway"
-            )
-        return BlockStream(model, pivot, seed)
-    stream = BlockStream(model, pivot, seed)
-    sub_root = smallest_root(model, stream.block_subset)
-    if not stream.p_star <= sub_root - ROOT_MARGIN:
-        raise GapViolationError(
-            f"critical parameter {stream.p_star!r} does not sit below the "
-            f"pivot free root {sub_root!r} by the required margin"
+    if model.size == 1 and not allow_trivial:
+        raise ValueError(
+            "one letter alphabet: the boundary is a single point; pass "
+            "allow_trivial=True to emit it anyway"
         )
-    return stream
+    return BlockStream(model, pivot, seed)
 
 
 def _block_words_range(
@@ -177,6 +165,9 @@ def parallel_run(
     if workers == 1:
         stream.run(blocks)
     else:
+        # the process pool costs an import that a single worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, -(-blocks // workers))
         ranges = [(lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

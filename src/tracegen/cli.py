@@ -13,13 +13,7 @@ import argparse
 import json
 import sys
 
-from .mobius import (
-    ROOT_MARGIN,
-    NotIrreducibleError,
-    is_irreducible,
-    mobius_polynomial,
-    smallest_root,
-)
+from .mobius import ROOT_MARGIN, is_irreducible, mobius_polynomial, smallest_root
 from .monoid import format_trace, load_model, trace_to_lists
 from .sampler import SamplerParams, check_parameter, sample_many
 from .verify import DEFAULT_SEED, SUITES, run_suite
@@ -96,13 +90,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.workers > 1 and not args.blocks:
         sys.stderr.write("error: --workers needs a finite --blocks count\n")
         return 2
-    try:
-        stream = boundary.open_stream(
-            model, pivot, args.seed, allow_trivial=args.allow_trivial
-        )
-    except (NotIrreducibleError, boundary.GapViolationError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    # a ValueError here (a reducible model, an unknown pivot, a missing gap
+    # below the pivot free root) exits 2 through main, before any output
+    stream = boundary.open_stream(
+        model, pivot, args.seed, allow_trivial=args.allow_trivial
+    )
     # the header is the same whatever the worker count: the output of a
     # stream is a function of (model, pivot, seed) only
     print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}))

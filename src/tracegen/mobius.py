@@ -399,20 +399,6 @@ def check_below_root(model: IndependenceModel, subset: int, p: float) -> None:
         )
 
 
-def occurrence_probability(
-    model: IndependenceModel, subset: int, pivot: str, p: float
-) -> float:
-    """Probability that a multiplicative trace over a subalphabet contains
-    the pivot letter at least once.
-
-    Requires 0 < p < smallest_root(subset).  Both closed forms are computed
-    and must agree to 1e-10 relative, plus the rounding of the quotient
-    form, which is returned.
-    """
-    check_below_root(model, subset, p)
-    return MobiusTable(model, p).occurrence(subset, model.index_of(pivot))
-
-
 def expected_length(model: IndependenceModel, p: float, subset: int | None = None) -> float:
     """Mean trace length under the multiplicative law at parameter p."""
     mask = model.full_mask if subset is None else subset

@@ -134,15 +134,6 @@ def model_from_dict(data: dict) -> IndependenceModel:
     return build_model(data["letters"], data["dependence"])
 
 
-def model_to_dict(model: IndependenceModel) -> dict:
-    pairs = []
-    for i in range(model.size):
-        for j in iter_bits(model.dependence[i] & ~(1 << i)):
-            if j > i:
-                pairs.append([model.letters[i], model.letters[j]])
-    return {"letters": list(model.letters), "dependence": pairs}
-
-
 def restrict(model: IndependenceModel, letters: Iterable[str] | int) -> IndependenceModel:
     """Submodel induced on a subset of the alphabet, order preserved."""
     mask = letters if isinstance(letters, int) else model.subset(letters)
@@ -290,11 +281,6 @@ def word_indices(trace: Trace) -> list[int]:
     return out
 
 
-def word_of(model: IndependenceModel, trace: Trace) -> list[str]:
-    """Canonical linearisation as letter names."""
-    return [model.letters[i] for i in word_indices(trace)]
-
-
 def normalize(model: IndependenceModel, word: Iterable[str]) -> Trace:
     """Normal form of a word, given as an iterable of letter names.
 
@@ -334,15 +320,6 @@ def max_letters(model: IndependenceModel, x: Trace) -> int:
         for i in iter_bits(f):
             covered |= dep[i]
     return out
-
-
-def left_divide(model: IndependenceModel, y: Trace, letter: str) -> Trace | None:
-    """Remove one minimal piece labelled ``letter``, or None if there is none.
-
-    The letter must sit in the bottom factor of y; the remainder z satisfies
-    letter . z == y.
-    """
-    return left_quotient(model, Trace((1 << model.index_of(letter),)), y)
 
 
 def is_left_divisor(model: IndependenceModel, x: Trace, y: Trace) -> bool:
@@ -469,10 +446,3 @@ def trace_to_lists(model: IndependenceModel, x: Trace) -> list[list[str]]:
     """Normal form as a list of factors, each a list of letter names."""
     return [[model.letters[i] for i in iter_bits(f)] for f in x.factors]
 
-
-def trace_from_lists(model: IndependenceModel, factors: Sequence[Sequence[str]]) -> Trace:
-    """Rebuild a trace from its factor lists, renormalising for safety."""
-    indices: list[int] = []
-    for factor in factors:
-        indices.extend(model.index_of(ch) for ch in factor)
-    return normalize_indices(model, indices)

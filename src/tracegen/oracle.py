@@ -12,13 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .mobius import check_below_root, mobius_eval, mobius_polynomial
-from .monoid import (
-    IndependenceModel,
-    Trace,
-    iter_bits,
-    max_letters,
-)
+from .mobius import mobius_eval, mobius_polynomial
+from .monoid import IndependenceModel, Trace, iter_bits
 
 MAX_ORACLE_LETTERS = 6
 MAX_ORACLE_LENGTH = 12
@@ -110,18 +105,6 @@ def enumerate_traces(
     return EnumerationIndex(model, mask, levels)
 
 
-def count_traces(
-    model: IndependenceModel, subset: int | None = None, n_max: int = 6
-) -> list[int]:
-    """Trace counts by length, keeping only one enumeration level alive.
-
-    Same guardrails as enumerate_traces but far lighter on memory, which
-    is what makes length 12 counts practical.
-    """
-    mask = model.full_mask if subset is None else subset
-    return [len(frontier) for frontier in _frontiers(model, mask, n_max)]
-
-
 def series_coefficients(
     model: IndependenceModel, subset: int | None = None, n_max: int = 12
 ) -> list[int]:
@@ -138,33 +121,6 @@ def series_coefficients(
             acc -= mu[d] * out[n - d]
         out.append(acc)
     return out
-
-
-def exact_probability(model: IndependenceModel, x: Trace, p: float) -> float:
-    """Probability mu(p) * p^|x| of one trace under the multiplicative law."""
-    check_below_root(model, model.full_mask, p)
-    return mobius_eval(model, model.full_mask, p) * p**x.length
-
-
-def check_series_identity(
-    model: IndependenceModel, target: int, p: float, n_max: int = 10
-) -> float:
-    """Residual of the conditioned growth series identity.
-
-    Sums p^|x| over all enumerated traces whose maximal pieces lie in
-    ``target`` and compares with mu_{Sigma minus target} / mu_Sigma.  The
-    residual is the truncation tail plus rounding and must stay below
-    series_tail_bound for the same arguments.
-    """
-    full = model.full_mask
-    partial = 0.0
-    for n, frontier in enumerate(_frontiers(model, full, n_max)):
-        weight = p**n
-        for fac in frontier:
-            if max_letters(model, Trace(fac)) & ~target == 0:
-                partial += weight
-    expected = mobius_eval(model, full & ~target, p) / mobius_eval(model, full, p)
-    return abs(partial - expected)
 
 
 def series_tail_bound(model: IndependenceModel, p: float, n_max: int) -> float:

@@ -6,10 +6,13 @@ pieces lying inside a target subset T keeps the same weights restricted to
 that event.  Sampling is by pivot decomposition: pick a pivot letter a in
 S and T, draw the number K of pyramidal prefixes with apex a from a
 geometric law, then fill each prefix and the remainder the same way over
-the alphabet without a.  Each state (S, T) of that recursion is compiled
-once into a node holding its pivot, the log of its geometric parameter and
-its two child states, and a draw runs the nodes on an explicit stack.  The
-cost is linear in output length, with a factor for the alphabet size.
+the alphabet without a.  A Sampler serves one root state (S, T) and
+checks its masks and p once, when it is built; ``sample``,
+``sample_many`` and the boundary blocks each build one.  Each state of the
+recursion is compiled once into a node holding its pivot, the log of its
+geometric parameter and its two child states, and a draw runs the nodes on
+an explicit stack.  The cost is linear in output length, with a factor for
+the alphabet size.
 
 Every sample and boundary block draws from its own stream keyed by
 (seed, index): numpy's SeedSequence -> PCG64 stream, whose state an
@@ -277,13 +280,6 @@ def _log_ratio(r: float) -> float:
     return math.log(r) if r else 0.0
 
 
-def sample_geometric(r: float, stream: RandomStream) -> int:
-    """Draw K with P(K = k) = (1 - r) r^k by inversion of one uniform."""
-    log_r = _log_ratio(r)
-    u = stream.uniform()
-    return int(math.log1p(-u) / log_r) if log_r else 0
-
-
 @dataclass(frozen=True)
 class SamplerParams:
     """Configuration for the finite trace sampler.
@@ -308,7 +304,16 @@ class SamplerParams:
 
 
 class Sampler:
-    """The pivot recursion for one model, parameter and pivot rule.
+    """The pivot recursion for one model, parameter, pivot rule and root
+    state: draws over ``subset`` (default the full alphabet) conditioned
+    on all maximal pieces lying in ``target`` (default ``subset``).
+
+    The constructor is the one range check on the sampler's input: it
+    rejects mask bits outside the alphabet and, when the root state has
+    candidates (``subset & target``), a parameter outside
+    ``check_parameter``'s range for ``subset``.  The recursion only ever
+    shrinks the subalphabet, which can only move the root up, so every
+    state it reaches is in range too.
 
     Built once and reused for every draw.  Each state (subset, candidates)
     the recursion reaches is compiled on first use into a node
@@ -316,18 +321,25 @@ class Sampler:
     picks, the log of the geometric parameter at ``params.p``, the steps
     the node adds besides ``steps_per_k`` per geometric unit, and the rest
     and link child states.  A child is None when it has no candidates, the
-    key of its state until it is first reached, and its node after.  The
-    sampler does not check ``p``; callers check it against the root of the
-    subalphabet they draw over (``check_parameter``).
+    key of its state until it is first reached, and its node after.
     """
 
     def __init__(
         self,
         model: IndependenceModel,
         params: SamplerParams,
+        subset: int | None = None,
+        target: int | None = None,
         counter: StepCounter | None = None,
     ):
+        subset = model.full_mask if subset is None else subset
+        target = subset if target is None else target
+        if subset >> model.size or target >> model.size:
+            raise ValueError("subset mask has bits outside the alphabet")
+        if subset & target:
+            check_parameter(model, subset, params.p)
         self.model = model
+        self.root_state = (subset, subset & target)
         self.table = MobiusTable(model, params.p)
         self.counter = StepCounter() if counter is None else counter
         if params.pivot == "order":
@@ -380,24 +392,23 @@ class Sampler:
         ]
         return node
 
-    def draw(self, subset: int, target: int, stream: RandomStream) -> list[int]:
-        """Letter indices of one sample over ``subset`` conditioned on all
-        maximal pieces lying in ``target``, in a valid linearisation order.
+    def draw(self, stream: RandomStream) -> list[int]:
+        """Letter indices of one sample from the root state, in a valid
+        linearisation order.
 
         The stack holds nodes still to fill and pivot letters still to
         emit; a node pushes its remainder, then K times its pivot and its
         link child, so the letters come out in the recursion's order.
         """
         out: list[int] = []
-        candidates = subset & target
-        if not candidates:
+        if not self.root_state[1]:
             self.counter.steps += 1
             return out
         uniform = stream.uniform
         log1p = math.log1p
         resolve = self._node
         emit = out.append
-        stack = [resolve((subset, candidates))]
+        stack = [resolve(self.root_state)]
         push = stack.append
         pop = stack.pop
         steps = 0
@@ -437,52 +448,18 @@ def check_parameter(model: IndependenceModel, subset: int, p: float) -> None:
         )
 
 
-def _checked_sampler(
-    model: IndependenceModel,
-    subset: int,
-    target: int,
-    params: SamplerParams,
-    counter: StepCounter | None,
-) -> Sampler:
-    """A Sampler for draws over ``subset`` conditioned on ``target``, once
-    the masks and the parameter are checked."""
-    if subset >> model.size or target >> model.size:
-        raise ValueError("subset mask has bits outside the alphabet")
-    if subset & target:
-        check_parameter(model, subset, params.p)
-    return Sampler(model, params, counter)
-
-
-def sample_trace(
-    model: IndependenceModel,
-    subset: int,
-    target: int,
-    params: SamplerParams,
-    stream: RandomStream | None = None,
-    counter: StepCounter | None = None,
-) -> Trace:
-    """Sample the multiplicative law over ``subset`` conditioned on the
-    maximal pieces lying in ``target``.
-
-    Unconditioned sampling is target == subset.  The parameter must stay
-    below the smallest Mobius root of ``subset``; the recursion only ever
-    shrinks the subalphabet, which can only move that root up.
-    """
-    sampler = _checked_sampler(model, subset, target, params, counter)
-    if stream is None:
-        stream = RandomStream(params.seed)
-    return normalize_indices(model, sampler.draw(subset, target, stream))
-
-
 def sample(
     model: IndependenceModel,
     params: SamplerParams,
     stream: RandomStream | None = None,
     counter: StepCounter | None = None,
 ) -> Trace:
-    """One unconditioned sample over the full alphabet."""
-    full = model.full_mask
-    return sample_trace(model, full, full, params, stream, counter)
+    """One unconditioned sample over the full alphabet, drawn from
+    ``stream`` (default the root stream of ``params.seed``)."""
+    sampler = Sampler(model, params, counter=counter)
+    if stream is None:
+        stream = RandomStream(params.seed)
+    return normalize_indices(model, sampler.draw(stream))
 
 
 def sample_many(
@@ -493,17 +470,14 @@ def sample_many(
     target: int | None = None,
     counter: StepCounter | None = None,
 ) -> Iterator[Trace]:
-    """Yield n independent samples, one split child stream per index.
+    """Yield n independent samples over ``subset`` conditioned on
+    ``target`` (the Sampler's defaults), one split child stream per index.
 
     Sample i depends only on (seed, i), so the sequence is reproducible
-    and insensitive to how many samples are drawn around it.  The masks
-    and the parameter are checked once, and one Sampler draws every
-    sample.
+    and insensitive to how many samples are drawn around it.  One Sampler,
+    checked once, draws every sample.
     """
-    full = model.full_mask
-    subset = full if subset is None else subset
-    target = subset if target is None else target
-    sampler = _checked_sampler(model, subset, target, params, counter)
+    sampler = Sampler(model, params, subset, target, counter)
     base = RandomStream(params.seed)
     for i in range(n):
-        yield normalize_indices(model, sampler.draw(subset, target, base.split(i)))
+        yield normalize_indices(model, sampler.draw(base.split(i)))

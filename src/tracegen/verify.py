@@ -40,6 +40,7 @@ from .monoid import (
     pyramidal_decompose,
 )
 from .oracle import (
+    _check_guardrails,
     chi_square,
     enumerate_traces,
     geometric_bins,
@@ -779,6 +780,10 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITES}")
     if pivot_letter is not None:
         model.index_of(pivot_letter)
+    if name != "mobius":
+        # the finite and boundary suites enumerate the whole alphabet: apply
+        # the oracle's letter cap before any suite samples
+        _check_guardrails(model, model.full_mask, 0)
     reports = []
     if name in ("mobius", "all"):
         reports.extend(run_mobius_suite(model, seed))

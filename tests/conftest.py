@@ -1,4 +1,5 @@
-"""Shared fixtures: small dependence models used across the suite."""
+"""Shared fixtures and helpers: small dependence models used across the suite,
+and the oracle's trace counts by length."""
 
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import tracegen as tg
+from tracegen.oracle import _frontiers
 
 settings.register_profile(
     "ci",
@@ -72,3 +74,12 @@ def cycle_model(n_letters: int) -> tg.IndependenceModel:
     """The cycle x0 - x1 - ... - x0 on n_letters letters."""
     letters = [f"x{i}" for i in range(n_letters)]
     return tg.build_model(letters, zip(letters, letters[1:] + letters[:1]))
+
+
+def count_traces(
+    model: tg.IndependenceModel, subset: int | None = None, n_max: int = 6
+) -> list[int]:
+    """Trace counts by length from the oracle's enumeration, keeping only
+    one level alive, which is what makes length 12 counts practical."""
+    mask = model.full_mask if subset is None else subset
+    return [len(frontier) for frontier in _frontiers(model, mask, n_max)]

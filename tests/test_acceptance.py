@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from tracegen import (
+    MobiusTable,
     RandomStream,
     SamplerParams,
     StepCounter,
@@ -27,7 +28,6 @@ from tracegen import (
     is_pyramidal,
     mobius_eval,
     mobius_polynomial,
-    occurrence_probability,
     open_stream,
     parallel_run,
     recurrence_residual_coefficients,
@@ -36,9 +36,9 @@ from tracegen import (
     smallest_root,
     trace_to_lists,
 )
+from tracegen.mobius import check_below_root
 from tracegen.oracle import (
     chi_square,
-    count_traces,
     enumerate_traces,
     geometric_bins,
     series_coefficients,
@@ -49,6 +49,8 @@ from tracegen.verify import (
     pyramidal_block_table,
     verify_cylinders,
 )
+
+from conftest import count_traces
 
 SEED = 20070919
 
@@ -219,7 +221,8 @@ def test_criterion_4_geometric_decomposition():
     ia = PATH4.index_of("a")
     full = PATH4.full_mask
     rest = full & ~(1 << ia)
-    r_api = occurrence_probability(PATH4, full, "a", LAW_P)
+    check_below_root(PATH4, full, LAW_P)
+    r_api = MobiusTable(PATH4, LAW_P).occurrence(full, ia)
     r_quotient = 1.0 - mobius_eval(PATH4, full, LAW_P) / mobius_eval(PATH4, rest, LAW_P)
     r_link = (
         LAW_P

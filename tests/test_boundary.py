@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 import tracegen as tg
-from tracegen import boundary
-from tracegen.monoid import UNIT
+from tracegen import sampler
+from tracegen.cli import main
+from tracegen.mobius import ROOT_MARGIN
+from tracegen.monoid import UNIT, word_indices
 
 from conftest import cycle_model, path_model
 
@@ -30,22 +33,38 @@ def test_singleton_needs_explicit_opt_in():
         tg.open_stream(single, "a", seed=1)
     stream = tg.open_stream(single, "a", seed=1, allow_trivial=True)
     x = stream.run(5)
-    assert tg.word_of(single, x) == ["a"] * 5
+    assert [single.letters[i] for i in word_indices(x)] == ["a"] * 5
+
+
+def squeeze_gap(monkeypatch):
+    """Make check_parameter see the full alphabet's root on every proper
+    subalphabet, so the pivot free root no longer clears p_sigma."""
+    real = sampler.smallest_root
+
+    def squeezed(model, subset=None):
+        if subset is not None and subset != model.full_mask:
+            return real(model)
+        return real(model, subset)
+
+    monkeypatch.setattr(sampler, "smallest_root", squeezed)
+    return real
 
 
 def test_gap_guard_raises_when_margin_missing(path4, monkeypatch):
-    real = boundary.smallest_root
-
-    def squeezed(model, subset=None):
-        value = real(model, subset)
-        # pretend the pivot free subalphabet has the same root as the full one
-        if subset is not None and subset != model.full_mask:
-            return real(model)
-        return value
-
-    monkeypatch.setattr(boundary, "smallest_root", squeezed)
-    with pytest.raises(tg.GapViolationError):
+    root = squeeze_gap(monkeypatch)(path4)
+    with pytest.raises(ValueError) as exc:
         tg.open_stream(path4, "a", seed=1)
+    assert f"root={root!r}" in str(exc.value)
+    assert f"ROOT_MARGIN={ROOT_MARGIN!r}" in str(exc.value)
+
+
+def test_stream_cli_exits_2_when_margin_missing(monkeypatch, capsys):
+    squeeze_gap(monkeypatch)
+    model = str(Path(__file__).resolve().parent.parent / "models" / "p4.json")
+    code = main(["stream", "--model", model, "--blocks", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "ROOT_MARGIN" in captured.err
 
 
 def test_stream_critical_parameter_and_target(path4):
@@ -125,7 +144,9 @@ def test_pivot_count_tracks_blocks(path4):
 
 def test_block_word_replays_the_sequential_stream(path4):
     stream = tg.open_stream(path4, "a", seed=7)
-    sequential = [tg.word_of(path4, stream.next_block()) for _ in range(50)]
+    sequential = [
+        [path4.letters[i] for i in word_indices(stream.next_block())] for _ in range(50)
+    ]
     replay = tg.open_stream(path4, "a", seed=7)
     for i in (0, 7, 23, 49):
         word = [path4.letters[j] for j in replay.block_word(i)]

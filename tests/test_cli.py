@@ -10,6 +10,7 @@ import pytest
 from tracegen import verify
 from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
+from tracegen.sampler import Sampler
 
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "p4.json")
 
@@ -264,6 +265,26 @@ def test_verify_rejects_unknown_pivot_before_any_suite(capsys, monkeypatch, suit
     assert "'zz'" in err
 
 
+@pytest.mark.parametrize("suite", ["finite", "boundary", "all"])
+def test_verify_refuses_models_past_the_oracle_cap_before_sampling(
+    capsys, monkeypatch, tmp_path, suite
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite sampled before the oracle cap was checked")
+
+    monkeypatch.setattr(verify, "sample_many", refuse)
+    monkeypatch.setattr(Sampler, "draw", refuse)
+    letters = [f"x{i}" for i in range(8)]
+    model_file = tmp_path / "path8.json"
+    model_file.write_text(json.dumps({
+        "letters": letters,
+        "dependence": [list(pair) for pair in zip(letters, letters[1:])],
+    }))
+    code, out, err = run_cli(capsys, "verify", "--model", str(model_file), "--suite", suite)
+    assert code == 2 and out == ""
+    assert "limited to 6 letters, got 8" in err
+
+
 def test_module_invocation_works():
     proc = subprocess.run(
         [sys.executable, "-m", "tracegen.cli", "analyze", "--model", MODEL],
@@ -274,11 +295,12 @@ def test_module_invocation_works():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the p-values of the verify suites
-    code = (
-        "import sys, tracegen.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # scipy serves only the p-values of the verify suites; the package
+    # itself loads neither the suites nor the oracle nor the process pool
+    lean = {"tracegen.oracle", "tracegen.verify", "concurrent.futures.process"}
+    for module, unwanted in [("tracegen.cli", set()), ("tracegen", lean)]:
+        code = f"import json, sys, {module}\nprint(json.dumps(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert [m for m in loaded if m.split(".")[0] == "scipy" or m in unwanted] == [], module

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tracegen as tg
-from tracegen.mobius import ROOT_MARGIN, _square_free_part
+from tracegen.mobius import ROOT_MARGIN, _square_free_part, check_below_root
 from tracegen.monoid import clique_size_counts
+from tracegen.oracle import series_coefficients
 
 from conftest import cycle_model, path_model, random_model
 
@@ -189,7 +190,8 @@ def test_occurrence_forms_and_value(path4):
     table = tg.MobiusTable(path4, 0.2)
     r = table.occurrence(path4.full_mask, path4.index_of("a"))
     assert abs(r - 3 / 11) < 1e-12
-    direct = tg.occurrence_probability(path4, path4.full_mask, "a", 0.2)
+    check_below_root(path4, path4.full_mask, 0.2)
+    direct = tg.MobiusTable(path4, 0.2).occurrence(path4.full_mask, path4.index_of("a"))
     assert abs(direct - 3 / 11) < 1e-12
     # direct check of the quotient form 1 - mu_S / mu_{S minus a}
     mu_full = tg.mobius_eval(path4, None, 0.2)
@@ -207,7 +209,8 @@ def test_occurrence_at_tiny_p(path4, p):
         coefficients = tg.mobius_polynomial(path4, path4.subset(letters)).coefficients
         return sum(c * Fraction(p) ** d for d, c in enumerate(coefficients))
 
-    r = tg.occurrence_probability(path4, path4.full_mask, "a", p)
+    check_below_root(path4, path4.full_mask, p)
+    r = tg.MobiusTable(path4, p).occurrence(path4.full_mask, path4.index_of("a"))
     assert abs(Fraction(r) - (1 - mu("abcd") / mu("bcd"))) <= Fraction(1, 2**53)
 
 
@@ -223,11 +226,11 @@ def test_occurrence_forms_disagreement_raises(path4):
     assert repr(left) in str(exc.value) and repr(right) in str(exc.value)
 
 
-def test_occurrence_probability_validates_range(path4):
+def test_expected_length_validates_range(path4):
     full = path4.full_mask
     for bad in (0.5, 1 / 3, 0.0, -0.1):
         with pytest.raises(ValueError):
-            tg.occurrence_probability(path4, full, "a", bad)
+            tg.expected_length(path4, bad, full)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -253,7 +256,7 @@ def test_expected_length_worked_value(path4):
 def test_expected_length_matches_series(path4):
     # compare against the exact length distribution truncated far out
     p = 0.2
-    coeffs = tg.series_coefficients(path4, None, 60)
+    coeffs = series_coefficients(path4, None, 60)
     mu = tg.mobius_eval(path4, None, p)
     mean = sum(n * c * p**n * mu for n, c in enumerate(coeffs))
     assert abs(tg.expected_length(path4, p) - mean) < 1e-9

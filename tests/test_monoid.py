@@ -12,8 +12,8 @@ from tracegen.monoid import (
     cliques,
     clique_size_counts,
     iter_bits,
-    left_divide,
     left_divisors,
+    left_quotient,
     link,
     word_indices,
 )
@@ -101,7 +101,7 @@ def test_concat_agrees_with_word_concatenation(mw, data):
 def test_word_of_round_trip(mw):
     model, word = mw
     x = tg.normalize_indices(model, word)
-    assert tg.normalize(model, tg.word_of(model, x)) == x
+    assert tg.normalize(model, [model.letters[i] for i in word_indices(x)]) == x
     assert tg.normalize_indices(model, word_indices(x)) == x
 
 
@@ -117,10 +117,11 @@ def test_max_letters_is_bottom_of_mirror(mw):
 
 def test_left_divide_worked_example(path4):
     x = tg.normalize(path4, "abdcbad")
-    y = left_divide(path4, x, "a")
+    a, b = tg.normalize(path4, "a"), tg.normalize(path4, "b")
+    y = left_quotient(path4, a, x)
     assert tg.format_trace(path4, y) == "(b d)(c)(b d)(a)"
-    assert left_divide(path4, x, "b") is None
-    assert left_divide(path4, UNIT, "a") is None
+    assert left_quotient(path4, b, x) is None
+    assert left_quotient(path4, a, UNIT) is None
 
 
 @given(model_and_word())
@@ -129,7 +130,7 @@ def test_left_divide_inverts_front_letter(mw):
     x = tg.normalize_indices(model, word)
     bottom = x.factors[0] if x.factors else 0
     for i in range(model.size):
-        y = tg.left_divide(model, x, model.letters[i])
+        y = left_quotient(model, tg.Trace((1 << i,)), x)
         if bottom & (1 << i):
             head = tg.normalize_indices(model, [i])
             assert y is not None and tg.concat(model, head, y) == x
@@ -294,8 +295,23 @@ def test_build_model_validation():
         tg.build_model(too_many, [])
 
 
+def model_to_dict(model):
+    """The model file form of a model, dependent pairs in index order."""
+    pairs = []
+    for i in range(model.size):
+        for j in iter_bits(model.dependence[i] & ~(1 << i)):
+            if j > i:
+                pairs.append([model.letters[i], model.letters[j]])
+    return {"letters": list(model.letters), "dependence": pairs}
+
+
+def trace_from_lists(model, factors):
+    """Rebuild a trace from its factor lists, renormalising."""
+    return tg.normalize_indices(model, [model.index_of(ch) for f in factors for ch in f])
+
+
 def test_model_serialization_round_trip(tmp_path, path4):
-    data = tg.model_to_dict(path4)
+    data = model_to_dict(path4)
     again = tg.model_from_dict(json.loads(json.dumps(data)))
     assert again == path4
     p = tmp_path / "m.json"
@@ -307,4 +323,4 @@ def test_trace_list_round_trip(path4):
     x = tg.normalize(path4, "abdcbad")
     lists = tg.trace_to_lists(path4, x)
     assert lists == [["a", "d"], ["b"], ["c"], ["b", "d"], ["a"]]
-    assert tg.trace_from_lists(path4, lists) == x
+    assert trace_from_lists(path4, lists) == x

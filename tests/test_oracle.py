@@ -5,11 +5,42 @@ import math
 import pytest
 
 import tracegen as tg
-from tracegen.oracle import geometric_bins
+from tracegen.mobius import check_below_root
+from tracegen.monoid import max_letters
+from tracegen.oracle import (
+    _frontiers,
+    chi_square,
+    enumerate_traces,
+    geometric_bins,
+    series_coefficients,
+    series_tail_bound,
+    tv_distance,
+)
+
+from conftest import count_traces
+
+
+def check_series_identity(model, target, p, n_max=10):
+    """Residual of the conditioned growth series identity.
+
+    Sums p^|x| over all enumerated traces whose maximal pieces lie in
+    ``target`` and compares with mu_{Sigma minus target} / mu_Sigma.  The
+    residual is the truncation tail plus rounding and must stay below
+    series_tail_bound for the same arguments.
+    """
+    full = model.full_mask
+    partial = 0.0
+    for n, frontier in enumerate(_frontiers(model, full, n_max)):
+        weight = p**n
+        for fac in frontier:
+            if max_letters(model, tg.Trace(fac)) & ~target == 0:
+                partial += weight
+    expected = tg.mobius_eval(model, full & ~target, p) / tg.mobius_eval(model, full, p)
+    return abs(partial - expected)
 
 
 def test_counts_worked_values(path4):
-    assert tg.count_traces(path4, None, 5) == [1, 4, 13, 40, 121, 364]
+    assert count_traces(path4, None, 5) == [1, 4, 13, 40, 121, 364]
 
 
 def test_counts_match_series_coefficients(path4, path3, free2, comm2, star4):
@@ -20,25 +51,25 @@ def test_counts_match_series_coefficients(path4, path3, free2, comm2, star4):
         (comm2, 12),
         (star4, 8),
     ]:
-        assert tg.count_traces(model, None, n_max) == tg.series_coefficients(
+        assert count_traces(model, None, n_max) == series_coefficients(
             model, None, n_max
         )
 
 
 def test_counts_on_restricted_alphabet(path4):
     bcd = path4.subset("bcd")
-    assert tg.count_traces(path4, bcd, 6) == tg.series_coefficients(path4, bcd, 6)
+    assert count_traces(path4, bcd, 6) == series_coefficients(path4, bcd, 6)
 
 
 def test_closed_form_counts(free2, comm2, triangle):
     # free monoid: 2^n words; commutative pair: n + 1 multisets
-    assert tg.count_traces(free2, None, 10) == [2**n for n in range(11)]
-    assert tg.count_traces(comm2, None, 10) == [n + 1 for n in range(11)]
-    assert tg.count_traces(triangle, None, 7) == [3**n for n in range(8)]
+    assert count_traces(free2, None, 10) == [2**n for n in range(11)]
+    assert count_traces(comm2, None, 10) == [n + 1 for n in range(11)]
+    assert count_traces(triangle, None, 7) == [3**n for n in range(8)]
 
 
 def test_enumeration_is_deduplicated(path4):
-    index = tg.enumerate_traces(path4, None, 5)
+    index = enumerate_traces(path4, None, 5)
     assert index.counts() == [1, 4, 13, 40, 121, 364]
     seen = set()
     for x in index:
@@ -49,7 +80,7 @@ def test_enumeration_is_deduplicated(path4):
 
 def test_probability_table_sums_to_partial_mass(path4):
     p = 0.2
-    index = tg.enumerate_traces(path4, None, 6)
+    index = enumerate_traces(path4, None, 6)
     table = index.probability_table(p)
     mu = tg.mobius_eval(path4, None, p)
     for x, prob in table.items():
@@ -57,43 +88,45 @@ def test_probability_table_sums_to_partial_mass(path4):
     partial = sum(table.values())
     assert partial < 1.0
     # the missing mass is bounded by mu times the series tail bound
-    tail = tg.series_tail_bound(path4, p, 6)
+    tail = series_tail_bound(path4, p, 6)
     assert 1.0 - partial <= mu * tail + 1e-12
 
 
 def test_series_tail_bound_dominates_true_tail(path4):
     p = 0.2
-    counts = tg.count_traces(path4, None, 10)
+    counts = count_traces(path4, None, 10)
     mu = tg.mobius_eval(path4, None, p)
     for n_max in range(3, 7):
         true_tail = sum(c * p**n * mu for n, c in enumerate(counts) if n > n_max)
         # bound is on the unweighted generating tail times mu
-        bound = tg.series_tail_bound(path4, p, n_max) * mu
+        bound = series_tail_bound(path4, p, n_max) * mu
         assert true_tail <= bound + 1e-15
 
 
 def test_exact_probability(path4):
     x = tg.normalize(path4, "abd")
-    got = tg.exact_probability(path4, x, 0.2)
+    full = path4.full_mask
+    check_below_root(path4, full, 0.2)
+    got = tg.mobius_eval(path4, full, 0.2) * 0.2**x.length
     assert got == pytest.approx(0.32 * 0.2**3)
     with pytest.raises(ValueError):
-        tg.exact_probability(path4, x, 0.5)
+        check_below_root(path4, full, 0.5)
 
 
 def test_series_identity_partial_sums(path4):
     # partial sums of p^n over traces with max inside T approach the quotient
-    gap = tg.check_series_identity(path4, path4.subset("ab"), 0.2, 8)
-    assert gap < tg.series_tail_bound(path4, 0.2, 8)
-    tighter = tg.check_series_identity(path4, path4.subset("ab"), 0.2, 10)
+    gap = check_series_identity(path4, path4.subset("ab"), 0.2, 8)
+    assert gap < series_tail_bound(path4, 0.2, 8)
+    tighter = check_series_identity(path4, path4.subset("ab"), 0.2, 10)
     assert tighter < gap
 
 
 def test_enumeration_guardrails(path4):
     with pytest.raises(ValueError):
-        tg.enumerate_traces(path4, None, 13)
+        enumerate_traces(path4, None, 13)
     big = tg.build_model("abcdefg", [])
     with pytest.raises(ValueError):
-        tg.enumerate_traces(big, None, 3)
+        enumerate_traces(big, None, 3)
 
 
 def test_tv_distance_basic(path4):
@@ -101,10 +134,10 @@ def test_tv_distance_basic(path4):
     b = tg.normalize(path4, "b")
     left = {a: 0.5, b: 0.5}
     right = {a: 0.4, b: 0.6}
-    assert tg.tv_distance(left, right) == pytest.approx(0.1)
-    assert tg.tv_distance(left, left) == 0.0
+    assert tv_distance(left, right) == pytest.approx(0.1)
+    assert tv_distance(left, left) == 0.0
     with pytest.raises(ValueError):
-        tg.tv_distance({}, {})
+        tv_distance({}, {})
 
 
 def test_tv_distance_support_cutoff(path4):
@@ -113,16 +146,16 @@ def test_tv_distance_support_cutoff(path4):
     long = tg.normalize(path4, "ababab")
     left = {short: 0.5, long: 0.5}
     right = {short: 0.5, tg.normalize(path4, "bababa"): 0.5}
-    assert tg.tv_distance(left, right, support_cutoff=2) == 0.0
-    assert tg.tv_distance(left, right) == pytest.approx(0.5)
+    assert tv_distance(left, right, support_cutoff=2) == 0.0
+    assert tv_distance(left, right) == pytest.approx(0.5)
 
 
 def test_chi_square_detects_fit_and_misfit():
     observed = [48.0, 32.0, 20.0]
     expected = [50.0, 30.0, 20.0]
-    stat, p_value = tg.chi_square(observed, expected)
+    stat, p_value = chi_square(observed, expected)
     assert p_value > 0.5
-    bad_stat, bad_p = tg.chi_square([80.0, 10.0, 10.0], expected)
+    bad_stat, bad_p = chi_square([80.0, 10.0, 10.0], expected)
     assert bad_p < 1e-6
     assert bad_stat > stat
 

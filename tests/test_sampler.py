@@ -13,7 +13,8 @@ from hypothesis import given, strategies as st
 
 import tracegen as tg
 from conftest import cycle_model, path_model
-from tracegen.sampler import _SHARED, PIVOT_RULES, Sampler
+from tracegen.oracle import enumerate_traces, tv_distance
+from tracegen.sampler import _SHARED, PIVOT_RULES, Sampler, _log_ratio
 from tracegen.verify import empirical_distribution
 
 
@@ -25,21 +26,29 @@ class FixedUniform:
         return self.value
 
 
+def sample_geometric(r, stream):
+    """Draw K with P(K = k) = (1 - r) r^k by inversion of one uniform: the
+    geometric draw of the plain recursion in reference_fill."""
+    log_r = _log_ratio(r)
+    u = stream.uniform()
+    return int(math.log1p(-u) / log_r) if log_r else 0
+
+
 def test_geometric_inversion_frozen_values():
-    assert tg.sample_geometric(0.5, FixedUniform(0.9)) == 3
-    assert tg.sample_geometric(0.5, FixedUniform(0.49)) == 0
-    assert tg.sample_geometric(0.5, FixedUniform(0.75)) == 2  # exact boundary
-    assert tg.sample_geometric(0.0, FixedUniform(0.99)) == 0
+    assert sample_geometric(0.5, FixedUniform(0.9)) == 3
+    assert sample_geometric(0.5, FixedUniform(0.49)) == 0
+    assert sample_geometric(0.5, FixedUniform(0.75)) == 2  # exact boundary
+    assert sample_geometric(0.0, FixedUniform(0.99)) == 0
     u = 0.437
     r = 3 / 11
     expect = int(math.log1p(-u) / math.log(r))
-    assert tg.sample_geometric(r, FixedUniform(u)) == expect
+    assert sample_geometric(r, FixedUniform(u)) == expect
 
 
 def test_geometric_validates_parameter():
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
-            tg.sample_geometric(bad, FixedUniform(0.5))
+            sample_geometric(bad, FixedUniform(0.5))
 
 
 def test_random_stream_split_is_stable():
@@ -73,7 +82,8 @@ def test_subset_sampling_allows_larger_p(path4):
     # the bcd subpath has root (3 - sqrt(5)) / 2, above 1/3
     bcd = path4.subset("bcd")
     params = tg.SamplerParams(p=0.35, seed=2)
-    x = tg.sample_trace(path4, bcd, bcd, params)
+    word = Sampler(path4, params, bcd).draw(tg.RandomStream(params.seed))
+    x = tg.normalize_indices(path4, word)
     for factor in x.factors:
         assert factor & ~bcd == 0
     with pytest.raises(ValueError):
@@ -98,8 +108,8 @@ def test_law_moderate_sample(path4):
     samples = list(tg.sample_many(path4, params, n))
     unit_freq = sum(1 for x in samples if x.is_unit) / n
     assert abs(unit_freq - 0.32) < 0.012
-    exact = tg.enumerate_traces(path4, None, 3).probability_table(0.2)
-    tv = tg.tv_distance(empirical_distribution(samples), exact, 3)
+    exact = enumerate_traces(path4, None, 3).probability_table(0.2)
+    tv = tv_distance(empirical_distribution(samples), exact, 3)
     assert tv < 0.02
 
 
@@ -198,7 +208,7 @@ def reference_fill(sampler, subset, target, stream, out):
     if not candidates:
         return
     pivot = sampler._choose(subset, candidates)
-    k = tg.sample_geometric(sampler.table.occurrence(subset, pivot), stream)
+    k = sample_geometric(sampler.table.occurrence(subset, pivot), stream)
     counter.steps += k + 1
     rest = subset & ~(1 << pivot)
     lk = sampler.model.dependence[pivot]
@@ -211,7 +221,7 @@ def reference_fill(sampler, subset, target, stream, out):
 
 
 def reference_draw(model, params, subset, target, stream):
-    sampler = Sampler(model, params)
+    sampler = Sampler(model, params, subset, target)
     out = []
     reference_fill(sampler, subset, target, stream, out)
     return out, sampler.counter.steps
@@ -242,10 +252,10 @@ def sampler_case(draw):
 @given(sampler_case())
 def test_compiled_draw_matches_recursion(case):
     model, params, subset, target = case
-    sampler = Sampler(model, params)
+    sampler = Sampler(model, params, subset, target)
     for i in range(4):
         before = sampler.counter.steps
-        got = sampler.draw(subset, target, tg.RandomStream(params.seed, (i,)))
+        got = sampler.draw(tg.RandomStream(params.seed, (i,)))
         want, steps = reference_draw(
             model, params, subset, target, tg.RandomStream(params.seed, (i,))
         )

@@ -8,6 +8,7 @@ import pytest
 import tracegen as tg
 from tracegen.boundary import BlockStream
 from tracegen.monoid import Heap
+from tracegen.oracle import enumerate_traces
 from tracegen.verify import (
     CHECKPOINT_LADDER,
     DEFAULT_SEED,
@@ -18,6 +19,9 @@ from tracegen.verify import (
     run_boundary_suite,
     run_finite_suite,
     run_mobius_suite,
+    run_suite,
+    verify_cylinders,
+    verify_decomposition_law,
 )
 
 from conftest import cycle_model, path_model
@@ -150,7 +154,7 @@ def test_boundary_suite_passes_at_reduced_size(path4):
 
 
 def test_decomposition_law_standalone(path4):
-    reports = tg.verify_decomposition_law(
+    reports = verify_decomposition_law(
         path4, "a", 0.2, n=20_000, seed=404, tv_threshold=0.03
     )
     assert [r.name for r in reports] == [
@@ -162,7 +166,7 @@ def test_decomposition_law_standalone(path4):
 
 
 def test_cylinders_standalone(path4):
-    report = tg.verify_cylinders(
+    report = verify_cylinders(
         path4, "a", seed=505, x_max_len=1, runs=800, tolerance=0.06
     )
     assert report.passed
@@ -196,7 +200,7 @@ PINNED_CYLINDER_COUNTS = {
 
 
 def test_cylinders_draw_order_is_pinned(path4):
-    report = tg.verify_cylinders(
+    report = verify_cylinders(
         path4, "a", seed=DEFAULT_SEED, x_max_len=3, runs=200
     )
     assert report.statistic == 0.08333333333333331
@@ -207,7 +211,7 @@ def test_cylinders_draw_order_is_pinned(path4):
 
 
 def test_cylinders_of_length_zero_hold_the_unit(path4):
-    report = tg.verify_cylinders(path4, "a", seed=11, x_max_len=0, runs=300)
+    report = verify_cylinders(path4, "a", seed=11, x_max_len=0, runs=300)
     assert report.passed and report.statistic == 0.0
     assert report.details["per_trace"] == {
         "1": {"frequency": 1.0, "target": 1.0, "blocks": 8, "capped": False}
@@ -276,7 +280,7 @@ def reference_cylinders(name, pivot, x_max_len):
 
     details = {}
     worst = 0.0
-    for x in tg.enumerate_traces(model, model.full_mask, x_max_len):
+    for x in enumerate_traces(model, model.full_mask, x_max_len):
         target_prob = p_star**x.length
         k = min(j for j in CHECKPOINT_LADDER if j >= 4 * x.length)
         freq = frequency(x, k)
@@ -305,7 +309,7 @@ def reference_cylinders(name, pivot, x_max_len):
     "name, pivot", CYLINDER_PIVOTS, ids=[f"{m}-{p}" for m, p in CYLINDER_PIVOTS]
 )
 def test_early_stopped_cylinders_match_full_ladder(name, pivot, x_max_len):
-    got = tg.verify_cylinders(
+    got = verify_cylinders(
         CYLINDER_MODELS[name], pivot, seed=CYLINDER_SEED, x_max_len=x_max_len,
         runs=CYLINDER_RUNS,
     )
@@ -322,15 +326,15 @@ def test_cylinder_runs_stop_once_their_bottom_is_final(path4, monkeypatch):
         return draw_block(self, stream)
 
     monkeypatch.setattr(BlockStream, "draw_block", counting)
-    tg.verify_cylinders(path4, "a", seed=DEFAULT_SEED, x_max_len=3, runs=2_000)
+    verify_cylinders(path4, "a", seed=DEFAULT_SEED, x_max_len=3, runs=2_000)
     ladder_draws = 2_000 * CHECKPOINT_LADDER[-1]
     assert draws <= 0.05 * ladder_draws
 
 
 def test_run_suite_dispatch(path4):
     with pytest.raises(ValueError):
-        tg.run_suite("bogus", path4)
-    reports = tg.run_suite("mobius", path4, seed=9)
+        run_suite("bogus", path4)
+    reports = run_suite("mobius", path4, seed=9)
     assert reports and all(r.passed for r in reports)
 
 
@@ -389,7 +393,7 @@ PINNED_TINY_BOUNDARY = [
 
 
 def test_decomposition_reports_are_pinned(path4):
-    reports = tg.verify_decomposition_law(path4, "a", 0.2, n=2000, seed=404)
+    reports = verify_decomposition_law(path4, "a", 0.2, n=2000, seed=404)
     assert [r.to_dict() for r in reports] == [
         dict(zip(REPORT_FIELDS, row)) for row in PINNED_DECOMPOSITION
     ]

@@ -57,6 +57,12 @@ from .boundary import (
 
 __version__ = "0.1.0"
 
+# The CLI's default seed, also the suites' default, and the names of the
+# suites in tracegen.verify; kept here so that the CLI offers them
+# without loading the suites.
+DEFAULT_SEED = 20070919
+SUITES = ("mobius", "finite", "boundary", "all")
+
 __all__ = [
     "IndependenceModel", "Trace", "UNIT", "build_model", "cliques", "concat",
     "format_trace", "is_left_divisor", "is_pyramidal", "left_divisors",

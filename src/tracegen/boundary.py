@@ -132,17 +132,23 @@ def open_stream(
     return BlockStream(model, pivot, seed)
 
 
-def _block_words_range(
-    model: IndependenceModel,
-    pivot: str,
-    seed: int,
-    lo: int,
-    hi: int,
-) -> tuple[list[list[int]], int]:
-    """Worker body: blocks lo..hi-1 as words, plus the steps spent."""
-    stream = BlockStream(model, pivot, seed)
-    words = [stream.block_word(i) for i in range(lo, hi)]
-    return words, stream.counter.steps
+# The stream a pool worker of parallel_run draws its ranges from, opened
+# once per worker process by the pool's initializer.
+_worker_stream: BlockStream | None = None
+
+
+def _open_worker_stream(model: IndependenceModel, pivot: str, seed: int) -> None:
+    global _worker_stream
+    _worker_stream = BlockStream(model, pivot, seed)
+
+
+def _block_words(blocks: range) -> tuple[list[list[int]], int]:
+    """Worker body: the words of the given blocks, plus the steps spent
+    drawing them."""
+    stream = _worker_stream
+    before = stream.counter.steps
+    words = [stream.block_word(i) for i in blocks]
+    return words, stream.counter.steps - before
 
 
 def parallel_run(
@@ -157,7 +163,10 @@ def parallel_run(
     """Produce the first ``blocks`` blocks, optionally on worker processes.
 
     Block i depends only on (seed, i), so the result is identical to a
-    sequential run with the same seed whatever the worker count.
+    sequential run with the same seed whatever the worker count.  With
+    several workers the blocks go out as ``4 * workers`` ranges, and this
+    process appends each range, in order, as it arrives, while the workers
+    draw the later ones.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -168,15 +177,14 @@ def parallel_run(
         # the process pool costs an import that a single worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, -(-blocks // workers))
-        ranges = [(lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_block_words_range, model, pivot, seed, lo, hi)
-                for lo, hi in ranges
-            ]
-            for future in futures:
-                words, spent = future.result()
+        size = max(1, -(-blocks // (4 * workers)))
+        ranges = [range(lo, min(lo + size, blocks)) for lo in range(0, blocks, size)]
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_open_worker_stream,
+            initargs=(model, pivot, seed),
+        ) as pool:
+            for words, spent in pool.map(_block_words, ranges):
                 stream.counter.steps += spent
                 for word in words:
                     stream.append(word)

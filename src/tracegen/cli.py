@@ -13,11 +13,10 @@ import argparse
 import json
 import sys
 
+from . import DEFAULT_SEED, SUITES, boundary
 from .mobius import ROOT_MARGIN, is_irreducible, mobius_polynomial, smallest_root
-from .monoid import format_trace, load_model, trace_to_lists
-from .sampler import SamplerParams, check_parameter, sample_many
-from .verify import DEFAULT_SEED, SUITES, run_suite
-from . import boundary
+from .monoid import format_trace, load_model, trace_json_formatter
+from .sampler import SamplerParams, sample_many
 
 
 def _int_at_least(low: int):
@@ -39,6 +38,12 @@ def _add_model_argument(parser: argparse.ArgumentParser) -> None:
         "--model", required=True, metavar="FILE",
         help="JSON model file with keys 'letters' and 'dependence'",
     )
+
+
+def _record(k: int, key: str, trace_json: str, length: int) -> str:
+    """``json.dumps({"k": k, key: trace, "length": length})`` for a trace
+    given as its JSON text, in json.dumps's layout."""
+    return f'{{"k": {k}, "{key}": {trace_json}, "length": {length}}}'
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -71,15 +76,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    check_parameter(model, model.full_mask, args.p)
     params = SamplerParams(p=args.p, seed=args.seed, pivot=args.pivot)
+    # checks p, exiting 2 through main before the header is printed
+    samples = sample_many(model, params, args.n)
     if args.format == "json":
+        to_json = trace_json_formatter(model)
         print(json.dumps({"seed": args.seed, "p": args.p, "n": args.n}))
-        for x in sample_many(model, params, args.n):
-            print(json.dumps(trace_to_lists(model, x)))
+        for x in samples:
+            print(to_json(x))
     else:
         print(f"# seed={args.seed} p={args.p} n={args.n}")
-        for x in sample_many(model, params, args.n):
+        for x in samples:
             print(format_trace(model, x))
     return 0
 
@@ -95,6 +102,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     stream = boundary.open_stream(
         model, pivot, args.seed, allow_trivial=args.allow_trivial
     )
+    to_json = trace_json_formatter(model)
     # the header is the same whatever the worker count: the output of a
     # stream is a function of (model, pivot, seed) only
     print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}))
@@ -114,11 +122,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     break
                 if emit_each:
                     block = stream.next_block()
-                    print(json.dumps({
-                        "k": stream.blocks_done,
-                        "block": trace_to_lists(model, block),
-                        "length": stream.length,
-                    }), flush=not args.blocks)
+                    print(_record(stream.blocks_done, "block", to_json(block), stream.length),
+                          flush=not args.blocks)
                 else:
                     stream.advance()
         except KeyboardInterrupt:
@@ -126,11 +131,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if emit_each:
             return 0
         xi, blocks = stream.accumulated, stream.blocks_done
-    print(json.dumps({"k": blocks, "final": trace_to_lists(model, xi), "length": xi.length}))
+    print(_record(blocks, "final", to_json(xi), xi.length))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # the suites load the oracle and scipy, which no other command needs
+    from .verify import run_suite
+
     model = load_model(args.model)
     reports = run_suite(args.suite, model, args.seed, args.pivot_letter)
     payload = [r.to_dict() for r in reports]

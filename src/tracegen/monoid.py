@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_LETTERS = 64
 
@@ -446,3 +446,32 @@ def trace_to_lists(model: IndependenceModel, x: Trace) -> list[list[str]]:
     """Normal form as a list of factors, each a list of letter names."""
     return [[model.letters[i] for i in iter_bits(f)] for f in x.factors]
 
+
+class _FactorJSON(dict):
+    """JSON text of factors by mask, each made when first asked for."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, model: IndependenceModel):
+        super().__init__()
+        self.names = [json.dumps(name) for name in model.letters]
+
+    def __missing__(self, mask: int) -> str:
+        names = self.names
+        text = self[mask] = "[" + ", ".join([names[i] for i in iter_bits(mask)]) + "]"
+        return text
+
+
+def trace_json_formatter(model: IndependenceModel) -> Callable[[Trace], str]:
+    """A function giving ``json.dumps(trace_to_lists(model, x))`` for the
+    traces x of model, byte for byte.
+
+    It keeps the JSON text of every distinct factor it has formatted, so a
+    trace costs one join over its factors and builds no list of lists.
+    """
+    factor_json = _FactorJSON(model).__getitem__
+
+    def to_json(x: Trace) -> str:
+        return "[" + ", ".join(map(factor_json, x.factors)) + "]"
+
+    return to_json

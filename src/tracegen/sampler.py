@@ -470,14 +470,15 @@ def sample_many(
     target: int | None = None,
     counter: StepCounter | None = None,
 ) -> Iterator[Trace]:
-    """Yield n independent samples over ``subset`` conditioned on
-    ``target`` (the Sampler's defaults), one split child stream per index.
+    """An iterator over n independent samples over ``subset`` conditioned
+    on ``target`` (the Sampler's defaults), one split child stream per
+    index.
 
     Sample i depends only on (seed, i), so the sequence is reproducible
-    and insensitive to how many samples are drawn around it.  One Sampler,
-    checked once, draws every sample.
+    and insensitive to how many samples are drawn around it.  One Sampler
+    draws every sample; it is built, and its masks and p checked, by this
+    call, before any sample is drawn.
     """
     sampler = Sampler(model, params, subset, target, counter)
-    base = RandomStream(params.seed)
-    for i in range(n):
-        yield normalize_indices(model, sampler.draw(base.split(i)))
+    split = RandomStream(params.seed).split
+    return (normalize_indices(model, sampler.draw(split(i))) for i in range(n))

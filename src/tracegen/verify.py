@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import DEFAULT_SEED, SUITES
 from .boundary import open_stream, parallel_run
 from .mobius import (
     MobiusTable,
@@ -52,8 +53,6 @@ from .sampler import (
     StepCounter,
     sample_many,
 )
-
-DEFAULT_SEED = 20070919
 
 # the mobius suite walks the cliques of a subset only up to this many: a
 # random subset of a 48-letter path has about a million, up to 1e8
@@ -764,9 +763,6 @@ def run_boundary_suite(
         )
     )
     return reports
-
-
-SUITES = ("mobius", "finite", "boundary", "all")
 
 
 def run_suite(

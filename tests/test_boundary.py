@@ -163,6 +163,16 @@ def test_parallel_run_matches_sequential(path4):
     assert c_seq.steps == c_par.steps
 
 
+@pytest.mark.parametrize("blocks, workers", [(0, 2), (1, 3), (37, 2), (50, 3)])
+def test_parallel_run_ranges_match_sequential(path4, blocks, workers):
+    # 37 and 50 blocks are not multiples of the 4 * workers ranges
+    c_seq, c_par = tg.StepCounter(), tg.StepCounter()
+    xi_seq = tg.parallel_run(path4, "c", seed=12, blocks=blocks, workers=1, counter=c_seq)
+    xi_par = tg.parallel_run(path4, "c", seed=12, blocks=blocks, workers=workers, counter=c_par)
+    assert xi_par == xi_seq
+    assert c_par.steps == c_seq.steps
+
+
 def test_parallel_run_with_one_worker_is_the_open_stream_run(path4):
     counter = tg.StepCounter()
     xi = tg.parallel_run(path4, "b", seed=31, blocks=150, workers=1, counter=counter)

@@ -209,6 +209,17 @@ def test_stream_workers_output_is_byte_identical(capsys):
     assert sequential == parallel
 
 
+def test_trace_records_are_in_json_dumps_layout(capsys):
+    # the records are written from cached text, not by json.dumps
+    stream = ["stream", "--model", MODEL, "--pivot-letter", "b", "--blocks", "40", "--seed", "3"]
+    outputs = [run_cli(capsys, *stream)[1], run_cli(capsys, *stream, "--emit", "final")[1],
+               run_cli(capsys, "sample", "--model", MODEL, "--p", "0.3", "--n", "40",
+                       "--format", "json")[1]]
+    for out in outputs:
+        for line in out.splitlines():
+            assert line == json.dumps(json.loads(line))
+
+
 def test_stream_workers_need_blocks(capsys):
     code, out, err = run_cli(
         capsys, "stream", "--model", MODEL, "--workers", "2", "--blocks", "0"
@@ -304,3 +315,13 @@ def test_cli_import_leaves_scipy_unloaded():
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout)
         assert [m for m in loaded if m.split(".")[0] == "scipy" or m in unwanted] == [], module
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    # sample and stream need neither the suites nor the oracle; verify
+    # imports them when it runs
+    code = "import json, sys, tracegen.cli\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert loaded & {"tracegen.oracle", "tracegen.verify"} == set()

@@ -1,6 +1,7 @@
 """Normal forms, divisibility, and pyramidal decompositions on small models."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +16,12 @@ from tracegen.monoid import (
     left_divisors,
     left_quotient,
     link,
+    trace_json_formatter,
     word_indices,
 )
 from tracegen.oracle import enumerate_traces
+
+from conftest import path_model
 
 PATH4 = tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
 
@@ -317,6 +321,34 @@ def test_model_serialization_round_trip(tmp_path, path4):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(data))
     assert tg.load_model(str(p)) == path4
+
+
+def test_trace_json_formatter_is_json_dumps_of_the_lists(path4):
+    to_json = trace_json_formatter(path4)
+    assert to_json(UNIT) == json.dumps(tg.trace_to_lists(path4, UNIT)) == "[]"
+    samples = list(tg.sample_many(path4, tg.SamplerParams(p=0.3, seed=5), 300))
+    # twice over: the second pass formats from the cached factors
+    for x in samples + samples:
+        assert to_json(x) == json.dumps(tg.trace_to_lists(path4, x))
+
+
+def test_trace_json_formatter_escapes_letter_names():
+    letters = ["\u00e9t\u00e9", 'say "a"', "back\\slash", "\u65e5\u672c", "tab\t"]
+    model = tg.build_model(letters, zip(letters, letters[1:]))
+    to_json = trace_json_formatter(model)
+    every = to_json(tg.normalize_indices(model, range(5)))
+    assert every == json.dumps(tg.trace_to_lists(model, tg.normalize_indices(model, range(5))))
+    for escaped in ("\\u00e9", '\\"', "\\\\", "\\u65e5", "\\t"):
+        assert escaped in every
+    for seed in range(40):
+        x = tg.normalize_indices(model, random.Random(seed).choices(range(5), k=12))
+        assert to_json(x) == json.dumps(tg.trace_to_lists(model, x))
+
+
+def test_trace_json_formatter_on_a_4000_block_stream():
+    model = path_model(16)
+    xi = tg.open_stream(model, "x0", seed=1).run(4000)
+    assert trace_json_formatter(model)(xi) == json.dumps(tg.trace_to_lists(model, xi))
 
 
 def test_trace_list_round_trip(path4):

@@ -78,6 +78,12 @@ def test_sample_rejects_p_at_or_beyond_root(path4):
             tg.sample(path4, tg.SamplerParams(p=bad, seed=1))
 
 
+def test_sample_many_checks_p_when_called(path4):
+    # the check runs before any sample is drawn, not at the first next()
+    with pytest.raises(ValueError, match="out of range"):
+        tg.sample_many(path4, tg.SamplerParams(p=0.5), 3)
+
+
 def test_subset_sampling_allows_larger_p(path4):
     # the bcd subpath has root (3 - sqrt(5)) / 2, above 1/3
     bcd = path4.subset("bcd")

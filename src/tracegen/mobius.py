@@ -24,8 +24,9 @@ true root and does not depend on numpy or the platform.
 Everything here is deterministic.  A double p is a dyadic rational, so a
 polynomial value at p is computed exactly in integers and rounded once;
 near p_sigma, where the value is tiny next to the clique counts, float
-Horner evaluation would lose most digits.  Evaluations used in sampling
-are memoised per subset in a MobiusTable.
+Horner evaluation would lose most digits.  A MobiusTable memoises these
+exact values per subset, so each sampler's geometric parameters are exact
+to one rounding too.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ from functools import lru_cache
 from .monoid import IndependenceModel, iter_bits
 
 ROOT_MARGIN = 1e-9
-# the occurrence forms agree to _FORM_AGREEMENT relative, plus the rounding
-# of 1 - mu_S / mu_{S minus a}: a few units of 2^-53 however small it is
-_FORM_AGREEMENT = 1e-10
-_QUOTIENT_ROUNDING = 8 * 2.0**-53
 
 
 class RootNotFoundError(RuntimeError):
@@ -64,13 +61,12 @@ class MobiusPolynomial:
 
     def evaluate(self, p: float) -> float:
         """Value at the double p, computed exactly and rounded once."""
-        return _exact_value(self.coefficients, p)
+        return _rounded(_scaled_value(self.coefficients, p))
 
     def derivative_at(self, p: float) -> float:
         """Derivative at the double p, computed exactly and rounded once."""
-        return _exact_value(
-            tuple(d * c for d, c in enumerate(self.coefficients))[1:], p
-        )
+        derivative = tuple(d * c for d, c in enumerate(self.coefficients))[1:]
+        return _rounded(_scaled_value(derivative, p))
 
     def clique_count(self) -> int:
         return sum(abs(c) for c in self.coefficients)
@@ -237,9 +233,9 @@ def _scaled_value(coefficients, x: float) -> tuple[int, int]:
     return acc, max(shift - k, 0)
 
 
-def _exact_value(coefficients, x: float) -> float:
+def _rounded(pair: tuple[int, int]) -> float:
     # int / int true division rounds correctly
-    acc, shift = _scaled_value(coefficients, x)
+    acc, shift = pair
     return acc / (1 << shift)
 
 
@@ -348,45 +344,41 @@ def is_irreducible(model: IndependenceModel) -> bool:
 
 
 class MobiusTable:
-    """Memoised Mobius evaluations of one model at one fixed parameter.
+    """Memoised Mobius values of one model at one fixed parameter.
 
-    Values are pure functions of (subset, p); each table has a single
-    owner, and parallel runs build one table per worker process.
+    Each subset's value at p is kept exact, as the integer pair (v, s) of
+    value v / 2^s, so ``value`` and ``occurrence`` round once.  Each table
+    has a single owner; parallel runs build one per worker process.
     """
 
     def __init__(self, model: IndependenceModel, p: float):
         self.model = model
         self.p = float(p)
-        self._values: dict[int, float] = {}
+        self._pairs: dict[int, tuple[int, int]] = {}
+
+    def _pair(self, subset: int) -> tuple[int, int]:
+        pair = self._pairs.get(subset)
+        if pair is None:
+            coefficients = mobius_polynomial(self.model, subset).coefficients
+            pair = self._pairs[subset] = _scaled_value(coefficients, self.p)
+        return pair
 
     def value(self, subset: int) -> float:
-        try:
-            return self._values[subset]
-        except KeyError:
-            pass
-        self._values[subset] = val = mobius_eval(self.model, subset, self.p)
-        return val
+        return _rounded(self._pair(subset))
 
     def occurrence(self, subset: int, pivot_index: int) -> float:
-        """Probability that a trace over ``subset`` contains the pivot.
-
-        Computed as 1 - mu_S / mu_{S minus pivot} and cross checked against
-        the equivalent form p * mu_{S minus link} / mu_{S minus pivot}; a
-        disagreement beyond rounding signals a numerical fault.  Not
-        memoised: the sampler compiles each state's value into its node.
+        """Probability r = p mu_{S minus link} / mu_{S minus pivot} that a
+        trace over ``subset`` contains the pivot, formed in integers at the
+        double p and rounded once by an int / int division.  Not memoised:
+        the sampler compiles each state's value into its node.
         """
         bit = 1 << pivot_index
         if not subset & bit:
             raise ValueError("pivot is not in the subset")
-        denom = self.value(subset & ~bit)
-        left = 1.0 - self.value(subset) / denom
-        right = self.p * self.value(subset & ~self.model.dependence[pivot_index]) / denom
-        tolerance = _FORM_AGREEMENT * max(abs(left), abs(right), 1e-12) + _QUOTIENT_ROUNDING
-        if abs(left - right) > tolerance:
-            raise RuntimeError(
-                f"occurrence probability forms disagree: {left!r} vs {right!r}"
-            )
-        return left
+        n, d = self.p.as_integer_ratio()
+        num, num_shift = self._pair(subset & ~self.model.dependence[pivot_index])
+        den, den_shift = self._pair(subset & ~bit)
+        return (n * num << den_shift) / (d * den << num_shift)
 
 
 def check_below_root(model: IndependenceModel, subset: int, p: float) -> None:

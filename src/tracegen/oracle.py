@@ -10,6 +10,7 @@ enumeration stays fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .mobius import mobius_eval, mobius_polynomial
@@ -138,6 +139,19 @@ def series_tail_bound(model: IndependenceModel, p: float, n_max: int) -> float:
     if alpha * p >= 1.0:
         return float("inf")
     return counts[n_max + 1] * p ** (n_max + 1) / (1.0 - alpha * p)
+
+
+def exact_occurrence(
+    model: IndependenceModel, subset: int, pivot_index: int, p: float
+) -> float:
+    """The pivot's occurrence probability p mu_{S minus link} / mu_{S minus
+    pivot} at the double p, in rationals, rounded once."""
+    q = Fraction(p)
+    num, den = (
+        sum(c * q**d for d, c in enumerate(mobius_polynomial(model, mask).coefficients))
+        for mask in (subset & ~model.dependence[pivot_index], subset & ~(1 << pivot_index))
+    )
+    return float(q * num / den)
 
 
 # ---------------------------------------------------------------------------

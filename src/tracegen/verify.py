@@ -44,6 +44,7 @@ from .oracle import (
     _check_guardrails,
     chi_square,
     enumerate_traces,
+    exact_occurrence,
     geometric_bins,
     tv_distance,
 )
@@ -182,7 +183,7 @@ def verify_decomposition_law(
     full = model.full_mask
     pivot_index = model.index_of(pivot)
     params = SamplerParams(p=p, seed=seed)
-    r = MobiusTable(model, p).occurrence(full, pivot_index)
+    r = exact_occurrence(model, full, pivot_index, p)
 
     # a pyramidal part's top level is its apex alone; the levels below are its body
     apex = 1 << pivot_index
@@ -475,21 +476,13 @@ def run_mobius_suite(
         TestReport.make("memo-coherence", violations, 0, "le", len(subsets), seed)
     )
 
-    worst = 0.0
-    checked = 0
-    for frac in (0.25, 0.5, 0.75):
-        q = frac * root
-        qtable = MobiusTable(model, q)
-        for i in range(model.size):
-            denom = qtable.value(full & ~(1 << i))
-            left = 1.0 - qtable.value(full) / denom
-            right = q * qtable.value(full & ~model.dependence[i]) / denom
-            checked += 1
-            worst = max(worst, abs(left - right) / max(abs(left), abs(right), 1e-12))
+    checks = [(frac * root, i) for frac in (0.25, 0.5, 0.75) for i in range(model.size)]
+    wrong = sum(
+        MobiusTable(model, q).occurrence(full, i) != exact_occurrence(model, full, i, q)
+        for q, i in checks
+    )
     reports.append(
-        TestReport.make(
-            "occurrence-forms-agree", worst, 1e-10, "le", checked, seed,
-        )
+        TestReport.make("occurrence-correctly-rounded", wrong, 0, "le", len(checks), seed)
     )
     return reports
 

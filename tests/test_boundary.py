@@ -96,8 +96,15 @@ def test_blocks_at_critical_parameter_on_long_alphabets(model):
 
 
 @pytest.mark.parametrize(
-    "model, blocks", [(cycle_model(48), 200), (path_model(48), 50), (cycle_model(32), 1000)],
-    ids=["cycle48", "path48", "cycle32"],
+    "model, blocks",
+    [
+        (cycle_model(48), 200),
+        (path_model(48), 50),
+        (cycle_model(32), 1000),
+        (cycle_model(64), 200),
+        (path_model(64), 10),
+    ],
+    ids=["cycle48", "path48", "cycle32", "cycle64", "path64"],
 )
 def test_blocks_at_critical_parameter_on_48_letters(model, blocks):
     # a 48-letter path has F(50), about 1.3e10, cliques: too many to list

@@ -203,27 +203,13 @@ def test_occurrence_forms_and_value(path4):
 
 @pytest.mark.parametrize("p", [1e-7, 1e-9, 1e-12])
 def test_occurrence_at_tiny_p(path4, p):
-    # r is about p, while 1 - mu_S / mu_{S minus a} is off by up to a unit
-    # of 2^-53 whatever r is; the forms check must allow for that
     def mu(letters):
         coefficients = tg.mobius_polynomial(path4, path4.subset(letters)).coefficients
         return sum(c * Fraction(p) ** d for d, c in enumerate(coefficients))
 
     check_below_root(path4, path4.full_mask, p)
     r = tg.MobiusTable(path4, p).occurrence(path4.full_mask, path4.index_of("a"))
-    assert abs(Fraction(r) - (1 - mu("abcd") / mu("bcd"))) <= Fraction(1, 2**53)
-
-
-def test_occurrence_forms_disagreement_raises(path4):
-    table = tg.MobiusTable(path4, 0.2)
-    full = path4.full_mask
-    table._values[full] = table.value(full) * (1 + 1e-9)
-    with pytest.raises(RuntimeError, match="forms disagree") as exc:
-        table.occurrence(full, path4.index_of("a"))
-    denom = table.value(path4.subset("bcd"))
-    left = 1.0 - table.value(full) / denom
-    right = 0.2 * table.value(path4.subset("cd")) / denom
-    assert repr(left) in str(exc.value) and repr(right) in str(exc.value)
+    assert r == float(1 - mu("abcd") / mu("bcd"))
 
 
 def test_expected_length_validates_range(path4):
@@ -265,9 +251,7 @@ def test_expected_length_matches_series(path4):
 def test_mobius_table_memo_coherence(path4):
     table = tg.MobiusTable(path4, 0.2)
     for subset in range(path4.full_mask + 1):
-        assert table.value(subset) == pytest.approx(
-            tg.mobius_eval(path4, subset, 0.2), abs=1e-15
-        )
+        assert table.value(subset) == tg.mobius_eval(path4, subset, 0.2)
 
 
 def test_irreducibility(path4, comm2, free2):

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 import tracegen as tg
 from conftest import cycle_model, path_model
-from tracegen.oracle import enumerate_traces, tv_distance
+from tracegen.oracle import enumerate_traces, exact_occurrence, tv_distance
 from tracegen.sampler import _SHARED, PIVOT_RULES, Sampler, _log_ratio
 from tracegen.verify import empirical_distribution
 
@@ -287,6 +287,51 @@ def test_compiled_node_checks_geometric_parameter(path4, monkeypatch):
     monkeypatch.setattr(tg.MobiusTable, "occurrence", lambda self, subset, pivot: 1.0)
     with pytest.raises(ValueError, match=r"got 1\.0"):
         tg.sample(path4, tg.SamplerParams(p=0.2, seed=1))
+
+
+def chorded_cycle(n_letters, chords):
+    """The cycle x0 - ... - x0 plus the span 2 chords x_i - x_{i+2}."""
+    letters = [f"x{i}" for i in range(n_letters)]
+    pairs = list(zip(letters, letters[1:] + letters[:1]))
+    pairs += [(letters[i], letters[(i + 2) % n_letters]) for i in chords]
+    return tg.build_model(letters, pairs)
+
+
+PATH4 = tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+CHORDED28 = chorded_cycle(28, (0, 5, 11, 17, 23))
+
+
+@pytest.mark.parametrize(
+    "model, p",
+    [
+        (PATH4, 0.2),
+        (PATH4, 1e-7),
+        (path_model(16), None),
+        (cycle_model(20), None),
+        (CHORDED28, 0.6 * tg.smallest_root(CHORDED28)),
+    ],
+    ids=["p4-0.2", "p4-1e-7", "path16-blocks", "cycle20-blocks", "chorded28"],
+)
+def test_every_compiled_geometric_parameter_is_correctly_rounded(model, p):
+    if p is None:
+        # the block sampler at p_sigma
+        stream = tg.open_stream(model, "x0", 0)
+        p = stream.p_star
+        sampler = Sampler(model, tg.SamplerParams(p=p), stream.block_subset, stream.block_target)
+    else:
+        sampler = Sampler(model, tg.SamplerParams(p=p))
+    todo, seen = [sampler.root_state], set()
+    while todo:
+        state = todo.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        pivot, log_r, _, _, rest, link = sampler._node(state)
+        r = exact_occurrence(model, state[0], pivot, p)
+        assert sampler.table.occurrence(state[0], pivot) == r, state
+        assert log_r == math.log(r), state
+        todo += [child for child in (rest, link) if child is not None]
+    assert len(seen) > 1
 
 
 @pytest.mark.parametrize("seed, key", [(0, ()), (42, ()), (7, (3,)), (2**63 + 5, (1, 2, 3))])

@@ -346,8 +346,8 @@ REPORT_FIELDS = (
     "passed", "details",
 )
 PINNED_DECOMPOSITION = [
-    ("decomposition-count-geometric", 0.3730911605418116, 0.005, "gt", 2000, 404,
-     True, {"r": 0.2727272727272727, "statistic_chi2": 4.251078703703712, "bins": 5}),
+    ("decomposition-count-geometric", 0.373091160541814, 0.005, "gt", 2000, 404,
+     True, {"r": 0.27272727272727276, "statistic_chi2": 4.251078703703692, "bins": 5}),
     ("decomposition-first-body-law", 0.026694017094017086, 0.015, "le", 585, 404,
      False, {}),
     ("decomposition-pair-independence", 0.7560122463771167, 0.005, "gt", 165, 404,

@@ -6,11 +6,13 @@ small models with frozen seeds and prints the number of reports and the
 sha256 of ``json.dumps([r.to_dict() for r in reports], sort_keys=True)``.
 Two checkouts that print the same line produce the same reports, byte for
 byte.  The reduced suite configurations and the path and cycle models are
-the test suite's own, imported from ``tests/``.
+the test suite's own, imported from ``tests/``.  With ``--expect HEX`` the
+script exits 1 unless the digest is HEX.
 
-    PYTHONPATH=src python scripts/report_digest.py
+    PYTHONPATH=src python scripts/report_digest.py --expect 75b8b6050f7033440915f2ab6c42377e9e722818501ea3e97b5fa2e263d1e45d
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -57,9 +59,14 @@ def reports() -> list:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
+    args = parser.parse_args()
     dicts = [r.to_dict() for r in reports()]
     digest = hashlib.sha256(json.dumps(dicts, sort_keys=True).encode()).hexdigest()
     print(len(dicts), digest)
+    if args.expect is not None and digest != args.expect.lower():
+        sys.exit(f"digest mismatch: expected {args.expect}")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ parallel with output identical to the sequential run.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .mobius import NotIrreducibleError, is_irreducible, smallest_root
 from .monoid import Heap, IndependenceModel, Trace, normalize_indices
 from .sampler import RandomStream, Sampler, SamplerParams, StepCounter
@@ -82,7 +84,7 @@ class BlockStream:
         self.append(word)
         return word
 
-    def append(self, word: list[int]) -> None:
+    def append(self, word: Sequence[int]) -> None:
         """Append the letter indices of the next block to the accumulated
         trace, one step on the counter."""
         self._heap.extend(word)
@@ -98,8 +100,9 @@ class BlockStream:
     def run(self, blocks: int) -> Trace:
         """Advance by the given number of blocks, returning the accumulated
         trace."""
-        for _ in range(blocks):
-            self.advance()
+        done = self.blocks_done
+        for stream in self.stream.splits(done, done + blocks):
+            self.append(self.draw_block(stream))
         return self.accumulated
 
 
@@ -142,12 +145,14 @@ def _open_worker_stream(model: IndependenceModel, pivot: str, seed: int) -> None
     _worker_stream = BlockStream(model, pivot, seed)
 
 
-def _block_words(blocks: range) -> tuple[list[list[int]], int]:
+def _block_words(blocks: range) -> tuple[list[bytes], int]:
     """Worker body: the words of the given blocks, plus the steps spent
-    drawing them."""
+    drawing them.  A letter index is below 64, so each word travels as
+    bytes, one per letter."""
     stream = _worker_stream
     before = stream.counter.steps
-    words = [stream.block_word(i) for i in blocks]
+    children = stream.stream.splits(blocks.start, blocks.stop)
+    words = [bytes(stream.draw_block(child)) for child in children]
     return words, stream.counter.steps - before
 
 

@@ -17,7 +17,11 @@ the alphabet size.
 Every sample and boundary block draws from its own stream keyed by
 (seed, index): numpy's SeedSequence -> PCG64 stream, whose state an
 in-repo copy of SeedSequence's key hash computes, drawn through one shared
-generator that is re-seated for each stream.  The doubles are numpy's own,
+generator that is re-seated for each stream.  ``sample_many`` and the
+block runs take their streams from ``RandomStream.splits``, which derives
+runs of consecutive keys in one pass of that hash, with each stream's
+first doubles computed in numpy from its PCG64 states; only a stream that
+needs more re-seats the shared generator.  The doubles are numpy's own,
 so the output is that of a SeedSequence and a PCG64 built per stream.
 """
 
@@ -51,6 +55,7 @@ _MAX_CHUNK = 256
 # the spawn key words are hashed here.  PCG64 seeds from the pool's 8
 # output words.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _HASH_INIT_A = 0x43B0D7E5
 _HASH_MULT_A = 0x931E8875
@@ -60,22 +65,40 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
+# The derivation runs on n streams at once: the children of one stream
+# whose last key elements are consecutive.  A single stream is the case
+# n = 1.  Each quantity is one integer holding stream k's value in the
+# _STRIDE bits from _STRIDE * k: four words (a pool, or one half of
+# generate_state's output) as 32 bit lanes _SLOT bits apart, a PCG64 state
+# or increment as one 128 bit number.  A lane times a 32 bit constant
+# stays inside its slot (80 bits, as the mix's sums reach 2**65), and a
+# state times the LCG multiplier inside its stride, so each step of the
+# hash is a few big-integer operations whatever n is, and each LCG step
+# is one product.
+_SLOT = 80
+_STRIDE = 4 * _SLOT
+_STRIDE_BYTES = _STRIDE // 8
+
+# A run of streams is derived with its first _HEAD doubles: numpy's
+# next_double of PCG64, an LCG step then the XSL-RR output, computed for
+# the whole run in numpy.  Runs start at _FIRST_RUN streams and double up
+# to _MAX_RUN.
+_HEAD = 8
+_FIRST_RUN = 16
+_MAX_RUN = 256
+
 
 def _lanes(values: list[int], width: int) -> int:
     """One integer holding values[j] at bit width * j."""
     return sum(v << (width * j) for j, v in enumerate(values))
 
 
-# The four pool words are kept as 32 bit lanes of one integer, 320 bits
-# apart, so a key word is hashed into all of them by a few big-integer
-# operations.  A product of 4 lanes 64 bits apart and 4 lanes 256 bits
-# apart puts each of its 16 partial products, all below 2**64, in its own
-# 64 bit slot, and the 4 wanted ones (equal lane numbers) 320 bits apart;
-# the generate_state product of 320-bit and 80-bit lanes likewise puts
-# them 400 bits apart.
-_POOL_MASK = _lanes([_MASK32] * 4, 320)
-_SPREAD = _lanes([1] * 4, 64)
-_MIX_OFFSET = _lanes([_MIX_MULT_R << 32] * 4, 320)  # keeps every lane >= 0
+def _tile(value: int, n: int) -> int:
+    """n copies of a value below 2**_STRIDE, one per stream."""
+    return int.from_bytes(value.to_bytes(_STRIDE_BYTES, "little") * n, "little")
+
+
+_SPREAD = _lanes([1] * 4, _SLOT)  # a 32 bit word times this fills all 4 lanes
 
 
 def _words(n: int) -> list[int]:
@@ -91,26 +114,65 @@ def _words(n: int) -> list[int]:
     return words
 
 
+# generate_state xors its output word i with the i-th of these constants
+# and multiplies it by the next
+_OUTPUT_HASH = [_HASH_INIT_B * pow(_HASH_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)]
+
+
+class _Tiles:
+    """The lane constants of the derivation, repeated for n streams."""
+
+    __slots__ = ("n", "ones", "ramp", "pool", "slots", "offset", "xors", "mask64", "mask128")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ones = _tile(1, n)
+        # k for stream k: its key element's offset from the run's first
+        self.ramp = int.from_bytes(
+            b"".join(k.to_bytes(_STRIDE_BYTES, "little") for k in range(n)), "little"
+        )
+        self.pool = _tile(_lanes([_MASK32] * 4, _SLOT), n)
+        self.slots = [_tile(_MASK32 << (_SLOT * j), n) for j in range(4)]
+        # keeps every lane >= 0 when the mix subtracts
+        self.offset = _tile(_lanes([_MIX_MULT_R << 32] * 4, _SLOT), n)
+        self.xors = [_tile(_lanes(_OUTPUT_HASH[h : h + 4], _SLOT), n) for h in (0, 4)]
+        self.mask64 = _tile(_MASK64, n)
+        self.mask128 = _tile(_MASK128, n)
+
+
+_tiles = lru_cache(maxsize=8)(_Tiles)
+_ONE = _Tiles(1)  # a single stream's, built at import so no stream waits
+
+
 @lru_cache(maxsize=64)
-def _hash_constants(t: int) -> tuple[int, int]:
+def _hash_constants(t: int, n: int) -> tuple[int, list[int]]:
     """The hash constants of the t-th word hashed after the first four:
-    the four it is xored with, as 64-bit lanes, and the four it is then
-    multiplied by, as 256-bit lanes."""
+    the four it is xored with, as lanes for n streams, and the four it is
+    then multiplied by."""
     h = [
         _HASH_INIT_A * pow(_HASH_MULT_A, 16 + 4 * t + j, 1 << 32) & _MASK32
         for j in range(5)
     ]
-    return _lanes(h[:4], 64), _lanes(h[1:], 256)
+    return _tile(_lanes(h[:4], _SLOT), n), h[1:]
 
 
-def _absorb(pool: int, t: int, n: int) -> tuple[int, int]:
-    """Hash the words of n into the pool, whose next word is the t-th."""
-    for w in _words(n):
-        xor, mult = _hash_constants(t)
-        v = (w * _SPREAD ^ xor) * mult & _POOL_MASK
-        v = (v ^ v >> 16) & _POOL_MASK
-        pool = (_MIX_MULT_L * pool + _MIX_OFFSET - _MIX_MULT_R * v) & _POOL_MASK
-        pool = (pool ^ pool >> 16) & _POOL_MASK
+def _times(v: int, mults: list[int], tiles: _Tiles) -> int:
+    """Each lane of v times its own multiplier, mod 2**32."""
+    s0, s1, s2, s3 = tiles.slots
+    m0, m1, m2, m3 = mults
+    return ((v & s0) * m0 + (v & s1) * m1 + (v & s2) * m2 + (v & s3) * m3) & tiles.pool
+
+
+def _absorb(pool: int, t: int, words: list[int], tiles: _Tiles) -> tuple[int, int]:
+    """Hash a key element, given as lanes of each of its 32 bit words, into
+    the pools, whose next word is the t-th hashed after the first four."""
+    mask = tiles.pool
+    for w in words:
+        xor, mults = _hash_constants(t, tiles.n)
+        v = _times(w * _SPREAD ^ xor, mults, tiles)
+        v = (v ^ v >> 16) & mask
+        pool = (_MIX_MULT_L * pool + tiles.offset - _MIX_MULT_R * v) & mask
+        pool = (pool ^ pool >> 16) & mask
         t += 1
     return pool, t
 
@@ -122,48 +184,58 @@ def _pool(seed: int, key: tuple[int, ...]) -> tuple[int, int]:
     own; checking the seed's words first keeps this module's ValueError
     for a negative seed."""
     if key:
-        return _absorb(*_pool(seed, key[:-1]), key[-1])
+        return _absorb(*_pool(seed, key[:-1]), _words(key[-1]), _ONE)
     extra = max(len(_words(seed)) - 4, 0)
-    return _lanes([int(w) for w in np.random.SeedSequence(seed).pool], 320), extra
+    return _lanes([int(w) for w in np.random.SeedSequence(seed).pool], _SLOT), extra
 
 
-def _output_constants() -> tuple[int, int, int, int]:
-    """generate_state's xor and multiplier constants for its output words
-    0-3 and 4-7, as 320-bit and 80-bit lanes."""
-    h = _HASH_INIT_B
-    xors, mults = [], []
-    for _ in range(8):
-        xors.append(h)
-        h = h * _HASH_MULT_B & _MASK32
-        mults.append(h)
-    return (_lanes(xors[:4], 320), _lanes(mults[:4], 80),
-            _lanes(xors[4:], 320), _lanes(mults[4:], 80))
+def _half(pool: int, h: int, tiles: _Tiles) -> int:
+    """generate_state's output words h to h + 3, from pool words 0-3, as
+    the 128-bit number w2 | w3 << 32 | w0 << 64 | w1 << 96, where wj is
+    word h + j."""
+    v = _times(pool ^ tiles.xors[h // 4], _OUTPUT_HASH[h + 1 : h + 5], tiles)
+    v = (v ^ v >> 16) & tiles.pool
+    # lanes 0-3 sit at bits 0, 80, 160, 240; a copy shifted down by 48
+    # puts lane 1 at 32 and lane 3 at 192, next to lanes 0 and 2
+    v |= v >> 48
+    return (v >> 160 & tiles.mask64) | (v & tiles.mask64) << 64
 
 
-_XOR_LO, _MULT_LO, _XOR_HI, _MULT_HI = _output_constants()
-_OUTPUT_MASK = _lanes([_MASK32] * 4, 400)
-
-
-def _pcg64_seed(pool: int) -> tuple[int, int]:
-    """PCG64's (state, inc) when seeded from the pool.
+def _pcg64_seed(pool: int, tiles: _Tiles) -> tuple[int, int]:
+    """PCG64's (state, inc) when seeded from the pools.
 
     generate_state(4, uint64) hashes the pool words in turn, twice; words
-    0-3 give the seed and 4-7 the increment, each as the 128-bit number
-    w0 << 64 | w1 << 96 | w2 | w3 << 32.  pcg64_set_seed then runs two
+    0-3 give the seed and 4-7 the increment.  pcg64_set_seed then runs two
     LCG steps from state 0.
     """
-    lo = (pool ^ _XOR_LO) * _MULT_LO & _OUTPUT_MASK
-    hi = (pool ^ _XOR_HI) * _MULT_HI & _OUTPUT_MASK
-    lo = (lo ^ lo >> 16) & _OUTPUT_MASK
-    hi = (hi ^ hi >> 16) & _OUTPUT_MASK
-    # lanes 0-3 sit at bits 0, 400, 800, 1200; shifting down by 800 and up
-    # by 64 puts them at 64, 464, 0, 400 (and higher), folding down by 368
-    # at 64, 96, 0, 32
-    lo = lo >> 800 | lo << 64
-    hi = hi >> 800 | hi << 64
-    state = (lo | lo >> 368) & _MASK128
-    inc = ((hi | hi >> 368) << 1 | 1) & _MASK128
-    return ((inc + state) * _PCG_MULT + inc) & _MASK128, inc
+    state = _half(pool, 0, tiles)
+    inc = (_half(pool, 4, tiles) << 1 | tiles.ones) & tiles.mask128
+    return ((inc + state) * _PCG_MULT + inc) & tiles.mask128, inc
+
+
+def _heads(state: int, inc: int, tiles: _Tiles) -> tuple[list, list]:
+    """The first _HEAD doubles of each stream, from its PCG64 (state, inc)
+    as lanes, and each stream's [state low, state high, inc low, inc high]
+    64-bit words after them."""
+    n = tiles.n
+    # each integer packs two states of every stream (after steps 2m + 1
+    # and 2m + 2) as its low and high 128 bits, the last one the state
+    # after _HEAD steps and the increment
+    packed = []
+    for _ in range(_HEAD // 2):
+        odd = (state * _PCG_MULT + inc) & tiles.mask128
+        state = (odd * _PCG_MULT + inc) & tiles.mask128
+        packed.append(odd | state << 128)
+    packed.append(state | inc << 128)
+    data = b"".join(x.to_bytes(_STRIDE_BYTES * n, "little") for x in packed)
+    words64 = np.frombuffer(data, "<u8").reshape(len(packed), n, _STRIDE // 64)
+    # XSL-RR: hi ^ lo rotated right by the top 6 bits of hi; the state
+    # after step 2m + b + 1 of stream k is at [m, k, 2b : 2b + 2]
+    lo, hi = words64[:-1, :, 0:4:2], words64[:-1, :, 1:4:2]
+    x, rot = lo ^ hi, hi >> 58
+    x = x >> rot | x << ((64 - rot) & 63)
+    heads = ((x >> 11) * 2.0**-53).transpose(1, 0, 2).reshape(n, _HEAD).tolist()
+    return heads, words64[-1, :, :4].tolist()
 
 
 class _SharedGenerator:
@@ -203,11 +275,13 @@ class RandomStream:
     integers by hashing the last key element into the cached pool of
     (seed, key[:-1]); the seed's own pool comes once from SeedSequence.  A
     negative seed or key element raises ValueError, as SeedSequence does.
-    The doubles are drawn in chunks from one shared generator, which holds
-    the position of the last stream to draw; a stream displaced from it
-    that is still alive reads that position back into ``_state``.  A chunk
-    of n holds the same doubles as n single draws, so neither chunking nor
-    sharing changes the sequence.
+    ``splits`` derives runs of consecutive children at once, each child
+    with its first _HEAD doubles and its state after them.  Later doubles
+    are drawn in chunks from one shared generator, which holds the
+    position of the last stream to draw; a stream displaced from it that
+    is still alive reads that position back into ``_state``.  A chunk of n
+    holds the same doubles as n single draws, so neither chunking, nor
+    sharing, nor deriving in runs changes the sequence.
     """
 
     __slots__ = ("seed", "key", "_state", "_inc", "_chunk", "_next", "__weakref__")
@@ -216,10 +290,10 @@ class RandomStream:
         self.seed = seed = int(seed)
         self.key = key = tuple(map(int, key))
         if key:
-            pool, _ = _absorb(*_pool(seed, key[:-1]), key[-1])
+            pool, _ = _absorb(*_pool(seed, key[:-1]), _words(key[-1]), _ONE)
         else:
             pool, _ = _pool(seed, key)
-        self._state, self._inc = _pcg64_seed(pool)
+        self._state, self._inc = _pcg64_seed(pool, _ONE)
         self._chunk = _FIRST_CHUNK
         self._next = iter(()).__next__
 
@@ -249,6 +323,47 @@ class RandomStream:
 
     def split(self, index: int) -> "RandomStream":
         return RandomStream(self.seed, self.key + (index,))
+
+    def splits(self, start: int, stop: int) -> Iterator["RandomStream"]:
+        """``split(i)`` for start <= i < stop, in order, made lazily.
+
+        The first child is ``split(start)``, so taking one child costs one
+        derivation.  The rest come in runs of _FIRST_RUN children, doubling
+        up to _MAX_RUN, each run derived at once; a run never crosses a
+        multiple of 2**32, so its key elements differ in their lowest word
+        only.
+        """
+        if start >= stop:
+            return
+        yield self.split(start)
+        size = _FIRST_RUN
+        i = start + 1
+        while i < stop:
+            n = min(size, stop - i, (i | _MASK32) + 1 - i)
+            yield from self._run(i, n)
+            i += n
+            size = min(2 * size, _MAX_RUN)
+
+    def _run(self, first: int, n: int) -> Iterator["RandomStream"]:
+        """``split(first + k)`` for k < n, with first + k below the next
+        multiple of 2**32, derived at once.  Nothing here touches the
+        shared generator."""
+        tiles = _tiles(n)
+        pool, t = _pool(self.seed, self.key)
+        low, *high = _words(first)
+        words = [low * tiles.ones + tiles.ramp] + [w * tiles.ones for w in high]
+        pool, _ = _absorb(_tile(pool, n), t, words, tiles)
+        heads, ends = _heads(*_pcg64_seed(pool, tiles), tiles)
+        seed, key, new = self.seed, self.key, RandomStream.__new__
+        for k, (head, (s_lo, s_hi, i_lo, i_hi)) in enumerate(zip(heads, ends)):
+            child = new(RandomStream)
+            child.seed = seed
+            child.key = key + (first + k,)
+            child._state = s_hi << 64 | s_lo
+            child._inc = i_hi << 64 | i_lo
+            child._chunk = 2 * _HEAD
+            child._next = iter(head).__next__
+            yield child
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, key={self.key})"
@@ -480,5 +595,5 @@ def sample_many(
     call, before any sample is drawn.
     """
     sampler = Sampler(model, params, subset, target, counter)
-    split = RandomStream(params.seed).split
-    return (normalize_indices(model, sampler.draw(split(i))) for i in range(n))
+    streams = RandomStream(params.seed).splits(0, n)
+    return (normalize_indices(model, sampler.draw(stream)) for stream in streams)

@@ -26,7 +26,6 @@ from tracegen import (
     StepCounter,
     build_model,
     is_pyramidal,
-    mobius_eval,
     mobius_polynomial,
     open_stream,
     parallel_run,
@@ -40,6 +39,7 @@ from tracegen.mobius import check_below_root
 from tracegen.oracle import (
     chi_square,
     enumerate_traces,
+    exact_occurrence,
     geometric_bins,
     series_coefficients,
     tv_distance,
@@ -215,26 +215,18 @@ def test_criterion_3_finite_sampler_law():
 def test_criterion_4_geometric_decomposition():
     """Pivot occurrence count is Geometric(3/11) at p=0.2, checked as a
     Bonferroni battery of chi-square tests over independent seeds, and the
-    two closed forms of the occurrence probability agree to 1e-10."""
+    sampler's occurrence probability is the exact one rounded once."""
     problems: list[str] = []
 
     ia = PATH4.index_of("a")
     full = PATH4.full_mask
-    rest = full & ~(1 << ia)
     check_below_root(PATH4, full, LAW_P)
     r_api = MobiusTable(PATH4, LAW_P).occurrence(full, ia)
-    r_quotient = 1.0 - mobius_eval(PATH4, full, LAW_P) / mobius_eval(PATH4, rest, LAW_P)
-    r_link = (
-        LAW_P
-        * mobius_eval(PATH4, full & ~PATH4.dependence[ia], LAW_P)
-        / mobius_eval(PATH4, rest, LAW_P)
-    )
-    form_gap = abs(r_quotient - r_link)
-    if form_gap > 1e-10:
-        problems.append(f"form gap {form_gap:.2e}")
-    for label, value in [("api", r_api), ("quotient", r_quotient), ("link", r_link)]:
-        if abs(value - 3.0 / 11.0) > 1e-10:
-            problems.append(f"r[{label}] {value!r}")
+    r_exact = exact_occurrence(PATH4, full, ia, LAW_P)
+    if r_api != r_exact:
+        problems.append(f"r[api] {r_api!r} vs exact {r_exact!r}")
+    if abs(r_api - 3.0 / 11.0) > 1e-10:
+        problems.append(f"r[api] {r_api!r}")
 
     battery = [
         (SEED, _law_samples()),
@@ -255,7 +247,7 @@ def test_criterion_4_geometric_decomposition():
     _gate(
         "geometric-decomposition",
         problems,
-        f"form gap {form_gap:.1e}, chi2 p {['%.3f' % p for p in p_values]}"
+        f"r {r_api!r}, chi2 p {['%.3f' % p for p in p_values]}"
         f" vs {corrected:.4f}",
     )
 

@@ -84,6 +84,37 @@ def test_sample_many_checks_p_when_called(path4):
         tg.sample_many(path4, tg.SamplerParams(p=0.5), 3)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 49, 600])
+def test_sample_many_equals_per_index_draws(path4, n):
+    # p close to the root, so many samples need more than 8 doubles
+    params = tg.SamplerParams(p=0.3, seed=5)
+    counter, want_counter = tg.StepCounter(), tg.StepCounter()
+    got = list(tg.sample_many(path4, params, n, counter=counter))
+    sampler = Sampler(path4, params, counter=want_counter)
+    root = tg.RandomStream(params.seed)
+    want = [tg.normalize_indices(path4, sampler.draw(root.split(i))) for i in range(n)]
+    assert got == want
+    assert counter.steps == want_counter.steps
+
+
+def test_sample_many_derives_its_first_stream_alone(path4, monkeypatch):
+    runs = []
+    derive_run = tg.RandomStream._run
+
+    def spy(stream, first, n):
+        runs.append((first, n))
+        return derive_run(stream, first, n)
+
+    monkeypatch.setattr(tg.RandomStream, "_run", spy)
+    samples = tg.sample_many(path4, tg.SamplerParams(p=0.2, seed=5), 600)
+    next(samples)
+    assert runs == []
+    next(samples)
+    assert runs == [(1, 16)]
+    assert len(list(samples)) == 598
+    assert runs == [(1, 16), (17, 32), (49, 64), (113, 128), (241, 256), (497, 103)]
+
+
 def test_subset_sampling_allows_larger_p(path4):
     # the bcd subpath has root (3 - sqrt(5)) / 2, above 1/3
     bcd = path4.subset("bcd")
@@ -398,6 +429,40 @@ def test_stream_resumes_after_its_displacer_was_deleted():
     assert other == numpy_doubles(21, (3,), 30)
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**128, 2**200 + 3])
+@pytest.mark.parametrize("prefix", [(), (1, 2)])
+def test_splits_equal_numpy_seed_sequence(seed, prefix):
+    # runs of 16 doubling to 256 after the first child, a range that crosses
+    # 2**32, where a key element takes a second word, and 50 doubles per
+    # child, past the 8 each run derives
+    base = tg.RandomStream(seed, prefix)
+    for start, stop in [(0, 0), (5, 6), (0, 15), (0, 16), (0, 17), (3, 303),
+                        (2**32 - 20, 2**32 + 30)]:
+        children = list(base.splits(start, stop))
+        assert [child.key for child in children] == [prefix + (i,) for i in range(start, stop)]
+        for child in children:
+            assert [child.uniform() for _ in range(50)] == numpy_doubles(seed, child.key, 50)
+
+
+def test_run_children_share_the_generator_with_live_streams():
+    # a scalar stream owns the generator mid-chunk; each run child takes it
+    # over past its own 8 doubles, and the two displace each other, alive
+    scalar = tg.RandomStream(21, (100,))
+    got_scalar = [scalar.uniform() for _ in range(9)]
+    children = list(tg.RandomStream(21).splits(0, 20))
+    for child in children[1:]:
+        head = [child.uniform() for _ in range(12)]
+        got_scalar += [scalar.uniform() for _ in range(3)]
+        tail = [child.uniform() for _ in range(38)]
+        assert head + tail == numpy_doubles(21, child.key, 50)
+    assert got_scalar == numpy_doubles(21, (100,), len(got_scalar))
+
+
+def test_splits_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="non-negative"):
+        next(tg.RandomStream(3).splits(-1, 5))
+
+
 def test_shared_generator_keeps_no_stream_alive():
     stream = tg.RandomStream(5, (1,))
     stream.uniform()
@@ -410,16 +475,16 @@ def test_shared_generator_keeps_no_stream_alive():
 
 def test_threads_drawing_concurrently_equal_sequential_draws():
     # more threads than cores and a short switch interval, so the threads
-    # refill from the shared generator in between each other's refills
+    # refill from the shared generator in between each other's refills;
+    # odd threads take their streams from the runs of splits
     keys = [(t, i) for t in range(4) for i in range(12)]
     want = {key: numpy_doubles(13, key, 700) for key in keys}
     got = {}
 
     def work(t):
         base = tg.RandomStream(13, (t,))
-        for i in range(12):
-            stream = base.split(i)
-            got[(t, i)] = [stream.uniform() for _ in range(700)]
+        for stream in base.splits(0, 12) if t % 2 else map(base.split, range(12)):
+            got[stream.key] = [stream.uniform() for _ in range(700)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -26,6 +26,8 @@ from .mobius import NotIrreducibleError, is_irreducible, smallest_root
 from .monoid import Heap, IndependenceModel, Trace, normalize_indices
 from .sampler import RandomStream, Sampler, SamplerParams, StepCounter
 
+_NO_LAST_BLOCK = 2**64  # an index no stream reaches
+
 
 class BlockStream:
     """Mutable generator state for one boundary run.
@@ -51,6 +53,8 @@ class BlockStream:
         self.counter = self._sampler.counter
         self.stream = RandomStream(self.seed)
         self.blocks_done = 0
+        # the streams of blocks _keyed, _keyed + 1, ..., derived in runs
+        self._streams, self._keyed = self.stream.splits(0, _NO_LAST_BLOCK), 0
         self._heap = Heap(model)
         self._length = 0
 
@@ -79,9 +83,14 @@ class BlockStream:
 
     def advance(self) -> list[int]:
         """Draw the next block and append it to the accumulated trace;
-        return its letter indices."""
-        word = self.block_word(self.blocks_done)
+        return its letter indices.  Its stream comes from runs derived at
+        once by ``RandomStream.splits``, which restart at ``blocks_done``
+        after an ``append`` of blocks drawn elsewhere."""
+        if self._keyed != self.blocks_done:
+            self._streams = self.stream.splits(self.blocks_done, _NO_LAST_BLOCK)
+        word = self.draw_block(next(self._streams))
         self.append(word)
+        self._keyed = self.blocks_done
         return word
 
     def append(self, word: Sequence[int]) -> None:
@@ -100,9 +109,8 @@ class BlockStream:
     def run(self, blocks: int) -> Trace:
         """Advance by the given number of blocks, returning the accumulated
         trace."""
-        done = self.blocks_done
-        for stream in self.stream.splits(done, done + blocks):
-            self.append(self.draw_block(stream))
+        for _ in range(blocks):
+            self.advance()
         return self.accumulated
 
 

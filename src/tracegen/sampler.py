@@ -432,11 +432,14 @@ class Sampler:
 
     Built once and reused for every draw.  Each state (subset, candidates)
     the recursion reaches is compiled on first use into a node
-    ``[pivot, log_r, steps, steps_per_k, rest, link]``: the pivot the rule
-    picks, the log of the geometric parameter at ``params.p``, the steps
-    the node adds besides ``steps_per_k`` per geometric unit, and the rest
-    and link child states.  A child is None when it has no candidates, the
-    key of its state until it is first reached, and its node after.
+    ``[pivot, log_r, zero_below, steps, steps_per_k, rest, link]``: the
+    pivot the rule picks, the log of the geometric parameter r at
+    ``params.p``, ``-expm1(log_r) * (1 - 2**-30)`` (2.0 when r is 0), below
+    which a uniform gives K = 0 with no log1p, the steps the node adds
+    besides ``steps_per_k`` per geometric unit, and the rest and link
+    children.  A child is None when it has no candidates and the key of its
+    state until it is first reached; then the rest child becomes its node,
+    the link child the pair ``[pivot, link node]`` pushed K times.
     """
 
     def __init__(
@@ -494,12 +497,16 @@ class Sampler:
         rest = subset & ~(1 << pivot)
         rest_candidates = rest & candidates
         link_candidates = rest & self.model.dependence[pivot]
-        # a visit costs 1, the geometric draw k + 1, the k pivots and the
-        # remainder one each: 3 + 2k; an empty child is never pushed, so
-        # its one step for the visit is counted here
+        # K = int(log1p(-u) / log_r) is 0 for u < 1 - r = -expm1(log_r); a
+        # margin of 2**-30 relative, far wider than the few ulp the floats
+        # can be off, keeps the skip of log1p where the two agree.  A visit
+        # costs 1, the geometric draw K + 1, the K pivots and the remainder
+        # one each: 3 + 2K; an empty child is never run, so its one step for
+        # the visit is counted here
         node = self._nodes[state] = [
             pivot,
             log_r,
+            -math.expm1(log_r) * (1 - 2**-30) if log_r else 2.0,
             3 if rest_candidates else 4,
             2 if link_candidates else 3,
             (rest, rest_candidates) if rest_candidates else None,
@@ -511,42 +518,53 @@ class Sampler:
         """Letter indices of one sample from the root state, in a valid
         linearisation order.
 
-        The stack holds nodes still to fill and pivot letters still to
-        emit; a node pushes its remainder, then K times its pivot and its
-        link child, so the letters come out in the recursion's order.
+        A node with K > 0 pushes its remainder, then K times its pivot and
+        its link child, onto a stack of nodes to fill and letters to emit,
+        so the letters come out in the recursion's order; with K = 0 it
+        runs its remainder next.  ``uniform`` only refills the chunk.
         """
         out: list[int] = []
         if not self.root_state[1]:
             self.counter.steps += 1
             return out
-        uniform = stream.uniform
-        log1p = math.log1p
         resolve = self._node
         emit = out.append
-        stack = [resolve(self.root_state)]
-        push = stack.append
+        stack: list = []
         pop = stack.pop
+        take = stream._next
+        node = resolve(self.root_state)
         steps = 0
-        while stack:
-            node = pop()
-            if node.__class__ is int:
-                emit(node)
-                continue
-            pivot, log_r, base, per_k, rest, link = node
-            u = uniform()
-            k = int(log1p(-u) / log_r) if log_r else 0
-            steps += base + k * per_k
-            if rest is not None:
-                if rest.__class__ is tuple:
-                    rest = node[4] = resolve(rest)
-                push(rest)
-            if k:
-                if link is None:
-                    out += [pivot] * k
-                else:
+        while True:
+            pivot, log_r, zero_below, base, per_k, rest, link = node
+            if rest.__class__ is tuple:
+                rest = node[5] = resolve(rest)
+            try:
+                u = take()
+            except StopIteration:
+                u = stream.uniform()
+                take = stream._next
+            steps += base
+            if u >= zero_below and (k := int(math.log1p(-u) / log_r)):
+                steps += k * per_k
+                if link is not None:
                     if link.__class__ is tuple:
-                        link = node[5] = resolve(link)
-                    stack += [pivot, link] * k
+                        link = node[6] = [pivot, resolve(link)]
+                    if rest is not None:
+                        stack.append(rest)
+                    stack += link * k
+                    node = pop()
+                    continue
+                out += [pivot] * k
+            if rest is not None:
+                node = rest
+                continue
+            while stack:
+                node = pop()
+                if node.__class__ is not int:
+                    break
+                emit(node)
+            else:
+                break
         self.counter.steps += steps
         return out
 

@@ -160,6 +160,27 @@ def test_block_word_replays_the_sequential_stream(path4):
         assert word == sequential[i]
 
 
+def test_interleaved_run_advance_next_block_and_append_replay_every_block():
+    # run, advance and next_block share one iterator of run-derived
+    # streams, and an append of a word drawn elsewhere re-keys it; 300
+    # blocks cross the runs of 1, 16, 32, 64, 128 and 256 streams
+    model = path_model(6)
+    stream = tg.open_stream(model, "x0", seed=17)
+    replay = tg.open_stream(model, "x0", seed=17)
+    stream.run(3)
+    assert stream.advance() == replay.block_word(3)
+    assert stream.next_block() == tg.normalize_indices(model, replay.block_word(4))
+    stream.run(40)
+    for i in (45, 46):
+        stream.append(replay.block_word(i))
+    assert stream.advance() == replay.block_word(47)
+    stream.run(252)
+    assert stream.next_block() == tg.normalize_indices(model, replay.block_word(300))
+    assert stream.blocks_done == 301
+    words = [i for b in range(301) for i in replay.block_word(b)]
+    assert stream.accumulated == tg.normalize_indices(model, words)
+
+
 def test_parallel_run_matches_sequential(path4):
     xi_seq = tg.parallel_run(path4, "a", seed=8, blocks=300, workers=1)
     xi_par = tg.parallel_run(path4, "a", seed=8, blocks=300, workers=2)

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import tracegen as tg
 from conftest import cycle_model, path_model
+from tracegen.mobius import ROOT_MARGIN
 from tracegen.oracle import enumerate_traces, exact_occurrence, tv_distance
 from tracegen.sampler import _SHARED, PIVOT_RULES, Sampler, _log_ratio
 from tracegen.verify import empirical_distribution
@@ -332,6 +333,30 @@ PATH4 = tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
 CHORDED28 = chorded_cycle(28, (0, 5, 11, 17, 23))
 
 
+def case_sampler(model, p):
+    """A fresh Sampler over the full alphabet at p, or, when p is None,
+    the block sampler of the stream pivoted at x0, at p_sigma."""
+    if p is None:
+        stream = tg.open_stream(model, "x0", 0)
+        return Sampler(
+            model, tg.SamplerParams(p=stream.p_star), stream.block_subset, stream.block_target
+        )
+    return Sampler(model, tg.SamplerParams(p=p))
+
+
+def compiled_nodes(sampler):
+    """Every state reachable from the root of a Sampler that has not drawn
+    yet, with its compiled node; compiling leaves the children as states."""
+    todo, seen = [sampler.root_state], {}
+    while todo:
+        state = todo.pop()
+        if state in seen:
+            continue
+        node = seen[state] = sampler._node(state)
+        todo += [child for child in node[5:] if child is not None]
+    return seen
+
+
 @pytest.mark.parametrize(
     "model, p",
     [
@@ -344,25 +369,69 @@ CHORDED28 = chorded_cycle(28, (0, 5, 11, 17, 23))
     ids=["p4-0.2", "p4-1e-7", "path16-blocks", "cycle20-blocks", "chorded28"],
 )
 def test_every_compiled_geometric_parameter_is_correctly_rounded(model, p):
-    if p is None:
-        # the block sampler at p_sigma
-        stream = tg.open_stream(model, "x0", 0)
-        p = stream.p_star
-        sampler = Sampler(model, tg.SamplerParams(p=p), stream.block_subset, stream.block_target)
-    else:
-        sampler = Sampler(model, tg.SamplerParams(p=p))
-    todo, seen = [sampler.root_state], set()
-    while todo:
-        state = todo.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        pivot, log_r, _, _, rest, link = sampler._node(state)
+    sampler = case_sampler(model, p)
+    p = sampler.table.p
+    nodes = compiled_nodes(sampler)
+    for state, (pivot, log_r, zero_below, *_) in nodes.items():
         r = exact_occurrence(model, state[0], pivot, p)
         assert sampler.table.occurrence(state[0], pivot) == r, state
         assert log_r == math.log(r), state
-        todo += [child for child in (rest, link) if child is not None]
-    assert len(seen) > 1
+        assert zero_below == -math.expm1(log_r) * (1 - 2**-30), state
+    assert len(nodes) > 1
+
+
+class ChunkedValues:
+    """A stream serving given doubles in chunks of three, each refilled by
+    ``uniform`` when the chunk runs out, as RandomStream refills."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+        self._next = iter(()).__next__
+
+    def uniform(self):
+        try:
+            return self._next()
+        except StopIteration:
+            self._next = iter([next(self._values) for _ in range(3)]).__next__
+            return self._next()
+
+
+THRESHOLD_CASES = [
+    (PATH4, 1e-7),
+    (PATH4, 0.2),
+    (PATH4, tg.smallest_root(PATH4) - ROOT_MARGIN),
+    (path_model(16), None),
+    (cycle_model(20), None),
+    (CHORDED28, 0.6 * tg.smallest_root(CHORDED28)),
+]
+THRESHOLD_IDS = ["p4-1e-7", "p4-0.2", "p4-root", "path16-blocks", "cycle20-blocks", "chorded28"]
+
+
+@pytest.mark.parametrize("model, p", THRESHOLD_CASES, ids=THRESHOLD_IDS)
+def test_zero_threshold_only_skips_draws_of_zero(model, p):
+    sampler = case_sampler(model, p)
+    params = tg.SamplerParams(p=sampler.table.p)
+    for i, (state, (_, log_r, zero_below, *_)) in enumerate(compiled_nodes(sampler).items()):
+        if not log_r:
+            assert zero_below == 2.0
+            continue
+        below = [math.nextafter(zero_below, 0.0)]
+        while len(below) < 1000:
+            below.append(math.nextafter(below[-1], 0.0))
+        assert [u for u in below if int(math.log1p(-u) / log_r)] == [], state
+        # a draw rooted at this node, whose first uniform lies at the
+        # threshold, matches the plain recursion
+        edge = -math.expm1(log_r)
+        subset, candidates = state
+        node_sampler = Sampler(model, params, subset, candidates)
+        rest = numpy_doubles(7, (i,), 10_000)
+        for u in (below[0], below[-1], zero_below, edge, math.nextafter(edge, 0.0)):
+            before = node_sampler.counter.steps
+            got = node_sampler.draw(ChunkedValues([u] + rest))
+            want, steps = reference_draw(
+                model, params, subset, candidates, ChunkedValues([u] + rest)
+            )
+            assert (got, node_sampler.counter.steps - before) == (want, steps), (state, u)
 
 
 @pytest.mark.parametrize("seed, key", [(0, ()), (42, ()), (7, (3,)), (2**63 + 5, (1, 2, 3))])

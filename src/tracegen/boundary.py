@@ -20,8 +20,6 @@ parallel with output identical to the sequential run.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .mobius import NotIrreducibleError, is_irreducible, smallest_root
 from .monoid import Heap, IndependenceModel, Trace, normalize_indices
 from .sampler import RandomStream, Sampler, SamplerParams, StepCounter
@@ -32,9 +30,10 @@ _NO_LAST_BLOCK = 2**64  # an index no stream reaches
 class BlockStream:
     """Mutable generator state for one boundary run.
 
-    Single owner: the stream mutates in place as blocks are emitted.  The
-    accumulated trace is kept as a growing heap, so each new block costs
-    time proportional to its own length only.
+    Single owner: the stream mutates in place as blocks are drawn.  It
+    hands out blocks and keeps only their count and total length, so an
+    endless run holds bounded memory; a caller that reads the product of
+    the blocks drops them on a ``Heap`` of its own.
     """
 
     def __init__(self, model: IndependenceModel, pivot: str, seed: int):
@@ -52,20 +51,10 @@ class BlockStream:
         )
         self.counter = self._sampler.counter
         self.stream = RandomStream(self.seed)
+        # the streams of blocks 0, 1, 2, ..., derived in runs
+        self._streams = self.stream.splits(0, _NO_LAST_BLOCK)
         self.blocks_done = 0
-        # the streams of blocks _keyed, _keyed + 1, ..., derived in runs
-        self._streams, self._keyed = self.stream.splits(0, _NO_LAST_BLOCK), 0
-        self._heap = Heap(model)
-        self._length = 0
-
-    @property
-    def accumulated(self) -> Trace:
-        """Product of all blocks emitted so far."""
-        return self._heap.trace()
-
-    @property
-    def length(self) -> int:
-        return self._length
+        self.length = 0
 
     def draw_block(self, stream: RandomStream) -> list[int]:
         """Letter indices of one block drawn from ``stream``, apex last."""
@@ -82,36 +71,26 @@ class BlockStream:
         return self.draw_block(self.stream.split(index))
 
     def advance(self) -> list[int]:
-        """Draw the next block and append it to the accumulated trace;
-        return its letter indices.  Its stream comes from runs derived at
-        once by ``RandomStream.splits``, which restart at ``blocks_done``
-        after an ``append`` of blocks drawn elsewhere."""
-        if self._keyed != self.blocks_done:
-            self._streams = self.stream.splits(self.blocks_done, _NO_LAST_BLOCK)
+        """Draw the next block and return its letter indices, one step on
+        the counter.  Its stream comes from runs derived at once by
+        ``RandomStream.splits``."""
         word = self.draw_block(next(self._streams))
-        self.append(word)
-        self._keyed = self.blocks_done
-        return word
-
-    def append(self, word: Sequence[int]) -> None:
-        """Append the letter indices of the next block to the accumulated
-        trace, one step on the counter."""
-        self._heap.extend(word)
-        self._length += len(word)
+        self.length += len(word)
         self.blocks_done += 1
         self.counter.steps += 1
+        return word
 
     def next_block(self) -> Trace:
-        """Draw the next block, append it to the accumulated trace, and
-        return the block itself."""
+        """Draw the next block and return it as a trace."""
         return normalize_indices(self.model, self.advance())
 
     def run(self, blocks: int) -> Trace:
-        """Advance by the given number of blocks, returning the accumulated
-        trace."""
+        """Draw the next ``blocks`` blocks and return their product; on a
+        new stream that is the prefix xi_blocks."""
+        heap = Heap(self.model)
         for _ in range(blocks):
-            self.advance()
-        return self.accumulated
+            heap.extend(self.advance())
+        return heap.trace()
 
 
 def open_stream(
@@ -178,29 +157,32 @@ def parallel_run(
     Block i depends only on (seed, i), so the result is identical to a
     sequential run with the same seed whatever the worker count.  With
     several workers the blocks go out as ``4 * workers`` ranges, and this
-    process appends each range, in order, as it arrives, while the workers
-    draw the later ones.
+    process drops each range, in order, onto one heap as it arrives, while
+    the workers draw the later ones.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     stream = open_stream(model, pivot, seed, allow_trivial)
     if workers == 1:
-        stream.run(blocks)
+        xi = stream.run(blocks)
     else:
         # the process pool costs an import that a single worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
         size = max(1, -(-blocks // (4 * workers)))
         ranges = [range(lo, min(lo + size, blocks)) for lo in range(0, blocks, size)]
+        heap = Heap(model)
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_open_worker_stream,
             initargs=(model, pivot, seed),
         ) as pool:
             for words, spent in pool.map(_block_words, ranges):
-                stream.counter.steps += spent
+                # plus one step per block, as BlockStream.advance counts
+                stream.counter.steps += spent + len(words)
                 for word in words:
-                    stream.append(word)
+                    heap.extend(word)
+        xi = heap.trace()
     if counter is not None:
         counter.add(stream.counter.steps)
-    return stream.accumulated
+    return xi

@@ -15,7 +15,7 @@ import sys
 
 from . import DEFAULT_SEED, SUITES, boundary
 from .mobius import ROOT_MARGIN, is_irreducible, mobius_polynomial, smallest_root
-from .monoid import format_trace, load_model, trace_json_formatter
+from .monoid import Heap, format_trace, load_model, trace_json_formatter
 from .sampler import SamplerParams, sample_many
 
 
@@ -114,6 +114,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         blocks = args.blocks
     else:
         emit_each = args.emit == "each-block"
+        heap = Heap(model)  # only --emit final drops blocks on it
         try:
             while True:
                 if args.blocks and stream.blocks_done >= args.blocks:
@@ -125,12 +126,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     print(_record(stream.blocks_done, "block", to_json(block), stream.length),
                           flush=not args.blocks)
                 else:
-                    stream.advance()
+                    heap.extend(stream.advance())
         except KeyboardInterrupt:
             pass
         if emit_each:
             return 0
-        xi, blocks = stream.accumulated, stream.blocks_done
+        xi, blocks = heap.trace(), stream.blocks_done
     print(_record(blocks, "final", to_json(xi), xi.length))
     return 0
 

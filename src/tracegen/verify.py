@@ -38,6 +38,7 @@ from .monoid import (
     iter_bits,
     left_divisors,
     max_letters,
+    normalize_indices,
     pyramidal_decompose,
 )
 from .oracle import (
@@ -671,13 +672,16 @@ def run_boundary_suite(
     pivot_index = law_stream.pivot_index
     count_bad = 0
     mono_stream = open_stream(model, pivot, seed + 2)
+    mono_heap = Heap(model)
     comparisons = 0
     mono_bad = 0
     divisor_bad = 0
-    prev = mono_stream.accumulated
+    prev = mono_heap.trace()
     for k in range(1, config.k_monotone + 1):
-        block = mono_stream.next_block()
-        now = mono_stream.accumulated
+        word = mono_stream.advance()
+        mono_heap.extend(word)
+        now = mono_heap.trace()
+        block = normalize_indices(model, word)
         rebuilt = concat(model, prev, block)
         comparisons += len(now.factors)
         if rebuilt != now:

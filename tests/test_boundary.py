@@ -10,7 +10,7 @@ import tracegen as tg
 from tracegen import sampler
 from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
-from tracegen.monoid import UNIT, word_indices
+from tracegen.monoid import UNIT, Heap, word_indices
 
 from conftest import cycle_model, path_model
 
@@ -119,14 +119,14 @@ def test_accumulated_equals_block_product(path4):
     product = UNIT
     for _ in range(200):
         product = tg.concat(path4, product, stream.next_block())
-    assert stream.accumulated == product
-    assert stream.length == product.length
-    assert stream.blocks_done == 200
+    other = tg.open_stream(path4, "a", seed=4)
+    assert other.run(200) == product
+    assert stream.length == other.length == product.length
+    assert stream.blocks_done == other.blocks_done == 200
 
 
 def test_prefixes_are_left_divisors(path4):
-    stream = tg.open_stream(path4, "a", seed=5)
-    prefixes = [stream.run(k) for k in (1, 2, 3, 5, 8, 13)]
+    prefixes = [tg.open_stream(path4, "a", seed=5).run(k) for k in (1, 2, 3, 5, 8, 13)]
     for before, after in zip(prefixes, prefixes[1:]):
         assert tg.is_left_divisor(path4, before, after)
 
@@ -134,10 +134,11 @@ def test_prefixes_are_left_divisors(path4):
 def test_first_prefixes_of_a_path16_stream_divide_it():
     model = path_model(16)
     stream = tg.open_stream(model, "x0", seed=13)
+    heap = Heap(model)
     prefixes = []
     for _ in range(50):
-        stream.advance()
-        prefixes.append(stream.accumulated)
+        heap.extend(stream.advance())
+        prefixes.append(heap.trace())
     xi = prefixes[-1]
     assert all(tg.is_left_divisor(model, x, xi) for x in prefixes)
     assert not tg.is_left_divisor(model, xi, prefixes[0])
@@ -160,25 +161,26 @@ def test_block_word_replays_the_sequential_stream(path4):
         assert word == sequential[i]
 
 
-def test_interleaved_run_advance_next_block_and_append_replay_every_block():
+def test_interleaved_run_advance_and_next_block_replay_every_block():
     # run, advance and next_block share one iterator of run-derived
-    # streams, and an append of a word drawn elsewhere re-keys it; 300
-    # blocks cross the runs of 1, 16, 32, 64, 128 and 256 streams
+    # streams; 300 blocks cross the runs of 1, 16, 32, 64, 128 and 256
+    # streams, and each run returns the product of its own blocks only
     model = path_model(6)
     stream = tg.open_stream(model, "x0", seed=17)
     replay = tg.open_stream(model, "x0", seed=17)
-    stream.run(3)
+
+    def product(blocks):
+        return tg.normalize_indices(model, [i for b in blocks for i in replay.block_word(b)])
+
+    assert stream.run(3) == product(range(3))
     assert stream.advance() == replay.block_word(3)
     assert stream.next_block() == tg.normalize_indices(model, replay.block_word(4))
-    stream.run(40)
-    for i in (45, 46):
-        stream.append(replay.block_word(i))
+    assert stream.run(42) == product(range(5, 47))
     assert stream.advance() == replay.block_word(47)
-    stream.run(252)
+    assert stream.run(252) == product(range(48, 300))
     assert stream.next_block() == tg.normalize_indices(model, replay.block_word(300))
     assert stream.blocks_done == 301
-    words = [i for b in range(301) for i in replay.block_word(b)]
-    assert stream.accumulated == tg.normalize_indices(model, words)
+    assert stream.length == sum(len(replay.block_word(b)) for b in range(301))
 
 
 def test_parallel_run_matches_sequential(path4):

@@ -1,12 +1,16 @@
 """Golden file style checks of the command line front end."""
 
+import contextlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import tracegen as tg
 from tracegen import verify
 from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
@@ -179,15 +183,50 @@ def test_stream_golden_and_repeatable(capsys):
 
 
 def test_stream_emit_final_matches_each_block_product(capsys):
-    base = ["stream", "--model", MODEL, "--pivot-letter", "a",
-            "--blocks", "5", "--seed", "9"]
-    _, each, _ = run_cli(capsys, *base)
-    _, final, _ = run_cli(capsys, *base, "--emit", "final")
-    last = json.loads(each.splitlines()[-1])
-    only = json.loads(final.splitlines()[-1])
-    assert only["k"] == 5
-    assert only["length"] == last["length"]
-    assert "final" in only and "block" not in only
+    # the final trace is the product of the printed blocks, for a block
+    # count and for a length stop
+    model = tg.load_model(MODEL)
+    finals = []
+    for stop in (["--blocks", "5"], ["--blocks", "0", "--min-length", "10"]):
+        base = ["stream", "--model", MODEL, "--pivot-letter", "a", *stop, "--seed", "9"]
+        _, each, _ = run_cli(capsys, *base)
+        _, final, _ = run_cli(capsys, *base, "--emit", "final")
+        records = [json.loads(line) for line in each.splitlines()[1:]]
+        only = json.loads(final.splitlines()[-1])
+        assert only["k"] == records[-1]["k"] == len(records)
+        assert only["length"] == records[-1]["length"]
+        assert "final" in only and "block" not in only
+        product = tg.UNIT
+        for record in records:
+            block = tg.normalize(model, [a for factor in record["block"] for a in factor])
+            product = tg.concat(model, product, block)
+        assert only["final"] == tg.trace_to_lists(model, product)
+        finals.append(only)
+    assert finals[0]["k"] == 5
+    assert finals[1]["k"] > 1 and finals[1]["length"] >= 10
+
+
+def test_each_block_stream_runs_in_bounded_memory(tmp_path):
+    # Each-block mode keeps no product, so the traced peak stays flat as
+    # blocks go by.  This test read 0.77 MB; with every block also dropped
+    # on an accumulated heap it read 3.0 MB.  Run alone, the peak stayed at
+    # 0.5 MB from 500 to 4,000 blocks, where the accumulating stream read
+    # 1.8 MB at 500, 2.7 MB at 1,000 and 9-10 MB at 4,000.  1.5 MB lies
+    # between the two.
+    letters = [f"x{i}" for i in range(16)]
+    model = tmp_path / "path16.json"
+    model.write_text(json.dumps({"letters": letters,
+                                 "dependence": [list(e) for e in zip(letters, letters[1:])]}))
+    argv = ["stream", "--model", str(model), "--seed", "3", "--blocks"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(argv + ["10"])  # module caches filled once per process stay out of the peak
+        tracemalloc.start()
+        try:
+            main(argv + ["1000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5e6, peak
 
 
 def test_stream_min_length_stops(capsys):

@@ -13,7 +13,6 @@ from .monoid import (
     Trace,
     UNIT,
     build_model,
-    cliques,
     concat,
     format_trace,
     is_left_divisor,
@@ -27,7 +26,6 @@ from .monoid import (
     normalize,
     normalize_indices,
     pyramidal_decompose,
-    restrict,
     trace_to_lists,
 )
 from .mobius import (
@@ -64,11 +62,10 @@ DEFAULT_SEED = 20070919
 SUITES = ("mobius", "finite", "boundary", "all")
 
 __all__ = [
-    "IndependenceModel", "Trace", "UNIT", "build_model", "cliques", "concat",
+    "IndependenceModel", "Trace", "UNIT", "build_model", "concat",
     "format_trace", "is_left_divisor", "is_pyramidal", "left_divisors",
     "left_quotient", "link", "load_model", "max_letters", "model_from_dict",
-    "normalize", "normalize_indices", "pyramidal_decompose", "restrict",
-    "trace_to_lists",
+    "normalize", "normalize_indices", "pyramidal_decompose", "trace_to_lists",
     "MobiusPolynomial", "MobiusTable", "NotIrreducibleError",
     "RootNotFoundError", "expected_length", "is_irreducible", "mobius_eval",
     "mobius_polynomial", "recurrence_residual_coefficients", "smallest_root",

@@ -15,11 +15,24 @@ coefficient tuples are memoised per model, keyed by subset mask, so no
 clique is ever listed: a path of n letters reaches n + 1 subsets where it
 has Fibonacci many cliques.
 
-The smallest root p_sigma is certified: it is computed in exact integer
-arithmetic (square free part, Sturm sequence, bisection over doubles with
-exact signs) and reported as the true root rounded down to a double, which
-is the root itself whenever the root is a double.  It is never above the
-true root and does not depend on numpy or the platform.
+The smallest root p_sigma is certified in exact integer arithmetic.
+Newton's iterates from 0, each step formed exactly and rounded once, give
+a candidate.  A gallop and a bisection over doubles with exact signs pin
+adjacent doubles x < x+ with mu(x) >= 0 > mu(x+), so a root lies in
+[x, x+).  Descartes' rule of signs, as used for real root isolation by
+Collins and Akritas (SYMSAC 1976), then proves that no root lies in
+(0, x): the Taylor shift (1 + t)^d mu(x / (1 + t)), formed by integer
+additions, has no sign variation.  So x is the true root rounded down to
+a double, the root itself whenever the root is a double.  The check
+cannot fail at the right double: p_sigma is the unique root of smallest
+modulus of a clique polynomial (Goldwurm and Santini, IPL 75, 2000), so
+no root lies in the disk on the diameter from 0 to x, and by the
+one-circle theorem the shift then has no sign variation.  Where mu keeps
+its sign at p_sigma, a root of even order from repeated components, the
+same steps run on the square-free part; a pin above p_sigma fails the
+check and is followed by a bisection on the check below it.  The result
+is never above the true root and does not depend on numpy or the
+platform.
 
 Everything here is deterministic.  A double p is a dyadic rational, so a
 polynomial value at p is computed exactly in integers and rounded once;
@@ -61,12 +74,12 @@ class MobiusPolynomial:
 
     def evaluate(self, p: float) -> float:
         """Value at the double p, computed exactly and rounded once."""
-        return _rounded(_scaled_value(self.coefficients, p))
+        return _rounded(_scaled_value(self.coefficients, float(p)))
 
     def derivative_at(self, p: float) -> float:
         """Derivative at the double p, computed exactly and rounded once."""
         derivative = tuple(d * c for d, c in enumerate(self.coefficients))[1:]
-        return _rounded(_scaled_value(derivative, p))
+        return _rounded(_scaled_value(derivative, float(p)))
 
     def clique_count(self) -> int:
         return sum(abs(c) for c in self.coefficients)
@@ -173,10 +186,9 @@ def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
 
 
 def _sturm_sequence(p: list[int]) -> list[list[int]]:
-    """P, P' and the negated remainders, each up to a positive factor.
-
-    The last member is a multiple of gcd(P, P').  Rescaling a member by a
-    positive constant leaves every sign variation count unchanged.
+    """P, P' and the negated remainders, each up to a positive factor: the
+    Euclidean algorithm on P and P', whose last member is a multiple of
+    gcd(P, P').
     """
     seq = [p, _primitive([d * c for d, c in enumerate(p)][1:])]
     while True:
@@ -192,11 +204,10 @@ def _square_free_part(coefficients: tuple[int, ...]) -> tuple[int, ...]:
 
     Computed in exact integer arithmetic.  Dividing out repeated factors
     leaves every real root simple, so the factor changes sign at each of
-    them and its Sturm sequence counts them.  Repeated factors are routine
-    for disconnected subalphabets: the polynomial of a disjoint union is the
-    product over components, and equal components contribute equal
-    factors, turning the smallest root into an even order touch point that
-    a plain sign scan cannot see.
+    them.  Repeated factors are routine for disconnected subalphabets: the
+    polynomial of a disjoint union is the product over components, and
+    equal components contribute equal factors, turning the smallest root
+    into an even order touch point that a sign pin cannot see.
     """
     p = list(coefficients)
     while len(p) > 1 and p[-1] == 0:
@@ -216,14 +227,15 @@ def _square_free_part(coefficients: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q if q[0] > 0 else [-c for c in q])
 
 
-def _scaled_value(coefficients, x: float) -> tuple[int, int]:
-    """An integer polynomial at a double x, as an integer v and a shift s
-    with value v / 2^s.
+def _scaled_value(coefficients, x) -> tuple[int, int]:
+    """An integer polynomial at a dyadic rational x (a double, or a
+    Fraction whose denominator is a power of two), as an integer v and a
+    shift s with value v / 2^s.
 
-    A double is n / 2^k, so 2^(k * degree) times the value is the integer
+    Such an x is n / 2^k, so 2^(k * degree) times the value is the integer
     sum of c_i n^i 2^(k * (degree - i)), formed here by homogeneous Horner.
     """
-    n, d = float(x).as_integer_ratio()
+    n, d = x.as_integer_ratio()
     k = d.bit_length() - 1
     acc = 0
     shift = 0
@@ -239,15 +251,11 @@ def _rounded(pair: tuple[int, int]) -> float:
     return acc / (1 << shift)
 
 
-def _sign_at(coefficients, x: float) -> int:
-    """Exact sign of an integer polynomial at a double."""
+def _sign_at(coefficients, x) -> int:
+    """Exact sign of an integer polynomial at a dyadic rational x: a double,
+    or a Fraction whose denominator is a power of two."""
     acc = _scaled_value(coefficients, x)[0]
     return (acc > 0) - (acc < 0)
-
-
-def _variations(sturm: list[list[int]], x: float) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in sturm) if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _bits(x: float) -> int:
@@ -259,48 +267,148 @@ def _double(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-@lru_cache(maxsize=8192)
-def _smallest_root_cached(model: IndependenceModel, subset: int) -> float:
-    poly = mobius_polynomial(model, subset)
-    square_free = _square_free_part(poly.coefficients)
-    if len(square_free) <= 1:
-        raise RootNotFoundError(
-            f"the Mobius polynomial {poly.coefficients!r} is constant"
-        )
-    sturm = _sturm_sequence(list(square_free))
-    at_zero = _variations(sturm, 0.0)
-    # bisect over the bit patterns of the doubles, keeping the smallest root
-    # r in (lo, hi]: found counts the roots in (0, hi].  Every root exceeds
-    # c0 / (c0 + max |c_i|), Cauchy's bound for the reversed polynomial, so
-    # half of it is a safe start for lo.
-    c0 = square_free[0]
-    lo = _bits(0.5 * c0 / (c0 + max(abs(c) for c in square_free[1:])))
-    hi = _bits(1.0)
-    found = at_zero - _variations(sturm, 1.0)
-    if not found:
-        raise RootNotFoundError(
-            f"no root of the Mobius polynomial {poly.coefficients!r} "
-            f"found in (0, 1]"
-        )
-    while found > 1 and hi - lo > 1:
-        mid = (lo + hi) // 2
-        count = at_zero - _variations(sturm, _double(mid))
-        if count:
-            hi, found = mid, count
-        else:
-            lo = mid
-    # with r the only root in (lo, hi], the factor is positive on [lo, r)
-    # and negative on (r, hi]: bisect on its exact sign.  Two roots left in
-    # (lo, hi] means adjacent doubles with both roots strictly between, so
-    # r rounds down to lo.
-    if found == 1 and _sign_at(square_free, _double(hi)) >= 0:
-        return _double(hi)
+# the double just above 1: every smallest root lies in (0, 1]
+_ONE_UP = _bits(1.0) + 1
+# Newton's iterates reach a simple root in a few steps; the cap bounds
+# their linear crawl towards a root of high multiplicity
+_NEWTON_STEPS = 64
+# halvings of the gap between two adjacent doubles, past which two roots
+# inside it are not told apart
+_SPLIT_STEPS = 1024
+
+
+def _newton(coefficients) -> float:
+    """Newton's iterates for the smallest root, from 0 and while they rise.
+
+    At x = n / 2^k one homogeneous Horner pass gives P(x) 2^(k d) and
+    P'(x) 2^(k (d - 1)) as exact integers, so each step x - P(x) / P'(x)
+    is one int / int division, rounded once.  The result is only a
+    candidate: the pin and the certificate decide.
+    """
+    x = 0.0
+    for _ in range(_NEWTON_STEPS):
+        n, d = x.as_integer_ratio()
+        k = d.bit_length() - 1
+        value = slope = shift = 0
+        for c in reversed(coefficients):
+            slope = slope * n + value
+            value = value * n + (c << shift)
+            shift += k
+        if not slope:
+            break
+        step = (n * slope - value) / (slope << k)
+        if not x < step <= 1.0:
+            break
+        x = step
+    return x
+
+
+def _pin(coefficients, x: float) -> int | None:
+    """Bits of a double lo with P(lo) >= 0 > P at the next double, found by
+    a gallop over bit patterns from x and an exact-sign bisection; None
+    when P stays nonnegative from x up to the double above 1."""
+    lo = hi = _bits(x)
+    step = 1
+    if _sign_at(coefficients, x) >= 0:
+        while True:
+            hi = min(lo + step, _ONE_UP)
+            if _sign_at(coefficients, _double(hi)) < 0:
+                break
+            if hi == _ONE_UP:
+                return None
+            lo = hi
+            step *= 2
+    else:
+        # P(0) > 0 ends this gallop
+        while True:
+            lo = max(hi - step, 0)
+            if _sign_at(coefficients, _double(lo)) >= 0:
+                break
+            hi = lo
+            step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _sign_at(square_free, _double(mid)) >= 0:
+        if _sign_at(coefficients, _double(mid)) >= 0:
             lo = mid
         else:
             hi = mid
+    return lo
+
+
+def _no_root_below(coefficients, x) -> bool:
+    """Whether Descartes' rule of signs proves that P, with P(0) > 0, has
+    no root in (0, x), for a dyadic rational x.
+
+    With x = n / 2^k and d the degree, t -> x / (1 + t) maps the positive
+    axis onto (0, x), and 2^(k d) (1 + t)^d P(x / (1 + t)) is R(1 + t) for
+    R(s) = sum_i c_i n^i 2^(k (d - i)) s^(d - i): a Taylor shift of an
+    integer polynomial, which takes additions only.  Its leading
+    coefficient is c_0 2^(k d) > 0, so zero sign variations means no
+    negative coefficient; then it has no positive root, and P(x) >= 0.
+    """
+    n, den = x.as_integer_ratio()
+    k = den.bit_length() - 1
+    d = len(coefficients) - 1
+    shifted = []
+    power = 1
+    for i, c in enumerate(coefficients):
+        shifted.append((c * power) << (k * (d - i)))
+        power *= n
+    # by decreasing degree, so each pass adds every coefficient into the
+    # next lower one
+    for top in range(d, 0, -1):
+        for j in range(1, top + 1):
+            shifted[j] += shifted[j - 1]
+    return min(shifted) >= 0
+
+
+def _search_below(square_free, hi: int) -> int:
+    """Bits of the double at or below the smallest root of a square-free
+    P, searched below the double with bits hi, which fails the check.
+
+    The check passes at x exactly when x <= p_sigma (one-circle theorem
+    and Goldwurm-Santini), so a bisection on it ends at adjacent doubles
+    lo <= p_sigma < hi.  P changes sign at each of its simple roots, so a
+    negative value on (lo, hi] certifies the root there; when two roots
+    lie between the same two doubles, the check splits the gap on dyadic
+    rationals until a point between them is found.
+    """
+    from fractions import Fraction  # this path only; it loads decimal
+
+    lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _no_root_below(square_free, _double(mid)):
+            lo = mid
+        else:
+            hi = mid
+    left, right = Fraction(_double(lo)), Fraction(_double(hi))
+    for _ in range(_SPLIT_STEPS):
+        if _sign_at(square_free, right) < 0:
+            return lo
+        middle = (left + right) / 2
+        if _no_root_below(square_free, middle):
+            left = middle
+        else:
+            right = middle
+    raise RootNotFoundError(
+        f"no certified root of {square_free!r} between {_double(lo)!r} "
+        f"and {_double(lo + 1)!r}"
+    )
+
+
+@lru_cache(maxsize=8192)
+def _smallest_root_cached(model: IndependenceModel, subset: int) -> float:
+    coefficients = mobius_polynomial(model, subset).coefficients
+    lo = _pin(coefficients, _newton(coefficients))
+    if lo is not None and _no_root_below(coefficients, _double(lo)):
+        return _double(lo)
+    # mu keeps its sign at a root of even order, or the candidate led to a
+    # larger root: the square-free part has the same roots, all simple
+    square_free = _square_free_part(coefficients)
+    lo = _pin(square_free, _newton(square_free))
+    if lo is None or not _no_root_below(square_free, _double(lo)):
+        lo = _search_below(square_free, _ONE_UP if lo is None else lo)
     return _double(lo)
 
 
@@ -308,17 +416,19 @@ def smallest_root(model: IndependenceModel, subset: int | None = None) -> float:
     """Smallest positive root of the Mobius polynomial of a subalphabet,
     rounded down to a double.
 
-    The root r is real and lies in (0, 1]; it is simple for a connected
-    dependence graph but can have any multiplicity when the subalphabet
-    splits into independent components.  The repeated factors are removed
-    exactly, a Sturm sequence of the square free factor isolates r, and a
-    bisection over doubles with exact integer signs at each dyadic point
-    returns the largest double x <= r: r itself whenever r is a double.
-    The result is certified by the exact signs of the square free factor,
-    nonnegative at x and negative at the next double above x, and no
-    floating point arithmetic is involved, so it does not depend on the
-    platform or on the numpy version.  The range checks
-    0 < p < smallest_root thus admit only parameters below the true root.
+    The root r is real and lies in (0, 1].  It is the unique root of
+    smallest modulus (Goldwurm and Santini), simple for a connected
+    dependence graph but of any multiplicity when the subalphabet splits
+    into independent components.  The result is the largest double
+    x <= r, r itself whenever r is a double, and exact integer arithmetic
+    certifies it: the polynomial, or its square-free part where the
+    polynomial keeps its sign at r, is nonnegative at x and negative
+    before the next double, and the Taylor shift (1 + t)^d mu(x / (1 + t))
+    has no sign variation, so by Descartes' rule no root lies in (0, x).
+    Newton's iterates only propose x.  No floating point arithmetic
+    decides anything, so the result does not depend on the platform or
+    on the numpy version, and the range checks 0 < p < smallest_root admit
+    only parameters below the true root.
     """
     mask = model.full_mask if subset is None else subset
     if mask == 0:
@@ -382,7 +492,13 @@ class MobiusTable:
 
 
 def check_below_root(model: IndependenceModel, subset: int, p: float) -> None:
-    """Raise ValueError unless 0 < p < smallest_root(subset)."""
+    """Raise ValueError unless 0 < p < smallest_root(subset).
+
+    This is the range where the multiplicative law over the subalphabet
+    exists: mu(p) > 0 and the series 1 / mu converges.  Quantities read off
+    the law in closed form, such as ``expected_length``, need only this;
+    the sampler asks for ``sampler.check_parameter``'s stricter range.
+    """
     root = smallest_root(model, subset)
     if not 0.0 < p < root:
         raise ValueError(

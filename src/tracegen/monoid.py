@@ -134,24 +134,6 @@ def model_from_dict(data: dict) -> IndependenceModel:
     return build_model(data["letters"], data["dependence"])
 
 
-def restrict(model: IndependenceModel, letters: Iterable[str] | int) -> IndependenceModel:
-    """Submodel induced on a subset of the alphabet, order preserved."""
-    mask = letters if isinstance(letters, int) else model.subset(letters)
-    if mask >> model.size:
-        raise ValueError("subset mask has bits outside the alphabet")
-    keep = list(iter_bits(mask))
-    if not keep:
-        raise ValueError("cannot restrict to an empty alphabet")
-    pos = {old: new for new, old in enumerate(keep)}
-    dep = []
-    for old in keep:
-        m = 0
-        for j in iter_bits(model.dependence[old] & mask):
-            m |= 1 << pos[j]
-        dep.append(m)
-    return IndependenceModel(tuple(model.letters[i] for i in keep), tuple(dep))
-
-
 def link(model: IndependenceModel, letter: str) -> int:
     """Dependence neighbourhood of a letter, the letter itself included."""
     return model.dependence[model.index_of(letter)]
@@ -159,16 +141,6 @@ def link(model: IndependenceModel, letter: str) -> int:
 
 # ---------------------------------------------------------------------------
 # Cliques
-
-def cliques(model: IndependenceModel, subset: int | None = None) -> list[int]:
-    """All cliques of pairwise independent letters inside a subset.
-
-    The empty clique is included, so the result always has at least one
-    entry.  Order is deterministic: a depth first walk adding letters in
-    index order.
-    """
-    return list(_walk_cliques(model, subset))
-
 
 def clique_size_counts(model: IndependenceModel, subset: int | None = None) -> list[int]:
     """Number of cliques of each size inside a subset; entry d counts size d."""
@@ -264,6 +236,13 @@ class Heap:
             else:
                 factors[lvl] |= 1 << i
             levels[i] = lvl
+
+    def final_floor(self) -> int:
+        """The highest level that no later piece can land in, -1 when there
+        is none: a piece lands one level above the highest piece in its
+        link, so every level up to the lowest such top is final."""
+        levels = self.levels
+        return min(max(levels[j] for j in link) for link in self.links)
 
     def trace(self) -> Trace:
         return Trace(tuple(self.factors))

@@ -389,7 +389,14 @@ class StepCounter:
 
 
 def _log_ratio(r: float) -> float:
-    """log(r) for a geometric parameter r in [0, 1), and 0.0 for r == 0."""
+    """log(r) for a geometric parameter r in [0, 1), and 0.0 for r == 0.
+
+    Node compilation calls this for every state, so the range check is the
+    last guard before the geometric draw int(log1p(-u) / log r): r = 1
+    would divide by zero and r > 1 give negative counts.  Within
+    ``check_parameter``'s range every r lies in [0, 1), so it raises only
+    for a parameter that bypassed that check.
+    """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"geometric parameter must lie in [0, 1), got {r!r}")
     return math.log(r) if r else 0.0
@@ -571,7 +578,14 @@ class Sampler:
 
 def check_parameter(model: IndependenceModel, subset: int, p: float) -> None:
     """Raise ValueError unless 0 < p <= smallest_root(subset) - ROOT_MARGIN,
-    the range the sampler accepts."""
+    the range the sampler accepts.
+
+    The ``Sampler`` constructor runs it once on its root state, so every
+    draw and stream gets it.  The margin keeps the root state's parameter
+    r = 1 - mu_S(p) / mu_{S minus pivot}(p) away from 1, where the mean
+    length and the geometric counts blow up, and for a ``BlockStream`` it
+    is the gap check: the pivot-free subalphabet's root must clear p_sigma.
+    """
     root = smallest_root(model, subset)
     if not 0.0 < p <= root - ROOT_MARGIN:
         raise ValueError(

@@ -286,11 +286,8 @@ def verify_cylinders(
                 if d not in seen:
                     seen.add(d)
                     arrivals[d, k] += 1
-            # a dropped piece lands one level above the highest piece it
-            # depends on: once every letter depends on a piece at level
-            # x_max_len - 1 or higher, no later block reaches the bottom
-            floor = min(max(heap.levels[j] for j in link) for link in model.links)
-            if floor >= x_max_len - 1:
+            # no later block reaches the bottom x_max_len levels
+            if heap.final_floor() >= x_max_len - 1:
                 break
 
     def frequency(x: Trace, k: int) -> float:

@@ -1,5 +1,5 @@
 """Shared fixtures and helpers: small dependence models used across the suite,
-and the oracle's trace counts by length."""
+submodels and cliques, and the oracle's trace counts by length."""
 
 import random
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import tracegen as tg
+from tracegen.monoid import IndependenceModel, _walk_cliques, iter_bits
 from tracegen.oracle import _frontiers
 
 settings.register_profile(
@@ -83,3 +84,29 @@ def count_traces(
     one level alive, which is what makes length 12 counts practical."""
     mask = model.full_mask if subset is None else subset
     return [len(frontier) for frontier in _frontiers(model, mask, n_max)]
+
+
+def restrict(model: IndependenceModel, letters) -> IndependenceModel:
+    """Submodel induced on a subset of the alphabet, given as letter names
+    or a mask, order preserved."""
+    mask = letters if isinstance(letters, int) else model.subset(letters)
+    if mask >> model.size:
+        raise ValueError("subset mask has bits outside the alphabet")
+    keep = list(iter_bits(mask))
+    if not keep:
+        raise ValueError("cannot restrict to an empty alphabet")
+    pos = {old: new for new, old in enumerate(keep)}
+    dep = []
+    for old in keep:
+        m = 0
+        for j in iter_bits(model.dependence[old] & mask):
+            m |= 1 << pos[j]
+        dep.append(m)
+    return IndependenceModel(tuple(model.letters[i] for i in keep), tuple(dep))
+
+
+def cliques(model: IndependenceModel, subset: int | None = None) -> list[int]:
+    """All cliques of pairwise independent letters inside a subset, the
+    empty one first, in the order of the package's one clique walk: depth
+    first, adding letters in index order."""
+    return list(_walk_cliques(model, subset))

@@ -12,14 +12,14 @@ from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
 from tracegen.monoid import UNIT, Heap, word_indices
 
-from conftest import cycle_model, path_model
+from conftest import cycle_model, path_model, restrict
 
 
 def test_open_stream_rejects_disconnected(path4, comm2):
     with pytest.raises(tg.NotIrreducibleError):
         tg.open_stream(comm2, "a", seed=1)
     with pytest.raises(tg.NotIrreducibleError):
-        tg.open_stream(tg.restrict(path4, "abd"), "a", seed=1)
+        tg.open_stream(restrict(path4, "abd"), "a", seed=1)
 
 
 def test_open_stream_rejects_unknown_pivot(path4):

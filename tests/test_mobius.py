@@ -13,7 +13,7 @@ from tracegen.mobius import ROOT_MARGIN, _square_free_part, check_below_root
 from tracegen.monoid import clique_size_counts
 from tracegen.oracle import series_coefficients
 
-from conftest import cycle_model, path_model, random_model
+from conftest import cycle_model, path_model, random_model, restrict
 
 
 def test_polynomial_coefficients(path4, path3, free2, comm2, triangle, star4):
@@ -258,7 +258,7 @@ def test_irreducibility(path4, comm2, free2):
     assert tg.is_irreducible(path4)
     assert tg.is_irreducible(free2)
     assert not tg.is_irreducible(comm2)
-    assert not tg.is_irreducible(tg.restrict(path4, "abd"))
+    assert not tg.is_irreducible(restrict(path4, "abd"))
     assert tg.is_irreducible(tg.build_model("a", []))
 
 

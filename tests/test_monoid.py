@@ -10,7 +10,7 @@ import tracegen as tg
 from tracegen import monoid
 from tracegen.monoid import (
     UNIT,
-    cliques,
+    Heap,
     clique_size_counts,
     iter_bits,
     left_divisors,
@@ -21,7 +21,7 @@ from tracegen.monoid import (
 )
 from tracegen.oracle import enumerate_traces
 
-from conftest import path_model
+from conftest import cliques, path_model, restrict
 
 PATH4 = tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
 
@@ -261,6 +261,21 @@ def test_pyramidal_decompose_random(mw, data):
     assert tg.concat(model, rebuilt, rest) == x
 
 
+@given(model_and_word())
+def test_final_floor_is_the_lowest_landing_level_minus_one(mw):
+    # every letter dropped next lands above the final floor, and the lowest
+    # of them lands right on top of it
+    model, word = mw
+    heap = Heap(model)
+    heap.extend(word)
+    landings = []
+    for i in range(model.size):
+        trial = Heap(model, heap.factors)
+        trial.extend([i])
+        landings.append(trial.levels[i])
+    assert heap.final_floor() == min(landings) - 1
+
+
 def test_cliques_of_path4(path4):
     got = sorted(path4.letters_of(c) for c in cliques(path4))
     assert got == [
@@ -277,14 +292,14 @@ def test_cliques_of_path4(path4):
 
 
 def test_restrict_and_link(path4):
-    sub = tg.restrict(path4, "abd")
+    sub = restrict(path4, "abd")
     assert sub.letters == ("a", "b", "d")
     assert sub.letters_of(sub.dependence[sub.index_of("d")]) == ["d"]
     assert sub.letters_of(sub.dependence[sub.index_of("a")]) == ["a", "b"]
     assert path4.letters_of(link(path4, "b")) == ["a", "b", "c"]
     assert path4.letters_of(link(path4, "a")) == ["a", "b"]
     with pytest.raises(ValueError, match="bits outside the alphabet"):
-        tg.restrict(path4, 0b10000)
+        restrict(path4, 0b10000)
 
 
 def test_build_model_validation():

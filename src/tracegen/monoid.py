@@ -203,9 +203,27 @@ class Trace:
 UNIT = Trace()
 
 
+def _drop(
+    links: Sequence[Sequence[int]], factors: list[int], levels: list[int], indices: Iterable[int]
+) -> None:
+    """Drop pieces onto the heap held by factors and levels, as ``Heap``
+    keeps them: each lands one level above the highest piece in its link."""
+    for i in indices:
+        lvl = 0
+        for j in links[i]:
+            if levels[j] >= lvl:
+                lvl = levels[j] + 1
+        if lvl == len(factors):
+            factors.append(1 << i)
+        else:
+            factors[lvl] |= 1 << i
+        levels[i] = lvl
+
+
 class Heap:
-    """A heap of pieces under construction: normal forms, products and
-    block streams are all built by dropping pieces on one of these.
+    """A heap of pieces under construction, for products built piece by
+    piece; ``normalize_indices`` drops pieces by the same loop, ``_drop``,
+    on bare lists.
 
     ``factors`` are the height levels, bottom first, and ``levels[i]`` is
     the level of the highest piece labelled i, -1 when there is none.  A
@@ -225,17 +243,7 @@ class Heap:
 
     def extend(self, indices: Iterable[int]) -> None:
         """Drop the pieces with the given letter indices, in order."""
-        links, factors, levels = self.links, self.factors, self.levels
-        for i in indices:
-            lvl = 0
-            for j in links[i]:
-                if levels[j] >= lvl:
-                    lvl = levels[j] + 1
-            if lvl == len(factors):
-                factors.append(1 << i)
-            else:
-                factors[lvl] |= 1 << i
-            levels[i] = lvl
+        _drop(self.links, self.factors, self.levels, indices)
 
     def final_floor(self) -> int:
         """The highest level that no later piece can land in, -1 when there
@@ -269,9 +277,11 @@ def normalize(model: IndependenceModel, word: Iterable[str]) -> Trace:
 
 
 def normalize_indices(model: IndependenceModel, indices: Iterable[int]) -> Trace:
-    heap = Heap(model)
-    heap.extend(indices)
-    return heap.trace()
+    """Normal form of a word given as letter indices: its pieces dropped on
+    an empty heap."""
+    factors: list[int] = []
+    _drop(model.links, factors, [-1] * model.size, indices)
+    return Trace(tuple(factors))
 
 
 def concat(model: IndependenceModel, x: Trace, y: Trace) -> Trace:

@@ -11,8 +11,11 @@ checks its masks and p once, when it is built; ``sample``,
 ``sample_many`` and the boundary blocks each build one.  Each state of the
 recursion is compiled once into a node holding its pivot, the log of its
 geometric parameter and its two child states, and a draw runs the nodes on
-an explicit stack.  The cost is linear in output length, with a factor for
-the alphabet size.
+an explicit stack.  A visit to a state always runs on through its rest
+chain, the states reached by removing pivots, so each chain is resolved
+and its steps counted once, when it is first entered.  The cost is linear
+in output length, with a factor for the alphabet size: every draw walks
+its root's rest chain and reads one uniform per node of it.
 
 Every sample and boundary block draws from its own stream keyed by
 (seed, index): numpy's SeedSequence -> PCG64 stream, whose state an
@@ -21,8 +24,10 @@ generator that is re-seated for each stream.  ``sample_many`` and the
 block runs take their streams from ``RandomStream.splits``, which derives
 runs of consecutive keys in one pass of that hash, with each stream's
 first doubles computed in numpy from its PCG64 states; only a stream that
-needs more re-seats the shared generator.  The doubles are numpy's own,
-so the output is that of a SeedSequence and a PCG64 built per stream.
+needs more re-seats the shared generator, and a run child then refills 64
+doubles at once, enough for a draw on a few dozen letters.  The doubles
+are numpy's own, so the output is that of a SeedSequence and a PCG64 built
+per stream.
 """
 
 from __future__ import annotations
@@ -43,8 +48,12 @@ PIVOT_RULES = ("lowindex", "maxdeg", "order")
 
 # Uniforms are drawn from the generator in chunks: the first holds
 # _FIRST_CHUNK doubles, so a short sample does not pay for many, and each
-# refill doubles the chunk up to _MAX_CHUNK.
+# refill doubles the chunk up to _MAX_CHUNK.  A run child of ``splits``
+# holds _HEAD derived doubles and refills _RUN_CHUNK first: a draw on a
+# 28-letter model reads 28 to about 52 uniforms (mean 35), which chunks of
+# 16 and 32 served in two refills and 64 serves in one.
 _FIRST_CHUNK = 4
+_RUN_CHUNK = 64
 _MAX_CHUNK = 256
 
 # RandomStream derives numpy's SeedSequence -> PCG64 state in Python
@@ -302,24 +311,29 @@ class RandomStream:
         try:
             return self._next()
         except StopIteration:
-            n = self._chunk
-            self._chunk = min(2 * n, _MAX_CHUNK)
-            shared = _SHARED
-            with shared.lock:
-                owner = shared.owner()
-                if owner is not self:
-                    if owner is not None:
-                        owner._state = shared.bitgen.state["state"]["state"]
-                    shared.bitgen.state = {
-                        "bit_generator": "PCG64",
-                        "state": {"state": self._state, "inc": self._inc},
-                        "has_uint32": 0,
-                        "uinteger": 0,
-                    }
-                    shared.owner = weakref.ref(self)
-                doubles = shared.random(n).tolist()
-            self._next = iter(doubles).__next__
-            return self._next()
+            return self._refill()
+
+    def _refill(self) -> float:
+        """Draw the next chunk from the shared generator into ``_next``, once
+        the current one has run out, and return its first double."""
+        n = self._chunk
+        self._chunk = min(2 * n, _MAX_CHUNK)
+        shared = _SHARED
+        with shared.lock:
+            owner = shared.owner()
+            if owner is not self:
+                if owner is not None:
+                    owner._state = shared.bitgen.state["state"]["state"]
+                shared.bitgen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": self._state, "inc": self._inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                shared.owner = weakref.ref(self)
+            doubles = shared.random(n).tolist()
+        self._next = iter(doubles).__next__
+        return self._next()
 
     def split(self, index: int) -> "RandomStream":
         return RandomStream(self.seed, self.key + (index,))
@@ -361,7 +375,7 @@ class RandomStream:
             child.key = key + (first + k,)
             child._state = s_hi << 64 | s_lo
             child._inc = i_hi << 64 | i_lo
-            child._chunk = 2 * _HEAD
+            child._chunk = _RUN_CHUNK
             child._next = iter(head).__next__
             yield child
 
@@ -375,7 +389,8 @@ class StepCounter:
     Counts one step per state visited by the pivot recursion, one per unit
     of the geometric draw plus one, and one per emitted factor; these are
     the operations the linear cost bound is stated over.  The compiled
-    sampler adds each node's share at once, empty states included, so the
+    sampler adds each rest chain's share when the chain is entered, and
+    each node's share per geometric unit, empty states included, so the
     totals are those of the plain recursion.
     """
 
@@ -442,11 +457,17 @@ class Sampler:
     ``[pivot, log_r, zero_below, steps, steps_per_k, rest, link]``: the
     pivot the rule picks, the log of the geometric parameter r at
     ``params.p``, ``-expm1(log_r) * (1 - 2**-30)`` (2.0 when r is 0), below
-    which a uniform gives K = 0 with no log1p, the steps the node adds
-    besides ``steps_per_k`` per geometric unit, and the rest and link
-    children.  A child is None when it has no candidates and the key of its
-    state until it is first reached; then the rest child becomes its node,
-    the link child the pair ``[pivot, link node]`` pushed K times.
+    which a uniform gives K = 0 with no log1p, the steps one visit of the
+    node adds, the steps it adds per geometric unit, and the rest and link
+    children.  A child is None when it has no candidates, and the key of its
+    state until it is resolved.
+
+    A visit to a node always goes on down its rest chain (the nodes reached
+    by rest children), so ``draw`` resolves a chain whole when it is first
+    entered: the root's on the first draw, a link child's when its parent
+    first draws K > 0, whose link slot then holds ``[pivot, link node]``,
+    pushed K times.  The chain's visit steps are counted once: the root's
+    per draw, a link chain's in its parent's ``steps_per_k``.
     """
 
     def __init__(
@@ -471,6 +492,8 @@ class Sampler:
             self._order = tuple(model.index_of(ch) for ch in params.pivot_order)
         self._choose = getattr(self, f"_choose_{params.pivot}")
         self._nodes: dict[tuple[int, int], list] = {}
+        # the root's resolved chain and its visit steps, on the first draw
+        self._root: tuple[list, int] | None = None
 
     @staticmethod
     def _choose_lowindex(subset: int, candidates: int) -> int:
@@ -509,7 +532,8 @@ class Sampler:
         # can be off, keeps the skip of log1p where the two agree.  A visit
         # costs 1, the geometric draw K + 1, the K pivots and the remainder
         # one each: 3 + 2K; an empty child is never run, so its one step for
-        # the visit is counted here
+        # the visit is counted here.  ``draw`` adds the link chain's visit
+        # steps to the 2 per unit when it resolves the chain.
         node = self._nodes[state] = [
             pivot,
             log_r,
@@ -521,6 +545,18 @@ class Sampler:
         ]
         return node
 
+    def _chain(self, state: tuple[int, int]) -> tuple[list, int]:
+        """The node of a state with candidates, with its whole rest chain
+        resolved, and the steps one visit of the chain adds."""
+        head = node = self._node(state)
+        steps = node[3]
+        while (rest := node[5]) is not None:
+            if rest.__class__ is tuple:
+                rest = node[5] = self._node(rest)
+            node = rest
+            steps += node[3]
+        return head, steps
+
     def draw(self, stream: RandomStream) -> list[int]:
         """Letter indices of one sample from the root state, in a valid
         linearisation order.
@@ -528,42 +564,45 @@ class Sampler:
         A node with K > 0 pushes its remainder, then K times its pivot and
         its link child, onto a stack of nodes to fill and letters to emit,
         so the letters come out in the recursion's order; with K = 0 it
-        runs its remainder next.  ``uniform`` only refills the chunk.
+        reads only its threshold and runs its remainder next.  Every node
+        the loop reaches has its rest chain resolved, and the chain's steps
+        are counted on entry.  When the chunk runs out, ``_refill`` draws
+        the next one.
         """
         out: list[int] = []
-        if not self.root_state[1]:
-            self.counter.steps += 1
-            return out
-        resolve = self._node
+        root = self._root
+        if root is None:
+            if not self.root_state[1]:
+                self.counter.steps += 1
+                return out
+            root = self._root = self._chain(self.root_state)
+        node, steps = root
         emit = out.append
         stack: list = []
         pop = stack.pop
         take = stream._next
-        node = resolve(self.root_state)
-        steps = 0
         while True:
-            pivot, log_r, zero_below, base, per_k, rest, link = node
-            if rest.__class__ is tuple:
-                rest = node[5] = resolve(rest)
             try:
                 u = take()
             except StopIteration:
-                u = stream.uniform()
+                u = stream._refill()
                 take = stream._next
-            steps += base
-            if u >= zero_below and (k := int(math.log1p(-u) / log_r)):
-                steps += k * per_k
+            if u >= node[2] and (k := int(math.log1p(-u) / node[1])):
+                link = node[6]
+                if link.__class__ is tuple:
+                    head, chain_steps = self._chain(link)
+                    node[4] += chain_steps
+                    link = node[6] = [node[0], head]
+                steps += k * node[4]
                 if link is not None:
-                    if link.__class__ is tuple:
-                        link = node[6] = [pivot, resolve(link)]
-                    if rest is not None:
-                        stack.append(rest)
+                    if node[5] is not None:
+                        stack.append(node[5])
                     stack += link * k
                     node = pop()
                     continue
-                out += [pivot] * k
-            if rest is not None:
-                node = rest
+                out += [node[0]] * k
+            node = node[5]
+            if node is not None:
                 continue
             while stack:
                 node = pop()

@@ -74,12 +74,17 @@ def exact_law(sampler, n):
 
 
 P4 = tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+# (model, pivot rule, pivot order); a block case gives its pivot letter in
+# place of the order.  The x2 block's target {x1, x3} gives its root state
+# a rest chain of two nodes, which an x0 block, with target {x1}, lacks.
 CASES = {
     "p4-lowindex": (P4, "lowindex", None),
     "p4-maxdeg": (P4, "maxdeg", None),
     "p4-order": (P4, "order", ("c", "a", "d", "b")),
     "cycle5-lowindex": (cycle_model(5), "lowindex", None),
-    "path5-block": (path_model(5), "block", None),
+    "path5-block": (path_model(5), "block", "x0"),
+    "path5-block-x2": (path_model(5), "block", "x2"),
+    "cycle5-block": (cycle_model(5), "block", "x0"),
 }
 
 
@@ -87,7 +92,7 @@ CASES = {
 def test_compiled_law_is_the_target_law_exactly(case):
     model, rule, order = CASES[case]
     if rule == "block":
-        stream = tg.open_stream(model, "x0", 0)
+        stream = tg.open_stream(model, order, 0)
         params = tg.SamplerParams(p=stream.p_star)
         subset, target = stream.block_subset, stream.block_target
     else:

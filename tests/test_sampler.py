@@ -382,7 +382,7 @@ def test_every_compiled_geometric_parameter_is_correctly_rounded(model, p):
 
 class ChunkedValues:
     """A stream serving given doubles in chunks of three, each refilled by
-    ``uniform`` when the chunk runs out, as RandomStream refills."""
+    ``_refill`` when the chunk runs out, as RandomStream refills."""
 
     def __init__(self, values):
         self._values = iter(values)
@@ -392,8 +392,11 @@ class ChunkedValues:
         try:
             return self._next()
         except StopIteration:
-            self._next = iter([next(self._values) for _ in range(3)]).__next__
-            return self._next()
+            return self._refill()
+
+    def _refill(self):
+        self._next = iter([next(self._values) for _ in range(3)]).__next__
+        return self._next()
 
 
 THRESHOLD_CASES = [
@@ -502,15 +505,16 @@ def test_stream_resumes_after_its_displacer_was_deleted():
 @pytest.mark.parametrize("prefix", [(), (1, 2)])
 def test_splits_equal_numpy_seed_sequence(seed, prefix):
     # runs of 16 doubling to 256 after the first child, a range that crosses
-    # 2**32, where a key element takes a second word, and 50 doubles per
-    # child, past the 8 each run derives
+    # 2**32, where a key element takes a second word, and 200 doubles per
+    # child, past the 8 each run derives and the refills of 64 and 128
+    # after them
     base = tg.RandomStream(seed, prefix)
     for start, stop in [(0, 0), (5, 6), (0, 15), (0, 16), (0, 17), (3, 303),
                         (2**32 - 20, 2**32 + 30)]:
         children = list(base.splits(start, stop))
         assert [child.key for child in children] == [prefix + (i,) for i in range(start, stop)]
         for child in children:
-            assert [child.uniform() for _ in range(50)] == numpy_doubles(seed, child.key, 50)
+            assert [child.uniform() for _ in range(200)] == numpy_doubles(seed, child.key, 200)
 
 
 def test_run_children_share_the_generator_with_live_streams():
@@ -525,6 +529,34 @@ def test_run_children_share_the_generator_with_live_streams():
         tail = [child.uniform() for _ in range(38)]
         assert head + tail == numpy_doubles(21, child.key, 50)
     assert got_scalar == numpy_doubles(21, (100,), len(got_scalar))
+
+
+def test_wide_draws_from_run_children_refill_once(monkeypatch):
+    # a run child of splits holds its 8 derived doubles, then refills 64: a
+    # draw on 28 letters reads at least the 28 uniforms of its root's rest
+    # chain, and one that reads at most 72 refills exactly once
+    sizes = []
+    refill = tg.RandomStream._refill
+
+    def spy(stream):
+        sizes.append(stream._chunk)
+        return refill(stream)
+
+    monkeypatch.setattr(tg.RandomStream, "_refill", spy)
+    sampler = Sampler(CHORDED28, tg.SamplerParams(p=0.6 * tg.smallest_root(CHORDED28)))
+    children = tg.RandomStream(3).splits(0, 301)
+    next(children)  # split(0), derived alone
+    once = 0
+    for stream in children:
+        sizes.clear()
+        sampler.draw(stream)
+        unread = sum(1 for _ in iter(stream._next, None))
+        used = 8 + sum(sizes) - unread
+        assert used >= 28
+        if used <= 72:
+            assert sizes == [64], used
+            once += 1
+    assert once >= 290
 
 
 def test_splits_rejects_a_negative_index():

@@ -27,12 +27,14 @@ a double, the root itself whenever the root is a double.  The check
 cannot fail at the right double: p_sigma is the unique root of smallest
 modulus of a clique polynomial (Goldwurm and Santini, IPL 75, 2000), so
 no root lies in the disk on the diameter from 0 to x, and by the
-one-circle theorem the shift then has no sign variation.  Where mu keeps
-its sign at p_sigma, a root of even order from repeated components, the
-same steps run on the square-free part; a pin above p_sigma fails the
-check and is followed by a bisection on the check below it.  The result
-is never above the true root and does not depend on numpy or the
-platform.
+one-circle theorem the shift then has no sign variation.  These steps run
+once per connected component of the subalphabet.  mu of a disjoint union
+is the product of its components' mu, so p_sigma is the smallest of their
+roots, and each of those is simple (Krob, Mairesse and Michos, Discrete
+Math. 2003), so mu of its component changes sign there.  A pin above
+p_sigma fails the check and is followed by a bisection on the check below
+it.  The result is never above the true root and does not depend on numpy
+or the platform.
 
 Everything here is deterministic.  A double p is a dyadic rational, so a
 polynomial value at p is computed exactly in integers and rounded once;
@@ -44,12 +46,11 @@ to one rounding too.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .monoid import IndependenceModel, iter_bits
+from .monoid import IndependenceModel
 
 ROOT_MARGIN = 1e-9
 
@@ -155,78 +156,6 @@ def recurrence_residual_coefficients(
     return tuple(out)
 
 
-def _primitive(poly: list[int]) -> list[int]:
-    # divided by the content, a positive constant, so every sign is kept
-    common = math.gcd(*poly)
-    return [c // common for c in poly] if common else []
-
-
-def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A positive multiple of -(a mod b), primitive; [] when b divides a.
-
-    Coefficients are ascending integers.  Each elimination step scales the
-    partial remainder by a positive integer, so no fraction appears.
-    """
-    a = a[:]
-    lead = b[-1]
-    while len(a) >= len(b):
-        top = a[-1]
-        if top:
-            g = math.gcd(top, lead)
-            up = abs(lead) // g
-            down = top // g if lead > 0 else -top // g
-            shift = len(a) - len(b)
-            a = [c * up for c in a]
-            for i, c in enumerate(b):
-                a[shift + i] -= down * c
-        a.pop()
-    while a and not a[-1]:
-        a.pop()
-    return _primitive([-c for c in a])
-
-
-def _sturm_sequence(p: list[int]) -> list[list[int]]:
-    """P, P' and the negated remainders, each up to a positive factor: the
-    Euclidean algorithm on P and P', whose last member is a multiple of
-    gcd(P, P').
-    """
-    seq = [p, _primitive([d * c for d, c in enumerate(p)][1:])]
-    while True:
-        rem = _negated_remainder(seq[-2], seq[-1])
-        if not rem:
-            return seq
-        seq.append(rem)
-
-
-def _square_free_part(coefficients: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive integer coefficients of P / gcd(P, P'), ascending degree,
-    with a positive constant term.
-
-    Computed in exact integer arithmetic.  Dividing out repeated factors
-    leaves every real root simple, so the factor changes sign at each of
-    them.  Repeated factors are routine for disconnected subalphabets: the
-    polynomial of a disjoint union is the product over components, and
-    equal components contribute equal factors, turning the smallest root
-    into an even order touch point that a sign pin cannot see.
-    """
-    p = list(coefficients)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    if len(p) <= 1:
-        return tuple(p)
-    g = _sturm_sequence(p)[-1]
-    # g is primitive, so the quotient has integer coefficients (Gauss)
-    q = [0] * (len(p) - len(g) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        q[k], rem = divmod(p[k + len(g) - 1], g[-1])
-        if rem:
-            raise ArithmeticError(f"{g!r} does not divide {coefficients!r}")
-        for i, c in enumerate(g):
-            p[k + i] -= q[k] * c
-    q = _primitive(q)
-    return tuple(q if q[0] > 0 else [-c for c in q])
-
-
 def _scaled_value(coefficients, x) -> tuple[int, int]:
     """An integer polynomial at a dyadic rational x (a double, or a
     Fraction whose denominator is a power of two), as an integer v and a
@@ -269,8 +198,8 @@ def _double(bits: int) -> float:
 
 # the double just above 1: every smallest root lies in (0, 1]
 _ONE_UP = _bits(1.0) + 1
-# Newton's iterates reach a simple root in a few steps; the cap bounds
-# their linear crawl towards a root of high multiplicity
+# Newton's iterates reach an isolated simple root in a few steps; the cap
+# bounds their slow crawl where many roots cluster just above it
 _NEWTON_STEPS = 64
 # halvings of the gap between two adjacent doubles, past which two roots
 # inside it are not told apart
@@ -362,15 +291,16 @@ def _no_root_below(coefficients, x) -> bool:
     return min(shifted) >= 0
 
 
-def _search_below(square_free, hi: int) -> int:
-    """Bits of the double at or below the smallest root of a square-free
-    P, searched below the double with bits hi, which fails the check.
+def _search_below(coefficients, hi: int) -> int:
+    """Bits of the double at or below the smallest root of a clique
+    polynomial P whose smallest root is simple, searched below the double
+    with bits hi, which fails the check.
 
     The check passes at x exactly when x <= p_sigma (one-circle theorem
     and Goldwurm-Santini), so a bisection on it ends at adjacent doubles
-    lo <= p_sigma < hi.  P changes sign at each of its simple roots, so a
-    negative value on (lo, hi] certifies the root there; when two roots
-    lie between the same two doubles, the check splits the gap on dyadic
+    lo <= p_sigma < hi.  P changes sign at its simple smallest root, so a
+    negative value on (lo, hi] certifies the root there; when another root
+    lies between the same two doubles, the check splits the gap on dyadic
     rationals until a point between them is found.
     """
     from fractions import Fraction  # this path only; it loads decimal
@@ -378,38 +308,51 @@ def _search_below(square_free, hi: int) -> int:
     lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _no_root_below(square_free, _double(mid)):
+        if _no_root_below(coefficients, _double(mid)):
             lo = mid
         else:
             hi = mid
     left, right = Fraction(_double(lo)), Fraction(_double(hi))
     for _ in range(_SPLIT_STEPS):
-        if _sign_at(square_free, right) < 0:
+        if _sign_at(coefficients, right) < 0:
             return lo
         middle = (left + right) / 2
-        if _no_root_below(square_free, middle):
+        if _no_root_below(coefficients, middle):
             left = middle
         else:
             right = middle
     raise RootNotFoundError(
-        f"no certified root of {square_free!r} between {_double(lo)!r} "
+        f"no certified root of {coefficients!r} between {_double(lo)!r} "
         f"and {_double(lo + 1)!r}"
     )
 
 
+def _components(dependence: tuple[int, ...], subset: int):
+    """The connected components of the dependence graph on a subset, as
+    masks, the component of its lowest letter first."""
+    while subset:
+        component = frontier = subset & -subset
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = dependence[low.bit_length() - 1] & subset & ~component
+            component |= new
+            frontier |= new
+        yield component
+        subset ^= component
+
+
 @lru_cache(maxsize=8192)
 def _smallest_root_cached(model: IndependenceModel, subset: int) -> float:
-    coefficients = mobius_polynomial(model, subset).coefficients
-    lo = _pin(coefficients, _newton(coefficients))
-    if lo is not None and _no_root_below(coefficients, _double(lo)):
-        return _double(lo)
-    # mu keeps its sign at a root of even order, or the candidate led to a
-    # larger root: the square-free part has the same roots, all simple
-    square_free = _square_free_part(coefficients)
-    lo = _pin(square_free, _newton(square_free))
-    if lo is None or not _no_root_below(square_free, _double(lo)):
-        lo = _search_below(square_free, _ONE_UP if lo is None else lo)
-    return _double(lo)
+    roots = []
+    for component in _components(model.dependence, subset):
+        coefficients = mobius_polynomial(model, component).coefficients
+        lo = _pin(coefficients, _newton(coefficients))
+        if lo is None or not _no_root_below(coefficients, _double(lo)):
+            # the candidate led past the smallest root
+            lo = _search_below(coefficients, _ONE_UP if lo is None else lo)
+        roots.append(_double(lo))
+    return min(roots)
 
 
 def smallest_root(model: IndependenceModel, subset: int | None = None) -> float:
@@ -417,18 +360,19 @@ def smallest_root(model: IndependenceModel, subset: int | None = None) -> float:
     rounded down to a double.
 
     The root r is real and lies in (0, 1].  It is the unique root of
-    smallest modulus (Goldwurm and Santini), simple for a connected
-    dependence graph but of any multiplicity when the subalphabet splits
-    into independent components.  The result is the largest double
-    x <= r, r itself whenever r is a double, and exact integer arithmetic
-    certifies it: the polynomial, or its square-free part where the
-    polynomial keeps its sign at r, is nonnegative at x and negative
-    before the next double, and the Taylor shift (1 + t)^d mu(x / (1 + t))
-    has no sign variation, so by Descartes' rule no root lies in (0, x).
-    Newton's iterates only propose x.  No floating point arithmetic
-    decides anything, so the result does not depend on the platform or
-    on the numpy version, and the range checks 0 < p < smallest_root admit
-    only parameters below the true root.
+    smallest modulus (Goldwurm and Santini).  The polynomial is the product
+    of those of the connected components of the dependence graph, so r is
+    the smallest of their roots; each of those is simple (Krob, Mairesse
+    and Michos), though r has the multiplicity of the components that share
+    it.  The result is the largest double x <= r, r itself whenever r is a
+    double, and exact integer arithmetic certifies it on the component
+    that gives it: its polynomial is nonnegative at x and negative before
+    the next double, and the Taylor shift (1 + t)^d mu(x / (1 + t)) has no
+    sign variation, so by Descartes' rule no root lies in (0, x).  Newton's
+    iterates only propose x.  No floating point arithmetic decides
+    anything, so the result does not depend on the platform or on the
+    numpy version, and the range checks 0 < p < smallest_root admit only
+    parameters below the true root.
     """
     mask = model.full_mask if subset is None else subset
     if mask == 0:
@@ -442,15 +386,7 @@ def is_irreducible(model: IndependenceModel) -> bool:
     """Whether the dependence graph (self loops ignored) is connected."""
     if model.size == 0:
         raise ValueError("empty alphabet")
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for i in iter_bits(frontier):
-            nxt |= model.dependence[i]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == model.full_mask
+    return next(_components(model.dependence, model.full_mask)) == model.full_mask
 
 
 class MobiusTable:

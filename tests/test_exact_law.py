@@ -86,6 +86,26 @@ CASES = {
     "path5-block-x2": (path_model(5), "block", "x2"),
     "cycle5-block": (cycle_model(5), "block", "x0"),
 }
+# every connected dependence graph on 4 letters, at lowindex and at each
+# letter's block.  Some block alphabets split: star4's hub leaves three
+# independent letters, whose Mobius polynomial has a triple root at 1.
+CONNECTED4 = {
+    "path4": P4,
+    "star4": tg.build_model("abcd", [("a", "b"), ("a", "c"), ("a", "d")]),
+    "cycle4": tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
+    "paw": tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]),
+    "diamond": tg.build_model(
+        "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]
+    ),
+    "k4": tg.build_model(
+        "abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+    ),
+}
+for name, model in CONNECTED4.items():
+    if name != "path4":  # p4-lowindex above
+        CASES[f"{name}-lowindex"] = (model, "lowindex", None)
+    for letter in model.letters:
+        CASES[f"{name}-block-{letter}"] = (model, "block", letter)
 
 
 @pytest.mark.parametrize("case", CASES, ids=list(CASES))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tracegen as tg
-from tracegen.mobius import ROOT_MARGIN, _square_free_part, check_below_root
+from tracegen.mobius import ROOT_MARGIN, _components, check_below_root
 from tracegen.monoid import clique_size_counts
 from tracegen.oracle import series_coefficients
 
@@ -47,6 +47,15 @@ def test_smallest_roots(path4, path3, free2, comm2, triangle):
     assert tg.smallest_root(path4, path4.subset("a")) == 1.0
 
 
+def _times(a, b):
+    """The product of two polynomials, as ascending coefficient tuples."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def test_repeated_factor_roots():
     # disjoint equal components square the polynomial: the smallest root
     # is an even order touch point with no sign change, which a naive
@@ -59,16 +68,33 @@ def test_repeated_factor_roots():
     assert tg.smallest_root(with_spare) == 0.5
     three_chains = tg.build_model("abcdef", [("a", "b"), ("c", "d"), ("e", "f")])
     assert tg.smallest_root(three_chains) == 0.5
+    # path31 + path31, path63 without its middle letter: mu is the square
+    # of path31's, and the root is path31's
+    path63 = path_model(63)
+    halves = path63.full_mask & ~path63.subset(["x31"])
+    path31 = tg.mobius_polynomial(path_model(31)).coefficients
+    assert tg.mobius_polynomial(path63, halves).coefficients == _times(path31, path31)
+    assert tg.smallest_root(path63, halves) == tg.smallest_root(path_model(31))
 
 
 def _assert_certified(model):
-    # the root is the true root rounded down: the exact sign of the square
-    # free factor is nonnegative at it and negative one float step above
+    # mu is the product of its components' polynomials, the root is the
+    # smallest of their roots, and it is that component's true root rounded
+    # down: the exact sign of its polynomial is nonnegative at the root and
+    # negative one float step above
     root = tg.smallest_root(model)
-    square_free = _square_free_part(tg.mobius_polynomial(model).coefficients)
+    product = (1,)
+    by_root = {}
+    for component in _components(model.dependence, model.full_mask):
+        coefficients = tg.mobius_polynomial(model, component).coefficients
+        product = _times(product, coefficients)
+        by_root[tg.smallest_root(model, component)] = coefficients
+    assert product == tg.mobius_polynomial(model).coefficients
+    assert min(by_root) == root
+    own = by_root[root]
 
     def sign(x):
-        value = sum(c * Fraction(x) ** d for d, c in enumerate(square_free))
+        value = sum(c * Fraction(x) ** d for d, c in enumerate(own))
         return (value > 0) - (value < 0)
 
     assert sign(root) >= 0

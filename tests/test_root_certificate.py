@@ -1,5 +1,8 @@
-"""The certified smallest root against the Sturm-count bisection it
-replaced, and checks that its Descartes certificate can fail."""
+"""The certified smallest root against an independent reference: a Sturm
+sequence of the square-free part, found by a polynomial gcd, and a
+bisection over doubles with exact signs, which needs neither connected
+components nor Descartes' rule.  Also checks that the Descartes
+certificate can fail, and that the search below a failed pin recovers."""
 
 import math
 import random
@@ -15,11 +18,81 @@ from tracegen.mobius import (
     _pin,
     _search_below,
     _sign_at,
-    _square_free_part,
-    _sturm_sequence,
 )
 
-from conftest import cycle_model, path_model
+from conftest import cycle_model, path_model, restrict
+
+
+def _primitive(poly: list[int]) -> list[int]:
+    # divided by the content, a positive constant, so every sign is kept
+    common = math.gcd(*poly)
+    return [c // common for c in poly] if common else []
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of -(a mod b), primitive; [] when b divides a.
+
+    Coefficients are ascending integers.  Each elimination step scales the
+    partial remainder by a positive integer, so no fraction appears.
+    """
+    a = a[:]
+    lead = b[-1]
+    while len(a) >= len(b):
+        top = a[-1]
+        if top:
+            g = math.gcd(top, lead)
+            up = abs(lead) // g
+            down = top // g if lead > 0 else -top // g
+            shift = len(a) - len(b)
+            a = [c * up for c in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= down * c
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return _primitive([-c for c in a])
+
+
+def _sturm_sequence(p: list[int]) -> list[list[int]]:
+    """P, P' and the negated remainders, each up to a positive factor: the
+    Euclidean algorithm on P and P', whose last member is a multiple of
+    gcd(P, P').
+    """
+    seq = [p, _primitive([d * c for d, c in enumerate(p)][1:])]
+    while True:
+        rem = _negated_remainder(seq[-2], seq[-1])
+        if not rem:
+            return seq
+        seq.append(rem)
+
+
+def _square_free_part(coefficients: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive integer coefficients of P / gcd(P, P'), ascending degree,
+    with a positive constant term.
+
+    Computed in exact integer arithmetic.  Dividing out repeated factors
+    leaves every real root simple, so the factor changes sign at each of
+    them.  Repeated factors are routine for disconnected subalphabets: the
+    polynomial of a disjoint union is the product over components, and
+    equal components contribute equal factors, turning the smallest root
+    into an even order touch point that a sign pin cannot see.
+    """
+    p = list(coefficients)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    if len(p) <= 1:
+        return tuple(p)
+    g = _sturm_sequence(p)[-1]
+    # g is primitive, so the quotient has integer coefficients (Gauss)
+    q = [0] * (len(p) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], rem = divmod(p[k + len(g) - 1], g[-1])
+        if rem:
+            raise ArithmeticError(f"{g!r} does not divide {coefficients!r}")
+        for i, c in enumerate(g):
+            p[k + i] -= q[k] * c
+    q = _primitive(q)
+    return tuple(q if q[0] > 0 else [-c for c in q])
 
 
 def _variations(sturm, x):
@@ -97,6 +170,11 @@ def _corpus():
     yield tg.build_model("abcd", [("a", "b"), ("c", "d")])
     yield tg.build_model("abcde", [("a", "b"), ("c", "d")])
     yield tg.build_model("abcdef", [("a", "b"), ("c", "d"), ("e", "f")])
+    # a path split in its middle: path31 + path31 has a double root, and
+    # path31 + path32 two components with different roots
+    for n in (63, 64):
+        path = path_model(n)
+        yield restrict(path, path.full_mask & ~path.subset(["x31"]))
 
 
 def test_root_matches_sturm_bisection_bit_for_bit():
@@ -115,6 +193,22 @@ def test_root_matches_sturm_bisection_bit_for_bit():
             first.setdefault(coefficients, (model, subset))
     assert len(first) > 1800
     for coefficients, (model, subset) in first.items():
+        expected = sturm_floor_root(coefficients)
+        got = tg.smallest_root(model, subset)
+        assert got.hex() == expected.hex(), (model.letters, subset, coefficients)
+
+
+@pytest.mark.parametrize("model", [
+    grid_model(5, 5),
+    path_model(48),
+    wide_model(random.Random(28)),
+], ids=["grid5x5", "path48", "wide28"])
+def test_root_of_random_subsets_matches_sturm_bisection(model):
+    # random subsets split into components of every size, equal ones too
+    rng = random.Random(model.size)
+    for _ in range(200):
+        subset = rng.getrandbits(model.size) or 1
+        coefficients = tg.mobius_polynomial(model, subset).coefficients
         expected = sturm_floor_root(coefficients)
         got = tg.smallest_root(model, subset)
         assert got.hex() == expected.hex(), (model.letters, subset, coefficients)

@@ -78,11 +78,6 @@ class IndependenceModel:
             mask |= 1 << self.index_of(name)
         return mask
 
-    def letters_of(self, mask: int) -> list[str]:
-        if mask >> self.size:
-            raise ValueError("mask has bits outside the alphabet")
-        return [self.letters[i] for i in iter_bits(mask)]
-
 
 def build_model(
     letters: Sequence[str],

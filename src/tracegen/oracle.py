@@ -124,23 +124,6 @@ def series_coefficients(
     return out
 
 
-def series_tail_bound(model: IndependenceModel, p: float, n_max: int) -> float:
-    """Upper bound on the mass of traces longer than n_max.
-
-    Uses the exact counts up to n_max + 20 and the observed maximal growth
-    ratio to dominate the tail by a geometric series.  Infinite when p is
-    too close to the growth radius for the bound to close.
-    """
-    counts = series_coefficients(model, None, n_max + 21)
-    ratios = [
-        counts[n + 1] / counts[n] for n in range(n_max, n_max + 20) if counts[n] > 0
-    ]
-    alpha = max(ratios)
-    if alpha * p >= 1.0:
-        return float("inf")
-    return counts[n_max + 1] * p ** (n_max + 1) / (1.0 - alpha * p)
-
-
 def exact_occurrence(
     model: IndependenceModel, subset: int, pivot_index: int, p: float
 ) -> float:

@@ -19,25 +19,25 @@ its root's rest chain and reads one uniform per node of it.
 
 Every sample and boundary block draws from its own stream keyed by
 (seed, index): numpy's SeedSequence -> PCG64 stream, whose state an
-in-repo copy of SeedSequence's key hash computes, drawn through one shared
-generator that is re-seated for each stream.  ``sample_many`` and the
+in-repo copy of SeedSequence's key hash computes.  ``sample_many`` and the
 block runs take their streams from ``RandomStream.splits``, which derives
 runs of consecutive keys in one pass of that hash, with each stream's
-first doubles computed in numpy from its PCG64 states; only a stream that
-needs more re-seats the shared generator, and a run child then refills 64
-doubles at once, enough for a draw on a few dozen letters.  The doubles
-are numpy's own, so the output is that of a SeedSequence and a PCG64 built
+first doubles computed in numpy.  Later doubles come in chunks from one
+shared PCG64: a refill writes the stream's state into the generator's
+state words, whose layout is checked once at import, draws the chunk, and
+advances the stream's state by a precomputed LCG jump.  The doubles are
+numpy's own, so the output is that of a SeedSequence and a PCG64 built
 per stream.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -247,25 +247,46 @@ def _heads(state: int, inc: int, tiles: _Tiles) -> tuple[list, list]:
     return heads, words64[-1, :, :4].tolist()
 
 
+# (A, C) for each chunk size n: n LCG steps take a PCG64 state s to
+# A * s + C * inc mod 2**128, with A = M**n and C = 1 + M + ... + M**(n-1)
+# (Brown, "Random number generation with arbitrary strides", 1994)
+_JUMPS = {
+    n: (_PCG_MULT**n & _MASK128, (_PCG_MULT**n - 1) // (_PCG_MULT - 1) & _MASK128)
+    for n in (4, 8, 16, 32, 64, 128, 256)
+}
+
+
 class _SharedGenerator:
     """The one PCG64 generator every RandomStream refills its chunks from.
 
-    It holds the position of its owner, the last stream to draw, which
-    ``owner`` references weakly.  Any other stream writes its position in
-    first, and a displaced owner that is still alive reads its own back
-    out.  The lock keeps the write and the draw together, so streams in
-    different threads stay independent.
+    It tracks no stream: under the lock, a refill writes the stream's state
+    and increment into ``words`` and draws its chunk.  numpy's PCG64 holds
+    its pair ``{state, inc}`` inside the object, each an ``__uint128`` (low
+    word first) or a struct ``{high, low}``; a probe written through
+    numpy's state setter picks the order of the four fields, and a pointer
+    outside the object or any other layout raises ImportError.
     """
 
     def __init__(self) -> None:
-        self.bitgen = np.random.PCG64(0)
-        self.random = np.random.Generator(self.bitgen).random
+        self.bitgen = bitgen = np.random.PCG64(0)
+        self.random = np.random.Generator(bitgen).random
         self.lock = threading.Lock()
-        self.owner: Callable[[], RandomStream | None] = lambda: None
-        # numpy's first draw and first state write in a process are slow;
-        # pay both at import, on a state no stream owns
-        self.random(_FIRST_CHUNK)
-        self.bitgen.state = self.bitgen.state
+        address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+        if not 0 <= address - id(bitgen) <= bitgen.__sizeof__() - 32:
+            raise ImportError(f"numpy {np.__version__}: PCG64 state pointer outside the object")
+        probe = state, inc = 3 << 64 | 5, 7 << 64 | 9  # four different words
+        bitgen.state = dict(bitgen.state, state={"state": state, "inc": inc})
+        for halves in (("low", "high"), ("high", "low")):
+            fields = [(f"{x}_{h}", ctypes.c_uint64) for x in ("state", "inc") for h in halves]
+            words = type("_StateWords", (ctypes.Structure,), {"_fields_": fields})
+            self.words = w = words.from_address(address)
+            if (w.state_high << 64 | w.state_low, w.inc_high << 64 | w.inc_low) == probe:
+                return
+        seen = list((ctypes.c_uint64 * 4).from_address(address))
+        raise ImportError(
+            f"numpy {np.__version__}: PCG64 state words {seen} after the probe "
+            f"state {state:#x}, inc {inc:#x} match neither layout of pcg128_t"
+        )
 
 
 _SHARED = _SharedGenerator()
@@ -286,14 +307,14 @@ class RandomStream:
     negative seed or key element raises ValueError, as SeedSequence does.
     ``splits`` derives runs of consecutive children at once, each child
     with its first _HEAD doubles and its state after them.  Later doubles
-    are drawn in chunks from one shared generator, which holds the
-    position of the last stream to draw; a stream displaced from it that
-    is still alive reads that position back into ``_state``.  A chunk of n
-    holds the same doubles as n single draws, so neither chunking, nor
-    sharing, nor deriving in runs changes the sequence.
+    are drawn in chunks from one shared generator: a refill writes
+    ``_state`` and ``_inc`` into it, draws the chunk, and jumps ``_state``
+    past the chunk.  A chunk of n holds the same doubles as n single
+    draws, so neither chunking, nor sharing, nor deriving in runs changes
+    the sequence.
     """
 
-    __slots__ = ("seed", "key", "_state", "_inc", "_chunk", "_next", "__weakref__")
+    __slots__ = ("seed", "key", "_state", "_inc", "_chunk", "_next")
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = seed = int(seed)
@@ -318,20 +339,17 @@ class RandomStream:
         the current one has run out, and return its first double."""
         n = self._chunk
         self._chunk = min(2 * n, _MAX_CHUNK)
+        state, inc = self._state, self._inc
+        mult, add = _JUMPS[n]
         shared = _SHARED
         with shared.lock:
-            owner = shared.owner()
-            if owner is not self:
-                if owner is not None:
-                    owner._state = shared.bitgen.state["state"]["state"]
-                shared.bitgen.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": self._state, "inc": self._inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                shared.owner = weakref.ref(self)
+            words = shared.words
+            words.state_low = state & _MASK64
+            words.state_high = state >> 64
+            words.inc_low = inc & _MASK64
+            words.inc_high = inc >> 64
             doubles = shared.random(n).tolist()
+            self._state = (mult * state + add * inc) & _MASK128
         self._next = iter(doubles).__next__
         return self._next()
 
@@ -381,6 +399,9 @@ class RandomStream:
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, key={self.key})"
+
+
+RandomStream(0)._refill()  # numpy's first state write and draw are slow
 
 
 class StepCounter:

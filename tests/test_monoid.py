@@ -26,6 +26,11 @@ from conftest import cliques, path_model, restrict
 PATH4 = tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
 
 
+def letters_of(model, mask):
+    """The letter names of a mask, in index order."""
+    return [model.letters[i] for i in iter_bits(mask)]
+
+
 @st.composite
 def model_and_word(draw, max_letters=6, max_len=14):
     n = draw(st.integers(2, max_letters))
@@ -45,7 +50,7 @@ def test_normal_form_worked_example(path4):
     x = tg.normalize(path4, "abdcbad")
     assert tg.format_trace(path4, x) == "(a d)(b)(c)(b d)(a)"
     assert x.length == 7
-    assert path4.letters_of(tg.max_letters(path4, x)) == ["a", "d"]
+    assert letters_of(path4, tg.max_letters(path4, x)) == ["a", "d"]
 
 
 def test_single_letters_and_unit(path4):
@@ -277,7 +282,7 @@ def test_final_floor_is_the_lowest_landing_level_minus_one(mw):
 
 
 def test_cliques_of_path4(path4):
-    got = sorted(path4.letters_of(c) for c in cliques(path4))
+    got = sorted(letters_of(path4, c) for c in cliques(path4))
     assert got == [
         [],
         ["a"],
@@ -294,10 +299,10 @@ def test_cliques_of_path4(path4):
 def test_restrict_and_link(path4):
     sub = restrict(path4, "abd")
     assert sub.letters == ("a", "b", "d")
-    assert sub.letters_of(sub.dependence[sub.index_of("d")]) == ["d"]
-    assert sub.letters_of(sub.dependence[sub.index_of("a")]) == ["a", "b"]
-    assert path4.letters_of(link(path4, "b")) == ["a", "b", "c"]
-    assert path4.letters_of(link(path4, "a")) == ["a", "b"]
+    assert letters_of(sub, sub.dependence[sub.index_of("d")]) == ["d"]
+    assert letters_of(sub, sub.dependence[sub.index_of("a")]) == ["a", "b"]
+    assert letters_of(path4, link(path4, "b")) == ["a", "b", "c"]
+    assert letters_of(path4, link(path4, "a")) == ["a", "b"]
     with pytest.raises(ValueError, match="bits outside the alphabet"):
         restrict(path4, 0b10000)
 

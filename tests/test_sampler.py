@@ -1,11 +1,11 @@
 """Finite trace sampler: determinism, laws on moderate samples, step counts."""
 
+import gc
 import hashlib
 import math
 import signal
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ import tracegen as tg
 from conftest import cycle_model, path_model
 from tracegen.mobius import ROOT_MARGIN
 from tracegen.oracle import enumerate_traces, exact_occurrence, tv_distance
-from tracegen.sampler import _SHARED, PIVOT_RULES, Sampler, _log_ratio
+from tracegen.sampler import _SHARED, PIVOT_RULES, Sampler, _log_ratio, _SharedGenerator
 from tracegen.verify import empirical_distribution
 
 
@@ -566,12 +566,36 @@ def test_splits_rejects_a_negative_index():
 
 def test_shared_generator_keeps_no_stream_alive():
     stream = tg.RandomStream(5, (1,))
-    stream.uniform()
-    assert _SHARED.owner() is stream
-    ref = weakref.ref(stream)
-    del stream
-    assert ref() is None
-    assert _SHARED.owner() is None
+    count = sys.getrefcount(stream)
+    stream.uniform()  # a refill
+    assert sys.getrefcount(stream) == count
+    shared = [_SHARED, vars(_SHARED), *vars(_SHARED).values()]
+    assert not [r for r in gc.get_referrers(stream) if any(r is x for x in shared)]
+
+
+def test_refills_advance_each_stream_to_numpy_state():
+    # a stream built alone refills chunks of 4 doubling to 256, a run child
+    # of splits chunks of 64 doubling to 256; after each, the stream's own
+    # state is the one numpy's generator reached by drawing the chunk
+    alone = tg.RandomStream(13, (2,))
+    child = list(tg.RandomStream(13).splits(0, 2))[1]
+    for stream, sizes in [(alone, [4, 8, 16, 32, 64, 128, 256, 256]), (child, [64, 128, 256])]:
+        for n in sizes:
+            assert stream._chunk == n
+            stream._refill()
+            state = _SHARED.bitgen.state["state"]
+            assert (stream._state, stream._inc) == (state["state"], state["inc"]), n
+
+
+def test_shared_generator_rejects_an_unknown_state_layout(monkeypatch):
+    # a generator whose state setter writes nothing leaves words that match
+    # neither layout of numpy's pcg128_t
+    class Unwritable(np.random.PCG64):
+        state = property(np.random.PCG64.state.__get__, lambda self, value: None)
+
+    monkeypatch.setattr(np.random, "PCG64", Unwritable)
+    with pytest.raises(ImportError, match=f"numpy {np.__version__}: .* neither layout"):
+        _SharedGenerator()
 
 
 def test_threads_drawing_concurrently_equal_sequential_draws():

@@ -10,10 +10,10 @@ for the multiplicative probability laws on traces.
 The coefficients come from the pivot deletion identity
 mu_S = mu_{S minus a} - X mu_{S minus link(a)}, with a the lowest letter
 of S and mu of the empty alphabet equal to 1: a clique of S either avoids
-a or is a plus a clique of the letters independent of a.  The integer
-coefficient tuples are memoised per model, keyed by subset mask, so no
-clique is ever listed: a path of n letters reaches n + 1 subsets where it
-has Fibonacci many cliques.
+a or is a plus a clique of the letters independent of a.  One recursion
+runs it on a memo keyed by subset mask, so no clique is ever listed: a
+path of n letters reaches n + 1 subsets where it has Fibonacci many
+cliques.  It runs on coefficient tuples, memoised for one call only.
 
 The smallest root p_sigma is certified in exact integer arithmetic.
 Newton's iterates from 0, each step formed exactly and rounded once, give
@@ -39,9 +39,9 @@ or the platform.
 Everything here is deterministic.  A double p is a dyadic rational, so a
 polynomial value at p is computed exactly in integers and rounded once;
 near p_sigma, where the value is tiny next to the clique counts, float
-Horner evaluation would lose most digits.  A MobiusTable memoises these
-exact values per subset, so each sampler's geometric parameters are exact
-to one rounding too.
+Horner evaluation would lose most digits.  A MobiusTable runs the same
+recursion on these exact values, never on coefficients, so each sampler's
+geometric parameters are exact to one rounding too.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class MobiusPolynomial:
 
     coefficients: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def evaluate(self, p: float) -> float:
         """Value at the double p, computed exactly and rounded once."""
         return _rounded(_scaled_value(self.coefficients, float(p)))
@@ -86,22 +82,23 @@ class MobiusPolynomial:
         return sum(abs(c) for c in self.coefficients)
 
 
-@lru_cache(maxsize=64)
-def _coefficient_memo(model: IndependenceModel) -> dict[int, tuple[int, ...]]:
-    """Mobius coefficients of the subsets of one model met so far."""
-    return {0: (1,)}
-
-
-def _coefficients(
-    memo: dict[int, tuple[int, ...]], dep: tuple[int, ...], subset: int
-) -> tuple[int, ...]:
+def _recur(memo: dict, dep: tuple[int, ...], subset: int, step):
+    """mu of a subset by the deletion identity on its lowest letter a:
+    ``step(mu_{S minus a}, mu_{S minus link(a)})``, each subset's result
+    kept in ``memo``, which holds the empty subset's."""
     try:
         return memo[subset]
     except KeyError:
         pass
     low = subset & -subset
-    without = _coefficients(memo, dep, subset ^ low)
-    nolink = _coefficients(memo, dep, subset & ~dep[low.bit_length() - 1])
+    memo[subset] = value = step(
+        _recur(memo, dep, subset ^ low, step),
+        _recur(memo, dep, subset & ~dep[low.bit_length() - 1], step),
+    )
+    return value
+
+
+def _coefficient_step(without: tuple[int, ...], nolink: tuple[int, ...]) -> tuple[int, ...]:
     # S minus link(a) lies inside S minus a, so nolink is never longer, and
     # equal degree terms share a sign: no leading coefficient cancels
     out = list(without)
@@ -109,18 +106,14 @@ def _coefficients(
         out.append(0)
     for d, c in enumerate(nolink, 1):
         out[d] -= c
-    memo[subset] = coefficients = tuple(out)
-    return coefficients
+    return tuple(out)
 
 
 def mobius_polynomial(model: IndependenceModel, subset: int | None = None) -> MobiusPolynomial:
     """Clique polynomial of a subalphabet with alternating signs, by the
-    memoised pivot deletion recurrence on the lowest letter."""
-    mask = model.full_mask if subset is None else subset
-    if mask >> model.size:
-        raise ValueError("subset mask has bits outside the alphabet")
+    pivot deletion recurrence on the lowest letter."""
     return MobiusPolynomial(
-        _coefficients(_coefficient_memo(model), model.dependence, mask)
+        _recur({0: (1,)}, model.dependence, model.mask(subset), _coefficient_step)
     )
 
 
@@ -374,11 +367,9 @@ def smallest_root(model: IndependenceModel, subset: int | None = None) -> float:
     numpy version, and the range checks 0 < p < smallest_root admit only
     parameters below the true root.
     """
-    mask = model.full_mask if subset is None else subset
+    mask = model.mask(subset)
     if mask == 0:
         raise ValueError("the empty alphabet has no Mobius root")
-    if mask >> model.size:
-        raise ValueError("subset mask has bits outside the alphabet")
     return _smallest_root_cached(model, mask)
 
 
@@ -390,24 +381,31 @@ def is_irreducible(model: IndependenceModel) -> bool:
 
 
 class MobiusTable:
-    """Memoised Mobius values of one model at one fixed parameter.
+    """Exact Mobius values of one model at one fixed parameter.
 
-    Each subset's value at p is kept exact, as the integer pair (v, s) of
-    value v / 2^s, so ``value`` and ``occurrence`` round once.  Each table
-    has a single owner; parallel runs build one per worker process.
+    At p = n / 2^k each subset S keeps the integer pair (W_S, k|S|) with
+    mu_S(p) = W_S / 2^(k|S|), so ``value`` and ``occurrence`` round once.
+    The deletion identity on the lowest letter a of S, with T = S minus
+    link(a), reads W_S = W_{S minus a} 2^k - n W_T 2^(k (|S| - 1 - |T|)).
+    Each table has a single owner; parallel runs build one per worker.
     """
 
     def __init__(self, model: IndependenceModel, p: float):
         self.model = model
         self.p = float(p)
-        self._pairs: dict[int, tuple[int, int]] = {}
+        self._pairs: dict[int, tuple[int, int]] = {0: (1, 0)}
+        n, d = self.p.as_integer_ratio()
+        k = d.bit_length() - 1
+
+        def step(without: tuple[int, int], nolink: tuple[int, int]) -> tuple[int, int]:
+            w, s = without
+            v, t = nolink
+            return (w << k) - (n * v << (s - t)), s + k
+
+        self._step = step
 
     def _pair(self, subset: int) -> tuple[int, int]:
-        pair = self._pairs.get(subset)
-        if pair is None:
-            coefficients = mobius_polynomial(self.model, subset).coefficients
-            pair = self._pairs[subset] = _scaled_value(coefficients, self.p)
-        return pair
+        return _recur(self._pairs, self.model.dependence, subset, self._step)
 
     def value(self, subset: int) -> float:
         return _rounded(self._pair(subset))
@@ -445,7 +443,7 @@ def check_below_root(model: IndependenceModel, subset: int, p: float) -> None:
 
 def expected_length(model: IndependenceModel, p: float, subset: int | None = None) -> float:
     """Mean trace length under the multiplicative law at parameter p."""
-    mask = model.full_mask if subset is None else subset
+    mask = model.mask(subset)
     check_below_root(model, mask, p)
     poly = mobius_polynomial(model, mask)
     return -p * poly.derivative_at(p) / poly.evaluate(p)

@@ -65,6 +65,13 @@ class IndependenceModel:
     def full_mask(self) -> int:
         return (1 << len(self.letters)) - 1
 
+    def mask(self, subset: int | None = None) -> int:
+        """A subset mask, the full alphabet when None, checked to lie in it."""
+        mask = self.full_mask if subset is None else subset
+        if mask >> len(self.letters):
+            raise ValueError("subset mask has bits outside the alphabet")
+        return mask
+
     def index_of(self, letter: str) -> int:
         try:
             return self._index[letter]
@@ -150,11 +157,8 @@ def clique_size_counts(model: IndependenceModel, subset: int | None = None) -> l
 
 def _walk_cliques(model: IndependenceModel, subset: int | None) -> Iterator[int]:
     # the one clique walk: preorder, each clique before its extensions
-    full = model.full_mask if subset is None else subset
-    if full >> model.size:
-        raise ValueError("subset mask has bits outside the alphabet")
     dep = model.dependence
-    stack = [(0, full)]
+    stack = [(0, model.mask(subset))]
     while stack:
         clique, candidates = stack.pop()
         yield clique

@@ -21,12 +21,10 @@ MAX_ORACLE_LENGTH = 12
 
 
 def _check_guardrails(model: IndependenceModel, subset: int, n_max: int) -> None:
-    if subset >> model.size:
-        raise ValueError("subset mask has bits outside the alphabet")
-    if subset.bit_count() > MAX_ORACLE_LETTERS:
+    letters = model.mask(subset).bit_count()
+    if letters > MAX_ORACLE_LETTERS:
         raise ValueError(
-            f"oracle is limited to {MAX_ORACLE_LETTERS} letters, "
-            f"got {subset.bit_count()}"
+            f"oracle is limited to {MAX_ORACLE_LETTERS} letters, got {letters}"
         )
     if n_max < 0 or n_max > MAX_ORACLE_LENGTH:
         raise ValueError(
@@ -98,7 +96,7 @@ def enumerate_traces(
     letter and deduplicating on the normal form, then sorted for a
     deterministic order.
     """
-    mask = model.full_mask if subset is None else subset
+    mask = model.mask(subset)
     levels = tuple(
         tuple(Trace(f) for f in sorted(frontier))
         for frontier in _frontiers(model, mask, n_max)

@@ -499,10 +499,8 @@ class Sampler:
         target: int | None = None,
         counter: StepCounter | None = None,
     ):
-        subset = model.full_mask if subset is None else subset
-        target = subset if target is None else target
-        if subset >> model.size or target >> model.size:
-            raise ValueError("subset mask has bits outside the alphabet")
+        subset = model.mask(subset)
+        target = subset if target is None else model.mask(target)
         if subset & target:
             check_parameter(model, subset, params.p)
         self.model = model

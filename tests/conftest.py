@@ -82,16 +82,13 @@ def count_traces(
 ) -> list[int]:
     """Trace counts by length from the oracle's enumeration, keeping only
     one level alive, which is what makes length 12 counts practical."""
-    mask = model.full_mask if subset is None else subset
-    return [len(frontier) for frontier in _frontiers(model, mask, n_max)]
+    return [len(frontier) for frontier in _frontiers(model, model.mask(subset), n_max)]
 
 
 def restrict(model: IndependenceModel, letters) -> IndependenceModel:
     """Submodel induced on a subset of the alphabet, given as letter names
     or a mask, order preserved."""
-    mask = letters if isinstance(letters, int) else model.subset(letters)
-    if mask >> model.size:
-        raise ValueError("subset mask has bits outside the alphabet")
+    mask = model.mask(letters) if isinstance(letters, int) else model.subset(letters)
     keep = list(iter_bits(mask))
     if not keep:
         raise ValueError("cannot restrict to an empty alphabet")

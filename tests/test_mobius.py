@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 import tracegen as tg
 from tracegen.mobius import ROOT_MARGIN, _components, check_below_root
-from tracegen.monoid import clique_size_counts
-from tracegen.oracle import series_coefficients
+from tracegen.monoid import clique_size_counts, iter_bits
+from tracegen.oracle import exact_occurrence, series_coefficients
 
 from conftest import cycle_model, path_model, random_model, restrict
 
@@ -278,6 +278,24 @@ def test_mobius_table_memo_coherence(path4):
     table = tg.MobiusTable(path4, 0.2)
     for subset in range(path4.full_mask + 1):
         assert table.value(subset) == tg.mobius_eval(path4, subset, 0.2)
+
+
+@pytest.mark.parametrize("name", ["p4", "cycle5", "star4"])
+def test_table_values_are_exact_coefficient_sums(name, path4, star4):
+    # the table's recurrence on (W, k|S|) pairs against the coefficients
+    # summed in rationals; k = 3 at 2**-3 and k = 0 at 1.0 test its shifts
+    model = {"p4": path4, "cycle5": cycle_model(5), "star4": star4}[name]
+    for p in (0.2, 2**-3, 0.5 * tg.smallest_root(model), 1.0):
+        table = tg.MobiusTable(model, p)
+        q = Fraction(p)
+        # largest subset first, so the recurrence starts from a cold memo
+        for x in range(model.full_mask, -1, -1):
+            coefficients = tg.mobius_polynomial(model, x).coefficients
+            exact = sum(c * q**d for d, c in enumerate(coefficients))
+            assert table.value(x) == float(exact)
+            if p < 1.0:
+                for i in iter_bits(x):
+                    assert table.occurrence(x, i) == exact_occurrence(model, x, i, p)
 
 
 def test_irreducibility(path4, comm2, free2):

@@ -53,9 +53,9 @@ class IndependenceModel:
         return {name: i for i, name in enumerate(self.letters)}
 
     @cached_property
-    def links(self) -> tuple[tuple[int, ...], ...]:
-        """``links[i]`` lists the letters dependent on letter i, i included."""
-        return tuple(tuple(iter_bits(mask)) for mask in self.dependence)
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """``neighbours[i]`` lists the letters dependent on letter i, i excluded."""
+        return tuple(tuple(iter_bits(mask & ~(1 << i))) for i, mask in enumerate(self.dependence))
 
     @property
     def size(self) -> int:
@@ -203,20 +203,22 @@ UNIT = Trace()
 
 
 def _drop(
-    links: Sequence[Sequence[int]], factors: list[int], levels: list[int], indices: Iterable[int]
+    neighbours: Sequence[Sequence[int]], factors: list[int], landing: list[int], indices: Iterable[int]
 ) -> None:
-    """Drop pieces onto the heap held by factors and levels, as ``Heap``
-    keeps them: each lands one level above the highest piece in its link."""
+    """Drop pieces onto the heap held by factors and landing, as ``Heap``
+    keeps them: piece i lands on ``landing[i]`` and lifts its link above it."""
+    top = len(factors)
     for i in indices:
-        lvl = 0
-        for j in links[i]:
-            if levels[j] >= lvl:
-                lvl = levels[j] + 1
-        if lvl == len(factors):
+        lvl = landing[i]
+        up = landing[i] = lvl + 1
+        if lvl == top:
             factors.append(1 << i)
+            top = up
         else:
             factors[lvl] |= 1 << i
-        levels[i] = lvl
+        for j in neighbours[i]:
+            if landing[j] < up:
+                landing[j] = up
 
 
 class Heap:
@@ -224,32 +226,31 @@ class Heap:
     piece; ``normalize_indices`` drops pieces by the same loop, ``_drop``,
     on bare lists.
 
-    ``factors`` are the height levels, bottom first, and ``levels[i]`` is
-    the level of the highest piece labelled i, -1 when there is none.  A
-    dropped piece lands one level above the highest piece it depends on,
-    or at the bottom if there is none.
+    ``factors`` are the height levels, bottom first, and ``landing[i]`` is
+    the level the next piece labelled i lands on: one above the highest
+    piece in its link, 0 when there is none.  Dropping piece i raises the
+    landing level of i and of its dependence neighbours above it.
     """
 
-    __slots__ = ("links", "factors", "levels")
+    __slots__ = ("neighbours", "factors", "landing")
 
     def __init__(self, model: IndependenceModel, factors: Sequence[int] = ()):
-        self.links = model.links
+        self.neighbours = model.neighbours
         self.factors = list(factors)
-        self.levels = [-1] * model.size
+        top = [-1] * model.size
         for lvl, f in enumerate(self.factors):
             for i in iter_bits(f):
-                self.levels[i] = lvl
+                top[i] = lvl
+        self.landing = [max(top[j] for j in iter_bits(mask)) + 1 for mask in model.dependence]
 
     def extend(self, indices: Iterable[int]) -> None:
         """Drop the pieces with the given letter indices, in order."""
-        _drop(self.links, self.factors, self.levels, indices)
+        _drop(self.neighbours, self.factors, self.landing, indices)
 
     def final_floor(self) -> int:
         """The highest level that no later piece can land in, -1 when there
-        is none: a piece lands one level above the highest piece in its
-        link, so every level up to the lowest such top is final."""
-        levels = self.levels
-        return min(max(levels[j] for j in link) for link in self.links)
+        is none: every level below the lowest landing level is final."""
+        return min(self.landing) - 1
 
     def trace(self) -> Trace:
         return Trace(tuple(self.factors))
@@ -279,7 +280,7 @@ def normalize_indices(model: IndependenceModel, indices: Iterable[int]) -> Trace
     """Normal form of a word given as letter indices: its pieces dropped on
     an empty heap."""
     factors: list[int] = []
-    _drop(model.links, factors, [-1] * model.size, indices)
+    _drop(model.neighbours, factors, [0] * model.size, indices)
     return Trace(tuple(factors))
 
 

@@ -277,8 +277,50 @@ def test_final_floor_is_the_lowest_landing_level_minus_one(mw):
     for i in range(model.size):
         trial = Heap(model, heap.factors)
         trial.extend([i])
-        landings.append(trial.levels[i])
+        landings.append(max(lvl for lvl, f in enumerate(trial.factors) if f >> i & 1))
     assert heap.final_floor() == min(landings) - 1
+
+
+def peeled_factors(model, word):
+    """Cartier-Foata factors by peeling: the first factor is the letters
+    whose first occurrence has no dependent letter before it; take those
+    occurrences out of the word and repeat."""
+    dep = model.dependence
+    factors = []
+    while word:
+        factor = seen = 0
+        rest = []
+        for i in word:
+            if seen & dep[i]:
+                rest.append(i)
+            else:
+                factor |= 1 << i
+            seen |= 1 << i
+        factors.append(factor)
+        word = rest
+    return tuple(factors)
+
+
+@given(model_and_word())
+def test_normalize_indices_matches_peeled_factors(mw):
+    model, word = mw
+    assert tg.normalize_indices(model, word).factors == peeled_factors(model, word)
+
+
+@given(model_and_word())
+def test_heap_rebuilt_from_a_prefix_continues_as_the_one_pass_heap(mw):
+    model, word = mw
+    whole = Heap(model)
+    states = [([], -1)]
+    for i in word:
+        whole.extend([i])
+        states.append((list(whole.factors), whole.final_floor()))
+    for cut in range(len(word) + 1):
+        heap = Heap(model, tg.normalize_indices(model, word[:cut]).factors)
+        assert (heap.factors, heap.final_floor()) == states[cut]
+        for k in range(cut, len(word)):
+            heap.extend([word[k]])
+            assert (heap.factors, heap.final_floor()) == states[k + 1]
 
 
 def test_cliques_of_path4(path4):

@@ -149,7 +149,7 @@ def stream_split(base, run, n_runs, repeat):
                 child.key = base.key + (first + k,)
                 child._state = s_hi << 64 | s_lo
                 child._inc = i_hi << 64 | i_lo
-                child._chunk = sampler._RUN_CHUNK
+                child._chunk = sampler._MIN_CHUNK
                 child._next = iter(head).__next__
 
     def whole(xs):

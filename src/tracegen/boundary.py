@@ -20,8 +20,8 @@ parallel with output identical to the sequential run.
 
 from __future__ import annotations
 
-from .mobius import NotIrreducibleError, is_irreducible, smallest_root
-from .monoid import Heap, IndependenceModel, Trace, normalize_indices
+from .mobius import NotIrreducibleError, _components, smallest_root
+from .monoid import Heap, IndependenceModel, Trace, iter_bits, normalize_indices
 from .sampler import RandomStream, Sampler, SamplerParams, StepCounter
 
 _NO_LAST_BLOCK = 2**64  # an index no stream reaches
@@ -34,18 +34,34 @@ class BlockStream:
     hands out blocks and keeps only their count and total length, so an
     endless run holds bounded memory; a caller that reads the product of
     the blocks drops them on a ``Heap`` of its own.
+
+    Before any draw, the alphabet must be irreducible, the pivot one of its
+    letters and the alphabet larger than one letter.  The sampler's range
+    check then raises ValueError, quoting the pivot free root and
+    ROOT_MARGIN, unless p_star clears that root by the margin.
     """
 
     def __init__(self, model: IndependenceModel, pivot: str, seed: int):
+        components = list(_components(model.dependence, model.full_mask))
+        if len(components) > 1:
+            found = " ".join(
+                "{" + ",".join(model.letters[i] for i in iter_bits(c)) + "}" for c in components
+            )
+            raise NotIrreducibleError(
+                f"the uniform boundary measure needs an irreducible alphabet; the "
+                f"dependence graph has {len(components)} connected components {found}"
+            )
+        self.pivot_index = model.index_of(pivot)
+        if model.size == 1:
+            raise ValueError(
+                f"one letter alphabet: its boundary is the one point {pivot} . {pivot} ..."
+            )
         self.model = model
         self.pivot = pivot
-        self.pivot_index = model.index_of(pivot)
         self.seed = int(seed)
         self.p_star = smallest_root(model)
         self.block_target = model.dependence[self.pivot_index]
         self.block_subset = model.full_mask & ~(1 << self.pivot_index)
-        # the sampler's range check is the gap check: p_star must clear the
-        # root of the pivot free subalphabet by ROOT_MARGIN
         self._sampler = Sampler(
             model, SamplerParams(p=self.p_star), self.block_subset, self.block_target
         )
@@ -93,32 +109,8 @@ class BlockStream:
         return heap.trace()
 
 
-def open_stream(
-    model: IndependenceModel,
-    pivot: str,
-    seed: int,
-    allow_trivial: bool = False,
-) -> BlockStream:
-    """Validate the model and prepare a boundary stream.
-
-    The alphabet must be irreducible; a one letter alphabet is degenerate
-    (the only boundary point is a . a . a ...) and is rejected unless
-    allow_trivial is set.  The critical parameter must clear the root of
-    the pivot free subalphabet by ROOT_MARGIN, which irreducibility
-    guarantees up to numerics; the block sampler's range check raises
-    ValueError, quoting that root and the margin, if it does not.
-    """
-    if not is_irreducible(model):
-        raise NotIrreducibleError(
-            "the dependence graph is not connected; the uniform boundary "
-            "measure needs an irreducible alphabet"
-        )
-    model.index_of(pivot)
-    if model.size == 1 and not allow_trivial:
-        raise ValueError(
-            "one letter alphabet: the boundary is a single point; pass "
-            "allow_trivial=True to emit it anyway"
-        )
+def open_stream(model: IndependenceModel, pivot: str, seed: int) -> BlockStream:
+    """A checked boundary stream: ``BlockStream(model, pivot, seed)``."""
     return BlockStream(model, pivot, seed)
 
 
@@ -149,7 +141,6 @@ def parallel_run(
     seed: int,
     blocks: int,
     workers: int = 1,
-    allow_trivial: bool = False,
     counter: StepCounter | None = None,
 ) -> Trace:
     """Produce the first ``blocks`` blocks, optionally on worker processes.
@@ -162,7 +153,7 @@ def parallel_run(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    stream = open_stream(model, pivot, seed, allow_trivial)
+    stream = open_stream(model, pivot, seed)
     if workers == 1:
         xi = stream.run(blocks)
     else:

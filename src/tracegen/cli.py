@@ -97,20 +97,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.workers > 1 and not args.blocks:
         sys.stderr.write("error: --workers needs a finite --blocks count\n")
         return 2
-    # a ValueError here (a reducible model, an unknown pivot, a missing gap
-    # below the pivot free root) exits 2 through main, before any output
-    stream = boundary.open_stream(
-        model, pivot, args.seed, allow_trivial=args.allow_trivial
-    )
+    # a ValueError here (a reducible or one letter model, an unknown pivot, a
+    # missing gap below the pivot free root) exits 2 through main, before any output
+    stream = boundary.open_stream(model, pivot, args.seed)
     to_json = trace_json_formatter(model)
     # the header is the same whatever the worker count: the output of a
     # stream is a function of (model, pivot, seed) only
     print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}))
     if args.workers > 1:
-        xi = boundary.parallel_run(
-            model, pivot, args.seed, args.blocks, workers=args.workers,
-            allow_trivial=args.allow_trivial,
-        )
+        xi = boundary.parallel_run(model, pivot, args.seed, args.blocks, workers=args.workers)
         blocks = args.blocks
     else:
         emit_each = args.emit == "each-block"
@@ -209,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--emit", choices=("each-block", "final"),
                           default="each-block",
                           help="emit one record per block, or only the final trace")
-    p_stream.add_argument("--allow-trivial", action="store_true",
-                          help="permit the degenerate one letter alphabet")
     p_stream.set_defaults(func=_cmd_stream)
 
     p_verify = sub.add_parser(

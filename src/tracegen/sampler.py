@@ -46,14 +46,11 @@ from .monoid import IndependenceModel, Trace, iter_bits, normalize_indices
 
 PIVOT_RULES = ("lowindex", "maxdeg", "order")
 
-# Uniforms are drawn from the generator in chunks: the first holds
-# _FIRST_CHUNK doubles, so a short sample does not pay for many, and each
-# refill doubles the chunk up to _MAX_CHUNK.  A run child of ``splits``
-# holds _HEAD derived doubles and refills _RUN_CHUNK first: a draw on a
-# 28-letter model reads 28 to about 52 uniforms (mean 35), which chunks of
-# 16 and 32 served in two refills and 64 serves in one.
-_FIRST_CHUNK = 4
-_RUN_CHUNK = 64
+# Uniforms are drawn from the generator in chunks of _MIN_CHUNK doubles,
+# each refill doubling the chunk up to _MAX_CHUNK; a run child of
+# ``splits`` draws its _HEAD derived doubles first.  A draw on a 28-letter
+# model reads 28 to about 52 uniforms (mean 35), which one chunk serves.
+_MIN_CHUNK = 64
 _MAX_CHUNK = 256
 
 # RandomStream derives numpy's SeedSequence -> PCG64 state in Python
@@ -252,7 +249,7 @@ def _heads(state: int, inc: int, tiles: _Tiles) -> tuple[list, list]:
 # (Brown, "Random number generation with arbitrary strides", 1994)
 _JUMPS = {
     n: (_PCG_MULT**n & _MASK128, (_PCG_MULT**n - 1) // (_PCG_MULT - 1) & _MASK128)
-    for n in (4, 8, 16, 32, 64, 128, 256)
+    for n in (64, 128, 256)
 }
 
 
@@ -324,7 +321,7 @@ class RandomStream:
         else:
             pool, _ = _pool(seed, key)
         self._state, self._inc = _pcg64_seed(pool, _ONE)
-        self._chunk = _FIRST_CHUNK
+        self._chunk = _MIN_CHUNK
         self._next = iter(()).__next__
 
     def uniform(self) -> float:
@@ -393,7 +390,7 @@ class RandomStream:
             child.key = key + (first + k,)
             child._state = s_hi << 64 | s_lo
             child._inc = i_hi << 64 | i_lo
-            child._chunk = _RUN_CHUNK
+            child._chunk = _MIN_CHUNK
             child._next = iter(head).__next__
             yield child
 

@@ -261,19 +261,19 @@ def verify_cylinders(
     until the observed increment over a doubling falls under 1e-3, and the
     frequency at that point is compared with the target.
 
-    One stream per run, extended along the checkpoint ladder until its
-    bottom x_max_len heap levels are final.  At each checkpoint only those
-    levels are read, since a divisor of length L lives entirely in the
-    bottom L levels.  The first checkpoint at which each short divisor
-    appears is counted, which gives every frequency in the ladder in a
-    single pass.
+    One stream per run, the runs' streams derived together by
+    ``RandomStream(seed).splits``, each extended along the checkpoint
+    ladder until its bottom x_max_len heap levels are final.  At each
+    checkpoint only those levels are read, since a divisor of length L
+    lives entirely in the bottom L levels.  The first checkpoint at which
+    each short divisor appears is counted, which gives every frequency in
+    the ladder in a single pass.
     """
     blocks = open_stream(model, pivot, seed)
     p_star = blocks.p_star
 
     arrivals: Counter[tuple[Trace, int]] = Counter()
-    for run_idx in range(runs):
-        stream = RandomStream(seed, (run_idx,))
+    for stream in RandomStream(seed).splits(0, runs):
         heap = Heap(model)
         seen: set[Trace] = set()
         drawn = 0
@@ -633,14 +633,13 @@ def run_boundary_suite(
     stream = open_stream(model, pivot, seed)
     p_star = stream.p_star
 
-    if model.size > 1:
-        sub_root = smallest_root(model, stream.block_subset)
-        reports.append(
-            TestReport.make(
-                "critical-gap", sub_root - p_star, 1e-9, "ge", 1, seed,
-                p_star=p_star, pivot_free_root=sub_root,
-            )
+    sub_root = smallest_root(model, stream.block_subset)
+    reports.append(
+        TestReport.make(
+            "critical-gap", sub_root - p_star, 1e-9, "ge", 1, seed,
+            p_star=p_star, pivot_free_root=sub_root,
         )
+    )
 
     reports.append(
         TestReport.make(

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tracegen as tg
-from tracegen import sampler
+from tracegen import boundary, sampler
 from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
 from tracegen.monoid import UNIT, Heap, word_indices
@@ -27,13 +27,37 @@ def test_open_stream_rejects_unknown_pivot(path4):
         tg.open_stream(path4, "z", seed=1)
 
 
-def test_singleton_needs_explicit_opt_in():
+def refuse_any_draw(monkeypatch):
+    """Make solving a root, building a sampler or refilling a stream fail."""
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("the stream got past its checks")
+
+    monkeypatch.setattr(boundary, "smallest_root", drawn)
+    monkeypatch.setattr(boundary, "Sampler", drawn)
+    monkeypatch.setattr(tg.RandomStream, "_refill", drawn)
+
+
+def test_one_letter_alphabet_is_refused(monkeypatch):
     single = tg.build_model("a", [])
-    with pytest.raises(ValueError):
-        tg.open_stream(single, "a", seed=1)
-    stream = tg.open_stream(single, "a", seed=1, allow_trivial=True)
-    x = stream.run(5)
-    assert [single.letters[i] for i in word_indices(x)] == ["a"] * 5
+    refuse_any_draw(monkeypatch)
+    for build in (tg.BlockStream, tg.open_stream):
+        with pytest.raises(ValueError, match=r"one point a \. a \.\.\."):
+            build(single, "a", 1)
+    with pytest.raises(ValueError, match="one letter alphabet"):
+        tg.parallel_run(single, "a", 1, 5)
+
+
+def test_block_stream_rejects_a_reducible_model_before_any_draw(monkeypatch):
+    # a . b and c share no dependence: a stream of this model never emits c
+    model = tg.build_model("abc", [("a", "b")])
+    refuse_any_draw(monkeypatch)
+    with pytest.raises(tg.NotIrreducibleError) as exc:
+        tg.BlockStream(model, "a", 1)
+    assert str(exc.value) == (
+        "the uniform boundary measure needs an irreducible alphabet; the "
+        "dependence graph has 2 connected components {a,b} {c}"
+    )
 
 
 def squeeze_gap(monkeypatch):

@@ -277,6 +277,18 @@ def test_stream_rejects_reducible_model(tmp_path, capsys):
     assert "irreducible" in err
 
 
+def test_stream_refuses_a_one_letter_model(tmp_path, capsys):
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps({"letters": ["a"], "dependence": []}))
+    code, out, err = run_cli(capsys, "stream", "--model", str(single), "--blocks", "2")
+    assert code == 2 and out == ""
+    assert "one letter alphabet" in err
+    # the opt-in that once let it through is an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main(["stream", "--model", str(single), "--allow-trivial"])
+    assert exc.value.code == 2
+
+
 def test_analyze_counts_cliques_of_a_48_letter_path(capsys, tmp_path):
     letters = [f"x{i}" for i in range(48)]
     model_file = tmp_path / "path48.json"

@@ -479,13 +479,14 @@ def test_interleaved_streams_equal_their_solo_draws():
 
 
 def test_stream_resumes_after_a_live_stream_displaced_it():
-    # 9 draws take the chunks of 4 and 8; the second stream then takes the
-    # generator over, and the first must read its position back out
+    # 70 draws take the chunks of 64 and 128; the second stream then takes
+    # the generator over, and the first's next refill, at draw 193, must
+    # start from the first's own position
     first, second = tg.RandomStream(21, (1,)), tg.RandomStream(21, (2,))
-    head = [first.uniform() for _ in range(9)]
+    head = [first.uniform() for _ in range(70)]
     other = [second.uniform() for _ in range(5)]
-    tail = [first.uniform() for _ in range(40)]
-    assert head + tail == numpy_doubles(21, (1,), 49)
+    tail = [first.uniform() for _ in range(200)]
+    assert head + tail == numpy_doubles(21, (1,), 270)
     assert other == numpy_doubles(21, (2,), 5)
 
 
@@ -496,8 +497,8 @@ def test_stream_resumes_after_its_displacer_was_deleted():
     del second
     third = tg.RandomStream(21, (3,))
     other = [third.uniform() for _ in range(30)]
-    tail = [first.uniform() for _ in range(40)]
-    assert head + tail == numpy_doubles(21, (1,), 45)
+    tail = [first.uniform() for _ in range(100)]  # a refill past the first 64
+    assert head + tail == numpy_doubles(21, (1,), 105)
     assert other == numpy_doubles(21, (3,), 30)
 
 
@@ -574,12 +575,12 @@ def test_shared_generator_keeps_no_stream_alive():
 
 
 def test_refills_advance_each_stream_to_numpy_state():
-    # a stream built alone refills chunks of 4 doubling to 256, a run child
-    # of splits chunks of 64 doubling to 256; after each, the stream's own
-    # state is the one numpy's generator reached by drawing the chunk
+    # every stream refills chunks of 64 doubling to 256, a run child of
+    # splits after its 8 derived doubles; after each refill, the stream's
+    # own state is the one numpy's generator reached by drawing the chunk
     alone = tg.RandomStream(13, (2,))
     child = list(tg.RandomStream(13).splits(0, 2))[1]
-    for stream, sizes in [(alone, [4, 8, 16, 32, 64, 128, 256, 256]), (child, [64, 128, 256])]:
+    for stream, sizes in [(alone, [64, 128, 256, 256]), (child, [64, 128, 256])]:
         for n in sizes:
             assert stream._chunk == n
             stream._refill()

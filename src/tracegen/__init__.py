@@ -44,7 +44,6 @@ from .sampler import (
     RandomStream,
     SamplerParams,
     StepCounter,
-    sample,
     sample_many,
 )
 from .boundary import (
@@ -69,6 +68,6 @@ __all__ = [
     "MobiusPolynomial", "MobiusTable", "NotIrreducibleError",
     "RootNotFoundError", "expected_length", "is_irreducible", "mobius_eval",
     "mobius_polynomial", "recurrence_residual_coefficients", "smallest_root",
-    "RandomStream", "SamplerParams", "StepCounter", "sample", "sample_many",
+    "RandomStream", "SamplerParams", "StepCounter", "sample_many",
     "BlockStream", "open_stream", "parallel_run",
 ]

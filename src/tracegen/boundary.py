@@ -14,11 +14,16 @@ consecutive blocks interlock and the partial products converge to a
 boundary point with the uniform law.
 
 Each block is drawn from its own child random stream keyed by the block
-index, which makes the stream restartable and lets blocks be produced in
-parallel with output identical to the sequential run.
+index, by one recipe, ``BlockStream.draw_block``, which also counts the
+block's step.  ``BlockStream.words`` maps it over a range of indices, and
+the sequential run, a replay and the pool workers of ``parallel_run`` all
+take their blocks from it.  That makes the stream restartable and lets
+blocks be produced in parallel with output identical to the sequential run.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .mobius import NotIrreducibleError, _components, smallest_root
 from .monoid import Heap, IndependenceModel, Trace, iter_bits, normalize_indices
@@ -67,33 +72,34 @@ class BlockStream:
         )
         self.counter = self._sampler.counter
         self.stream = RandomStream(self.seed)
-        # the streams of blocks 0, 1, 2, ..., derived in runs
-        self._streams = self.stream.splits(0, _NO_LAST_BLOCK)
+        # the words of blocks 0, 1, 2, ..., from streams derived in runs
+        self._words = self.words(0, _NO_LAST_BLOCK)
         self.blocks_done = 0
         self.length = 0
 
     def draw_block(self, stream: RandomStream) -> list[int]:
-        """Letter indices of one block drawn from ``stream``, apex last."""
+        """Letter indices of one block drawn from ``stream``, apex last,
+        and one step on the counter for the block."""
         word = self._sampler.draw(stream)
         word.append(self.pivot_index)
+        self.counter.steps += 1
         return word
 
-    def block_word(self, index: int) -> list[int]:
-        """Letter indices of block ``index`` (0 based), by pure replay.
+    def words(self, start: int, stop: int) -> Iterator[list[int]]:
+        """The letter indices of blocks ``start`` to ``stop - 1`` (0 based).
 
-        The block depends only on (seed, index), not on the stream state,
-        so any block can be recomputed at will.
+        Block i depends only on (seed, i), not on the stream state, so any
+        range can be drawn, or redrawn, at will: ``next(words(i, i + 1))``
+        replays block i.  The streams come in runs derived at once by
+        ``RandomStream.splits``.
         """
-        return self.draw_block(self.stream.split(index))
+        return map(self.draw_block, self.stream.splits(start, stop))
 
     def advance(self) -> list[int]:
-        """Draw the next block and return its letter indices, one step on
-        the counter.  Its stream comes from runs derived at once by
-        ``RandomStream.splits``."""
-        word = self.draw_block(next(self._streams))
+        """Draw the next block and return its letter indices."""
+        word = next(self._words)
         self.length += len(word)
         self.blocks_done += 1
-        self.counter.steps += 1
         return word
 
     def next_block(self) -> Trace:
@@ -130,8 +136,7 @@ def _block_words(blocks: range) -> tuple[list[bytes], int]:
     bytes, one per letter."""
     stream = _worker_stream
     before = stream.counter.steps
-    children = stream.stream.splits(blocks.start, blocks.stop)
-    words = [bytes(stream.draw_block(child)) for child in children]
+    words = [bytes(w) for w in stream.words(blocks.start, blocks.stop)]
     return words, stream.counter.steps - before
 
 
@@ -169,11 +174,10 @@ def parallel_run(
             initargs=(model, pivot, seed),
         ) as pool:
             for words, spent in pool.map(_block_words, ranges):
-                # plus one step per block, as BlockStream.advance counts
-                stream.counter.steps += spent + len(words)
+                stream.counter.steps += spent
                 for word in words:
                     heap.extend(word)
         xi = heap.trace()
     if counter is not None:
-        counter.add(stream.counter.steps)
+        counter.steps += stream.counter.steps
     return xi

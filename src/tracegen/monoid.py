@@ -226,22 +226,19 @@ class Heap:
     piece; ``normalize_indices`` drops pieces by the same loop, ``_drop``,
     on bare lists.
 
-    ``factors`` are the height levels, bottom first, and ``landing[i]`` is
-    the level the next piece labelled i lands on: one above the highest
-    piece in its link, 0 when there is none.  Dropping piece i raises the
-    landing level of i and of its dependence neighbours above it.
+    A heap starts empty.  ``factors`` are the height levels, bottom first,
+    and ``landing[i]`` is the level the next piece labelled i lands on: one
+    above the highest piece in its link, 0 when there is none.  Dropping
+    piece i raises the landing level of i and of its dependence neighbours
+    above it.
     """
 
     __slots__ = ("neighbours", "factors", "landing")
 
-    def __init__(self, model: IndependenceModel, factors: Sequence[int] = ()):
+    def __init__(self, model: IndependenceModel):
         self.neighbours = model.neighbours
-        self.factors = list(factors)
-        top = [-1] * model.size
-        for lvl, f in enumerate(self.factors):
-            for i in iter_bits(f):
-                top[i] = lvl
-        self.landing = [max(top[j] for j in iter_bits(mask)) + 1 for mask in model.dependence]
+        self.factors: list[int] = []
+        self.landing = [0] * model.size
 
     def extend(self, indices: Iterable[int]) -> None:
         """Drop the pieces with the given letter indices, in order."""
@@ -285,14 +282,13 @@ def normalize_indices(model: IndependenceModel, indices: Iterable[int]) -> Trace
 
 
 def concat(model: IndependenceModel, x: Trace, y: Trace) -> Trace:
-    """Product of two traces: drop the pieces of y onto the heap of x."""
+    """Product of two traces: the pieces of x, then those of y, dropped on
+    an empty heap."""
     if x.is_unit:
         return y
     if y.is_unit:
         return x
-    heap = Heap(model, x.factors)
-    heap.extend(word_indices(y))
-    return heap.trace()
+    return normalize_indices(model, word_indices(x) + word_indices(y))
 
 
 def max_letters(model: IndependenceModel, x: Trace) -> int:

@@ -7,15 +7,17 @@ that event.  Sampling is by pivot decomposition: pick a pivot letter a in
 S and T, draw the number K of pyramidal prefixes with apex a from a
 geometric law, then fill each prefix and the remainder the same way over
 the alphabet without a.  A Sampler serves one root state (S, T) and
-checks its masks and p once, when it is built; ``sample``,
-``sample_many`` and the boundary blocks each build one.  Each state of the
-recursion is compiled once into a node holding its pivot, the log of its
-geometric parameter and its two child states, and a draw runs the nodes on
-an explicit stack.  A visit to a state always runs on through its rest
-chain, the states reached by removing pivots, so each chain is resolved
-and its steps counted once, when it is first entered.  The cost is linear
-in output length, with a factor for the alphabet size: every draw walks
-its root's rest chain and reads one uniform per node of it.
+checks its masks and p once, when it is built: ``sample_many`` builds one
+per call and a ``BlockStream`` one for all its blocks, and a single draw
+is ``normalize_indices(model, Sampler(model, params).draw(stream))``.
+Each state of the recursion is compiled once into a node holding its
+pivot, the log of its geometric parameter and its two child states, and a
+draw runs the nodes on an explicit stack.  A visit to a state always runs
+on through its rest chain, the states reached by removing pivots, so each
+chain is resolved and its steps counted once, when it is first entered.
+The cost is linear in output length, with a factor for the alphabet size:
+every draw walks its root's rest chain and reads one uniform per node of
+it.
 
 Every sample and boundary block draws from its own stream keyed by
 (seed, index): numpy's SeedSequence -> PCG64 stream, whose state an
@@ -409,16 +411,14 @@ class StepCounter:
     the operations the linear cost bound is stated over.  The compiled
     sampler adds each rest chain's share when the chain is entered, and
     each node's share per geometric unit, empty states included, so the
-    totals are those of the plain recursion.
+    totals are those of the plain recursion.  ``BlockStream.draw_block``
+    adds one more step per boundary block.  Callers add to ``steps``.
     """
 
     __slots__ = ("steps",)
 
     def __init__(self) -> None:
         self.steps = 0
-
-    def add(self, n: int = 1) -> None:
-        self.steps += n
 
 
 def _log_ratio(r: float) -> float:
@@ -648,20 +648,6 @@ def check_parameter(model: IndependenceModel, subset: int, p: float) -> None:
             f"root={root!r} is the smallest Mobius root of the subalphabet and "
             f"ROOT_MARGIN={ROOT_MARGIN!r}"
         )
-
-
-def sample(
-    model: IndependenceModel,
-    params: SamplerParams,
-    stream: RandomStream | None = None,
-    counter: StepCounter | None = None,
-) -> Trace:
-    """One unconditioned sample over the full alphabet, drawn from
-    ``stream`` (default the root stream of ``params.seed``)."""
-    sampler = Sampler(model, params, counter=counter)
-    if stream is None:
-        stream = RandomStream(params.seed)
-    return normalize_indices(model, sampler.draw(stream))
 
 
 def sample_many(

@@ -174,15 +174,31 @@ def test_pivot_count_tracks_blocks(path4):
     assert xi.letter_count(path4.index_of("c")) == 500
 
 
-def test_block_word_replays_the_sequential_stream(path4):
+def test_words_replay_the_sequential_stream(path4):
     stream = tg.open_stream(path4, "a", seed=7)
     sequential = [
         [path4.letters[i] for i in word_indices(stream.next_block())] for _ in range(50)
     ]
     replay = tg.open_stream(path4, "a", seed=7)
     for i in (0, 7, 23, 49):
-        word = [path4.letters[j] for j in replay.block_word(i)]
+        word = [path4.letters[j] for j in next(replay.words(i, i + 1))]
         assert word == sequential[i]
+
+
+def test_words_equal_the_advance_calls_and_their_steps():
+    # 300 blocks cross the runs of 1, 16, 32, 64, 128 and 256 streams
+    model = path_model(6)
+    stream = tg.open_stream(model, "x0", seed=19)
+    ranged = tg.open_stream(model, "x0", seed=19)
+    assert list(ranged.words(0, 300)) == [stream.advance() for _ in range(300)]
+    assert ranged.counter.steps == stream.counter.steps
+
+
+def test_words_straddling_a_key_of_2_to_the_32_equal_their_splits(path4):
+    stream = tg.open_stream(path4, "b", seed=23)
+    got = list(stream.words(2**32 - 2, 2**32 + 2))
+    want = [stream.draw_block(stream.stream.split(i)) for i in range(2**32 - 2, 2**32 + 2)]
+    assert got == want
 
 
 def test_interleaved_run_advance_and_next_block_replay_every_block():
@@ -192,19 +208,20 @@ def test_interleaved_run_advance_and_next_block_replay_every_block():
     model = path_model(6)
     stream = tg.open_stream(model, "x0", seed=17)
     replay = tg.open_stream(model, "x0", seed=17)
+    words = [next(replay.words(b, b + 1)) for b in range(301)]  # one block each
 
     def product(blocks):
-        return tg.normalize_indices(model, [i for b in blocks for i in replay.block_word(b)])
+        return tg.normalize_indices(model, [i for b in blocks for i in words[b]])
 
     assert stream.run(3) == product(range(3))
-    assert stream.advance() == replay.block_word(3)
-    assert stream.next_block() == tg.normalize_indices(model, replay.block_word(4))
+    assert stream.advance() == words[3]
+    assert stream.next_block() == tg.normalize_indices(model, words[4])
     assert stream.run(42) == product(range(5, 47))
-    assert stream.advance() == replay.block_word(47)
+    assert stream.advance() == words[47]
     assert stream.run(252) == product(range(48, 300))
-    assert stream.next_block() == tg.normalize_indices(model, replay.block_word(300))
+    assert stream.next_block() == tg.normalize_indices(model, words[300])
     assert stream.blocks_done == 301
-    assert stream.length == sum(len(replay.block_word(b)) for b in range(301))
+    assert stream.length == sum(len(w) for w in words)
 
 
 def test_parallel_run_matches_sequential(path4):

@@ -17,6 +17,13 @@ from tracegen.mobius import ROOT_MARGIN
 from tracegen.sampler import Sampler
 
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "p4.json")
+# pyproject.toml's pythonpath reaches this process only, not the
+# interpreters the tests start
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(capsys, *argv):
@@ -350,7 +357,7 @@ def test_verify_refuses_models_past_the_oracle_cap_before_sampling(
 def test_module_invocation_works():
     proc = subprocess.run(
         [sys.executable, "-m", "tracegen.cli", "analyze", "--model", MODEL],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p_sigma"] == 0.333333333333
@@ -362,7 +369,9 @@ def test_cli_import_leaves_scipy_unloaded():
     lean = {"tracegen.oracle", "tracegen.verify", "concurrent.futures.process"}
     for module, unwanted in [("tracegen.cli", set()), ("tracegen", lean)]:
         code = f"import json, sys, {module}\nprint(json.dumps(sorted(sys.modules)))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+        )
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout)
         assert [m for m in loaded if m.split(".")[0] == "scipy" or m in unwanted] == [], module
@@ -372,7 +381,9 @@ def test_cli_import_leaves_the_suites_unloaded():
     # sample and stream need neither the suites nor the oracle; verify
     # imports them when it runs
     code = "import json, sys, tracegen.cli\nprint(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
     assert loaded & {"tracegen.oracle", "tracegen.verify"} == set()

@@ -275,8 +275,8 @@ def test_final_floor_is_the_lowest_landing_level_minus_one(mw):
     heap.extend(word)
     landings = []
     for i in range(model.size):
-        trial = Heap(model, heap.factors)
-        trial.extend([i])
+        trial = Heap(model)
+        trial.extend(word + [i])
         landings.append(max(lvl for lvl, f in enumerate(trial.factors) if f >> i & 1))
     assert heap.final_floor() == min(landings) - 1
 
@@ -305,22 +305,6 @@ def peeled_factors(model, word):
 def test_normalize_indices_matches_peeled_factors(mw):
     model, word = mw
     assert tg.normalize_indices(model, word).factors == peeled_factors(model, word)
-
-
-@given(model_and_word())
-def test_heap_rebuilt_from_a_prefix_continues_as_the_one_pass_heap(mw):
-    model, word = mw
-    whole = Heap(model)
-    states = [([], -1)]
-    for i in word:
-        whole.extend([i])
-        states.append((list(whole.factors), whole.final_floor()))
-    for cut in range(len(word) + 1):
-        heap = Heap(model, tg.normalize_indices(model, word[:cut]).factors)
-        assert (heap.factors, heap.final_floor()) == states[cut]
-        for k in range(cut, len(word)):
-            heap.extend([word[k]])
-            assert (heap.factors, heap.final_floor()) == states[k + 1]
 
 
 def test_cliques_of_path4(path4):

@@ -76,7 +76,7 @@ def test_sampler_params_validation():
 def test_sample_rejects_p_at_or_beyond_root(path4):
     for bad in (1 / 3, 0.34, 0.5, 0.0, -0.2):
         with pytest.raises(ValueError):
-            tg.sample(path4, tg.SamplerParams(p=bad, seed=1))
+            Sampler(path4, tg.SamplerParams(p=bad, seed=1))
 
 
 def test_sample_many_checks_p_when_called(path4):
@@ -125,12 +125,13 @@ def test_subset_sampling_allows_larger_p(path4):
     for factor in x.factors:
         assert factor & ~bcd == 0
     with pytest.raises(ValueError):
-        tg.sample(path4, params)
+        Sampler(path4, params)
 
 
 def test_sample_determinism(path4):
     params = tg.SamplerParams(p=0.2, seed=11)
-    assert tg.sample(path4, params) == tg.sample(path4, params)
+    twice = [Sampler(path4, params).draw(tg.RandomStream(params.seed)) for _ in range(2)]
+    assert twice[0] == twice[1]
     first = list(tg.sample_many(path4, params, 50))
     again = list(tg.sample_many(path4, params, 50))
     assert first == again
@@ -169,11 +170,11 @@ def test_conditioned_max_stays_inside_target(path4):
 def test_unconditioned_counter_bound(path4):
     params = tg.SamplerParams(p=0.2, seed=8)
     n_letters = path4.size
+    sampler = Sampler(path4, params)
     for i in range(2000):
-        counter = tg.StepCounter()
-        stream = tg.RandomStream(8, (i,))
-        x = tg.sample(path4, params, stream=stream, counter=counter)
-        assert counter.steps <= 3 * (n_letters + 1) * (x.length + 1)
+        before = sampler.counter.steps
+        x = tg.normalize_indices(path4, sampler.draw(tg.RandomStream(8, (i,))))
+        assert sampler.counter.steps - before <= 3 * (n_letters + 1) * (x.length + 1)
 
 
 def test_all_pivot_rules_sample_the_same_law(path4):
@@ -229,8 +230,9 @@ def test_sample_many_draws_are_pinned(path4, pivot, seed, conditioned, letters, 
 def test_sample_calls_with_one_counter_are_pinned(path4):
     params = tg.SamplerParams(p=0.25, seed=99)
     counter = tg.StepCounter()
+    sampler = Sampler(path4, params, counter=counter)
     letters = sum(
-        tg.sample(path4, params, stream=tg.RandomStream(5, (i,)), counter=counter).length
+        tg.normalize_indices(path4, sampler.draw(tg.RandomStream(5, (i,)))).length
         for i in range(500)
     )
     assert (letters, counter.steps) == (1634, 15233)
@@ -307,18 +309,19 @@ def test_compiled_blocks_match_recursion_at_p_sigma(model):
     params = tg.SamplerParams(p=stream.p_star)
     for i in range(200):
         before = stream.counter.steps
-        got = stream.block_word(i)
+        got = next(stream.words(i, i + 1))
         want, steps = reference_draw(
             model, params, stream.block_subset, stream.block_target, stream.stream.split(i)
         )
         assert got == want + [stream.pivot_index]
-        assert stream.counter.steps - before == steps
+        # plus the block's own step
+        assert stream.counter.steps - before == steps + 1
 
 
 def test_compiled_node_checks_geometric_parameter(path4, monkeypatch):
     monkeypatch.setattr(tg.MobiusTable, "occurrence", lambda self, subset, pivot: 1.0)
     with pytest.raises(ValueError, match=r"got 1\.0"):
-        tg.sample(path4, tg.SamplerParams(p=0.2, seed=1))
+        Sampler(path4, tg.SamplerParams(p=0.2, seed=1)).draw(tg.RandomStream(1))
 
 
 def chorded_cycle(n_letters, chords):

@@ -5,19 +5,21 @@ Two splits, in microseconds:
 
 - ``refill_us``: one refill of a run child (a chunk of ``--chunk``
   doubles), split into taking the shared generator's lock, writing the
-  stream's four state words, ``random(n)``, ``tolist`` and the LCG jump
-  that advances the stream's state; ``whole`` times ``RandomStream._refill``
+  stream's four state words, ``random(n)``, ``tolist`` and reading the
+  advanced state words back; ``whole`` times ``RandomStream._refill``
   itself on the same streams.
 - ``stream_us``: one stream derived in a run of ``--run`` consecutive keys
   by ``RandomStream.splits``, split into hashing the keys into the pools
-  (absorb), PCG64 seeding, the first doubles (heads) and building the child
-  objects; ``whole`` times ``RandomStream._run`` itself.
+  (absorb), generate_state's output words that seed PCG64 (seed), the
+  first doubles and the state after them by LCG jumps (heads) and building
+  the child objects; ``whole`` times ``RandomStream._run`` itself.
 
 Each part is timed alone over the same inputs, in a loop of its own, with
 the cost of an empty loop taken off, so the parts need not add up exactly
 to ``whole``.  ``first_refill_us`` is the first refill made in this
-process after ``import tracegen``, before any loop; run the script in
-fresh interpreters to see how it varies.
+process after ``import tracegen``, before any loop, by a run child, whose
+state was derived with its run; run the script in fresh interpreters to
+see how it varies.
 
     PYTHONPATH=src python scripts/rng_costs.py --streams 20000
 """
@@ -30,7 +32,7 @@ import time
 import numpy as np
 
 from tracegen import sampler
-from tracegen.sampler import _JUMPS, _MASK64, _MASK128, _SHARED, RandomStream
+from tracegen.sampler import _MAX_CHUNK, _MIN_CHUNK, _SHARED, RandomStream
 
 
 def per_call_us(fn, items, repeat):
@@ -56,8 +58,7 @@ def empty(xs):
 def refill_split(children, chunk, repeat):
     shared = _SHARED
     lock, words, random = shared.lock, shared.words, shared.random
-    mult, add = _JUMPS[chunk]
-    pairs = [(c._state, c._inc) for c in children]
+    states = [c._state for c in children]
     arrays = [random(chunk) for _ in range(64)]
 
     def take_lock(xs):
@@ -66,11 +67,8 @@ def refill_split(children, chunk, repeat):
                 pass
 
     def write(xs):
-        for state, inc in xs:
-            words.state_low = state & _MASK64
-            words.state_high = state >> 64
-            words.inc_low = inc & _MASK64
-            words.inc_high = inc >> 64
+        for state in xs:
+            words.state_low, words.state_high, words.inc_low, words.inc_high = state
 
     def draw(xs):
         for _ in xs:
@@ -80,16 +78,16 @@ def refill_split(children, chunk, repeat):
         for i in range(len(xs)):
             arrays[i & 63].tolist()
 
-    def advance(xs):
-        for state, inc in xs:
-            (mult * state + add * inc) & _MASK128
+    def read(xs):
+        for _ in xs:
+            words.state_low, words.state_high, words.inc_low, words.inc_high
 
     parts = {
-        "lock": per_call_us(take_lock, pairs, repeat),
-        "write": per_call_us(write, pairs, repeat),
-        "random": per_call_us(draw, pairs, repeat),
-        "tolist": per_call_us(to_list, pairs, repeat),
-        "advance": per_call_us(advance, pairs, repeat),
+        "lock": per_call_us(take_lock, states, repeat),
+        "write": per_call_us(write, states, repeat),
+        "random": per_call_us(draw, states, repeat),
+        "tolist": per_call_us(to_list, states, repeat),
+        "read": per_call_us(read, states, repeat),
     }
     parts["sum"] = sum(parts.values())
 
@@ -104,7 +102,7 @@ def refill_split(children, chunk, repeat):
         copies = []
         for c in children:
             copy = RandomStream.__new__(RandomStream)
-            copy.seed, copy.key, copy._state, copy._inc = c.seed, c.key, c._state, c._inc
+            copy.seed, copy.key, copy._state = c.seed, c.key, c._state
             copy._chunk = chunk
             copies.append(copy)
         t0 = time.perf_counter()
@@ -115,47 +113,44 @@ def refill_split(children, chunk, repeat):
 
 
 def stream_split(base, run, n_runs, repeat):
-    tiles = sampler._tiles(run)
     pool, t = sampler._pool(base.seed, base.key)
     firsts = [1 + k * run for k in range(n_runs)]
 
     def words_of(first):
         low, *high = sampler._words(first)
-        return [low * tiles.ones + tiles.ramp] + [w * tiles.ones for w in high]
+        return [np.arange(low, low + run, dtype=np.uint32), *high]
 
     keys = [words_of(first) for first in firsts]
-    pools = [sampler._absorb(sampler._tile(pool, run), t, w, tiles)[0] for w in keys]
-    seeded = [sampler._pcg64_seed(p, tiles) for p in pools]
-    headed = [sampler._heads(s, i, tiles) for s, i in seeded]
+    pools = [sampler._hash_words(pool, t, w)[0] for w in keys]
+    seeded = [sampler._seeds(p, 0, ()) for p in pools]
+    headed = [sampler._heads(s) for s in seeded]
 
     def absorb(xs):
         for first in xs:
-            sampler._absorb(sampler._tile(pool, run), t, words_of(first), tiles)
+            sampler._hash_words(pool, t, words_of(first))
 
     def seed(xs):
         for p in xs:
-            sampler._pcg64_seed(p, tiles)
+            sampler._seeds(p, 0, ())
 
     def heads(xs):
-        for s, i in xs:
-            sampler._heads(s, i, tiles)
+        for s in xs:
+            sampler._heads(s)
 
     def children(xs):
         new = RandomStream.__new__
         for first, (hs, ends) in zip(firsts, xs):
-            for k, (head, (s_lo, s_hi, i_lo, i_hi)) in enumerate(zip(hs, ends)):
+            for k, (head, state) in enumerate(zip(hs, ends)):
                 child = new(RandomStream)
                 child.seed = base.seed
                 child.key = base.key + (first + k,)
-                child._state = s_hi << 64 | s_lo
-                child._inc = i_hi << 64 | i_lo
+                child._state = state
                 child._chunk = sampler._MIN_CHUNK
                 child._next = iter(head).__next__
 
     def whole(xs):
         for first in xs:
-            for _ in base._run(first, run):
-                pass
+            base._run(first, run)
 
     parts = {
         "absorb": per_call_us(absorb, firsts, repeat) / run,
@@ -171,13 +166,14 @@ def stream_split(base, run, n_runs, repeat):
 def main():
     parser = argparse.ArgumentParser(description="Cost split of the RNG layer")
     parser.add_argument("--streams", type=int, default=20000, help="run children timed")
-    parser.add_argument("--chunk", type=int, default=64, choices=sorted(_JUMPS))
+    parser.add_argument("--chunk", type=int, default=_MIN_CHUNK,
+                        choices=[_MIN_CHUNK, 2 * _MIN_CHUNK, _MAX_CHUNK])
     parser.add_argument("--run", type=int, default=256, help="streams per derived run")
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    first = RandomStream(args.seed, (2**40,))
+    (first,) = RandomStream(args.seed)._run(2**40, 1)
     t0 = time.perf_counter()
     first._refill()
     first_refill_us = (time.perf_counter() - t0) * 1e6

@@ -57,7 +57,7 @@ class IndependenceModel:
         """``neighbours[i]`` lists the letters dependent on letter i, i excluded."""
         return tuple(tuple(iter_bits(mask & ~(1 << i))) for i, mask in enumerate(self.dependence))
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.letters)
 
@@ -173,21 +173,26 @@ def _walk_cliques(model: IndependenceModel, subset: int | None) -> Iterator[int]
 # ---------------------------------------------------------------------------
 # Traces
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trace:
     """A trace in Cartier-Foata normal form.
 
     ``factors`` is the tuple of height levels of the heap, bottom first;
     each level is a nonempty bit mask of pairwise independent letters, and
     every letter of a level depends on some letter of the level below.
-    Equality of traces is equality of factor tuples.
+    Equality of traces is equality of factor tuples.  A trace is frozen:
+    its constructor writes ``factors`` straight into the instance dict, and
+    assigning to it raises FrozenInstanceError.
     """
 
-    factors: tuple[int, ...] = ()
+    factors: tuple[int, ...]
+
+    def __init__(self, factors: tuple[int, ...] = ()):
+        self.__dict__["factors"] = factors
 
     @cached_property
     def length(self) -> int:
-        return sum(f.bit_count() for f in self.factors)
+        return sum(map(int.bit_count, self.factors))
 
     @property
     def is_unit(self) -> bool:

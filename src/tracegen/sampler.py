@@ -20,16 +20,17 @@ every draw walks its root's rest chain and reads one uniform per node of
 it.
 
 Every sample and boundary block draws from its own stream keyed by
-(seed, index): numpy's SeedSequence -> PCG64 stream, whose state an
-in-repo copy of SeedSequence's key hash computes.  ``sample_many`` and the
-block runs take their streams from ``RandomStream.splits``, which derives
-runs of consecutive keys in one pass of that hash, with each stream's
-first doubles computed in numpy.  Later doubles come in chunks from one
-shared PCG64: a refill writes the stream's state into the generator's
-state words, whose layout is checked once at import, draws the chunk, and
-advances the stream's state by a precomputed LCG jump.  The doubles are
-numpy's own, so the output is that of a SeedSequence and a PCG64 built
-per stream.
+(seed, index): numpy's SeedSequence -> PCG64 stream, whose seed an
+in-repo copy of SeedSequence's key hash computes in numpy uint32
+arithmetic.  ``sample_many`` and the block runs take their streams from
+``RandomStream.splits``, which derives runs of consecutive keys in one
+numpy pass: the key hash over the run's keys, then each stream's first
+doubles from its seed by precomputed LCG jumps in uint64 arithmetic.
+Later doubles come in chunks from one shared PCG64: a refill writes the
+stream's state words into the generator's, whose layout is checked once
+at import, draws the chunk, and reads the advanced state back.  The
+doubles are numpy's own, so the output is that of a SeedSequence and a
+PCG64 built per stream.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat, starmap
 from typing import Iterator
 
 import numpy as np
@@ -55,13 +57,13 @@ PIVOT_RULES = ("lowindex", "maxdeg", "order")
 _MIN_CHUNK = 64
 _MAX_CHUNK = 256
 
-# RandomStream derives numpy's SeedSequence -> PCG64 state in Python
-# integers.  SeedSequence hashes the seed's 32 bit words, zero padded to
-# four, into a pool of four words and mixes them across it; each further
-# seed word, then each word of the spawn key, is hashed four times and
-# mixed into every pool word.  The root pool of a seed is numpy's own;
-# the spawn key words are hashed here.  PCG64 seeds from the pool's 8
-# output words.
+# RandomStream derives numpy's SeedSequence -> PCG64 state.  SeedSequence
+# hashes the seed's 32 bit words, zero padded to four, into a pool of four
+# words and mixes them across it; each further seed word, then each word of
+# the spawn key, is hashed four times and mixed into every pool word.  The
+# root pool of a seed is numpy's own; the spawn key words are hashed here
+# in numpy uint32 arithmetic, whose products wrap mod 2**32 as
+# SeedSequence's do.  PCG64 seeds from the pool's 8 output words.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -69,44 +71,16 @@ _HASH_INIT_A = 0x43B0D7E5
 _HASH_MULT_A = 0x931E8875
 _HASH_INIT_B = 0x8B51F9DD
 _HASH_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# The derivation runs on n streams at once: the children of one stream
-# whose last key elements are consecutive.  A single stream is the case
-# n = 1.  Each quantity is one integer holding stream k's value in the
-# _STRIDE bits from _STRIDE * k: four words (a pool, or one half of
-# generate_state's output) as 32 bit lanes _SLOT bits apart, a PCG64 state
-# or increment as one 128 bit number.  A lane times a 32 bit constant
-# stays inside its slot (80 bits, as the mix's sums reach 2**65), and a
-# state times the LCG multiplier inside its stride, so each step of the
-# hash is a few big-integer operations whatever n is, and each LCG step
-# is one product.
-_SLOT = 80
-_STRIDE = 4 * _SLOT
-_STRIDE_BYTES = _STRIDE // 8
-
-# A run of streams is derived with its first _HEAD doubles: numpy's
-# next_double of PCG64, an LCG step then the XSL-RR output, computed for
-# the whole run in numpy.  Runs start at _FIRST_RUN streams and double up
-# to _MAX_RUN.
+# A run of streams is derived with their first _HEAD doubles: numpy's
+# next_double of PCG64, an LCG step then the XSL-RR output.  Runs start at
+# _FIRST_RUN streams and double up to _MAX_RUN.
 _HEAD = 8
 _FIRST_RUN = 16
 _MAX_RUN = 256
-
-
-def _lanes(values: list[int], width: int) -> int:
-    """One integer holding values[j] at bit width * j."""
-    return sum(v << (width * j) for j, v in enumerate(values))
-
-
-def _tile(value: int, n: int) -> int:
-    """n copies of a value below 2**_STRIDE, one per stream."""
-    return int.from_bytes(value.to_bytes(_STRIDE_BYTES, "little") * n, "little")
-
-
-_SPREAD = _lanes([1] * 4, _SLOT)  # a 32 bit word times this fills all 4 lanes
 
 
 def _words(n: int) -> list[int]:
@@ -122,137 +96,123 @@ def _words(n: int) -> list[int]:
     return words
 
 
-# generate_state xors its output word i with the i-th of these constants
-# and multiplies it by the next
-_OUTPUT_HASH = [_HASH_INIT_B * pow(_HASH_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)]
-
-
-class _Tiles:
-    """The lane constants of the derivation, repeated for n streams."""
-
-    __slots__ = ("n", "ones", "ramp", "pool", "slots", "offset", "xors", "mask64", "mask128")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.ones = _tile(1, n)
-        # k for stream k: its key element's offset from the run's first
-        self.ramp = int.from_bytes(
-            b"".join(k.to_bytes(_STRIDE_BYTES, "little") for k in range(n)), "little"
-        )
-        self.pool = _tile(_lanes([_MASK32] * 4, _SLOT), n)
-        self.slots = [_tile(_MASK32 << (_SLOT * j), n) for j in range(4)]
-        # keeps every lane >= 0 when the mix subtracts
-        self.offset = _tile(_lanes([_MIX_MULT_R << 32] * 4, _SLOT), n)
-        self.xors = [_tile(_lanes(_OUTPUT_HASH[h : h + 4], _SLOT), n) for h in (0, 4)]
-        self.mask64 = _tile(_MASK64, n)
-        self.mask128 = _tile(_MASK128, n)
-
-
-_tiles = lru_cache(maxsize=8)(_Tiles)
-_ONE = _Tiles(1)  # a single stream's, built at import so no stream waits
-
-
 @lru_cache(maxsize=64)
-def _hash_constants(t: int, n: int) -> tuple[int, list[int]]:
-    """The hash constants of the t-th word hashed after the first four:
-    the four it is xored with, as lanes for n streams, and the four it is
-    then multiplied by."""
+def _key_hash(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constants of the t-th word hashed after the first four: the
+    four it is xored with, one per pool word, and the four it is then
+    multiplied by, as uint32 columns."""
     h = [
         _HASH_INIT_A * pow(_HASH_MULT_A, 16 + 4 * t + j, 1 << 32) & _MASK32
         for j in range(5)
     ]
-    return _tile(_lanes(h[:4], _SLOT), n), h[1:]
+    return np.array(h[:4], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
 
 
-def _times(v: int, mults: list[int], tiles: _Tiles) -> int:
-    """Each lane of v times its own multiplier, mod 2**32."""
-    s0, s1, s2, s3 = tiles.slots
-    m0, m1, m2, m3 = mults
-    return ((v & s0) * m0 + (v & s1) * m1 + (v & s2) * m2 + (v & s3) * m3) & tiles.pool
-
-
-def _absorb(pool: int, t: int, words: list[int], tiles: _Tiles) -> tuple[int, int]:
-    """Hash a key element, given as lanes of each of its 32 bit words, into
-    the pools, whose next word is the t-th hashed after the first four."""
-    mask = tiles.pool
-    for w in words:
-        xor, mults = _hash_constants(t, tiles.n)
-        v = _times(w * _SPREAD ^ xor, mults, tiles)
-        v = (v ^ v >> 16) & mask
-        pool = (_MIX_MULT_L * pool + tiles.offset - _MIX_MULT_R * v) & mask
-        pool = (pool ^ pool >> 16) & mask
+def _hash_words(pool: np.ndarray, t: int, words: list) -> tuple[np.ndarray, int]:
+    """Hash 32 bit words into pools, the next hashed being the t-th after
+    the first four.  Pools are the columns of a 4-row uint32 array; a word
+    is an int, or an array with one word per pool of a run."""
+    for word in words:
+        xor, mult = _key_hash(t)
+        v = (word ^ xor) * mult
+        v ^= v >> 16
+        pool = pool * _MIX_MULT_L - v * _MIX_MULT_R
+        pool ^= pool >> 16
         t += 1
     return pool, t
 
 
 @lru_cache(maxsize=64)
-def _pool(seed: int, key: tuple[int, ...]) -> tuple[int, int]:
+def _pool(seed: int, key: tuple[int, ...]) -> tuple[np.ndarray, int]:
     """SeedSequence(seed, spawn_key=key)'s pool, and the number of words
     hashed into it after the first four.  The root pool is SeedSequence's
     own; checking the seed's words first keeps this module's ValueError
     for a negative seed."""
     if key:
-        return _absorb(*_pool(seed, key[:-1]), _words(key[-1]), _ONE)
-    extra = max(len(_words(seed)) - 4, 0)
-    return _lanes([int(w) for w in np.random.SeedSequence(seed).pool], _SLOT), extra
+        pool, t = _hash_words(*_pool(seed, key[:-1]), _words(key[-1]))
+    else:
+        t = max(len(_words(seed)) - 4, 0)
+        pool = np.random.SeedSequence(seed).pool[:, None]
+    pool.flags.writeable = False  # every caller of the cache shares it
+    return pool, t
 
 
-def _half(pool: int, h: int, tiles: _Tiles) -> int:
-    """generate_state's output words h to h + 3, from pool words 0-3, as
-    the 128-bit number w2 | w3 << 32 | w0 << 64 | w1 << 96, where wj is
-    word h + j."""
-    v = _times(pool ^ tiles.xors[h // 4], _OUTPUT_HASH[h + 1 : h + 5], tiles)
-    v = (v ^ v >> 16) & tiles.pool
-    # lanes 0-3 sit at bits 0, 80, 160, 240; a copy shifted down by 48
-    # puts lane 1 at 32 and lane 3 at 192, next to lanes 0 and 2
-    v |= v >> 48
-    return (v >> 160 & tiles.mask64) | (v & tiles.mask64) << 64
+# generate_state xors its output word i with the i-th of these constants
+# and multiplies it by the next; output word i hashes pool word i % 4
+_OUTPUT_HASH = [_HASH_INIT_B * pow(_HASH_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)]
+_OUTPUT_XOR = np.array(_OUTPUT_HASH[:8], np.uint32)[:, None]
+_OUTPUT_MULT = np.array(_OUTPUT_HASH[1:], np.uint32)[:, None]
+_OUTPUT_POOL = np.arange(8) % 4
 
 
-def _pcg64_seed(pool: int, tiles: _Tiles) -> tuple[int, int]:
-    """PCG64's (state, inc) when seeded from the pools.
+def _pairs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit numbers as a (high words, low words) pair of uint64 arrays."""
+    return tuple(np.array([v >> s & _MASK64 for v in values], np.uint64) for s in (64, 0))
 
-    generate_state(4, uint64) hashes the pool words in turn, twice; words
-    0-3 give the seed and 4-7 the increment.  pcg64_set_seed then runs two
-    LCG steps from state 0.
+
+def _times(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a * b mod 2**128, for 128-bit numbers as (high, low) pairs, broadcast.
+    uint64 products wrap mod 2**64, so only the high word of the product
+    of the low words is built from 32-bit halves."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _plus(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2**128, for 128-bit numbers as (high, low) pairs."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _seeds(pool: np.ndarray, t: int, words: list) -> np.ndarray:
+    """PCG64's seed and sequence for the streams whose last key element's
+    words are ``words`` hashed into ``pool`` (see ``_hash_words``), one per
+    column: the rows are seed high, seed low, seq high and seq low, as
+    uint64.
+
+    generate_state(4, uint64) hashes the pool words in turn, twice; output
+    words 0-3 give the seed and 4-7 the sequence, each read as two
+    little-endian 64-bit words, high first.
     """
-    state = _half(pool, 0, tiles)
-    inc = (_half(pool, 4, tiles) << 1 | tiles.ones) & tiles.mask128
-    return ((inc + state) * _PCG_MULT + inc) & tiles.mask128, inc
+    pool, _ = _hash_words(pool, t, words)
+    out = (pool[_OUTPUT_POOL] ^ _OUTPUT_XOR) * _OUTPUT_MULT
+    out ^= out >> 16
+    out = out.astype(np.uint64)
+    return out[0::2] | out[1::2] << 32
 
 
-def _heads(state: int, inc: int, tiles: _Tiles) -> tuple[list, list]:
-    """The first _HEAD doubles of each stream, from its PCG64 (state, inc)
-    as lanes, and each stream's [state low, state high, inc low, inc high]
-    64-bit words after them."""
-    n = tiles.n
-    # each integer packs two states of every stream (after steps 2m + 1
-    # and 2m + 2) as its low and high 128 bits, the last one the state
-    # after _HEAD steps and the increment
-    packed = []
-    for _ in range(_HEAD // 2):
-        odd = (state * _PCG_MULT + inc) & tiles.mask128
-        state = (odd * _PCG_MULT + inc) & tiles.mask128
-        packed.append(odd | state << 128)
-    packed.append(state | inc << 128)
-    data = b"".join(x.to_bytes(_STRIDE_BYTES * n, "little") for x in packed)
-    words64 = np.frombuffer(data, "<u8").reshape(len(packed), n, _STRIDE // 64)
-    # XSL-RR: hi ^ lo rotated right by the top 6 bits of hi; the state
-    # after step 2m + b + 1 of stream k is at [m, k, 2b : 2b + 2]
-    lo, hi = words64[:-1, :, 0:4:2], words64[:-1, :, 1:4:2]
-    x, rot = lo ^ hi, hi >> 58
-    x = x >> rot | x << ((64 - rot) & 63)
-    heads = ((x >> 11) * 2.0**-53).transpose(1, 0, 2).reshape(n, _HEAD).tolist()
-    return heads, words64[-1, :, :4].tolist()
+# PCG64 seeded with (seed, seq) starts from state 0 and increment inc =
+# 2 seq + 1, steps, adds the seed and steps again.  n LCG steps take a
+# state s to M**n s + (1 + M + ... + M**(n-1)) inc (Brown, "Random number
+# generation with arbitrary strides", 1994), so the state the n-th double
+# is output from is A seed + C inc mod 2**128, with A = M**(n+1) and
+# C = 1 + M + ... + M**(n+1).  Row n - 1 holds (A, 2 C) for n = 1 to
+# _HEAD, and _JUMP_PLUS holds C: A seed + 2 C seq + C is that state.
+_A = [_PCG_MULT ** (n + 1) for n in range(1, _HEAD + 1)]
+_C = [(_PCG_MULT ** (n + 2) - 1) // (_PCG_MULT - 1) for n in range(1, _HEAD + 1)]
+_JUMP_TIMES = tuple(
+    np.stack(pair, axis=1)[:, :, None] for pair in zip(_pairs(_A), _pairs([2 * c for c in _C]))
+)
+_JUMP_PLUS = tuple(x[:, None] for x in _pairs(_C))
 
 
-# (A, C) for each chunk size n: n LCG steps take a PCG64 state s to
-# A * s + C * inc mod 2**128, with A = M**n and C = 1 + M + ... + M**(n-1)
-# (Brown, "Random number generation with arbitrary strides", 1994)
-_JUMPS = {
-    n: (_PCG_MULT**n & _MASK128, (_PCG_MULT**n - 1) // (_PCG_MULT - 1) & _MASK128)
-    for n in (64, 128, 256)
-}
+def _heads(seeds: np.ndarray) -> tuple[list, list]:
+    """Each stream's first _HEAD doubles, from its column of ``_seeds``, and
+    its [state low, state high, inc low, inc high] 64-bit words after them."""
+    p_hi, p_lo = _times(_JUMP_TIMES, (seeds[0::2], seeds[1::2]))
+    hi, lo = _plus(_plus((p_hi[:, 0], p_lo[:, 0]), (p_hi[:, 1], p_lo[:, 1])), _JUMP_PLUS)
+    # XSL-RR: hi ^ lo rotated right by the top 6 bits of hi
+    xored, rot = hi ^ lo, hi >> 58
+    out = xored >> rot | xored << (-rot & 63)
+    heads = ((out >> 11) * 2.0**-53).T.tolist()
+    seq_hi, seq_lo = seeds[2:]
+    inc = seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63
+    return heads, np.array((lo[-1], hi[-1], *inc)).T.tolist()
 
 
 class _SharedGenerator:
@@ -300,31 +260,43 @@ class RandomStream:
     which is what makes parallel block generation order independent.
 
     The stream is numpy's ``PCG64(SeedSequence(seed, spawn_key=key))``,
-    double for double.  Its 128 bit PCG64 state is derived here in Python
-    integers by hashing the last key element into the cached pool of
+    double for double.  Its PCG64 seed is derived here, in numpy uint32
+    arithmetic, by hashing the last key element into the cached pool of
     (seed, key[:-1]); the seed's own pool comes once from SeedSequence.  A
     negative seed or key element raises ValueError, as SeedSequence does.
-    ``splits`` derives runs of consecutive children at once, each child
-    with its first _HEAD doubles and its state after them.  Later doubles
-    are drawn in chunks from one shared generator: a refill writes
-    ``_state`` and ``_inc`` into it, draws the chunk, and jumps ``_state``
-    past the chunk.  A chunk of n holds the same doubles as n single
-    draws, so neither chunking, nor sharing, nor deriving in runs changes
-    the sequence.
+    ``_state`` holds the four 64-bit words of the stream's PCG64 state and
+    increment.  A stream made by the constructor is seeded at its first
+    refill, so a root that is only split derives nothing; ``splits``
+    derives runs of consecutive children in one pass, each child with its
+    first _HEAD doubles and its state after them.  Later doubles are drawn
+    in chunks from one shared generator: a refill writes ``_state`` into
+    it, draws the chunk, and reads the state the draw left back into
+    ``_state``.  A chunk of n holds the same doubles as n single draws, so
+    neither chunking, nor sharing, nor deriving in runs changes the
+    sequence.
     """
 
-    __slots__ = ("seed", "key", "_state", "_inc", "_chunk", "_next")
+    __slots__ = ("seed", "key", "_state", "_chunk", "_next")
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = seed = int(seed)
         self.key = key = tuple(map(int, key))
-        if key:
-            pool, _ = _absorb(*_pool(seed, key[:-1]), _words(key[-1]), _ONE)
-        else:
-            pool, _ = _pool(seed, key)
-        self._state, self._inc = _pcg64_seed(pool, _ONE)
+        for element in (seed, *key):
+            _words(element)  # raises for a negative element
+        self._state = None
         self._chunk = _MIN_CHUNK
         self._next = iter(()).__next__
+
+    def _seeded(self) -> tuple[int, int, int, int]:
+        """The stream's state and increment words as PCG64 seeds them."""
+        key = self.key
+        words = _words(key[-1]) if key else ()
+        seeds = _seeds(*_pool(self.seed, key[:-1]), words)
+        seed_hi, seed_lo, seq_hi, seq_lo = seeds.ravel().tolist()
+        # pcg64_set_seed: two LCG steps from state 0, adding the seed between
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128
+        return state & _MASK64, state >> 64, inc & _MASK64, inc >> 64
 
     def uniform(self) -> float:
         """Next double in [0, 1)."""
@@ -338,17 +310,13 @@ class RandomStream:
         the current one has run out, and return its first double."""
         n = self._chunk
         self._chunk = min(2 * n, _MAX_CHUNK)
-        state, inc = self._state, self._inc
-        mult, add = _JUMPS[n]
+        state = self._state or self._seeded()
         shared = _SHARED
         with shared.lock:
             words = shared.words
-            words.state_low = state & _MASK64
-            words.state_high = state >> 64
-            words.inc_low = inc & _MASK64
-            words.inc_high = inc >> 64
+            words.state_low, words.state_high, words.inc_low, words.inc_high = state
             doubles = shared.random(n).tolist()
-            self._state = (mult * state + add * inc) & _MASK128
+            self._state = words.state_low, words.state_high, words.inc_low, words.inc_high
         self._next = iter(doubles).__next__
         return self._next()
 
@@ -356,51 +324,53 @@ class RandomStream:
         return RandomStream(self.seed, self.key + (index,))
 
     def splits(self, start: int, stop: int) -> Iterator["RandomStream"]:
-        """``split(i)`` for start <= i < stop, in order, made lazily.
+        """``split(i)`` for start <= i < stop, in order.
 
-        The first child is ``split(start)``, so taking one child costs one
-        derivation.  The rest come in runs of _FIRST_RUN children, doubling
-        up to _MAX_RUN, each run derived at once; a run never crosses a
-        multiple of 2**32, so its key elements differ in their lowest word
-        only.
+        The first child is ``split(start)``, made by this call, so taking
+        one child costs one derivation.  The rest come, as they are taken,
+        in runs of _FIRST_RUN children, doubling up to _MAX_RUN, each run
+        derived in one pass; a run never crosses a multiple of 2**32, so
+        its key elements differ in their lowest word only.
         """
         if start >= stop:
-            return
-        yield self.split(start)
-        size = _FIRST_RUN
-        i = start + 1
-        while i < stop:
-            n = min(size, stop - i, (i | _MASK32) + 1 - i)
-            yield from self._run(i, n)
-            i += n
-            size = min(2 * size, _MAX_RUN)
+            return iter(())
+        runs = starmap(self._run, _runs(start + 1, stop))
+        return chain((self.split(start),), chain.from_iterable(runs))
 
-    def _run(self, first: int, n: int) -> Iterator["RandomStream"]:
+    def _run(self, first: int, n: int) -> list["RandomStream"]:
         """``split(first + k)`` for k < n, with first + k below the next
         multiple of 2**32, derived at once.  Nothing here touches the
         shared generator."""
-        tiles = _tiles(n)
-        pool, t = _pool(self.seed, self.key)
         low, *high = _words(first)
-        words = [low * tiles.ones + tiles.ramp] + [w * tiles.ones for w in high]
-        pool, _ = _absorb(_tile(pool, n), t, words, tiles)
-        heads, ends = _heads(*_pcg64_seed(pool, tiles), tiles)
+        words = [np.arange(low, low + n, dtype=np.uint32), *high]
+        heads, ends = _heads(_seeds(*_pool(self.seed, self.key), words))
         seed, key, new = self.seed, self.key, RandomStream.__new__
-        for k, (head, (s_lo, s_hi, i_lo, i_hi)) in enumerate(zip(heads, ends)):
+        children = []
+        for index, head, state in zip(range(first, first + n), heads, ends):
             child = new(RandomStream)
             child.seed = seed
-            child.key = key + (first + k,)
-            child._state = s_hi << 64 | s_lo
-            child._inc = i_hi << 64 | i_lo
+            child.key = key + (index,)
+            child._state = state
             child._chunk = _MIN_CHUNK
             child._next = iter(head).__next__
-            yield child
+            children.append(child)
+        return children
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, key={self.key})"
 
 
-RandomStream(0)._refill()  # numpy's first state write and draw are slow
+def _runs(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """(first, n) of each run ``splits`` derives from start on."""
+    size = _FIRST_RUN
+    while start < stop:
+        n = min(size, stop - start, (start | _MASK32) + 1 - start)
+        yield start, n
+        start += n
+        size = min(2 * size, _MAX_RUN)
+
+
+RandomStream(0, (0,))._refill()  # numpy's first hash, state write and draw are slow
 
 
 class StepCounter:
@@ -669,4 +639,4 @@ def sample_many(
     """
     sampler = Sampler(model, params, subset, target, counter)
     streams = RandomStream(params.seed).splits(0, n)
-    return (normalize_indices(model, sampler.draw(stream)) for stream in streams)
+    return map(normalize_indices, repeat(model), map(sampler.draw, streams))

@@ -1,7 +1,9 @@
 """Normal forms, divisibility, and pyramidal decompositions on small models."""
 
 import json
+import pickle
 import random
+from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +61,29 @@ def test_single_letters_and_unit(path4):
     x = tg.normalize(path4, "a")
     assert x.factors == (1,)
     assert tg.format_trace(path4, UNIT) == "1"
+
+
+@dataclass(frozen=True)
+class DataclassTrace:
+    """Trace as a plain frozen dataclass, whose generated constructor
+    writes the field through object.__setattr__."""
+
+    factors: tuple = ()
+
+
+def test_trace_is_frozen_and_compares_like_a_frozen_dataclass(path4):
+    x = tg.normalize(path4, "abcb")
+    reference = DataclassTrace(x.factors)
+    assert x == tg.Trace(x.factors) and x != tg.Trace(x.factors[:-1])
+    assert tg.Trace() == UNIT and UNIT.factors == ()
+    assert hash(x) == hash(reference)
+    assert repr(x) == repr(reference).replace("DataclassTrace", "Trace")
+    assert (x.length, UNIT.length) == (4, 0)
+    assert pickle.loads(pickle.dumps(x)) == x
+    with pytest.raises(FrozenInstanceError):
+        x.factors = ()
+    with pytest.raises(FrozenInstanceError):
+        del x.factors
 
 
 def test_commutation_only_reorders_independent_letters(path4):

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import tracegen as tg
 from conftest import cycle_model, path_model
+from tracegen import sampler as sampler_module
 from tracegen.mobius import ROOT_MARGIN
 from tracegen.oracle import enumerate_traces, exact_occurrence, tv_distance
 from tracegen.sampler import _SHARED, PIVOT_RULES, Sampler, _log_ratio, _SharedGenerator
@@ -114,6 +115,23 @@ def test_sample_many_derives_its_first_stream_alone(path4, monkeypatch):
     assert runs == [(1, 16)]
     assert len(list(samples)) == 598
     assert runs == [(1, 16), (17, 32), (49, 64), (113, 128), (241, 256), (497, 103)]
+
+
+def test_a_root_that_is_only_split_is_never_seeded(path4, monkeypatch):
+    # sample_many's root stream is only split: the keys hashed are the
+    # first child's, at its first refill, and those of the run after it
+    hashed = []
+    seeds = sampler_module._seeds
+
+    def spy(pool, t, words):
+        hashed.append(words)
+        return seeds(pool, t, words)
+
+    monkeypatch.setattr(sampler_module, "_seeds", spy)
+    samples = list(tg.sample_many(path4, tg.SamplerParams(p=0.2, seed=5), 17))
+    assert len(samples) == 17
+    assert hashed[0] == [0] and hashed[1][0].tolist() == list(range(1, 17))
+    assert len(hashed) == 2
 
 
 def test_subset_sampling_allows_larger_p(path4):
@@ -521,6 +539,23 @@ def test_splits_equal_numpy_seed_sequence(seed, prefix):
             assert [child.uniform() for _ in range(200)] == numpy_doubles(seed, child.key, 200)
 
 
+@given(
+    st.one_of(st.sampled_from([0, 2**128 - 1, 2**128, 2**200 + 3]), st.integers(0, 2**130)),
+    st.lists(key_elements, max_size=2).map(tuple),
+    st.one_of(st.integers(0, 2**40), st.integers(2**32 - 300, 2**32 - 1)),
+    st.integers(1, 256),
+)
+def test_runs_of_every_size_equal_numpy_seed_sequence(seed, prefix, first, n):
+    # a run never crosses a multiple of 2**32, so one starting just below
+    # it is cut there; 200 doubles per child are its 8 derived ones and
+    # the refills of 64 and 128 after them
+    n = min(n, (first | 2**32 - 1) + 1 - first)
+    children = tg.RandomStream(seed, prefix)._run(first, n)
+    assert [child.key for child in children] == [prefix + (first + k,) for k in range(n)]
+    for child in children:
+        assert [child.uniform() for _ in range(200)] == numpy_doubles(seed, child.key, 200)
+
+
 def test_run_children_share_the_generator_with_live_streams():
     # a scalar stream owns the generator mid-chunk; each run child takes it
     # over past its own 8 doubles, and the two displace each other, alive
@@ -580,15 +615,20 @@ def test_shared_generator_keeps_no_stream_alive():
 def test_refills_advance_each_stream_to_numpy_state():
     # every stream refills chunks of 64 doubling to 256, a run child of
     # splits after its 8 derived doubles; after each refill, the stream's
-    # own state is the one numpy's generator reached by drawing the chunk
+    # own state is the one numpy's generator reached by drawing the chunk,
+    # and the one a generator of its own reaches by drawing as many doubles
     alone = tg.RandomStream(13, (2,))
     child = list(tg.RandomStream(13).splits(0, 2))[1]
-    for stream, sizes in [(alone, [64, 128, 256, 256]), (child, [64, 128, 256])]:
+    for stream, heads, sizes in [(alone, 0, [64, 128, 256, 256]), (child, 8, [64, 128, 256])]:
+        own = np.random.PCG64(np.random.SeedSequence(13, spawn_key=stream.key))
+        own.advance(heads)
         for n in sizes:
             assert stream._chunk == n
             stream._refill()
-            state = _SHARED.bitgen.state["state"]
-            assert (stream._state, stream._inc) == (state["state"], state["inc"]), n
+            own.advance(n)
+            s_lo, s_hi, i_lo, i_hi = stream._state
+            got = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+            assert got == _SHARED.bitgen.state["state"] == own.state["state"], n
 
 
 def test_shared_generator_rejects_an_unknown_state_layout(monkeypatch):

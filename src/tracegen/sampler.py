@@ -133,7 +133,6 @@ def _pool(seed: int, key: tuple[int, ...]) -> tuple[np.ndarray, int]:
     else:
         t = max(len(_words(seed)) - 4, 0)
         pool = np.random.SeedSequence(seed).pool[:, None]
-    pool.flags.writeable = False  # every caller of the cache shares it
     return pool, t
 
 
@@ -288,7 +287,12 @@ class RandomStream:
         self._next = iter(()).__next__
 
     def _seeded(self) -> tuple[int, int, int, int]:
-        """The stream's state and increment words as PCG64 seeds them."""
+        """The stream's state and increment words as PCG64 seeds them.
+
+        A stream made alone forms them in Python integers, with no head
+        doubles: a numpy pass through ``_heads`` costs about as much for one
+        stream as for sixteen, and a sampler's set-up draws from one.
+        """
         key = self.key
         words = _words(key[-1]) if key else ()
         seeds = _seeds(*_pool(self.seed, key[:-1]), words)

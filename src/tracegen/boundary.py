@@ -15,21 +15,24 @@ boundary point with the uniform law.
 
 Each block is drawn from its own child random stream keyed by the block
 index, by one recipe, ``BlockStream.draw_block``, which also counts the
-block's step.  ``BlockStream.words`` maps it over a range of indices, and
-the sequential run, a replay and the pool workers of ``parallel_run`` all
-take their blocks from it.  That makes the stream restartable and lets
-blocks be produced in parallel with output identical to the sequential run.
+block's step.  ``BlockStream.words``, the one ordered source of blocks,
+runs it in this process or on a pool of workers.  A replay, a run,
+``parallel_run`` and the CLI all read it, so the stream is restartable and
+its output is the same for any worker count.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections import deque
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .mobius import NotIrreducibleError, _components, smallest_root
 from .monoid import Heap, IndependenceModel, Trace, iter_bits, normalize_indices
 from .sampler import RandomStream, Sampler, SamplerParams, StepCounter
 
-_NO_LAST_BLOCK = 2**64  # an index no stream reaches
+NO_LAST_BLOCK = 2**64  # an index no stream reaches: the stop of an endless run
+_MAX_RANGE = 256  # blocks in a pooled range, so that endless runs hold bounded memory
 
 
 class BlockStream:
@@ -73,7 +76,7 @@ class BlockStream:
         self.counter = self._sampler.counter
         self.stream = RandomStream(self.seed)
         # the words of blocks 0, 1, 2, ..., from streams derived in runs
-        self._words = self.words(0, _NO_LAST_BLOCK)
+        self._words = self.words(0, NO_LAST_BLOCK)
         self.blocks_done = 0
         self.length = 0
 
@@ -85,15 +88,39 @@ class BlockStream:
         self.counter.steps += 1
         return word
 
-    def words(self, start: int, stop: int) -> Iterator[list[int]]:
-        """The letter indices of blocks ``start`` to ``stop - 1`` (0 based).
+    def words(self, start: int, stop: int, workers: int = 1) -> Iterator[Sequence[int]]:
+        """The letter indices of blocks ``start`` to ``stop - 1`` (0 based), in order.
 
         Block i depends only on (seed, i), not on the stream state, so any
         range can be drawn, or redrawn, at will: ``next(words(i, i + 1))``
-        replays block i.  The streams come in runs derived at once by
-        ``RandomStream.splits``.
+        replays block i.  With ``workers`` above one, a pool of that many
+        processes draws ranges of ``ceil((stop - start) / (4 * workers))``
+        blocks, at most _MAX_RANGE, with ``2 * workers`` ranges in flight.
+        Their words come as ``bytes`` and their steps are added to
+        ``counter`` as they arrive.  The pool starts at the first word and
+        shuts down when the words run out or the iterator is closed.
         """
-        return map(self.draw_block, self.stream.splits(start, stop))
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        if workers == 1:
+            yield from map(self.draw_block, self.stream.splits(start, stop))
+            return
+        # the process pool costs an import that a single worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        size = max(1, min(_MAX_RANGE, -(-(stop - start) // (4 * workers))))
+        ranges = (range(lo, min(lo + size, stop)) for lo in range(start, stop, size))
+        pool = ProcessPoolExecutor(workers, initializer=_open_worker_stream,
+                                   initargs=(self.model, self.pivot, self.seed))
+        try:
+            in_flight = deque(pool.submit(_block_words, r) for r in islice(ranges, 2 * workers))
+            while in_flight:
+                words, spent = in_flight.popleft().result()
+                in_flight.extend(pool.submit(_block_words, r) for r in islice(ranges, 1))
+                self.counter.steps += spent
+                yield from words
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     def advance(self) -> list[int]:
         """Draw the next block and return its letter indices."""
@@ -120,13 +147,17 @@ def open_stream(model: IndependenceModel, pivot: str, seed: int) -> BlockStream:
     return BlockStream(model, pivot, seed)
 
 
-# The stream a pool worker of parallel_run draws its ranges from, opened
-# once per worker process by the pool's initializer.
+# The stream a pool worker of BlockStream.words draws its ranges from,
+# opened once per worker process by the pool's initializer.
 _worker_stream: BlockStream | None = None
 
 
 def _open_worker_stream(model: IndependenceModel, pivot: str, seed: int) -> None:
     global _worker_stream
+    import signal
+
+    # Ctrl-C reaches the whole process group; the pool's owner stops the pool
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_stream = BlockStream(model, pivot, seed)
 
 
@@ -134,50 +165,24 @@ def _block_words(blocks: range) -> tuple[list[bytes], int]:
     """Worker body: the words of the given blocks, plus the steps spent
     drawing them.  A letter index is below 64, so each word travels as
     bytes, one per letter."""
-    stream = _worker_stream
-    before = stream.counter.steps
-    words = [bytes(w) for w in stream.words(blocks.start, blocks.stop)]
-    return words, stream.counter.steps - before
+    before = _worker_stream.counter.steps
+    words = [bytes(w) for w in _worker_stream.words(blocks.start, blocks.stop)]
+    return words, _worker_stream.counter.steps - before
 
 
-def parallel_run(
-    model: IndependenceModel,
-    pivot: str,
-    seed: int,
-    blocks: int,
-    workers: int = 1,
-    counter: StepCounter | None = None,
-) -> Trace:
-    """Produce the first ``blocks`` blocks, optionally on worker processes.
+def parallel_run(model: IndependenceModel, pivot: str, seed: int, blocks: int, workers: int = 1,
+                 counter: StepCounter | None = None) -> Trace:
+    """The product of the first ``blocks`` blocks, drawn on ``workers``
+    processes (see ``BlockStream.words``) and dropped, in order, on one heap.
 
-    Block i depends only on (seed, i), so the result is identical to a
-    sequential run with the same seed whatever the worker count.  With
-    several workers the blocks go out as ``4 * workers`` ranges, and this
-    process drops each range, in order, onto one heap as it arrives, while
-    the workers draw the later ones.
+    Block i depends only on (seed, i), so the result, and the steps added
+    to ``counter``, are those of a sequential run with the same seed
+    whatever the worker count.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     stream = open_stream(model, pivot, seed)
-    if workers == 1:
-        xi = stream.run(blocks)
-    else:
-        # the process pool costs an import that a single worker never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        size = max(1, -(-blocks // (4 * workers)))
-        ranges = [range(lo, min(lo + size, blocks)) for lo in range(0, blocks, size)]
-        heap = Heap(model)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_open_worker_stream,
-            initargs=(model, pivot, seed),
-        ) as pool:
-            for words, spent in pool.map(_block_words, ranges):
-                stream.counter.steps += spent
-                for word in words:
-                    heap.extend(word)
-        xi = heap.trace()
+    heap = Heap(model)
+    for word in stream.words(0, blocks, workers):
+        heap.extend(word)
     if counter is not None:
         counter.steps += stream.counter.steps
-    return xi
+    return heap.trace()

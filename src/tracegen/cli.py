@@ -10,12 +10,13 @@ so every run is reproducible by construction.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from . import DEFAULT_SEED, SUITES, boundary
 from .mobius import ROOT_MARGIN, is_irreducible, mobius_polynomial, smallest_root
-from .monoid import Heap, format_trace, load_model, trace_json_formatter
+from .monoid import Heap, format_trace, load_model, normalize_indices, trace_json_formatter
 from .sampler import SamplerParams, sample_many
 
 
@@ -94,40 +95,32 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     pivot = args.pivot_letter or model.letters[0]
-    if args.workers > 1 and not args.blocks:
-        sys.stderr.write("error: --workers needs a finite --blocks count\n")
-        return 2
     # a ValueError here (a reducible or one letter model, an unknown pivot, a
     # missing gap below the pivot free root) exits 2 through main, before any output
     stream = boundary.open_stream(model, pivot, args.seed)
     to_json = trace_json_formatter(model)
-    # the header is the same whatever the worker count: the output of a
-    # stream is a function of (model, pivot, seed) only
+    # the header is a function of (model, pivot, seed) only, whatever the
+    # worker count, and any pool starts after it, at the first word
     print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}))
-    if args.workers > 1:
-        xi = boundary.parallel_run(model, pivot, args.seed, args.blocks, workers=args.workers)
-        blocks = args.blocks
-    else:
-        emit_each = args.emit == "each-block"
-        heap = Heap(model)  # only --emit final drops blocks on it
-        try:
-            while True:
-                if args.blocks and stream.blocks_done >= args.blocks:
-                    break
-                if args.min_length and stream.length >= args.min_length:
-                    break
-                if emit_each:
-                    block = stream.next_block()
-                    print(_record(stream.blocks_done, "block", to_json(block), stream.length),
-                          flush=not args.blocks)
-                else:
-                    heap.extend(stream.advance())
-        except KeyboardInterrupt:
-            pass
-        if emit_each:
-            return 0
-        xi, blocks = heap.trace(), stream.blocks_done
-    print(_record(blocks, "final", to_json(xi), xi.length))
+    emit_each = args.emit == "each-block"
+    heap = Heap(model)  # only --emit final drops blocks on it
+    words = stream.words(0, args.blocks or boundary.NO_LAST_BLOCK, args.workers)
+    blocks = length = 0
+    # Ctrl-C ends the run; closing the words stops the pool, if there is one
+    with contextlib.suppress(KeyboardInterrupt), contextlib.closing(words):
+        for word in words:
+            blocks += 1
+            length += len(word)
+            if emit_each:
+                print(_record(blocks, "block", to_json(normalize_indices(model, word)), length),
+                      flush=not args.blocks)
+            else:
+                heap.extend(word)
+            if args.min_length and length >= args.min_length:
+                break
+    if not emit_each:
+        xi = heap.trace()
+        print(_record(blocks, "final", to_json(xi), xi.length))
     return 0
 
 
@@ -199,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--seed", type=_COUNT, default=DEFAULT_SEED,
                           help=f"random seed (default {DEFAULT_SEED})")
     p_stream.add_argument("--workers", type=_int_at_least(1), default=1,
-                          help="worker processes (needs --blocks); above one, only "
-                               "the final record is printed, as with --emit final")
+                          help="worker processes drawing the blocks, in ranges of at "
+                               "most 256 blocks; the output is the same for any count")
     p_stream.add_argument("--emit", choices=("each-block", "final"),
                           default="each-block",
                           help="emit one record per block, or only the final trace")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -234,14 +235,28 @@ def test_parallel_run_matches_sequential(path4):
     assert c_seq.steps == c_par.steps
 
 
-@pytest.mark.parametrize("blocks, workers", [(0, 2), (1, 3), (37, 2), (50, 3)])
+@pytest.mark.parametrize("blocks, workers",
+                         [(0, 2), (1, 3), (37, 2), (50, 3), (600, 2), (1100, 3), (2100, 2)])
 def test_parallel_run_ranges_match_sequential(path4, blocks, workers):
-    # 37 and 50 blocks are not multiples of the 4 * workers ranges
+    # 37 and 50 blocks are not multiples of the 4 * workers ranges; 600 and
+    # 1100 blocks are longer than a capped range, and 2100 blocks make ranges
+    # of 256, the cap
     c_seq, c_par = tg.StepCounter(), tg.StepCounter()
     xi_seq = tg.parallel_run(path4, "c", seed=12, blocks=blocks, workers=1, counter=c_seq)
     xi_par = tg.parallel_run(path4, "c", seed=12, blocks=blocks, workers=workers, counter=c_par)
     assert xi_par == xi_seq
     assert c_par.steps == c_seq.steps
+
+
+def test_pooled_words_are_the_words_and_close_their_pool(path4):
+    stream = tg.open_stream(path4, "b", seed=41)
+    pooled = tg.open_stream(path4, "b", seed=41)
+    assert list(pooled.words(5, 700, workers=2)) == [bytes(w) for w in stream.words(5, 700)]
+    assert pooled.counter.steps == stream.counter.steps
+    endless = pooled.words(0, boundary.NO_LAST_BLOCK, workers=2)
+    assert next(endless) == bytes(next(stream.words(0, 1)))
+    endless.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_parallel_run_with_one_worker_is_the_open_stream_run(path4):

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -219,21 +220,23 @@ def test_each_block_stream_runs_in_bounded_memory(tmp_path):
     # on an accumulated heap it read 3.0 MB.  Run alone, the peak stayed at
     # 0.5 MB from 500 to 4,000 blocks, where the accumulating stream read
     # 1.8 MB at 500, 2.7 MB at 1,000 and 9-10 MB at 4,000.  1.5 MB lies
-    # between the two.
+    # between the two.  With two workers this process holds only the
+    # ranges in flight.
     letters = [f"x{i}" for i in range(16)]
     model = tmp_path / "path16.json"
     model.write_text(json.dumps({"letters": letters,
                                  "dependence": [list(e) for e in zip(letters, letters[1:])]}))
-    argv = ["stream", "--model", str(model), "--seed", "3", "--blocks"]
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        main(argv + ["10"])  # module caches filled once per process stay out of the peak
-        tracemalloc.start()
-        try:
-            main(argv + ["1000"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert peak < 1.5e6, peak
+    for workers in ("1", "2"):
+        argv = ["stream", "--model", str(model), "--seed", "3", "--workers", workers, "--blocks"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(argv + ["10"])  # module caches filled once per process stay out of the peak
+            tracemalloc.start()
+            try:
+                main(argv + ["1000"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5e6, (workers, peak)
 
 
 def test_stream_min_length_stops(capsys):
@@ -247,12 +250,19 @@ def test_stream_min_length_stops(capsys):
     assert all(r["length"] < 10 for r in records[:-1])
 
 
-def test_stream_workers_output_is_byte_identical(capsys):
-    base = ["stream", "--model", MODEL, "--pivot-letter", "a",
-            "--blocks", "6", "--seed", "7"]
-    _, sequential, _ = run_cli(capsys, *base, "--emit", "final")
+@pytest.mark.parametrize("stop", [["--blocks", "1"], ["--blocks", "6"], ["--blocks", "600"],
+                                  ["--min-length", "2000"]],
+                         ids=["blocks-1", "blocks-6", "blocks-600", "min-length"])
+@pytest.mark.parametrize("emit", ["each-block", "final"])
+def test_stream_workers_output_is_byte_identical(capsys, emit, stop):
+    # 600 blocks go out as eight ranges; a length stop runs endless ranges
+    # of 256 blocks, of which it needs two
+    base = ["stream", "--model", MODEL, "--pivot-letter", "a", *stop, "--seed", "7",
+            "--emit", emit]
+    _, sequential, _ = run_cli(capsys, *base)
     _, parallel, _ = run_cli(capsys, *base, "--workers", "2")
     assert sequential == parallel
+    assert len(sequential.splitlines()) > 1
 
 
 def test_trace_records_are_in_json_dumps_layout(capsys):
@@ -266,12 +276,23 @@ def test_trace_records_are_in_json_dumps_layout(capsys):
             assert line == json.dumps(json.loads(line))
 
 
-def test_stream_workers_need_blocks(capsys):
-    code, out, err = run_cli(
-        capsys, "stream", "--model", MODEL, "--workers", "2", "--blocks", "0"
+def test_endless_stream_with_workers_ends_cleanly_on_sigint():
+    # stdout reaches EOF only once no pool worker holds the pipe any more
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tracegen.cli", "stream", "--model", MODEL, "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV, start_new_session=True,
     )
-    assert code == 2 and out == ""
-    assert "--blocks" in err
+    try:
+        assert "p_star" in json.loads(proc.stdout.readline())
+        records = [json.loads(proc.stdout.readline()) for _ in range(3)]
+        assert [r["k"] for r in records] == [1, 2, 3]
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # the whole tree, should the test fail
+        proc.wait()
 
 
 def test_stream_rejects_reducible_model(tmp_path, capsys):

@@ -32,6 +32,7 @@ from .monoid import Heap, IndependenceModel, Trace, iter_bits, normalize_indices
 from .sampler import RandomStream, Sampler, SamplerParams, StepCounter
 
 NO_LAST_BLOCK = 2**64  # an index no stream reaches: the stop of an endless run
+_FIRST_RANGE = 16  # blocks in a pool's first range, so that the first words come soon
 _MAX_RANGE = 256  # blocks in a pooled range, so that endless runs hold bounded memory
 
 
@@ -94,11 +95,12 @@ class BlockStream:
         Block i depends only on (seed, i), not on the stream state, so any
         range can be drawn, or redrawn, at will: ``next(words(i, i + 1))``
         replays block i.  With ``workers`` above one, a pool of that many
-        processes draws ranges of ``ceil((stop - start) / (4 * workers))``
-        blocks, at most _MAX_RANGE, with ``2 * workers`` ranges in flight.
-        Their words come as ``bytes`` and their steps are added to
-        ``counter`` as they arrive.  The pool starts at the first word and
-        shuts down when the words run out or the iterator is closed.
+        processes draws consecutive ranges, with ``2 * workers`` of them in
+        flight: the first of _FIRST_RANGE blocks, each next one twice as
+        long, up to ``ceil((stop - start) / (4 * workers))`` blocks, at most
+        _MAX_RANGE.  Their words come as ``bytes`` and their steps are added
+        to ``counter`` as they arrive.  The pool starts at the first word
+        and shuts down when the words run out or the iterator is closed.
         """
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -108,8 +110,7 @@ class BlockStream:
         # the process pool costs an import that a single worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        size = max(1, min(_MAX_RANGE, -(-(stop - start) // (4 * workers))))
-        ranges = (range(lo, min(lo + size, stop)) for lo in range(start, stop, size))
+        ranges = _ramp(start, stop, max(1, min(_MAX_RANGE, -(-(stop - start) // (4 * workers)))))
         pool = ProcessPoolExecutor(workers, initializer=_open_worker_stream,
                                    initargs=(self.model, self.pivot, self.seed))
         try:
@@ -145,6 +146,17 @@ class BlockStream:
 def open_stream(model: IndependenceModel, pivot: str, seed: int) -> BlockStream:
     """A checked boundary stream: ``BlockStream(model, pivot, seed)``."""
     return BlockStream(model, pivot, seed)
+
+
+def _ramp(start: int, stop: int, size: int) -> Iterator[range]:
+    """Consecutive ranges from ``start`` to ``stop``: _FIRST_RANGE blocks
+    (or ``size``, if smaller) first, then each twice the last, up to
+    ``size``."""
+    step = min(_FIRST_RANGE, size)
+    while start < stop:
+        yield range(start, min(start + step, stop))
+        start += step
+        step = min(2 * step, size)
 
 
 # The stream a pool worker of BlockStream.words draws its ranges from,

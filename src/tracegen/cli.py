@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
+import signal
 import sys
+import threading
 
 from . import DEFAULT_SEED, SUITES, boundary
 from .mobius import ROOT_MARGIN, is_irreducible, mobius_polynomial, smallest_root
-from .monoid import Heap, format_trace, load_model, normalize_indices, trace_json_formatter
+from .monoid import (Heap, _FactorJSON, format_trace, load_model, normalize_indices,
+                     trace_json_formatter)
 from .sampler import SamplerParams, sample_many
 
 
@@ -92,22 +96,43 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _sigint_flag():
+    """Inside the with statement, SIGINT (Ctrl-C) appends to the yielded
+    list instead of raising, so a loop that reads the list stops between
+    two blocks, never inside one; the handler in place before comes back
+    afterwards.  Only the main thread receives signals or may set their
+    handlers, so in any other thread the list stays empty."""
+    interrupted: list[int] = []
+    if threading.current_thread() is not threading.main_thread():
+        yield interrupted
+        return
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: interrupted.append(signum))
+    try:
+        yield interrupted
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
 def _cmd_stream(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     pivot = args.pivot_letter or model.letters[0]
     # a ValueError here (a reducible or one letter model, an unknown pivot, a
     # missing gap below the pivot free root) exits 2 through main, before any output
     stream = boundary.open_stream(model, pivot, args.seed)
-    to_json = trace_json_formatter(model)
-    # the header is a function of (model, pivot, seed) only, whatever the
-    # worker count, and any pool starts after it, at the first word
-    print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}))
     emit_each = args.emit == "each-block"
+    to_json = trace_json_formatter(model)
+    final_json = _FactorJSON(model).join
     heap = Heap(model)  # only --emit final drops blocks on it
+    released: list[str] = []  # and keeps the JSON text of its final factors
     words = stream.words(0, args.blocks or boundary.NO_LAST_BLOCK, args.workers)
     blocks = length = 0
-    # Ctrl-C ends the run; closing the words stops the pool, if there is one
-    with contextlib.suppress(KeyboardInterrupt), contextlib.closing(words):
+    # Ctrl-C ends the run after a whole block; closing the words stops the
+    # pool, if there is one
+    with _sigint_flag() as interrupted, contextlib.closing(words):
+        # the header is a function of (model, pivot, seed) only, whatever the
+        # worker count, and any pool starts after it, at the first word
+        print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}))
         for word in words:
             blocks += 1
             length += len(word)
@@ -116,11 +141,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                       flush=not args.blocks)
             else:
                 heap.extend(word)
-            if args.min_length and length >= args.min_length:
+                final = heap.release()
+                if final:
+                    released.append(final_json(final))
+            if interrupted or args.min_length and length >= args.min_length:
                 break
-    if not emit_each:
-        xi = heap.trace()
-        print(_record(blocks, "final", to_json(xi), xi.length))
+        if not emit_each:
+            released.append(final_json(heap.factors))
+            print(_record(blocks, "final", "[" + ", ".join(filter(None, released)) + "]", length))
     return 0
 
 
@@ -196,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "most 256 blocks; the output is the same for any count")
     p_stream.add_argument("--emit", choices=("each-block", "final"),
                           default="each-block",
-                          help="emit one record per block, or only the final trace")
+                          help="emit one record per block, or only the final trace, "
+                               "whose factors are formatted as they become final, so "
+                               "that the run holds their JSON text, not the factors")
     p_stream.set_defaults(func=_cmd_stream)
 
     p_verify = sub.add_parser(
@@ -224,5 +254,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def process_main() -> int:
+    """The ``tracegen`` process: ``main()`` on the command line, after
+    moving every object the imports made out of the garbage collector's
+    reach (``gc.freeze``), before any pool forks.  The collection at exit
+    and the pool workers' collections then skip them.  ``main()`` itself
+    leaves the collector of a caller's process alone."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

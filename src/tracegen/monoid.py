@@ -235,7 +235,9 @@ class Heap:
     and ``landing[i]`` is the level the next piece labelled i lands on: one
     above the highest piece in its link, 0 when there is none.  Dropping
     piece i raises the landing level of i and of its dependence neighbours
-    above it.
+    above it.  ``release`` hands out the levels that are final and lowers
+    the rest, so a heap that is released as it grows holds only the open
+    levels of an endless product.
     """
 
     __slots__ = ("neighbours", "factors", "landing")
@@ -253,6 +255,20 @@ class Heap:
         """The highest level that no later piece can land in, -1 when there
         is none: every level below the lowest landing level is final."""
         return min(self.landing) - 1
+
+    def release(self) -> list[int]:
+        """Remove and return the final levels, bottom first, and lower the
+        open ones onto level 0, so that ``factors`` and ``final_floor`` then
+        describe the open levels alone.  Every factor released so far, then
+        ``factors``, are the factors of the product of every piece dropped."""
+        landing = self.landing
+        final = min(landing)
+        if not final:
+            return []
+        released = self.factors[:final]
+        del self.factors[:final]
+        landing[:] = [level - final for level in landing]
+        return released
 
     def trace(self) -> Trace:
         return Trace(tuple(self.factors))
@@ -451,6 +467,10 @@ class _FactorJSON(dict):
         text = self[mask] = "[" + ", ".join([names[i] for i in iter_bits(mask)]) + "]"
         return text
 
+    def join(self, factors: Iterable[int]) -> str:
+        """The JSON texts of the given factors, separated by ", "."""
+        return ", ".join(map(self.__getitem__, factors))
+
 
 def trace_json_formatter(model: IndependenceModel) -> Callable[[Trace], str]:
     """A function giving ``json.dumps(trace_to_lists(model, x))`` for the
@@ -459,9 +479,9 @@ def trace_json_formatter(model: IndependenceModel) -> Callable[[Trace], str]:
     It keeps the JSON text of every distinct factor it has formatted, so a
     trace costs one join over its factors and builds no list of lists.
     """
-    factor_json = _FactorJSON(model).__getitem__
+    join = _FactorJSON(model).join
 
     def to_json(x: Trace) -> str:
-        return "[" + ", ".join(map(factor_json, x.factors)) + "]"
+        return "[" + join(x.factors) + "]"
 
     return to_json

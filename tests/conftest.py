@@ -77,6 +77,14 @@ def cycle_model(n_letters: int) -> tg.IndependenceModel:
     return tg.build_model(letters, zip(letters, letters[1:] + letters[:1]))
 
 
+def chorded_cycle(n_letters: int, chords) -> tg.IndependenceModel:
+    """The cycle x0 - ... - x0 plus the span 2 chords x_i - x_{i+2}."""
+    letters = [f"x{i}" for i in range(n_letters)]
+    pairs = list(zip(letters, letters[1:] + letters[:1]))
+    pairs += [(letters[i], letters[(i + 2) % n_letters]) for i in chords]
+    return tg.build_model(letters, pairs)
+
+
 def count_traces(
     model: tg.IndependenceModel, subset: int | None = None, n_max: int = 6
 ) -> list[int]:

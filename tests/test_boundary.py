@@ -3,6 +3,7 @@
 import hashlib
 import json
 import multiprocessing
+import random
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
 from tracegen.monoid import UNIT, Heap, word_indices
 
-from conftest import cycle_model, path_model, restrict
+from conftest import chorded_cycle, cycle_model, path_model, restrict
 
 
 def test_open_stream_rejects_disconnected(path4, comm2):
@@ -169,6 +170,39 @@ def test_first_prefixes_of_a_path16_stream_divide_it():
     assert not tg.is_left_divisor(model, xi, prefixes[0])
 
 
+@pytest.mark.parametrize("model", [path_model(4), path_model(16),
+                                   chorded_cycle(28, (0, 5, 11, 17, 23))],
+                         ids=["p4", "path16", "chorded28"])
+@pytest.mark.parametrize("when", ["every-block", "random"])
+def test_released_factors_then_the_open_levels_are_the_run(model, when):
+    # factors released as the blocks go by, after every block or at random
+    # points, then the open levels, are the product of the blocks so far
+    rng = random.Random(5)
+    heap, whole = Heap(model), Heap(model)
+    released = []
+    for n, word in enumerate(tg.open_stream(model, "x0", seed=29).words(0, 2100), 1):
+        heap.extend(word)
+        whole.extend(word)
+        if when == "every-block" or rng.random() < 0.1:
+            released += heap.release()
+        assert heap.final_floor() == whole.final_floor() - len(released)
+        if n in (1, 6, 600):
+            assert released + heap.factors == whole.factors
+    assert tuple(released + heap.factors) == tg.open_stream(model, "x0", seed=29).run(2100).factors
+
+
+def test_a_path16_heap_released_after_every_block_stays_small():
+    # an earlier measurement, on the same stream, saw at most 654 open levels
+    model = path_model(16)
+    heap = Heap(model)
+    most_open = 0
+    for word in tg.open_stream(model, "x0", seed=3).words(0, 5000):
+        heap.extend(word)
+        heap.release()
+        most_open = max(most_open, len(heap.factors))
+    assert most_open < 1000
+
+
 def test_pivot_count_tracks_blocks(path4):
     stream = tg.open_stream(path4, "c", seed=6)
     xi = stream.run(500)
@@ -236,11 +270,13 @@ def test_parallel_run_matches_sequential(path4):
 
 
 @pytest.mark.parametrize("blocks, workers",
-                         [(0, 2), (1, 3), (37, 2), (50, 3), (600, 2), (1100, 3), (2100, 2)])
+                         [(0, 2), (1, 3), (37, 2), (50, 3), (600, 2), (700, 3), (1100, 3),
+                          (2100, 2)])
 def test_parallel_run_ranges_match_sequential(path4, blocks, workers):
     # 37 and 50 blocks are not multiples of the 4 * workers ranges; 600 and
-    # 1100 blocks are longer than a capped range, and 2100 blocks make ranges
-    # of 256, the cap
+    # 1100 blocks are longer than a capped range; 700 blocks on 3 workers
+    # ramp from 16 blocks through 32 to ranges of 59, and 2100 blocks ramp
+    # on to ranges of 256, the cap
     c_seq, c_par = tg.StepCounter(), tg.StepCounter()
     xi_seq = tg.parallel_run(path4, "c", seed=12, blocks=blocks, workers=1, counter=c_seq)
     xi_par = tg.parallel_run(path4, "c", seed=12, blocks=blocks, workers=workers, counter=c_par)
@@ -249,10 +285,14 @@ def test_parallel_run_ranges_match_sequential(path4, blocks, workers):
 
 
 def test_pooled_words_are_the_words_and_close_their_pool(path4):
+    # blocks 5 to 699 ramp from ranges of 16 to ranges of 87 on 2 workers,
+    # and of 58 on 3
     stream = tg.open_stream(path4, "b", seed=41)
-    pooled = tg.open_stream(path4, "b", seed=41)
-    assert list(pooled.words(5, 700, workers=2)) == [bytes(w) for w in stream.words(5, 700)]
-    assert pooled.counter.steps == stream.counter.steps
+    words = [bytes(w) for w in stream.words(5, 700)]
+    for workers in (2, 3):
+        pooled = tg.open_stream(path4, "b", seed=41)
+        assert list(pooled.words(5, 700, workers=workers)) == words
+        assert pooled.counter.steps == stream.counter.steps
     endless = pooled.words(0, boundary.NO_LAST_BLOCK, workers=2)
     assert next(endless) == bytes(next(stream.words(0, 1)))
     endless.close()

@@ -1,20 +1,25 @@
 """Golden file style checks of the command line front end."""
 
 import contextlib
+import gc
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import tracegen as tg
-from tracegen import verify
+from tracegen import cli, verify
 from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
+from tracegen.monoid import Heap, trace_json_formatter
 from tracegen.sampler import Sampler
 
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "p4.json")
@@ -251,17 +256,19 @@ def test_stream_min_length_stops(capsys):
 
 
 @pytest.mark.parametrize("stop", [["--blocks", "1"], ["--blocks", "6"], ["--blocks", "600"],
-                                  ["--min-length", "2000"]],
-                         ids=["blocks-1", "blocks-6", "blocks-600", "min-length"])
+                                  ["--blocks", "2100"], ["--min-length", "2000"]],
+                         ids=["blocks-1", "blocks-6", "blocks-600", "blocks-2100", "min-length"])
 @pytest.mark.parametrize("emit", ["each-block", "final"])
 def test_stream_workers_output_is_byte_identical(capsys, emit, stop):
-    # 600 blocks go out as eight ranges; a length stop runs endless ranges
-    # of 256 blocks, of which it needs two
+    # the pool's ranges ramp from 16 blocks: 600 blocks end in ranges of 75
+    # on 2 workers, 2100 blocks in ranges of 256, the cap, on 2 workers and
+    # of 175 on 3, and a length stop ramps towards endless ranges of 256
     base = ["stream", "--model", MODEL, "--pivot-letter", "a", *stop, "--seed", "7",
             "--emit", emit]
     _, sequential, _ = run_cli(capsys, *base)
-    _, parallel, _ = run_cli(capsys, *base, "--workers", "2")
-    assert sequential == parallel
+    for workers in ("2", "3"):
+        _, parallel, _ = run_cli(capsys, *base, "--workers", workers)
+        assert sequential == parallel, workers
     assert len(sequential.splitlines()) > 1
 
 
@@ -293,6 +300,94 @@ def test_endless_stream_with_workers_ends_cleanly_on_sigint():
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)  # the whole tree, should the test fail
         proc.wait()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_ctrl_c_inside_a_block_ends_the_stream_after_that_block(capsys, monkeypatch, workers):
+    # SIGINT arrives while block 40 is half dropped on the heap: the final
+    # record is still the product of whole blocks, the first 40
+    drops = []
+
+    class InterruptedHeap(Heap):
+        def extend(self, indices):
+            indices = list(indices)
+            drops.append(len(indices))
+            super().extend(indices[:len(indices) // 2])
+            if len(drops) == 40:
+                os.kill(os.getpid(), signal.SIGINT)
+            super().extend(indices[len(indices) // 2:])
+
+    monkeypatch.setattr(cli, "Heap", InterruptedHeap)
+    handler = signal.getsignal(signal.SIGINT)
+    code, out, err = run_cli(capsys, "stream", "--model", MODEL, "--emit", "final",
+                             "--seed", "7", "--workers", workers)
+    assert code == 0, err
+    record = json.loads(out.splitlines()[-1])
+    model = tg.load_model(MODEL)
+    xi = tg.open_stream(model, "a", seed=7).run(40)
+    assert record == {"k": 40, "final": tg.trace_to_lists(model, xi), "length": xi.length}
+    assert signal.getsignal(signal.SIGINT) is handler
+
+
+def test_stream_runs_outside_the_main_thread(capsys):
+    # only the main thread may set a signal handler; elsewhere the stream
+    # runs without one
+    argv = ["stream", "--model", MODEL, "--blocks", "30", "--seed", "7", "--emit", "final"]
+    _, expected, _ = run_cli(capsys, *argv)
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and codes == [0]
+    assert capsys.readouterr().out == expected
+
+
+def test_ctrl_c_on_an_endless_final_stream_with_workers_prints_a_whole_prefix(tmp_path):
+    # Ctrl-C reaches the whole process group, pool workers included; the
+    # record is the product of the first k blocks for the k it reports, and
+    # stdout reaches EOF only once no pool worker holds the pipe any more
+    letters = [f"x{i}" for i in range(16)]
+    model_file = tmp_path / "path16.json"
+    model_file.write_text(json.dumps({"letters": letters,
+                                      "dependence": [list(e) for e in zip(letters, letters[1:])]}))
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "tracegen.cli", "stream", "--model", str(model_file),
+         "--seed", "5", "--workers", "2", "--emit", "final"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+        start_new_session=True,
+    )
+    try:
+        assert "p_star" in json.loads(proc.stdout.readline())
+        time.sleep(0.5)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # the whole tree, should the test fail
+        proc.wait()
+    # the record runs to megabytes, so it is compared as text, in the
+    # json.dumps layout that trace_json_formatter is tested to give
+    k = int(re.match(r'{"k": (\d+), ', out).group(1))
+    model = tg.load_model(str(model_file))
+    xi = tg.open_stream(model, "x0", seed=5).run(k)
+    to_json = trace_json_formatter(model)
+    assert out == f'{{"k": {k}, "final": {to_json(xi)}, "length": {xi.length}}}\n'
+
+
+def test_only_the_process_entry_freezes_the_collector(capsys, monkeypatch):
+    # main() leaves a caller's collector alone; the process entry, which
+    # `python -m tracegen.cli` and the tracegen script run, freezes the
+    # objects of the imports before main() runs
+    frozen = gc.get_freeze_count()
+    run_cli(capsys, "stream", "--model", MODEL, "--blocks", "3", "--workers", "2")
+    assert gc.get_freeze_count() == frozen
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    assert cli.process_main() == 0 and calls == ["freeze", "main"]
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+    assert 'tracegen = "tracegen.cli:process_main"' in pyproject.splitlines()
 
 
 def test_stream_rejects_reducible_model(tmp_path, capsys):

@@ -306,6 +306,25 @@ def test_final_floor_is_the_lowest_landing_level_minus_one(mw):
     assert heap.final_floor() == min(landings) - 1
 
 
+@given(model_and_word(), st.lists(st.integers(0, 14), max_size=4))
+def test_release_hands_out_the_final_levels_and_lowers_the_rest(mw, cuts):
+    # released at any points, the final levels and then the open ones are
+    # the word's normal form, and the heap keeps landing levels relative to
+    # what it has released
+    model, word = mw
+    heap, whole = Heap(model), Heap(model)
+    released = []
+    for lo, hi in zip([0, *sorted(cuts)], [*sorted(cuts), len(word)]):
+        heap.extend(word[lo:hi])
+        whole.extend(word[lo:hi])
+        floor = heap.final_floor()
+        final = heap.release()
+        assert len(final) == floor + 1 and heap.final_floor() == -1
+        released += final
+        assert heap.landing == [level - len(released) for level in whole.landing]
+    assert tuple(released + heap.factors) == tg.normalize_indices(model, word).factors
+
+
 def peeled_factors(model, word):
     """Cartier-Foata factors by peeling: the first factor is the letters
     whose first occurrence has no dependent letter before it; take those

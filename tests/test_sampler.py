@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tracegen as tg
-from conftest import cycle_model, path_model
+from conftest import chorded_cycle, cycle_model, path_model
 from tracegen import sampler as sampler_module
 from tracegen.mobius import ROOT_MARGIN
 from tracegen.oracle import enumerate_traces, exact_occurrence, tv_distance
@@ -340,14 +340,6 @@ def test_compiled_node_checks_geometric_parameter(path4, monkeypatch):
     monkeypatch.setattr(tg.MobiusTable, "occurrence", lambda self, subset, pivot: 1.0)
     with pytest.raises(ValueError, match=r"got 1\.0"):
         Sampler(path4, tg.SamplerParams(p=0.2, seed=1)).draw(tg.RandomStream(1))
-
-
-def chorded_cycle(n_letters, chords):
-    """The cycle x0 - ... - x0 plus the span 2 chords x_i - x_{i+2}."""
-    letters = [f"x{i}" for i in range(n_letters)]
-    pairs = list(zip(letters, letters[1:] + letters[:1]))
-    pairs += [(letters[i], letters[(i + 2) % n_letters]) for i in chords]
-    return tg.build_model(letters, pairs)
 
 
 PATH4 = tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])

@@ -93,12 +93,20 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": round(q1, 2), "median": round(median, 2), "q3": round(q3, 2)}
 
 
+def _at_least_two(text: str) -> int:
+    runs = int(text)
+    if runs < 2:
+        raise argparse.ArgumentTypeError(f"quartiles need at least 2 runs, got {runs}")
+    return runs
+
+
 def main() -> None:
     if sys.argv[1:2] == ["--child"]:
         child(sys.argv[2], sys.argv[3:])
         return
     parser = argparse.ArgumentParser(description="Phases of one tracegen stream process")
-    parser.add_argument("--runs", type=int, default=10)
+    parser.add_argument("--runs", type=_at_least_two, default=10,
+                        help="at least 2, for the quartiles")
     parser.add_argument("--model", default=None,
                         help="model JSON file (default: the 16-letter path x0 - ... - x15)")
     parser.add_argument("--blocks", type=int, default=4000)

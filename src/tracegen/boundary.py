@@ -29,11 +29,9 @@ from typing import Iterator, Sequence
 
 from .mobius import NotIrreducibleError, _components, smallest_root
 from .monoid import Heap, IndependenceModel, Trace, iter_bits, normalize_indices
-from .sampler import RandomStream, Sampler, SamplerParams, StepCounter
+from .sampler import _MAX_RUN, RandomStream, Sampler, SamplerParams, StepCounter, _ramp
 
 NO_LAST_BLOCK = 2**64  # an index no stream reaches: the stop of an endless run
-_FIRST_RANGE = 16  # blocks in a pool's first range, so that the first words come soon
-_MAX_RANGE = 256  # blocks in a pooled range, so that endless runs hold bounded memory
 
 
 class BlockStream:
@@ -96,10 +94,11 @@ class BlockStream:
         range can be drawn, or redrawn, at will: ``next(words(i, i + 1))``
         replays block i.  With ``workers`` above one, a pool of that many
         processes draws consecutive ranges, with ``2 * workers`` of them in
-        flight: the first of _FIRST_RANGE blocks, each next one twice as
-        long, up to ``ceil((stop - start) / (4 * workers))`` blocks, at most
-        _MAX_RANGE.  Their words come as ``bytes`` and their steps are added
-        to ``counter`` as they arrive.  The pool starts at the first word
+        flight: the ranges of ``sampler._ramp``, 16 blocks first, each next
+        one twice as long, up to ``ceil((stop - start) / (4 * workers))``
+        blocks, at most _MAX_RUN, so that an endless run holds bounded
+        memory.  Their words come as ``bytes`` and their steps are added to
+        ``counter`` as they arrive.  The pool starts at the first word
         and shuts down when the words run out or the iterator is closed.
         """
         if workers < 1:
@@ -110,7 +109,7 @@ class BlockStream:
         # the process pool costs an import that a single worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        ranges = _ramp(start, stop, max(1, min(_MAX_RANGE, -(-(stop - start) // (4 * workers)))))
+        ranges = _ramp(start, stop, max(1, min(_MAX_RUN, -(-(stop - start) // (4 * workers)))))
         pool = ProcessPoolExecutor(workers, initializer=_open_worker_stream,
                                    initargs=(self.model, self.pivot, self.seed))
         try:
@@ -146,17 +145,6 @@ class BlockStream:
 def open_stream(model: IndependenceModel, pivot: str, seed: int) -> BlockStream:
     """A checked boundary stream: ``BlockStream(model, pivot, seed)``."""
     return BlockStream(model, pivot, seed)
-
-
-def _ramp(start: int, stop: int, size: int) -> Iterator[range]:
-    """Consecutive ranges from ``start`` to ``stop``: _FIRST_RANGE blocks
-    (or ``size``, if smaller) first, then each twice the last, up to
-    ``size``."""
-    step = min(_FIRST_RANGE, size)
-    while start < stop:
-        yield range(start, min(start + step, stop))
-        start += step
-        step = min(2 * step, size)
 
 
 # The stream a pool worker of BlockStream.words draws its ranges from,

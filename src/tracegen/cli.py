@@ -131,8 +131,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     # pool, if there is one
     with _sigint_flag() as interrupted, contextlib.closing(words):
         # the header is a function of (model, pivot, seed) only, whatever the
-        # worker count, and any pool starts after it, at the first word
-        print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}))
+        # worker count, and any pool starts after it, at the first word; it
+        # is flushed, as --emit final prints nothing else before the end
+        print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}),
+              flush=True)
         for word in words:
             blocks += 1
             length += len(word)

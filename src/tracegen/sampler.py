@@ -11,10 +11,10 @@ checks its masks and p once, when it is built: ``sample_many`` builds one
 per call and a ``BlockStream`` one for all its blocks, and a single draw
 is ``normalize_indices(model, Sampler(model, params).draw(stream))``.
 Each state of the recursion is compiled once into a node holding its
-pivot, the log of its geometric parameter and its two child states, and a
+pivot, the log of its geometric parameter and its two children, and a
 draw runs the nodes on an explicit stack.  A visit to a state always runs
-on through its rest chain, the states reached by removing pivots, so each
-chain is resolved and its steps counted once, when it is first entered.
+on through its rest chain, the states reached by removing pivots, so a
+node is compiled with its whole rest chain and counts the chain's steps.
 The cost is linear in output length, with a factor for the alphabet size:
 every draw walks its root's rest chain and reads one uniform per node of
 it.
@@ -40,7 +40,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -76,8 +76,9 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # A run of streams is derived with their first _HEAD doubles: numpy's
-# next_double of PCG64, an LCG step then the XSL-RR output.  Runs start at
-# _FIRST_RUN streams and double up to _MAX_RUN.
+# next_double of PCG64, an LCG step then the XSL-RR output.  ``_ramp`` cuts
+# runs of streams, and a pool's ranges of blocks, starting at _FIRST_RUN and
+# doubling up to _MAX_RUN.
 _HEAD = 8
 _FIRST_RUN = 16
 _MAX_RUN = 256
@@ -332,13 +333,12 @@ class RandomStream:
 
         The first child is ``split(start)``, made by this call, so taking
         one child costs one derivation.  The rest come, as they are taken,
-        in runs of _FIRST_RUN children, doubling up to _MAX_RUN, each run
-        derived in one pass; a run never crosses a multiple of 2**32, so
-        its key elements differ in their lowest word only.
+        in the runs of ``_ramp(start + 1, stop, _MAX_RUN)``, each derived
+        in one pass.
         """
         if start >= stop:
             return iter(())
-        runs = starmap(self._run, _runs(start + 1, stop))
+        runs = (self._run(r.start, len(r)) for r in _ramp(start + 1, stop, _MAX_RUN))
         return chain((self.split(start),), chain.from_iterable(runs))
 
     def _run(self, first: int, n: int) -> list["RandomStream"]:
@@ -364,14 +364,17 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, key={self.key})"
 
 
-def _runs(start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """(first, n) of each run ``splits`` derives from start on."""
-    size = _FIRST_RUN
+def _ramp(start: int, stop: int, size: int) -> Iterator[range]:
+    """Consecutive ranges from ``start`` to ``stop``: _FIRST_RUN (or
+    ``size``, if smaller) first, then each twice the last, up to ``size``;
+    a range never crosses a multiple of 2**32, so its key elements differ
+    in their lowest word only."""
+    n = min(_FIRST_RUN, size)
     while start < stop:
-        n = min(size, stop - start, (start | _MASK32) + 1 - start)
-        yield start, n
-        start += n
-        size = min(2 * size, _MAX_RUN)
+        end = min(start + n, stop, (start | _MASK32) + 1)
+        yield range(start, end)
+        start = end
+        n = min(2 * n, size)
 
 
 RandomStream(0, (0,))._refill()  # numpy's first hash, state write and draw are slow
@@ -383,10 +386,11 @@ class StepCounter:
     Counts one step per state visited by the pivot recursion, one per unit
     of the geometric draw plus one, and one per emitted factor; these are
     the operations the linear cost bound is stated over.  The compiled
-    sampler adds each rest chain's share when the chain is entered, and
-    each node's share per geometric unit, empty states included, so the
-    totals are those of the plain recursion.  ``BlockStream.draw_block``
-    adds one more step per boundary block.  Callers add to ``steps``.
+    sampler adds a rest chain's visit steps, which its head node holds,
+    once per visit, and each node's share per geometric unit, empty states
+    included, so the totals are those of the plain recursion.
+    ``BlockStream.draw_block`` adds one more step per boundary block.
+    Callers add to ``steps``.
     """
 
     __slots__ = ("steps",)
@@ -450,16 +454,17 @@ class Sampler:
     pivot the rule picks, the log of the geometric parameter r at
     ``params.p``, ``-expm1(log_r) * (1 - 2**-30)`` (2.0 when r is 0), below
     which a uniform gives K = 0 with no log1p, the steps one visit of the
-    node adds, the steps it adds per geometric unit, and the rest and link
-    children.  A child is None when it has no candidates, and the key of its
-    state until it is resolved.
+    node and of its rest chain adds, the steps it adds per geometric unit,
+    and the rest and link children.  A child is None when it has no
+    candidates.
 
     A visit to a node always goes on down its rest chain (the nodes reached
-    by rest children), so ``draw`` resolves a chain whole when it is first
-    entered: the root's on the first draw, a link child's when its parent
-    first draws K > 0, whose link slot then holds ``[pivot, link node]``,
-    pushed K times.  The chain's visit steps are counted once: the root's
-    per draw, a link chain's in its parent's ``steps_per_k``.
+    by rest children), so a node is compiled with its whole rest chain.  The
+    link slot holds the link state until the node first draws K > 0, as
+    eager links would compile every reachable state; ``draw`` then puts
+    ``[pivot, link node]`` there, pushed K times.  The root is compiled on
+    the first draw.  A chain's visit steps are counted once per visit: the
+    root's per draw, a link chain's in its parent's ``steps_per_k``.
     """
 
     def __init__(
@@ -482,8 +487,8 @@ class Sampler:
             self._order = tuple(model.index_of(ch) for ch in params.pivot_order)
         self._choose = getattr(self, f"_choose_{params.pivot}")
         self._nodes: dict[tuple[int, int], list] = {}
-        # the root's resolved chain and its visit steps, on the first draw
-        self._root: tuple[list, int] | None = None
+        # the root's node, compiled on the first draw
+        self._root: list | None = None
 
     @staticmethod
     def _choose_lowindex(subset: int, candidates: int) -> int:
@@ -506,7 +511,8 @@ class Sampler:
         return (candidates & -candidates).bit_length() - 1
 
     def _node(self, state: tuple[int, int]) -> list:
-        """The node of a state (subset, candidates) with candidates."""
+        """The node of a state (subset, candidates) with candidates, with its
+        whole rest chain compiled."""
         try:
             return self._nodes[state]
         except KeyError:
@@ -517,35 +523,25 @@ class Sampler:
         rest = subset & ~(1 << pivot)
         rest_candidates = rest & candidates
         link_candidates = rest & self.model.dependence[pivot]
+        tail = self._node((rest, rest_candidates)) if rest_candidates else None
         # K = int(log1p(-u) / log_r) is 0 for u < 1 - r = -expm1(log_r); a
         # margin of 2**-30 relative, far wider than the few ulp the floats
         # can be off, keeps the skip of log1p where the two agree.  A visit
         # costs 1, the geometric draw K + 1, the K pivots and the remainder
         # one each: 3 + 2K; an empty child is never run, so its one step for
-        # the visit is counted here.  ``draw`` adds the link chain's visit
-        # steps to the 2 per unit when it resolves the chain.
+        # the visit is counted here.  A visit runs on down the rest chain,
+        # whose visit steps it adds; ``draw`` adds the link chain's visit
+        # steps to the 2 per unit when it resolves the link.
         node = self._nodes[state] = [
             pivot,
             log_r,
             -math.expm1(log_r) * (1 - 2**-30) if log_r else 2.0,
-            3 if rest_candidates else 4,
+            3 + tail[3] if tail else 4,
             2 if link_candidates else 3,
-            (rest, rest_candidates) if rest_candidates else None,
+            tail,
             (rest, link_candidates) if link_candidates else None,
         ]
         return node
-
-    def _chain(self, state: tuple[int, int]) -> tuple[list, int]:
-        """The node of a state with candidates, with its whole rest chain
-        resolved, and the steps one visit of the chain adds."""
-        head = node = self._node(state)
-        steps = node[3]
-        while (rest := node[5]) is not None:
-            if rest.__class__ is tuple:
-                rest = node[5] = self._node(rest)
-            node = rest
-            steps += node[3]
-        return head, steps
 
     def draw(self, stream: RandomStream) -> list[int]:
         """Letter indices of one sample from the root state, in a valid
@@ -554,19 +550,18 @@ class Sampler:
         A node with K > 0 pushes its remainder, then K times its pivot and
         its link child, onto a stack of nodes to fill and letters to emit,
         so the letters come out in the recursion's order; with K = 0 it
-        reads only its threshold and runs its remainder next.  Every node
-        the loop reaches has its rest chain resolved, and the chain's steps
-        are counted on entry.  When the chunk runs out, ``_refill`` draws
-        the next one.
+        reads only its threshold and runs its remainder next.  A chain's
+        steps are counted on entry, from its head node.  When the chunk runs
+        out, ``_refill`` draws the next one.
         """
         out: list[int] = []
-        root = self._root
-        if root is None:
+        node = self._root
+        if node is None:
             if not self.root_state[1]:
                 self.counter.steps += 1
                 return out
-            root = self._root = self._chain(self.root_state)
-        node, steps = root
+            node = self._root = self._node(self.root_state)
+        steps = node[3]
         emit = out.append
         stack: list = []
         pop = stack.pop
@@ -580,8 +575,8 @@ class Sampler:
             if u >= node[2] and (k := int(math.log1p(-u) / node[1])):
                 link = node[6]
                 if link.__class__ is tuple:
-                    head, chain_steps = self._chain(link)
-                    node[4] += chain_steps
+                    head = self._node(link)
+                    node[4] += head[3]
                     link = node[6] = [node[0], head]
                 steps += k * node[4]
                 if link is not None:

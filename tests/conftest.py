@@ -85,6 +85,14 @@ def chorded_cycle(n_letters: int, chords) -> tg.IndependenceModel:
     return tg.build_model(letters, pairs)
 
 
+def child_states(model: IndependenceModel, state: tuple[int, int], pivot: int) -> list:
+    """The rest and link states of a state (S, C) with pivot a, None for
+    one with no candidates: (S - a, C - a) and (S - a, (S - a) & link(a))."""
+    subset, candidates = state
+    rest = subset & ~(1 << pivot)
+    return [(rest, c) if c else None for c in (rest & candidates, rest & model.dependence[pivot])]
+
+
 def count_traces(
     model: tg.IndependenceModel, subset: int | None = None, n_max: int = 6
 ) -> list[int]:

@@ -234,6 +234,13 @@ def test_words_straddling_a_key_of_2_to_the_32_equal_their_splits(path4):
     got = list(stream.words(2**32 - 2, 2**32 + 2))
     want = [stream.draw_block(stream.stream.split(i)) for i in range(2**32 - 2, 2**32 + 2)]
     assert got == want
+    # on 2 workers the 40 blocks come in ranges of 5, the fourth cut to 3
+    # at 2**32
+    alone = tg.open_stream(path4, "b", seed=23)
+    words = [bytes(w) for w in alone.words(2**32 - 18, 2**32 + 22)]
+    pooled = tg.open_stream(path4, "b", seed=23)
+    assert list(pooled.words(2**32 - 18, 2**32 + 22, workers=2)) == words
+    assert pooled.counter.steps == alone.counter.steps
 
 
 def test_interleaved_run_advance_and_next_block_replay_every_block():

@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -373,6 +374,35 @@ def test_ctrl_c_on_an_endless_final_stream_with_workers_prints_a_whole_prefix(tm
     xi = tg.open_stream(model, "x0", seed=5).run(k)
     to_json = trace_json_formatter(model)
     assert out == f'{{"k": {k}, "final": {to_json(xi)}, "length": {xi.length}}}\n'
+
+
+def test_an_endless_final_stream_shows_its_header_on_a_pipe_while_it_runs(tmp_path):
+    # --emit final prints nothing else before the end, so the header must
+    # be flushed, even with Python's output buffered, as on a pipe
+    letters = [f"x{i}" for i in range(16)]
+    model_file = tmp_path / "path16.json"
+    model_file.write_text(json.dumps({"letters": letters,
+                                      "dependence": [list(e) for e in zip(letters, letters[1:])]}))
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tracegen.cli", "stream", "--model", str(model_file),
+         "--seed", "5", "--emit", "final"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready and proc.poll() is None
+        header = json.loads(proc.stdout.readline())
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # should the test fail
+        proc.wait()
+    assert header["seed"] == 5 and header["pivot"] == "x0"
+    assert out.startswith('{"k": ')
 
 
 def test_only_the_process_entry_freezes_the_collector(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import tracegen as tg
-from conftest import cycle_model, path_model
+from conftest import child_states, cycle_model, path_model
 from tracegen.monoid import UNIT, max_letters
 from tracegen.oracle import enumerate_traces, exact_occurrence
 from tracegen.sampler import Sampler, _log_ratio
@@ -36,10 +36,10 @@ def exact_law(sampler, n):
     """The law of ``sampler.draw`` on traces of length at most n.
 
     A node's output is (L . a)^K . R, with K geometric of parameter r, L
-    drawn in the link state and R in the rest state.  Pivots and children
-    are read from the compiled nodes; each r is the exact rational that
-    ``oracle.exact_occurrence`` rounds, and the node's log_r must be the
-    log of that rounding.
+    drawn in the link state and R in the rest state.  Pivots are read from
+    the compiled nodes and the child states derived from them; each r is
+    the exact rational that ``oracle.exact_occurrence`` rounds, and the
+    node's log_r must be the log of that rounding.
     """
     model, q = sampler.model, Fraction(sampler.table.p)
     memo = {}
@@ -48,7 +48,8 @@ def exact_law(sampler, n):
         if state is None:
             return {UNIT: Fraction(1)}
         if (state, n) not in memo:
-            pivot, log_r, _, _, _, rest, link = sampler._node(state)
+            pivot, log_r, *_ = sampler._node(state)
+            rest, link = child_states(model, state, pivot)
             subset = state[0]
             r = (
                 q

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tracegen as tg
-from conftest import chorded_cycle, cycle_model, path_model
+from conftest import child_states, chorded_cycle, cycle_model, path_model
 from tracegen import sampler as sampler_module
 from tracegen.mobius import ROOT_MARGIN
 from tracegen.oracle import enumerate_traces, exact_occurrence, tv_distance
@@ -115,6 +115,23 @@ def test_sample_many_derives_its_first_stream_alone(path4, monkeypatch):
     assert runs == [(1, 16)]
     assert len(list(samples)) == 598
     assert runs == [(1, 16), (17, 32), (49, 64), (113, 128), (241, 256), (497, 103)]
+
+
+def test_nodes_compile_on_the_first_draw_with_their_rest_chains():
+    # neither a Sampler nor a BlockStream compiles anything before its
+    # first draw, which compiles the root's whole rest chain
+    stream = tg.open_stream(path_model(16), "x5", seed=3)
+    sampler = stream._sampler
+    assert sampler._nodes == {} and sampler._root is None
+    next(stream.words(0, 1))
+    # the root's candidates x4 and x6 make a chain of two nodes, whose
+    # visit costs 3 then 4 steps
+    chain, node = [], sampler._root
+    while node is not None:
+        chain.append(node)
+        node = node[5]
+    assert [n[0] for n in chain] == [4, 6]
+    assert [n[3] for n in chain] == [7, 4]
 
 
 def test_a_root_that_is_only_split_is_never_seeded(path4, monkeypatch):
@@ -358,15 +375,15 @@ def case_sampler(model, p):
 
 
 def compiled_nodes(sampler):
-    """Every state reachable from the root of a Sampler that has not drawn
-    yet, with its compiled node; compiling leaves the children as states."""
+    """Every state reachable from the root of a Sampler, with its compiled
+    node."""
     todo, seen = [sampler.root_state], {}
     while todo:
         state = todo.pop()
         if state in seen:
             continue
         node = seen[state] = sampler._node(state)
-        todo += [child for child in node[5:] if child is not None]
+        todo += [child for child in child_states(sampler.model, state, node[0]) if child]
     return seen
 
 
@@ -546,6 +563,25 @@ def test_runs_of_every_size_equal_numpy_seed_sequence(seed, prefix, first, n):
     assert [child.key for child in children] == [prefix + (first + k,) for k in range(n)]
     for child in children:
         assert [child.uniform() for _ in range(200)] == numpy_doubles(seed, child.key, 200)
+
+
+@given(
+    st.one_of(st.integers(0, 600), st.integers(2**32 - 600, 2**32 + 600)),
+    st.integers(0, 3000),
+    st.integers(1, 256),
+)
+def test_ramp_partitions_its_range_in_doubling_runs_cut_at_2_to_the_32(start, length, size):
+    # the runs of RandomStream.splits and the ranges of a pooled
+    # BlockStream.words: min(16, size) first, each next one twice as long
+    # up to size, cut by the stop and by each multiple of 2**32
+    stop = start + length
+    ranges = list(sampler_module._ramp(start, stop, size))
+    assert [i for r in ranges for i in r] == list(range(start, stop))
+    want = min(16, size)
+    for r in ranges:
+        assert len(r) == min(want, stop - r.start, (r.start // 2**32 + 1) * 2**32 - r.start)
+        assert len(r) > 0 and r.start // 2**32 == (r.stop - 1) // 2**32
+        want = min(2 * want, size)
 
 
 def test_run_children_share_the_generator_with_live_streams():

@@ -11,7 +11,7 @@ from argparse import ArgumentParser
 from pathlib import Path
 
 from tracegen import SamplerParams, load_model, sample_many, smallest_root
-from tracegen.oracle import enumerate_traces, tv_distance
+from tracegen.oracle import probability_table, tv_distance
 from tracegen.sampler import PIVOT_RULES
 from tracegen.verify import empirical_distribution
 
@@ -33,7 +33,8 @@ def main():
     root = smallest_root(model)
     if args.p >= root:
         raise SystemExit(f"p must stay below the critical value {root:.6f}")
-    exact = enumerate_traces(model, n_max=args.cutoff).probability_table(args.p)
+    full = model.full_mask
+    exact = probability_table(model, full, full, args.p, args.cutoff)
 
     print(f"p={args.p} n={args.n} seed={args.seed} cutoff={args.cutoff}")
     print(f"{'rule':>10} {'TV':>9} {'unit':>8} {'mean len':>9}")

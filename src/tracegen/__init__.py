@@ -35,7 +35,6 @@ from .mobius import (
     RootNotFoundError,
     expected_length,
     is_irreducible,
-    mobius_eval,
     mobius_polynomial,
     recurrence_residual_coefficients,
     smallest_root,
@@ -66,7 +65,7 @@ __all__ = [
     "left_quotient", "link", "load_model", "max_letters", "model_from_dict",
     "normalize", "normalize_indices", "pyramidal_decompose", "trace_to_lists",
     "MobiusPolynomial", "MobiusTable", "NotIrreducibleError",
-    "RootNotFoundError", "expected_length", "is_irreducible", "mobius_eval",
+    "RootNotFoundError", "expected_length", "is_irreducible",
     "mobius_polynomial", "recurrence_residual_coefficients", "smallest_root",
     "RandomStream", "SamplerParams", "StepCounter", "sample_many",
     "BlockStream", "open_stream", "parallel_run",

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import gc
 import json
+import os
 import signal
 import sys
 import threading
@@ -159,7 +160,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_suite
 
     model = load_model(args.model)
-    reports = run_suite(args.suite, model, args.seed, args.pivot_letter)
+    # a report path that cannot be written fails before any suite runs;
+    # append mode leaves an existing file as it is
+    made = bool(args.report) and not os.path.exists(args.report)
+    if args.report:
+        open(args.report, "a", encoding="utf-8").close()
+    try:
+        reports = run_suite(args.suite, model, args.seed, args.pivot_letter)
+    except ValueError:
+        if made:  # input the suites refuse leaves no file behind
+            os.remove(args.report)
+        raise
     payload = [r.to_dict() for r in reports]
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -249,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader went away, which is not bad input
+        raise
     except (ValueError, OSError) as exc:
         # covers model schema problems and unreadable model files alike;
         # json decode errors are ValueErrors already
@@ -261,9 +275,15 @@ def process_main() -> int:
     moving every object the imports made out of the garbage collector's
     reach (``gc.freeze``), before any pool forks.  The collection at exit
     and the pool workers' collections then skip them.  ``main()`` itself
-    leaves the collector of a caller's process alone."""
+    leaves the collector of a caller's process alone.  A reader that
+    closes the pipe ends the process with status 141, as SIGPIPE would."""
     gc.freeze()
-    return main()
+    try:
+        return main()
+    except BrokenPipeError:
+        # the flush at exit then writes what is left to nowhere, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":

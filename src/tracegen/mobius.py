@@ -52,8 +52,6 @@ from functools import lru_cache
 
 from .monoid import IndependenceModel
 
-ROOT_MARGIN = 1e-9
-
 
 class RootNotFoundError(RuntimeError):
     """No usable root of the Mobius polynomial was located in (0, 1]."""
@@ -72,11 +70,6 @@ class MobiusPolynomial:
     def evaluate(self, p: float) -> float:
         """Value at the double p, computed exactly and rounded once."""
         return _rounded(_scaled_value(self.coefficients, float(p)))
-
-    def derivative_at(self, p: float) -> float:
-        """Derivative at the double p, computed exactly and rounded once."""
-        derivative = tuple(d * c for d, c in enumerate(self.coefficients))[1:]
-        return _rounded(_scaled_value(derivative, float(p)))
 
     def clique_count(self) -> int:
         return sum(abs(c) for c in self.coefficients)
@@ -115,11 +108,6 @@ def mobius_polynomial(model: IndependenceModel, subset: int | None = None) -> Mo
     return MobiusPolynomial(
         _recur({0: (1,)}, model.dependence, model.mask(subset), _coefficient_step)
     )
-
-
-def mobius_eval(model: IndependenceModel, subset: int | None, p: float) -> float:
-    """One shot evaluation of the Mobius polynomial at p."""
-    return mobius_polynomial(model, subset).evaluate(p)
 
 
 def recurrence_residual_coefficients(
@@ -364,8 +352,8 @@ def smallest_root(model: IndependenceModel, subset: int | None = None) -> float:
     sign variation, so by Descartes' rule no root lies in (0, x).  Newton's
     iterates only propose x.  No floating point arithmetic decides
     anything, so the result does not depend on the platform or on the
-    numpy version, and the range checks 0 < p < smallest_root admit only
-    parameters below the true root.
+    numpy version, and ``check_parameter``'s range admits only parameters
+    below the true root.
     """
     mask = model.mask(subset)
     if mask == 0:
@@ -425,25 +413,30 @@ class MobiusTable:
         return (n * num << den_shift) / (d * den << num_shift)
 
 
-def check_below_root(model: IndependenceModel, subset: int, p: float) -> None:
-    """Raise ValueError unless 0 < p < smallest_root(subset).
+ROOT_MARGIN = 1e-9
 
-    This is the range where the multiplicative law over the subalphabet
-    exists: mu(p) > 0 and the series 1 / mu converges.  Quantities read off
-    the law in closed form, such as ``expected_length``, need only this;
-    the sampler asks for ``sampler.check_parameter``'s stricter range.
+
+def check_parameter(model: IndependenceModel, subset: int, p: float) -> None:
+    """Raise ValueError unless 0 < p <= smallest_root(subset) - ROOT_MARGIN,
+    the one range check on a law parameter: below the root the law exists,
+    and the margin keeps the sampler's geometric parameters away from 1.
+    Every ``Sampler`` runs it on its root state; for a ``BlockStream`` it is
+    the gap check, as the pivot-free subalphabet's root must clear p_sigma.
     """
     root = smallest_root(model, subset)
-    if not 0.0 < p < root:
+    if not 0.0 < p <= root - ROOT_MARGIN:
         raise ValueError(
-            f"p={p!r} is out of range: need 0 < p < {root!r}, the smallest "
-            f"Mobius root of the subalphabet"
+            f"p={p!r} is out of range: need 0 < p <= root - ROOT_MARGIN, where "
+            f"root={root!r} is the smallest Mobius root of the subalphabet and "
+            f"ROOT_MARGIN={ROOT_MARGIN!r}"
         )
 
 
 def expected_length(model: IndependenceModel, p: float, subset: int | None = None) -> float:
-    """Mean trace length under the multiplicative law at parameter p."""
+    """Mean trace length -p mu'(p) / mu(p) under the multiplicative law at
+    parameter p, mu' and mu each computed exactly and rounded once."""
     mask = model.mask(subset)
-    check_below_root(model, mask, p)
+    check_parameter(model, mask, p)
     poly = mobius_polynomial(model, mask)
-    return -p * poly.derivative_at(p) / poly.evaluate(p)
+    slope = [d * c for d, c in enumerate(poly.coefficients)][1:]
+    return -p * _rounded(_scaled_value(slope, float(p))) / poly.evaluate(p)

@@ -274,10 +274,6 @@ class Heap:
         return Trace(tuple(self.factors))
 
 
-def _word_to_indices(model: IndependenceModel, word: Iterable[str]) -> list[int]:
-    return [model.index_of(ch) for ch in word]
-
-
 def word_indices(trace: Trace) -> list[int]:
     """Canonical linearisation as letter indices, factor by factor."""
     out: list[int] = []
@@ -291,7 +287,7 @@ def normalize(model: IndependenceModel, word: Iterable[str]) -> Trace:
 
     A string is accepted when every letter is a single character.
     """
-    return normalize_indices(model, _word_to_indices(model, word))
+    return normalize_indices(model, [model.index_of(ch) for ch in word])
 
 
 def normalize_indices(model: IndependenceModel, indices: Iterable[int]) -> Trace:

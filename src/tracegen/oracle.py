@@ -2,19 +2,19 @@
 
 Everything here is slow and exact on purpose: exhaustive enumeration of
 traces by length, series coefficients from the Mobius polynomial, and
-closed form probabilities.  The samplers are tested against these, never
-the other way round.  Guardrails keep calls inside the regime where the
-enumeration stays fast.
+closed form probabilities.  Every exact law table lives here: the finite
+law, conditioned or not, and the boundary block law.  The samplers are
+tested against these, never the other way round.  Guardrails keep calls
+inside the regime where the enumeration stays fast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .mobius import mobius_eval, mobius_polynomial
-from .monoid import IndependenceModel, Trace, iter_bits
+from .mobius import mobius_polynomial
+from .monoid import IndependenceModel, Trace, concat, iter_bits, max_letters
 
 MAX_ORACLE_LETTERS = 6
 MAX_ORACLE_LENGTH = 12
@@ -65,43 +65,56 @@ def _frontiers(
         yield frontier
 
 
-@dataclass(frozen=True)
-class EnumerationIndex:
-    """All traces of a subalphabet up to a length bound, grouped by length."""
-
-    model: IndependenceModel
-    subset: int
-    by_length: tuple[tuple[Trace, ...], ...]
-
-    def counts(self) -> list[int]:
-        return [len(level) for level in self.by_length]
-
-    def __iter__(self) -> Iterator[Trace]:
-        for level in self.by_length:
-            yield from level
-
-    def probability_table(self, p: float) -> dict[Trace, float]:
-        """Exact probability of each enumerated trace under the
-        multiplicative law of the subalphabet at parameter p."""
-        mu = mobius_eval(self.model, self.subset, p)
-        return {x: mu * p**x.length for x in self}
-
-
 def enumerate_traces(
     model: IndependenceModel, subset: int | None = None, n_max: int = 6
-) -> EnumerationIndex:
-    """Breadth first enumeration of all traces of length at most n_max.
+) -> tuple[Trace, ...]:
+    """Breadth first enumeration of all traces of length at most n_max, by
+    length and sorted within each length.
 
     Each level is produced by extending the previous level with every
-    letter and deduplicating on the normal form, then sorted for a
-    deterministic order.
+    letter and deduplicating on the normal form.
     """
-    mask = model.mask(subset)
-    levels = tuple(
-        tuple(Trace(f) for f in sorted(frontier))
-        for frontier in _frontiers(model, mask, n_max)
+    return tuple(
+        Trace(f)
+        for frontier in _frontiers(model, model.mask(subset), n_max)
+        for f in sorted(frontier)
     )
-    return EnumerationIndex(model, mask, levels)
+
+
+def probability_table(
+    model: IndependenceModel, subset: int, target: int, p: float, n_max: int
+) -> dict[Trace, float]:
+    """Exact law over ``subset`` conditioned on maximal pieces in ``target``,
+    tabulated on traces of length at most n_max: mu_S(p) p^|x| /
+    mu_{S minus T}(p).  With target = subset it is the unconditioned law,
+    since mu of the empty set is exactly 1.0."""
+    scale = (
+        mobius_polynomial(model, subset).evaluate(p)
+        / mobius_polynomial(model, subset & ~target).evaluate(p)
+    )
+    return {
+        x: scale * p**x.length
+        for x in enumerate_traces(model, subset, n_max)
+        if max_letters(model, x) & ~target == 0
+    }
+
+
+def pyramidal_block_table(
+    model: IndependenceModel, pivot: str, p: float, n_max: int
+) -> dict[Trace, float]:
+    """Exact block law of the boundary generator: each block v with apex
+    ``pivot`` has probability p^|v|, tabulated up to length n_max."""
+    i = model.index_of(pivot)
+    rest = model.full_mask & ~(1 << i)
+    lk = model.dependence[i]
+    apex = Trace((1 << i,))
+    table: dict[Trace, float] = {}
+    if n_max >= 1:
+        for z in enumerate_traces(model, rest, n_max - 1):
+            if max_letters(model, z) & ~lk == 0:
+                v = concat(model, z, apex)
+                table[v] = p**v.length
+    return table
 
 
 def series_coefficients(
@@ -186,23 +199,21 @@ def chi_square(
     return stat, float(chi2.sf(stat, len(observed) - 1))
 
 
-def geometric_bins(
-    samples: Sequence[int], r: float, min_expected: float = 5.0
-) -> tuple[list[float], list[float]]:
+def geometric_bins(samples: Sequence[int], r: float) -> tuple[list[float], list[float]]:
     """Bin geometric draws against the law (1 - r) r^k with a lumped tail.
 
-    Bins are k = 0, 1, ... while the expected count stays at least
-    min_expected, with everything larger collected into a final bin; the
-    two returned vectors are aligned observed and expected counts.
+    Bins are k = 0, 1, ... while the expected count stays at least 5, with
+    everything larger collected into a final bin; the two returned vectors
+    are aligned observed and expected counts.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly between 0 and 1")
     n = len(samples)
     k_max = 0
-    while n * (1.0 - r) * r ** (k_max + 1) >= min_expected:
+    while n * (1.0 - r) * r ** (k_max + 1) >= 5.0:
         k_max += 1
     # the lumped tail itself must also carry enough mass
-    while k_max > 0 and n * r ** (k_max + 1) < min_expected:
+    while k_max > 0 and n * r ** (k_max + 1) < 5.0:
         k_max -= 1
     observed = [0.0] * (k_max + 2)
     for k in samples:

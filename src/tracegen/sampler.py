@@ -45,7 +45,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .mobius import ROOT_MARGIN, MobiusTable, smallest_root
+from .mobius import MobiusTable, check_parameter
 from .monoid import IndependenceModel, Trace, iter_bits, normalize_indices
 
 PIVOT_RULES = ("lowindex", "maxdeg", "order")
@@ -417,11 +417,12 @@ def _log_ratio(r: float) -> float:
 class SamplerParams:
     """Configuration for the finite trace sampler.
 
-    p must satisfy 0 < p < smallest_root of the alphabet being sampled,
-    with a small safety margin.  pivot selects how the pivot letter is
-    chosen among the candidates: "lowindex" takes the smallest letter
-    index, "maxdeg" the letter with the most dependence neighbours in the
-    current subalphabet, "order" follows the explicit pivot_order list.
+    p must lie in ``mobius.check_parameter``'s range for the alphabet
+    being sampled, below its smallest root by at least ROOT_MARGIN.
+    pivot selects how the pivot letter is chosen among the candidates:
+    "lowindex" takes the smallest letter index, "maxdeg" the letter with
+    the most dependence neighbours in the current subalphabet, "order"
+    follows the explicit pivot_order list.
     """
 
     p: float
@@ -444,9 +445,9 @@ class Sampler:
     The constructor is the one range check on the sampler's input: it
     rejects mask bits outside the alphabet and, when the root state has
     candidates (``subset & target``), a parameter outside
-    ``check_parameter``'s range for ``subset``.  The recursion only ever
-    shrinks the subalphabet, which can only move the root up, so every
-    state it reaches is in range too.
+    ``mobius.check_parameter``'s range for ``subset``.  The recursion only
+    ever shrinks the subalphabet, which can only move the root up, so
+    every state it reaches is in range too.
 
     Built once and reused for every draw.  Each state (subset, candidates)
     the recursion reaches is compiled on first use into a node
@@ -598,25 +599,6 @@ class Sampler:
                 break
         self.counter.steps += steps
         return out
-
-
-def check_parameter(model: IndependenceModel, subset: int, p: float) -> None:
-    """Raise ValueError unless 0 < p <= smallest_root(subset) - ROOT_MARGIN,
-    the range the sampler accepts.
-
-    The ``Sampler`` constructor runs it once on its root state, so every
-    draw and stream gets it.  The margin keeps the root state's parameter
-    r = 1 - mu_S(p) / mu_{S minus pivot}(p) away from 1, where the mean
-    length and the geometric counts blow up, and for a ``BlockStream`` it
-    is the gap check: the pivot-free subalphabet's root must clear p_sigma.
-    """
-    root = smallest_root(model, subset)
-    if not 0.0 < p <= root - ROOT_MARGIN:
-        raise ValueError(
-            f"p={p!r} is out of range: need 0 < p <= root - ROOT_MARGIN, where "
-            f"root={root!r} is the smallest Mobius root of the subalphabet and "
-            f"ROOT_MARGIN={ROOT_MARGIN!r}"
-        )
 
 
 def sample_many(

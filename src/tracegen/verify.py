@@ -2,9 +2,9 @@
 
 Each check produces a TestReport: a named statistic, the threshold it was
 held to, and the verdict.  All randomness is seeded, so every report is
-reproducible bit for bit from its parameters.  The exact references come
-from the oracle module; the suites never compare a sampler against
-itself.
+reproducible bit for bit from its parameters.  The exact references,
+every law table among them, come from the oracle module; the suites never
+compare a sampler against itself.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 from . import DEFAULT_SEED, SUITES
 from .boundary import open_stream, parallel_run
 from .mobius import (
+    ROOT_MARGIN,
     MobiusTable,
     expected_length,
-    mobius_eval,
     mobius_polynomial,
     recurrence_residual_coefficients,
     smallest_root,
@@ -47,6 +47,8 @@ from .oracle import (
     enumerate_traces,
     exact_occurrence,
     geometric_bins,
+    probability_table,
+    pyramidal_block_table,
     tv_distance,
 )
 from .sampler import (
@@ -132,37 +134,6 @@ def _law_report(
     return TestReport.make(name, tv, threshold, "le", len(samples), seed, **details)
 
 
-def conditioned_probability_table(
-    model: IndependenceModel, subset: int, target: int, p: float, n_max: int
-) -> dict[Trace, float]:
-    """Exact law over ``subset`` conditioned on maximal pieces in ``target``,
-    tabulated on traces of length at most n_max."""
-    scale = mobius_eval(model, subset, p) / mobius_eval(model, subset & ~target, p)
-    table: dict[Trace, float] = {}
-    for x in enumerate_traces(model, subset, n_max):
-        if max_letters(model, x) & ~target == 0:
-            table[x] = scale * p**x.length
-    return table
-
-
-def pyramidal_block_table(
-    model: IndependenceModel, pivot: str, p: float, n_max: int
-) -> dict[Trace, float]:
-    """Exact block law of the boundary generator: each block v with apex
-    ``pivot`` has probability p^|v|, tabulated up to length n_max."""
-    i = model.index_of(pivot)
-    rest = model.full_mask & ~(1 << i)
-    lk = model.dependence[i]
-    apex = Trace((1 << i,))
-    table: dict[Trace, float] = {}
-    if n_max >= 1:
-        for z in enumerate_traces(model, rest, n_max - 1):
-            if max_letters(model, z) & ~lk == 0:
-                v = concat(model, z, apex)
-                table[v] = p**v.length
-    return table
-
-
 # ---------------------------------------------------------------------------
 # Decomposition law
 
@@ -173,7 +144,6 @@ def verify_decomposition_law(
     n: int = 100_000,
     seed: int = DEFAULT_SEED,
     chi_alpha: float = 0.005,
-    tv_threshold: float = 0.015,
 ) -> list[TestReport]:
     """Sample n traces, split each at the pivot, and test the three
     consequences of the decomposition: the pyramidal factor count is
@@ -215,13 +185,9 @@ def verify_decomposition_law(
     )
 
     rest = full & ~(1 << pivot_index)
-    exact = conditioned_probability_table(
-        model, rest, model.dependence[pivot_index], p, 3
-    )
+    exact = probability_table(model, rest, model.dependence[pivot_index], p, 3)
     reports.append(
-        _law_report(
-            "decomposition-first-body-law", first_bodies, exact, 3, tv_threshold, seed,
-        )
+        _law_report("decomposition-first-body-law", first_bodies, exact, 3, 0.015, seed)
     )
 
     # the pair-length table without its empty rows and columns
@@ -469,7 +435,9 @@ def run_mobius_suite(
     p = 0.5 * root
     table = MobiusTable(model, p)
     subsets = list(masks(0))
-    violations = sum(1 for x in subsets if table.value(x) != mobius_eval(model, x, p))
+    violations = sum(
+        1 for x in subsets if table.value(x) != mobius_polynomial(model, x).evaluate(p)
+    )
     reports.append(
         TestReport.make("memo-coherence", violations, 0, "le", len(subsets), seed)
     )
@@ -502,7 +470,7 @@ def run_finite_suite(
     params = SamplerParams(p=p, seed=seed)
 
     samples = list(sample_many(model, params, config.n_law))
-    exact = enumerate_traces(model, full, SUPPORT_CUTOFF).probability_table(p)
+    exact = probability_table(model, full, full, p, SUPPORT_CUTOFF)
     reports.append(
         _law_report(
             "finite-law-tv", samples, exact, SUPPORT_CUTOFF,
@@ -511,11 +479,12 @@ def run_finite_suite(
     )
 
     unit_freq = sum(1 for x in samples if x.is_unit) / len(samples)
+    unit_mass = mobius_polynomial(model, full).evaluate(p)
     reports.append(
         TestReport.make(
-            "unit-mass", abs(unit_freq - mobius_eval(model, full, p)),
+            "unit-mass", abs(unit_freq - unit_mass),
             config.unit_mass_threshold, "le", config.n_law, seed,
-            frequency=unit_freq, target=mobius_eval(model, full, p),
+            frequency=unit_freq, target=unit_mass,
         )
     )
 
@@ -558,9 +527,7 @@ def run_finite_suite(
                 config.n_conditioned, seed + 3,
             )
         )
-        exact_cond = conditioned_probability_table(
-            model, full, target, p, SUPPORT_CUTOFF
-        )
+        exact_cond = probability_table(model, full, target, p, SUPPORT_CUTOFF)
         reports.append(
             _law_report(
                 f"conditioned-law-tv-{label}", drawn, exact_cond,
@@ -636,7 +603,7 @@ def run_boundary_suite(
     sub_root = smallest_root(model, stream.block_subset)
     reports.append(
         TestReport.make(
-            "critical-gap", sub_root - p_star, 1e-9, "ge", 1, seed,
+            "critical-gap", sub_root - p_star, ROOT_MARGIN, "ge", 1, seed,
             p_star=p_star, pivot_free_root=sub_root,
         )
     )

@@ -35,19 +35,19 @@ from tracegen import (
     smallest_root,
     trace_to_lists,
 )
-from tracegen.mobius import check_below_root
+from tracegen.mobius import check_parameter
 from tracegen.oracle import (
     chi_square,
-    enumerate_traces,
     exact_occurrence,
     geometric_bins,
+    probability_table,
+    pyramidal_block_table,
     series_coefficients,
     tv_distance,
 )
 from tracegen.sampler import Sampler
 from tracegen.verify import (
     empirical_distribution,
-    pyramidal_block_table,
     verify_cylinders,
 )
 
@@ -185,7 +185,7 @@ def test_criterion_3_finite_sampler_law():
 
     samples = _law_samples()
     emp = empirical_distribution(samples)
-    exact = enumerate_traces(PATH4, n_max=4).probability_table(LAW_P)
+    exact = probability_table(PATH4, PATH4.full_mask, PATH4.full_mask, LAW_P, 4)
     tv = tv_distance(emp, exact, support_cutoff=4)
     if tv > 0.01:
         problems.append(f"TV {tv:.4f}")
@@ -221,7 +221,7 @@ def test_criterion_4_geometric_decomposition():
 
     ia = PATH4.index_of("a")
     full = PATH4.full_mask
-    check_below_root(PATH4, full, LAW_P)
+    check_parameter(PATH4, full, LAW_P)
     r_api = MobiusTable(PATH4, LAW_P).occurrence(full, ia)
     r_exact = exact_occurrence(PATH4, full, ia, LAW_P)
     if r_api != r_exact:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tracegen as tg
-from tracegen import boundary, sampler
+from tracegen import boundary, mobius
 from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
 from tracegen.monoid import UNIT, Heap, word_indices
@@ -65,14 +65,14 @@ def test_block_stream_rejects_a_reducible_model_before_any_draw(monkeypatch):
 def squeeze_gap(monkeypatch):
     """Make check_parameter see the full alphabet's root on every proper
     subalphabet, so the pivot free root no longer clears p_sigma."""
-    real = sampler.smallest_root
+    real = mobius.smallest_root
 
     def squeezed(model, subset=None):
         if subset is not None and subset != model.full_mask:
             return real(model)
         return real(model, subset)
 
-    monkeypatch.setattr(sampler, "smallest_root", squeezed)
+    monkeypatch.setattr(mobius, "smallest_root", squeezed)
     return real
 
 

@@ -304,6 +304,26 @@ def test_endless_stream_with_workers_ends_cleanly_on_sigint():
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_reader_that_closes_the_pipe_ends_the_stream_quietly(workers):
+    # the status a SIGPIPE death gives, not 2, which means bad input
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tracegen.cli", "stream", "--model", MODEL, "--workers", workers],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV, start_new_session=True,
+    )
+    try:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # the whole tree, should the test fail
+        proc.wait()
+    assert "p_star" in json.loads(lines[0]) and json.loads(lines[1])["k"] == 1
+    assert proc.returncode == 141 and err == b""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
 def test_ctrl_c_inside_a_block_ends_the_stream_after_that_block(capsys, monkeypatch, workers):
     # SIGINT arrives while block 40 is half dropped on the heap: the final
     # record is still the product of whole blocks, the first 40
@@ -478,6 +498,45 @@ def test_verify_rejects_unknown_pivot_before_any_suite(capsys, monkeypatch, suit
     )
     assert code == 2 and out == ""
     assert "'zz'" in err
+
+
+def test_verify_input_the_suites_refuse_leaves_no_report_file(capsys, tmp_path):
+    report_file = tmp_path / "report.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--model", MODEL, "--pivot-letter", "zz", "--report", str(report_file)
+    )
+    assert code == 2 and out == "" and "'zz'" in err
+    assert not report_file.exists()
+
+
+def test_verify_refuses_an_unwritable_report_path_before_any_suite(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran before the report path was checked")
+
+    monkeypatch.setattr(verify, "run_suite", refuse)
+    report_file = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--model", MODEL, "--suite", "all", "--report", str(report_file)
+    )
+    assert code == 2 and out == ""
+    assert str(report_file) in err
+
+
+def test_verify_leaves_an_existing_report_until_the_suites_end(capsys, monkeypatch, tmp_path):
+    report_file = tmp_path / "report.json"
+    report_file.write_text("previous\n")
+    seen = []
+
+    def no_reports(*args, **kwargs):
+        seen.append(report_file.read_text())
+        return []
+
+    monkeypatch.setattr(verify, "run_suite", no_reports)
+    code, out, _ = run_cli(
+        capsys, "verify", "--model", MODEL, "--suite", "all", "--report", str(report_file)
+    )
+    assert code == 0 and out == ""
+    assert seen == ["previous\n"] and report_file.read_text() == "[]\n"
 
 
 @pytest.mark.parametrize("suite", ["finite", "boundary", "all"])

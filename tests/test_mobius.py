@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tracegen as tg
-from tracegen.mobius import ROOT_MARGIN, _components, check_below_root
+from tracegen.mobius import ROOT_MARGIN, _components, check_parameter
 from tracegen.monoid import clique_size_counts, iter_bits
 from tracegen.oracle import exact_occurrence, series_coefficients
 
@@ -197,7 +197,7 @@ def test_root_bounded_by_mu_inequality(seed):
     assert 0.0 < p <= 1.0
     for j in range(1, 20):
         q = p * j / 20
-        assert tg.mobius_eval(model, None, q) <= 1.0 - q + 1e-12
+        assert tg.mobius_polynomial(model, None).evaluate(q) <= 1.0 - q + 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -216,12 +216,12 @@ def test_occurrence_forms_and_value(path4):
     table = tg.MobiusTable(path4, 0.2)
     r = table.occurrence(path4.full_mask, path4.index_of("a"))
     assert abs(r - 3 / 11) < 1e-12
-    check_below_root(path4, path4.full_mask, 0.2)
+    check_parameter(path4, path4.full_mask, 0.2)
     direct = tg.MobiusTable(path4, 0.2).occurrence(path4.full_mask, path4.index_of("a"))
     assert abs(direct - 3 / 11) < 1e-12
     # direct check of the quotient form 1 - mu_S / mu_{S minus a}
-    mu_full = tg.mobius_eval(path4, None, 0.2)
-    mu_bcd = tg.mobius_eval(path4, path4.subset("bcd"), 0.2)
+    mu_full = tg.mobius_polynomial(path4, None).evaluate(0.2)
+    mu_bcd = tg.mobius_polynomial(path4, path4.subset("bcd")).evaluate(0.2)
     assert abs(mu_full - 0.32) < 1e-12
     assert abs(mu_bcd - 0.44) < 1e-12
     assert abs(r - (1 - mu_full / mu_bcd)) < 1e-12
@@ -233,7 +233,7 @@ def test_occurrence_at_tiny_p(path4, p):
         coefficients = tg.mobius_polynomial(path4, path4.subset(letters)).coefficients
         return sum(c * Fraction(p) ** d for d, c in enumerate(coefficients))
 
-    check_below_root(path4, path4.full_mask, p)
+    check_parameter(path4, path4.full_mask, p)
     r = tg.MobiusTable(path4, p).occurrence(path4.full_mask, path4.index_of("a"))
     assert r == float(1 - mu("abcd") / mu("bcd"))
 
@@ -243,6 +243,13 @@ def test_expected_length_validates_range(path4):
     for bad in (0.5, 1 / 3, 0.0, -0.1):
         with pytest.raises(ValueError):
             tg.expected_length(path4, bad, full)
+
+
+def test_expected_length_refuses_p_inside_the_root_margin(path4):
+    # the same range check as the sampler's: below the root, but not by the margin
+    with pytest.raises(ValueError) as exc:
+        tg.expected_length(path4, tg.smallest_root(path4) - ROOT_MARGIN / 2)
+    assert f"ROOT_MARGIN={ROOT_MARGIN!r}" in str(exc.value)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -269,7 +276,7 @@ def test_expected_length_matches_series(path4):
     # compare against the exact length distribution truncated far out
     p = 0.2
     coeffs = series_coefficients(path4, None, 60)
-    mu = tg.mobius_eval(path4, None, p)
+    mu = tg.mobius_polynomial(path4, None).evaluate(p)
     mean = sum(n * c * p**n * mu for n, c in enumerate(coeffs))
     assert abs(tg.expected_length(path4, p) - mean) < 1e-9
 
@@ -277,7 +284,7 @@ def test_expected_length_matches_series(path4):
 def test_mobius_table_memo_coherence(path4):
     table = tg.MobiusTable(path4, 0.2)
     for subset in range(path4.full_mask + 1):
-        assert table.value(subset) == tg.mobius_eval(path4, subset, 0.2)
+        assert table.value(subset) == tg.mobius_polynomial(path4, subset).evaluate(0.2)
 
 
 @pytest.mark.parametrize("name", ["p4", "cycle5", "star4"])

@@ -5,13 +5,14 @@ import math
 import pytest
 
 import tracegen as tg
-from tracegen.mobius import check_below_root
+from tracegen.mobius import check_parameter
 from tracegen.monoid import max_letters
 from tracegen.oracle import (
     _frontiers,
     chi_square,
     enumerate_traces,
     geometric_bins,
+    probability_table,
     series_coefficients,
     tv_distance,
 )
@@ -51,7 +52,10 @@ def check_series_identity(model, target, p, n_max=10):
         for fac in frontier:
             if max_letters(model, tg.Trace(fac)) & ~target == 0:
                 partial += weight
-    expected = tg.mobius_eval(model, full & ~target, p) / tg.mobius_eval(model, full, p)
+    expected = (
+        tg.mobius_polynomial(model, full & ~target).evaluate(p)
+        / tg.mobius_polynomial(model, full).evaluate(p)
+    )
     return abs(partial - expected)
 
 
@@ -86,21 +90,22 @@ def test_closed_form_counts(free2, comm2, triangle):
 
 def test_enumeration_is_deduplicated(path4):
     index = enumerate_traces(path4, None, 5)
-    assert index.counts() == [1, 4, 13, 40, 121, 364]
+    by_length = [sum(x.length == n for x in index) for n in range(6)]
+    assert by_length == count_traces(path4, None, 5) == [1, 4, 13, 40, 121, 364]
     seen = set()
     for x in index:
         assert x not in seen
         seen.add(x)
-    assert len(seen) == sum(index.counts())
+    assert len(seen) == sum(count_traces(path4, None, 5))
 
 
 def test_probability_table_sums_to_partial_mass(path4):
     p = 0.2
-    index = enumerate_traces(path4, None, 6)
-    table = index.probability_table(p)
-    mu = tg.mobius_eval(path4, None, p)
+    full = path4.full_mask
+    table = probability_table(path4, full, full, p, 6)
+    mu = tg.mobius_polynomial(path4, None).evaluate(p)
     for x, prob in table.items():
-        assert prob == pytest.approx(mu * p**x.length)
+        assert prob == mu * p**x.length
     partial = sum(table.values())
     assert partial < 1.0
     # the missing mass is bounded by mu times the series tail bound
@@ -111,7 +116,7 @@ def test_probability_table_sums_to_partial_mass(path4):
 def test_series_tail_bound_dominates_true_tail(path4):
     p = 0.2
     counts = count_traces(path4, None, 10)
-    mu = tg.mobius_eval(path4, None, p)
+    mu = tg.mobius_polynomial(path4, None).evaluate(p)
     for n_max in range(3, 7):
         true_tail = sum(c * p**n * mu for n, c in enumerate(counts) if n > n_max)
         # bound is on the unweighted generating tail times mu
@@ -122,11 +127,11 @@ def test_series_tail_bound_dominates_true_tail(path4):
 def test_exact_probability(path4):
     x = tg.normalize(path4, "abd")
     full = path4.full_mask
-    check_below_root(path4, full, 0.2)
-    got = tg.mobius_eval(path4, full, 0.2) * 0.2**x.length
+    check_parameter(path4, full, 0.2)
+    got = tg.mobius_polynomial(path4, full).evaluate(0.2) * 0.2**x.length
     assert got == pytest.approx(0.32 * 0.2**3)
     with pytest.raises(ValueError):
-        check_below_root(path4, full, 0.5)
+        check_parameter(path4, full, 0.5)
 
 
 def test_series_identity_partial_sums(path4):
@@ -189,11 +194,11 @@ def test_geometric_bins_alignment():
 def test_geometric_bins_tail_has_enough_mass():
     # the lumped tail must also meet the minimum expected count
     r = 0.3
-    observed, expected = geometric_bins([0] * 50, r, min_expected=5.0)
+    observed, expected = geometric_bins([0] * 50, r)
     assert len(expected) == 2
     assert expected[-1] == pytest.approx(50 * r)
     for r in (0.1, 0.27, 0.5, 0.8):
-        _, exp = geometric_bins([0] * 400, r, min_expected=5.0)
+        _, exp = geometric_bins([0] * 400, r)
         assert all(e >= 5.0 for e in exp)
 
 

@@ -15,7 +15,7 @@ import tracegen as tg
 from conftest import child_states, chorded_cycle, cycle_model, path_model
 from tracegen import sampler as sampler_module
 from tracegen.mobius import ROOT_MARGIN
-from tracegen.oracle import enumerate_traces, exact_occurrence, tv_distance
+from tracegen.oracle import exact_occurrence, probability_table, tv_distance
 from tracegen.sampler import _SHARED, PIVOT_RULES, Sampler, _log_ratio, _SharedGenerator
 from tracegen.verify import empirical_distribution
 
@@ -182,7 +182,7 @@ def test_law_moderate_sample(path4):
     samples = list(tg.sample_many(path4, params, n))
     unit_freq = sum(1 for x in samples if x.is_unit) / n
     assert abs(unit_freq - 0.32) < 0.012
-    exact = enumerate_traces(path4, None, 3).probability_table(0.2)
+    exact = probability_table(path4, path4.full_mask, path4.full_mask, 0.2, 3)
     tv = tv_distance(empirical_distribution(samples), exact, 3)
     assert tv < 0.02
 

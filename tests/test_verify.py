@@ -154,9 +154,7 @@ def test_boundary_suite_passes_at_reduced_size(path4):
 
 
 def test_decomposition_law_standalone(path4):
-    reports = verify_decomposition_law(
-        path4, "a", 0.2, n=20_000, seed=404, tv_threshold=0.03
-    )
+    reports = verify_decomposition_law(path4, "a", 0.2, n=20_000, seed=404)
     assert [r.name for r in reports] == [
         "decomposition-count-geometric",
         "decomposition-first-body-law",

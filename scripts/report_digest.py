@@ -9,7 +9,7 @@ byte.  The reduced suite configurations and the path and cycle models are
 the test suite's own, imported from ``tests/``.  With ``--expect HEX`` the
 script exits 1 unless the digest is HEX.
 
-    PYTHONPATH=src python scripts/report_digest.py --expect 75b8b6050f7033440915f2ab6c42377e9e722818501ea3e97b5fa2e263d1e45d
+    PYTHONPATH=src python scripts/report_digest.py --expect e4adb491d15d0c93e4dfaae3aed0344d9445189a0a541894050015053fc020b1
 """
 
 import argparse

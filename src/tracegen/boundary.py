@@ -38,9 +38,11 @@ class BlockStream:
     """Mutable generator state for one boundary run.
 
     Single owner: the stream mutates in place as blocks are drawn.  It
-    hands out blocks and keeps only their count and total length, so an
-    endless run holds bounded memory; a caller that reads the product of
-    the blocks drops them on a ``Heap`` of its own.
+    hands out blocks and keeps only their count and total length; a
+    caller that reads the product of the blocks drops them on a ``Heap``
+    of its own.  Its sampler's compiled nodes and ``MobiusTable`` pairs
+    still grow with the states a run reaches, without bound on a dense
+    model (ROADMAP item 16).
 
     Before any draw, the alphabet must be irreducible, the pivot one of its
     letters and the alphabet larger than one letter.  The sampler's range
@@ -96,10 +98,11 @@ class BlockStream:
         processes draws consecutive ranges, with ``2 * workers`` of them in
         flight: the ranges of ``sampler._ramp``, 16 blocks first, each next
         one twice as long, up to ``ceil((stop - start) / (4 * workers))``
-        blocks, at most _MAX_RUN, so that an endless run holds bounded
-        memory.  Their words come as ``bytes`` and their steps are added to
-        ``counter`` as they arrive.  The pool starts at the first word
-        and shuts down when the words run out or the iterator is closed.
+        blocks, at most _MAX_RUN, so that an endless run keeps at most
+        ``2 * workers * _MAX_RUN`` blocks in flight.  Their words come as
+        ``bytes`` and their steps are added to ``counter`` as they arrive.
+        The pool starts at the first word and shuts down when the words run
+        out or the iterator is closed.
         """
         if workers < 1:
             raise ValueError("workers must be at least 1")

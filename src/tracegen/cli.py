@@ -20,8 +20,7 @@ import threading
 
 from . import DEFAULT_SEED, SUITES, boundary
 from .mobius import ROOT_MARGIN, is_irreducible, mobius_polynomial, smallest_root
-from .monoid import (Heap, _FactorJSON, format_trace, load_model, normalize_indices,
-                     trace_json_formatter)
+from .monoid import Heap, TraceJSON, format_trace, load_model, normalize_indices
 from .sampler import SamplerParams, sample_many
 
 
@@ -86,7 +85,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     # checks p, exiting 2 through main before the header is printed
     samples = sample_many(model, params, args.n)
     if args.format == "json":
-        to_json = trace_json_formatter(model)
+        to_json = TraceJSON(model)
         print(json.dumps({"seed": args.seed, "p": args.p, "n": args.n}))
         for x in samples:
             print(to_json(x))
@@ -115,6 +114,14 @@ def _sigint_flag():
         signal.signal(signal.SIGINT, previous)
 
 
+def _broken_pool() -> type[Exception]:
+    """The error a process pool raises once one of its workers has died.
+    An except clause evaluates its class only when an exception reaches it,
+    so a run that never breaks imports nothing from concurrent.futures."""
+    from concurrent.futures.process import BrokenProcessPool
+    return BrokenProcessPool
+
+
 def _cmd_stream(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     pivot = args.pivot_letter or model.letters[0]
@@ -122,12 +129,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     # missing gap below the pivot free root) exits 2 through main, before any output
     stream = boundary.open_stream(model, pivot, args.seed)
     emit_each = args.emit == "each-block"
-    to_json = trace_json_formatter(model)
-    final_json = _FactorJSON(model).join
+    to_json = TraceJSON(model)
     heap = Heap(model)  # only --emit final drops blocks on it
     released: list[str] = []  # and keeps the JSON text of its final factors
     words = stream.words(0, args.blocks or boundary.NO_LAST_BLOCK, args.workers)
-    blocks = length = 0
+    blocks = length = status = 0
     # Ctrl-C ends the run after a whole block; closing the words stops the
     # pool, if there is one
     with _sigint_flag() as interrupted, contextlib.closing(words):
@@ -136,23 +142,30 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         # is flushed, as --emit final prints nothing else before the end
         print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}),
               flush=True)
-        for word in words:
-            blocks += 1
-            length += len(word)
-            if emit_each:
-                print(_record(blocks, "block", to_json(normalize_indices(model, word)), length),
-                      flush=not args.blocks)
-            else:
-                heap.extend(word)
-                final = heap.release()
-                if final:
-                    released.append(final_json(final))
-            if interrupted or args.min_length and length >= args.min_length:
-                break
+        try:
+            for word in words:
+                blocks += 1
+                length += len(word)
+                if emit_each:
+                    print(_record(blocks, "block", to_json(normalize_indices(model, word)),
+                                  length),
+                          flush=not args.blocks)
+                else:
+                    heap.extend(word)
+                    final = heap.release()
+                    if final:
+                        released.append(to_json.join(final))
+                if interrupted or args.min_length and length >= args.min_length:
+                    break
+        except _broken_pool() as exc:
+            # a pool worker died: the record of the whole blocks received is
+            # printed, as after Ctrl-C, and the run fails
+            sys.stderr.write(f"error: the worker pool broke after {blocks} blocks: {exc}\n")
+            status = 1
         if not emit_each:
-            released.append(final_json(heap.factors))
+            released.append(to_json.join(heap.factors))
             print(_record(blocks, "final", "[" + ", ".join(filter(None, released)) + "]", length))
-    return 0
+    return status
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_LETTERS = 64
 
@@ -449,8 +449,15 @@ def trace_to_lists(model: IndependenceModel, x: Trace) -> list[list[str]]:
     return [[model.letters[i] for i in iter_bits(f)] for f in x.factors]
 
 
-class _FactorJSON(dict):
-    """JSON text of factors by mask, each made when first asked for."""
+class TraceJSON(dict):
+    """``json.dumps(trace_to_lists(model, x))`` for the traces x of model,
+    byte for byte, as ``TraceJSON(model)(x)``; ``join`` gives the JSON
+    texts of a run of factors without the brackets.
+
+    It keeps the JSON text of every distinct factor it has formatted, made
+    when first asked for, so a trace costs one join over its factors and
+    builds no list of lists.
+    """
 
     __slots__ = ("names",)
 
@@ -467,17 +474,5 @@ class _FactorJSON(dict):
         """The JSON texts of the given factors, separated by ", "."""
         return ", ".join(map(self.__getitem__, factors))
 
-
-def trace_json_formatter(model: IndependenceModel) -> Callable[[Trace], str]:
-    """A function giving ``json.dumps(trace_to_lists(model, x))`` for the
-    traces x of model, byte for byte.
-
-    It keeps the JSON text of every distinct factor it has formatted, so a
-    trace costs one join over its factors and builds no list of lists.
-    """
-    join = _FactorJSON(model).join
-
-    def to_json(x: Trace) -> str:
-        return "[" + join(x.factors) + "]"
-
-    return to_json
+    def __call__(self, x: Trace) -> str:
+        return "[" + ", ".join(map(self.__getitem__, x.factors)) + "]"

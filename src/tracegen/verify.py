@@ -207,9 +207,6 @@ def verify_decomposition_law(
 # ---------------------------------------------------------------------------
 # Boundary cylinders
 
-CHECKPOINT_LADDER = (4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192)
-
-
 def verify_cylinders(
     model: IndependenceModel,
     pivot: str,
@@ -221,66 +218,34 @@ def verify_cylinders(
     """Check the cylinder law of the boundary measure by direct frequency.
 
     Every trace x with |x| <= x_max_len should be a prefix of the infinite
-    trace with probability p_star^|x|.  The frequency of the event
-    "x divides the first K blocks" is monotone in K; for each x the number
-    of blocks is doubled, from the first checkpoint at or above 4 |x|,
-    until the observed increment over a doubling falls under 1e-3, and the
-    frequency at that point is compared with the target.
+    trace with probability p_star^|x|.  A prefix of length L lives in the
+    bottom L levels of the heap, and those levels are the infinite trace's
+    own once ``Heap.final_floor`` reaches L - 1, since no later block lands
+    in them.  So each run draws blocks until its bottom x_max_len levels
+    are final, then counts the left divisors of length at most x_max_len
+    of those levels: exactly the run's short prefixes.  The frequency of x
+    is the share of runs that have it as a prefix.
 
     One stream per run, the runs' streams derived together by
-    ``RandomStream(seed).splits``, each extended along the checkpoint
-    ladder until its bottom x_max_len heap levels are final.  At each
-    checkpoint only those levels are read, since a divisor of length L
-    lives entirely in the bottom L levels.  The first checkpoint at which
-    each short divisor appears is counted, which gives every frequency in
-    the ladder in a single pass.
+    ``RandomStream(seed).splits``.
     """
     blocks = open_stream(model, pivot, seed)
     p_star = blocks.p_star
 
-    arrivals: Counter[tuple[Trace, int]] = Counter()
+    hits: Counter[Trace] = Counter()
     for stream in RandomStream(seed).splits(0, runs):
         heap = Heap(model)
-        seen: set[Trace] = set()
-        drawn = 0
-        for k in CHECKPOINT_LADDER:
-            for _ in range(k - drawn):
-                heap.extend(blocks.draw_block(stream))
-            drawn = k
-            low = Trace(tuple(heap.factors[:x_max_len]))
-            for d in left_divisors(model, low, x_max_len):
-                if d not in seen:
-                    seen.add(d)
-                    arrivals[d, k] += 1
-            # no later block reaches the bottom x_max_len levels
-            if heap.final_floor() >= x_max_len - 1:
-                break
-
-    def frequency(x: Trace, k: int) -> float:
-        """Share of runs in which x divides the first k blocks."""
-        return sum(arrivals[x, j] for j in CHECKPOINT_LADDER if j <= k) / runs
+        while heap.final_floor() < x_max_len - 1:
+            heap.extend(blocks.draw_block(stream))
+        hits.update(left_divisors(model, Trace(tuple(heap.factors[:x_max_len])), x_max_len))
 
     details: dict[str, dict] = {}
     worst = 0.0
     for x in enumerate_traces(model, model.full_mask, x_max_len):
         target_prob = p_star**x.length
-        k = min(j for j in CHECKPOINT_LADDER if j >= 4 * x.length)
-        freq = frequency(x, k)
-        capped = True
-        while 2 * k in CHECKPOINT_LADDER:
-            k, prev = 2 * k, freq
-            freq = frequency(x, k)
-            if freq - prev < 1e-3:
-                capped = False
-                break
-        deviation = abs(freq - target_prob)
-        worst = max(worst, deviation)
-        details[format_trace(model, x)] = {
-            "frequency": freq,
-            "target": target_prob,
-            "blocks": k,
-            "capped": capped,
-        }
+        freq = hits[x] / runs
+        worst = max(worst, abs(freq - target_prob))
+        details[format_trace(model, x)] = {"frequency": freq, "target": target_prob}
     return TestReport.make(
         "boundary-cylinder-law", worst, tolerance, "le", runs, seed,
         p_star=p_star, per_trace=details,

@@ -20,7 +20,7 @@ import tracegen as tg
 from tracegen import cli, verify
 from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
-from tracegen.monoid import Heap, trace_json_formatter
+from tracegen.monoid import Heap, TraceJSON
 from tracegen.sampler import Sampler
 
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "p4.json")
@@ -37,6 +37,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _path16_file(tmp_path):
+    """A model file of the 16-letter path x0 - x1 - ... - x15."""
+    letters = [f"x{i}" for i in range(16)]
+    model_file = tmp_path / "path16.json"
+    model_file.write_text(json.dumps({"letters": letters,
+                                      "dependence": [list(e) for e in zip(letters, letters[1:])]}))
+    return model_file
 
 
 def test_analyze_golden(capsys):
@@ -228,10 +237,7 @@ def test_each_block_stream_runs_in_bounded_memory(tmp_path):
     # 1.8 MB at 500, 2.7 MB at 1,000 and 9-10 MB at 4,000.  1.5 MB lies
     # between the two.  With two workers this process holds only the
     # ranges in flight.
-    letters = [f"x{i}" for i in range(16)]
-    model = tmp_path / "path16.json"
-    model.write_text(json.dumps({"letters": letters,
-                                 "dependence": [list(e) for e in zip(letters, letters[1:])]}))
+    model = _path16_file(tmp_path)
     for workers in ("1", "2"):
         argv = ["stream", "--model", str(model), "--seed", "3", "--workers", workers, "--blocks"]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -367,10 +373,7 @@ def test_ctrl_c_on_an_endless_final_stream_with_workers_prints_a_whole_prefix(tm
     # Ctrl-C reaches the whole process group, pool workers included; the
     # record is the product of the first k blocks for the k it reports, and
     # stdout reaches EOF only once no pool worker holds the pipe any more
-    letters = [f"x{i}" for i in range(16)]
-    model_file = tmp_path / "path16.json"
-    model_file.write_text(json.dumps({"letters": letters,
-                                      "dependence": [list(e) for e in zip(letters, letters[1:])]}))
+    model_file = _path16_file(tmp_path)
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "tracegen.cli", "stream", "--model", str(model_file),
          "--seed", "5", "--workers", "2", "--emit", "final"],
@@ -388,21 +391,50 @@ def test_ctrl_c_on_an_endless_final_stream_with_workers_prints_a_whole_prefix(tm
             os.killpg(proc.pid, signal.SIGKILL)  # the whole tree, should the test fail
         proc.wait()
     # the record runs to megabytes, so it is compared as text, in the
-    # json.dumps layout that trace_json_formatter is tested to give
+    # json.dumps layout that TraceJSON is tested to give
     k = int(re.match(r'{"k": (\d+), ', out).group(1))
     model = tg.load_model(str(model_file))
     xi = tg.open_stream(model, "x0", seed=5).run(k)
-    to_json = trace_json_formatter(model)
+    to_json = TraceJSON(model)
     assert out == f'{{"k": {k}, "final": {to_json(xi)}, "length": {xi.length}}}\n'
+
+
+def test_a_dead_pool_worker_ends_a_final_stream_with_a_whole_prefix(tmp_path):
+    # a worker killed mid-run breaks the pool: the run ends as Ctrl-C ends
+    # it, with the record of the whole blocks received, then one error line
+    # and status 1, which is not the status of bad input
+    model_file = _path16_file(tmp_path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tracegen.cli", "stream", "--model", str(model_file),
+         "--seed", "5", "--workers", "2", "--emit", "final"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+        start_new_session=True,
+    )
+    try:
+        assert "p_star" in json.loads(proc.stdout.readline())
+        time.sleep(0.3)
+        # the pool's workers are the only children of the CLI process
+        with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as handle:
+            workers = handle.read().split()
+        assert len(workers) == 2
+        os.kill(int(workers[0]), signal.SIGKILL)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # the whole tree, should the test fail
+        proc.wait()
+    assert proc.returncode == 1, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: the worker pool broke")
+    k = int(re.match(r'{"k": (\d+), ', out).group(1))
+    model = tg.load_model(str(model_file))
+    xi = tg.open_stream(model, "x0", seed=5).run(k)
+    assert out == f'{{"k": {k}, "final": {TraceJSON(model)(xi)}, "length": {xi.length}}}\n'
 
 
 def test_an_endless_final_stream_shows_its_header_on_a_pipe_while_it_runs(tmp_path):
     # --emit final prints nothing else before the end, so the header must
     # be flushed, even with Python's output buffered, as on a pipe
-    letters = [f"x{i}" for i in range(16)]
-    model_file = tmp_path / "path16.json"
-    model_file.write_text(json.dumps({"letters": letters,
-                                      "dependence": [list(e) for e in zip(letters, letters[1:])]}))
+    model_file = _path16_file(tmp_path)
     env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "tracegen.cli", "stream", "--model", str(model_file),

@@ -13,12 +13,12 @@ from tracegen import monoid
 from tracegen.monoid import (
     UNIT,
     Heap,
+    TraceJSON,
     clique_size_counts,
     iter_bits,
     left_divisors,
     left_quotient,
     link,
-    trace_json_formatter,
     word_indices,
 )
 from tracegen.oracle import enumerate_traces
@@ -414,7 +414,7 @@ def test_model_serialization_round_trip(tmp_path, path4):
 
 
 def test_trace_json_formatter_is_json_dumps_of_the_lists(path4):
-    to_json = trace_json_formatter(path4)
+    to_json = TraceJSON(path4)
     assert to_json(UNIT) == json.dumps(tg.trace_to_lists(path4, UNIT)) == "[]"
     samples = list(tg.sample_many(path4, tg.SamplerParams(p=0.3, seed=5), 300))
     # twice over: the second pass formats from the cached factors
@@ -425,7 +425,7 @@ def test_trace_json_formatter_is_json_dumps_of_the_lists(path4):
 def test_trace_json_formatter_escapes_letter_names():
     letters = ["\u00e9t\u00e9", 'say "a"', "back\\slash", "\u65e5\u672c", "tab\t"]
     model = tg.build_model(letters, zip(letters, letters[1:]))
-    to_json = trace_json_formatter(model)
+    to_json = TraceJSON(model)
     every = to_json(tg.normalize_indices(model, range(5)))
     assert every == json.dumps(tg.trace_to_lists(model, tg.normalize_indices(model, range(5))))
     for escaped in ("\\u00e9", '\\"', "\\\\", "\\u65e5", "\\t"):
@@ -438,7 +438,7 @@ def test_trace_json_formatter_escapes_letter_names():
 def test_trace_json_formatter_on_a_4000_block_stream():
     model = path_model(16)
     xi = tg.open_stream(model, "x0", seed=1).run(4000)
-    assert trace_json_formatter(model)(xi) == json.dumps(tg.trace_to_lists(model, xi))
+    assert TraceJSON(model)(xi) == json.dumps(tg.trace_to_lists(model, xi))
 
 
 def test_trace_list_round_trip(path4):

@@ -20,7 +20,7 @@ CHILD_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
 }
-REPORT_DIGEST = "75b8b6050f7033440915f2ab6c42377e9e722818501ea3e97b5fa2e263d1e45d"
+REPORT_DIGEST = "e4adb491d15d0c93e4dfaae3aed0344d9445189a0a541894050015053fc020b1"
 RUNS = {
     "cli_phases.py": ["--runs", "2", "--blocks", "20"],
     "dense_costs.py": ["--letters", "12", "--blocks", "20"],

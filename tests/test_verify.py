@@ -10,7 +10,6 @@ from tracegen.boundary import BlockStream
 from tracegen.monoid import Heap
 from tracegen.oracle import enumerate_traces
 from tracegen.verify import (
-    CHECKPOINT_LADDER,
     DEFAULT_SEED,
     BoundarySuiteConfig,
     FiniteSuiteConfig,
@@ -211,12 +210,10 @@ def test_cylinders_draw_order_is_pinned(path4):
 def test_cylinders_of_length_zero_hold_the_unit(path4):
     report = verify_cylinders(path4, "a", seed=11, x_max_len=0, runs=300)
     assert report.passed and report.statistic == 0.0
-    assert report.details["per_trace"] == {
-        "1": {"frequency": 1.0, "target": 1.0, "blocks": 8, "capped": False}
-    }
+    assert report.details["per_trace"] == {"1": {"frequency": 1.0, "target": 1.0}}
 
 
-# -- early-stopped cylinder runs against the full checkpoint ladder -------------
+# -- early-stopped cylinder runs against runs of a fixed 192 blocks -----------
 
 CYLINDER_MODELS = {
     "p4": tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
@@ -234,68 +231,37 @@ CYLINDER_RUNS = 300
 
 
 @functools.cache
-def full_ladder_bottoms(name, pivot):
-    """The bottom three heap levels of each run at every checkpoint, with
-    every run extended through the whole ladder, as verify_cylinders ran
-    before runs stopped early."""
+def fixed_run_bottoms(name, pivot):
+    """The bottom three heap levels of each run after 192 blocks, drawn
+    with no early stop; by then they are final in every run."""
     model = CYLINDER_MODELS[name]
     blocks = tg.open_stream(model, pivot, CYLINDER_SEED)
     bottoms = []
     for run_idx in range(CYLINDER_RUNS):
         stream = tg.RandomStream(CYLINDER_SEED, (run_idx,))
         heap = Heap(model)
-        drawn = 0
-        run = []
-        for k in CHECKPOINT_LADDER:
-            for _ in range(k - drawn):
-                heap.extend(blocks.draw_block(stream))
-            drawn = k
-            run.append(tuple(heap.factors[:3]))
-        bottoms.append(run)
+        for _ in range(192):
+            heap.extend(blocks.draw_block(stream))
+        assert heap.final_floor() >= 2
+        bottoms.append(tuple(heap.factors[:3]))
     return blocks.p_star, bottoms
 
 
 def reference_cylinders(name, pivot, x_max_len):
-    """The full-ladder verify_cylinders report, from full_ladder_bottoms."""
+    """The verify_cylinders report, from the left divisors of each run's
+    bottom x_max_len levels in fixed_run_bottoms."""
     model = CYLINDER_MODELS[name]
-    p_star, bottoms = full_ladder_bottoms(name, pivot)
-    arrivals = Counter()
-    for run in bottoms:
-        bottom = ()
-        seen = set()
-        for k, levels in zip(CHECKPOINT_LADDER, run):
-            low = levels[:x_max_len]
-            if low != bottom:
-                bottom = low
-                for d in tg.left_divisors(model, tg.Trace(low), x_max_len):
-                    if d not in seen:
-                        seen.add(d)
-                        arrivals[d, k] += 1
-
-    def frequency(x, k):
-        hits = sum(arrivals[x, j] for j in CHECKPOINT_LADDER if j <= k)
-        return hits / CYLINDER_RUNS
-
+    p_star, bottoms = fixed_run_bottoms(name, pivot)
+    hits = Counter()
+    for levels in bottoms:
+        hits.update(tg.left_divisors(model, tg.Trace(levels[:x_max_len]), x_max_len))
     details = {}
     worst = 0.0
     for x in enumerate_traces(model, model.full_mask, x_max_len):
         target_prob = p_star**x.length
-        k = min(j for j in CHECKPOINT_LADDER if j >= 4 * x.length)
-        freq = frequency(x, k)
-        capped = True
-        while 2 * k in CHECKPOINT_LADDER:
-            k, prev = 2 * k, freq
-            freq = frequency(x, k)
-            if freq - prev < 1e-3:
-                capped = False
-                break
+        freq = hits[x] / CYLINDER_RUNS
         worst = max(worst, abs(freq - target_prob))
-        details[tg.format_trace(model, x)] = {
-            "frequency": freq,
-            "target": target_prob,
-            "blocks": k,
-            "capped": capped,
-        }
+        details[tg.format_trace(model, x)] = {"frequency": freq, "target": target_prob}
     return TestReport.make(
         "boundary-cylinder-law", worst, 0.015, "le", CYLINDER_RUNS, CYLINDER_SEED,
         p_star=p_star, per_trace=details,
@@ -314,6 +280,16 @@ def test_early_stopped_cylinders_match_full_ladder(name, pivot, x_max_len):
     assert got.to_dict() == reference_cylinders(name, pivot, x_max_len).to_dict()
 
 
+def test_cylinder_prefixes_are_counted_once_final():
+    # a checkpoint ladder that stopped doubling at the first increment under
+    # 1e-3 read this cylinder after 16 blocks, and missed one run: 31 of 300
+    report = verify_cylinders(
+        CYLINDER_MODELS["path6"], "x2", seed=CYLINDER_SEED, x_max_len=2,
+        runs=CYLINDER_RUNS,
+    )
+    assert report.details["per_trace"]["(x0 x3)"]["frequency"] == 32 / 300
+
+
 def test_cylinder_runs_stop_once_their_bottom_is_final(path4, monkeypatch):
     draws = 0
     draw_block = BlockStream.draw_block
@@ -325,8 +301,7 @@ def test_cylinder_runs_stop_once_their_bottom_is_final(path4, monkeypatch):
 
     monkeypatch.setattr(BlockStream, "draw_block", counting)
     verify_cylinders(path4, "a", seed=DEFAULT_SEED, x_max_len=3, runs=2_000)
-    ladder_draws = 2_000 * CHECKPOINT_LADDER[-1]
-    assert draws <= 0.05 * ladder_draws
+    assert draws <= 0.05 * 2_000 * 192
 
 
 def test_run_suite_dispatch(path4):
@@ -381,11 +356,11 @@ PINNED_TINY_BOUNDARY = [
     ("determinism", 0.0, 0.0, "le", 20, 307, True, {}),
     ("boundary-cylinder-law", 0.08333333333333331, 0.15, "le", 100, 309, True,
      {"p_star": THIRD, "per_trace": {
-         "1": {"frequency": 1.0, "target": 1.0, "blocks": 8, "capped": False},
-         "(a)": {"frequency": 0.34, "target": THIRD, "blocks": 8, "capped": False},
-         "(b)": {"frequency": 0.35, "target": THIRD, "blocks": 8, "capped": False},
-         "(c)": {"frequency": 0.25, "target": THIRD, "blocks": 16, "capped": False},
-         "(d)": {"frequency": 0.39, "target": THIRD, "blocks": 8, "capped": False},
+         "1": {"frequency": 1.0, "target": 1.0},
+         "(a)": {"frequency": 0.34, "target": THIRD},
+         "(b)": {"frequency": 0.35, "target": THIRD},
+         "(c)": {"frequency": 0.25, "target": THIRD},
+         "(d)": {"frequency": 0.39, "target": THIRD},
      }}),
 ]
 

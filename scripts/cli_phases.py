@@ -6,13 +6,15 @@ Each run starts a fresh interpreter on ``stream --workers W --emit final
 --blocks N`` (by default perfbench's ``cli_stream_2w`` shape: the 16-letter
 path, 2 workers, 4,000 blocks), as ``python -m tracegen.cli`` would run it,
 but through this script's ``--child`` mode, which first wraps
-``BlockStream.words`` to note when words reach the CLI's loop.  Each phase
-is the time from the start of the process, in ms:
+``BlockStream.ranges`` to note when ranges of blocks reach the CLI's loop
+(with a pool, each range's words and, for ``--emit final``, its heap; in
+one process, one block).  Each phase is the time from the start of the
+process, in ms:
 
 - ``header``: this script has read the header line;
-- ``first_word``: the loop has been handed its first block word;
-- ``last_word``: ... its last block word;
-- ``words_closed``: the words are closed, and with them any pool;
+- ``first_word``: the loop has been handed its first range;
+- ``last_word``: ... its last range;
+- ``words_closed``: the ranges are closed, and with them any pool;
 - ``main_returned``: the module's ``__main__`` code has finished;
 - ``exit``: this script has reaped the process.
 
@@ -41,28 +43,28 @@ PHASES = ("header", "first_word", "last_word", "words_closed", "main_returned", 
 
 
 def child(marks_path: str, argv: list[str]) -> None:
-    """Run the CLI module as ``__main__`` on argv, with ``BlockStream.words``
+    """Run the CLI module as ``__main__`` on argv, with ``BlockStream.ranges``
     wrapped, and write the marks to marks_path once it is done."""
     import runpy
 
     from tracegen import boundary
 
     marks = {}
-    words = boundary.BlockStream.words
+    ranges = boundary.BlockStream.ranges
 
-    def timed_words(self, start, stop, workers=1):
-        inner = words(self, start, stop, workers)
+    def timed_ranges(self, start, stop, workers=1, heaps=False):
+        inner = ranges(self, start, stop, workers, heaps)
         try:
-            for word in inner:
+            for item in inner:
                 marks["last_word"] = time.perf_counter()
                 marks.setdefault("first_word", marks["last_word"])
-                yield word
+                yield item
         finally:
             inner.close()
             if "first_word" in marks:
                 marks["words_closed"] = time.perf_counter()
 
-    boundary.BlockStream.words = timed_words
+    boundary.BlockStream.ranges = timed_ranges
     sys.argv = ["tracegen.cli", *argv]
     try:
         runpy.run_module("tracegen.cli", run_name="__main__", alter_sys=True)

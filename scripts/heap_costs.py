@@ -10,13 +10,18 @@ untimed, then times three things over those same words, best of
 - ``normalize_us``: ``normalize_indices`` of one block, per block;
 - ``extend_us``: ``Heap.extend`` of one block onto one heap grown from
   empty over all the blocks, per block;
+- ``glue_us``: ``Heap.glue`` of range heaps onto one heap grown from empty,
+  per block: the blocks are dropped, untimed, on heaps of 256 blocks each,
+  as a pool's workers drop their ranges, and each is glued in order;
+  ``glue_dropped`` is the share of the range heaps' levels that the glue
+  dropped piece by piece rather than laid whole;
 - ``final_floor_us``: one ``final_floor()`` call on that grown heap, over
   ``--calls`` calls, per call.
 
 ``digest`` is the sha256 of the normal forms: each block's factors and then
 the grown heap's, every factor as 8 little-endian bytes and a 0xff byte
 after each trace.  Two checkouts that print the same digest built the same
-heaps.
+heaps.  The glued heap is checked to equal the grown one.
 
     PYTHONPATH=src python scripts/heap_costs.py --letters 16 --blocks 3000
 """
@@ -74,9 +79,26 @@ def main() -> None:
             heap.extend(word)
         grown[:] = [heap]
 
+    parts = []
+    for lo in range(0, len(words), 256):
+        part = Heap(model)
+        for word in words[lo:lo + 256]:
+            part.extend(word)
+        parts.append((part.factors, part.landing))
+    dropped = []
+
+    def glue_all():
+        heap = Heap(model)
+        dropped[:] = [heap.glue(*part) for part in parts]
+        grown[:] = [heap]
+
+    glue_s = best_of(args.repeat, glue_all)
+    glued = grown[0]
     normalize_s = best_of(args.repeat, normalize_all)
     extend_s = best_of(args.repeat, extend_all)
     heap = grown[0]
+    if (glued.factors, glued.landing) != (heap.factors, heap.landing):
+        raise SystemExit("the glued heap differs from the grown one")
 
     def floors():
         floor = heap.final_floor
@@ -97,6 +119,8 @@ def main() -> None:
         "seed": args.seed,
         "normalize_us": round(normalize_s / args.blocks * 1e6, 2),
         "extend_us": round(extend_s / args.blocks * 1e6, 2),
+        "glue_us": round(glue_s / args.blocks * 1e6, 2),
+        "glue_dropped": round(sum(dropped) / sum(len(f) for f, _ in parts), 4),
         "final_floor_us": round(floor_s / args.calls * 1e6, 3),
         "heap_levels": len(heap.factors),
         "digest": digest.hexdigest(),

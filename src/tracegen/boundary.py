@@ -15,10 +15,13 @@ boundary point with the uniform law.
 
 Each block is drawn from its own child random stream keyed by the block
 index, by one recipe, ``BlockStream.draw_block``, which also counts the
-block's step.  ``BlockStream.words``, the one ordered source of blocks,
-runs it in this process or on a pool of workers.  A replay, a run,
-``parallel_run`` and the CLI all read it, so the stream is restartable and
-its output is the same for any worker count.
+block's step.  ``BlockStream.ranges``, the one ordered source of blocks,
+runs it in this process, one block at a time, or on a pool of workers,
+one range of blocks at a time; the workers can also drop each range on a
+heap of their own, for the reader to glue.  ``parallel_run`` and the CLI
+read it, and a replay and a run read its in-process part,
+``BlockStream.words``, so the stream is restartable and its output is the
+same for any worker count.
 """
 
 from __future__ import annotations
@@ -89,25 +92,34 @@ class BlockStream:
         self.counter.steps += 1
         return word
 
-    def words(self, start: int, stop: int, workers: int = 1) -> Iterator[Sequence[int]]:
+    def words(self, start: int, stop: int) -> Iterator[Sequence[int]]:
         """The letter indices of blocks ``start`` to ``stop - 1`` (0 based), in order.
 
         Block i depends only on (seed, i), not on the stream state, so any
         range can be drawn, or redrawn, at will: ``next(words(i, i + 1))``
-        replays block i.  With ``workers`` above one, a pool of that many
-        processes draws consecutive ranges, with ``2 * workers`` of them in
-        flight: the ranges of ``sampler._ramp``, 16 blocks first, each next
-        one twice as long, up to ``ceil((stop - start) / (4 * workers))``
-        blocks, at most _MAX_RUN, so that an endless run keeps at most
-        ``2 * workers * _MAX_RUN`` blocks in flight.  Their words come as
-        ``bytes`` and their steps are added to ``counter`` as they arrive.
-        The pool starts at the first word and shuts down when the words run
-        out or the iterator is closed.
+        replays block i.  ``ranges`` draws them on a pool of workers.
+        """
+        yield from map(self.draw_block, self.stream.splits(start, stop))
+
+    def ranges(self, start: int, stop: int, workers: int = 1,
+               heaps: bool = False) -> Iterator[tuple[Sequence[Sequence[int]], tuple | None]]:
+        """Blocks ``start`` to ``stop - 1`` in consecutive ranges, in order,
+        each as its words and, if ``heaps`` is set and a pool drew it, the
+        ``(factors, landing)`` of its words dropped on a ``Heap``, for
+        ``Heap.glue``, else None.  In this process a range is one block.
+
+        With ``workers`` above one, a pool of that many processes draws
+        the ranges of ``sampler._ramp``, ``2 * workers`` of them in flight:
+        16 blocks first, each next one twice as long, up to ``ceil((stop -
+        start) / (4 * workers))`` blocks, at most _MAX_RUN.  Their words
+        come as ``bytes`` and their steps are added to ``counter`` as they
+        arrive.  The pool starts at the first range and shuts down when the
+        ranges run out or the iterator is closed.
         """
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if workers == 1:
-            yield from map(self.draw_block, self.stream.splits(start, stop))
+            yield from (((word,), None) for word in self.words(start, stop))
             return
         # the process pool costs an import that a single worker never needs
         from concurrent.futures import ProcessPoolExecutor
@@ -116,12 +128,12 @@ class BlockStream:
         pool = ProcessPoolExecutor(workers, initializer=_open_worker_stream,
                                    initargs=(self.model, self.pivot, self.seed))
         try:
-            in_flight = deque(pool.submit(_block_words, r) for r in islice(ranges, 2 * workers))
+            in_flight = deque(pool.submit(_draw_range, r, heaps) for r in islice(ranges, 2 * workers))
             while in_flight:
-                words, spent = in_flight.popleft().result()
-                in_flight.extend(pool.submit(_block_words, r) for r in islice(ranges, 1))
+                words, part, spent = in_flight.popleft().result()
+                in_flight.extend(pool.submit(_draw_range, r, heaps) for r in islice(ranges, 1))
                 self.counter.steps += spent
-                yield from words
+                yield words, part
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -150,7 +162,7 @@ def open_stream(model: IndependenceModel, pivot: str, seed: int) -> BlockStream:
     return BlockStream(model, pivot, seed)
 
 
-# The stream a pool worker of BlockStream.words draws its ranges from,
+# The stream a pool worker of BlockStream.ranges draws its ranges from,
 # opened once per worker process by the pool's initializer.
 _worker_stream: BlockStream | None = None
 
@@ -164,19 +176,27 @@ def _open_worker_stream(model: IndependenceModel, pivot: str, seed: int) -> None
     _worker_stream = BlockStream(model, pivot, seed)
 
 
-def _block_words(blocks: range) -> tuple[list[bytes], int]:
-    """Worker body: the words of the given blocks, plus the steps spent
-    drawing them.  A letter index is below 64, so each word travels as
-    bytes, one per letter."""
-    before = _worker_stream.counter.steps
-    words = [bytes(w) for w in _worker_stream.words(blocks.start, blocks.stop)]
-    return words, _worker_stream.counter.steps - before
+def _draw_range(blocks: range, heaps: bool) -> tuple[list[bytes], tuple | None, int]:
+    """Worker body: the words of the given blocks, with ``heaps`` the
+    ``(factors, landing)`` of a ``Heap`` they are dropped on, else None, and
+    the steps spent drawing them.  A letter index is below 64, so each word
+    travels as bytes, one per letter."""
+    stream, part = _worker_stream, None
+    before = stream.counter.steps
+    words = [bytes(w) for w in stream.words(blocks.start, blocks.stop)]
+    if heaps:
+        heap = Heap(stream.model)
+        heap.extend(b"".join(words))
+        part = heap.factors, heap.landing
+    return words, part, stream.counter.steps - before
 
 
 def parallel_run(model: IndependenceModel, pivot: str, seed: int, blocks: int, workers: int = 1,
                  counter: StepCounter | None = None) -> Trace:
     """The product of the first ``blocks`` blocks, drawn on ``workers``
-    processes (see ``BlockStream.words``) and dropped, in order, on one heap.
+    processes (see ``BlockStream.ranges``): in this process each block is
+    dropped on one heap, and with a pool each worker drops its range on a
+    heap of its own, which this process glues onto the one heap.
 
     Block i depends only on (seed, i), so the result, and the steps added
     to ``counter``, are those of a sequential run with the same seed
@@ -184,8 +204,11 @@ def parallel_run(model: IndependenceModel, pivot: str, seed: int, blocks: int, w
     """
     stream = open_stream(model, pivot, seed)
     heap = Heap(model)
-    for word in stream.words(0, blocks, workers):
-        heap.extend(word)
+    for words, part in stream.ranges(0, blocks, workers, heaps=True):
+        if part:
+            heap.glue(*part)
+        else:
+            heap.extend(words[0])
     if counter is not None:
         counter.steps += stream.counter.steps
     return heap.trace()

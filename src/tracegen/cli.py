@@ -132,30 +132,42 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     to_json = TraceJSON(model)
     heap = Heap(model)  # only --emit final drops blocks on it
     released: list[str] = []  # and keeps the JSON text of its final factors
-    words = stream.words(0, args.blocks or boundary.NO_LAST_BLOCK, args.workers)
+    # with a pool, --emit final has the workers drop their ranges on heaps
+    ranges = stream.ranges(0, args.blocks or boundary.NO_LAST_BLOCK, args.workers,
+                           heaps=not emit_each)
     blocks = length = status = 0
-    # Ctrl-C ends the run after a whole block; closing the words stops the
-    # pool, if there is one
-    with _sigint_flag() as interrupted, contextlib.closing(words):
+    # Ctrl-C ends the run after a whole block, or a whole glued range;
+    # closing the ranges stops the pool, if there is one
+    with _sigint_flag() as interrupted, contextlib.closing(ranges):
         # the header is a function of (model, pivot, seed) only, whatever the
-        # worker count, and any pool starts after it, at the first word; it
+        # worker count, and any pool starts after it, at the first range; it
         # is flushed, as --emit final prints nothing else before the end
         print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}),
               flush=True)
         try:
-            for word in words:
-                blocks += 1
-                length += len(word)
-                if emit_each:
-                    print(_record(blocks, "block", to_json(normalize_indices(model, word)),
-                                  length),
-                          flush=not args.blocks)
-                else:
-                    heap.extend(word)
+            for words, part in ranges:
+                if part and not 0 < args.min_length <= length + sum(map(len, words)):
+                    # the run does not stop inside this range: its heap is glued whole
+                    heap.glue(*part)
+                    blocks += len(words)
+                    length += sum(map(len, words))
+                    words = ()
+                for word in words:
+                    blocks += 1
+                    length += len(word)
+                    if emit_each:
+                        print(_record(blocks, "block", to_json(normalize_indices(model, word)),
+                                      length),
+                              flush=not args.blocks)
+                    else:
+                        heap.extend(word)
+                    if interrupted or 0 < args.min_length <= length:
+                        break
+                if not emit_each:
                     final = heap.release()
                     if final:
                         released.append(to_json.join(final))
-                if interrupted or args.min_length and length >= args.min_length:
+                if interrupted or 0 < args.min_length <= length:
                     break
         except _broken_pool() as exc:
             # a pool worker died: the record of the whole blocks received is

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 MAX_LETTERS = 64
@@ -250,6 +251,45 @@ class Heap:
     def extend(self, indices: Iterable[int]) -> None:
         """Drop the pieces with the given letter indices, in order."""
         _drop(self.neighbours, self.factors, self.landing, indices)
+
+    def glue(self, factors: Sequence[int], landing: Sequence[int]) -> int:
+        """Drop the pieces of another heap of this model, given by its
+        factors and landing levels, as ``extend`` would drop its word, and
+        return how many of its levels were dropped piece by piece.
+
+        Landing levels evolve max-plus linearly: once this heap's exceed
+        those that the other's levels below k give alone by one constant
+        for every letter, its levels from k on land rigidly, that constant
+        higher, and are laid there whole.  Until then its levels are
+        dropped, and the constant is looked for after 0, 1, 3, 7, ... of
+        them; should it never come, every level is dropped."""
+        own, high = self.factors, self.landing
+        links = [(j, *nb) for j, nb in enumerate(self.neighbours)]  # each letter's dependence
+        last = [0] * len(high)  # one above the highest level below k holding each letter
+        k = 0
+        while k < len(factors):
+            # each letter's landing level on factors[:k] alone
+            alone = [max([last[i] for i in link]) for link in links]
+            shift = high[0] - alone[0]
+            if all(h - a == shift for h, a in zip(high, alone)):
+                # at is the landing level of any letter if k is 0, else of one
+                # in level k - 1, so it is at most top
+                at, top = k + shift, len(own)
+                for lvl, f in enumerate(factors[k:k + top - at], at):
+                    own[lvl] |= f
+                own.extend(factors[k + top - at:])
+                high[:] = [level + shift for level in landing]
+                return k
+            end = min(2 * k + 1, len(factors))
+            _drop(self.neighbours, own, high, [i for f in factors[k:end] for i in iter_bits(f)])
+            # the letters of the levels just dropped, found top down
+            left, k = reduce(or_, factors[k:end]), end
+            while left:
+                end -= 1
+                for i in iter_bits(factors[end] & left):
+                    last[i] = end + 1
+                left &= ~factors[end]
+        return k
 
     def final_floor(self) -> int:
         """The highest level that no later piece can land in, -1 when there

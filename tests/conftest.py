@@ -85,6 +85,14 @@ def chorded_cycle(n_letters: int, chords) -> tg.IndependenceModel:
     return tg.build_model(letters, pairs)
 
 
+def grid_model(rows: int, cols: int) -> tg.IndependenceModel:
+    """The rows x cols grid, each letter dependent on its four neighbours."""
+    letters = [f"g{i}.{j}" for i in range(rows) for j in range(cols)]
+    pairs = [(f"g{i}.{j}", f"g{i + 1}.{j}") for i in range(rows - 1) for j in range(cols)]
+    pairs += [(f"g{i}.{j}", f"g{i}.{j + 1}") for i in range(rows) for j in range(cols - 1)]
+    return tg.build_model(letters, pairs)
+
+
 def child_states(model: IndependenceModel, state: tuple[int, int], pivot: int) -> list:
     """The rest and link states of a state (S, C) with pivot a, None for
     one with no candidates: (S - a, C - a) and (S - a, (S - a) & link(a))."""

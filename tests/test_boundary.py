@@ -16,6 +16,8 @@ from tracegen.monoid import UNIT, Heap, word_indices
 
 from conftest import chorded_cycle, cycle_model, path_model, restrict
 
+PATH16 = path_model(16)
+
 
 def test_open_stream_rejects_disconnected(path4, comm2):
     with pytest.raises(tg.NotIrreducibleError):
@@ -229,6 +231,11 @@ def test_words_equal_the_advance_calls_and_their_steps():
     assert ranged.counter.steps == stream.counter.steps
 
 
+def pooled_words(stream, start, stop, workers):
+    """The words of blocks start to stop - 1, drawn in ranges on a pool."""
+    return [word for words, _ in stream.ranges(start, stop, workers) for word in words]
+
+
 def test_words_straddling_a_key_of_2_to_the_32_equal_their_splits(path4):
     stream = tg.open_stream(path4, "b", seed=23)
     got = list(stream.words(2**32 - 2, 2**32 + 2))
@@ -239,7 +246,7 @@ def test_words_straddling_a_key_of_2_to_the_32_equal_their_splits(path4):
     alone = tg.open_stream(path4, "b", seed=23)
     words = [bytes(w) for w in alone.words(2**32 - 18, 2**32 + 22)]
     pooled = tg.open_stream(path4, "b", seed=23)
-    assert list(pooled.words(2**32 - 18, 2**32 + 22, workers=2)) == words
+    assert pooled_words(pooled, 2**32 - 18, 2**32 + 22, workers=2) == words
     assert pooled.counter.steps == alone.counter.steps
 
 
@@ -276,17 +283,22 @@ def test_parallel_run_matches_sequential(path4):
     assert c_seq.steps == c_par.steps
 
 
-@pytest.mark.parametrize("blocks, workers",
-                         [(0, 2), (1, 3), (37, 2), (50, 3), (600, 2), (700, 3), (1100, 3),
-                          (2100, 2)])
-def test_parallel_run_ranges_match_sequential(path4, blocks, workers):
+@pytest.mark.parametrize("model, blocks, workers",
+                         [("path4", 0, 2), ("path4", 1, 3), ("path4", 37, 2), ("path4", 50, 3),
+                          ("path4", 600, 2), ("path4", 700, 3), ("path4", 1100, 3),
+                          ("path4", 2100, 2), ("path16", 600, 3), ("path16", 4000, 2)],
+                         ids=["0-2", "1-3", "37-2", "50-3", "600-2", "700-3", "1100-3", "2100-2",
+                              "path16-600-3", "path16-4000-2"])
+def test_parallel_run_ranges_match_sequential(request, model, blocks, workers):
     # 37 and 50 blocks are not multiples of the 4 * workers ranges; 600 and
     # 1100 blocks are longer than a capped range; 700 blocks on 3 workers
     # ramp from 16 blocks through 32 to ranges of 59, and 2100 blocks ramp
-    # on to ranges of 256, the cap
+    # on to ranges of 256, the cap; path16's glued ranges drop a few
+    # hundred levels each before their landing levels align
+    model, pivot = (request.getfixturevalue("path4"), "c") if model == "path4" else (PATH16, "x0")
     c_seq, c_par = tg.StepCounter(), tg.StepCounter()
-    xi_seq = tg.parallel_run(path4, "c", seed=12, blocks=blocks, workers=1, counter=c_seq)
-    xi_par = tg.parallel_run(path4, "c", seed=12, blocks=blocks, workers=workers, counter=c_par)
+    xi_seq = tg.parallel_run(model, pivot, seed=12, blocks=blocks, workers=1, counter=c_seq)
+    xi_par = tg.parallel_run(model, pivot, seed=12, blocks=blocks, workers=workers, counter=c_par)
     assert xi_par == xi_seq
     assert c_par.steps == c_seq.steps
 
@@ -298,10 +310,10 @@ def test_pooled_words_are_the_words_and_close_their_pool(path4):
     words = [bytes(w) for w in stream.words(5, 700)]
     for workers in (2, 3):
         pooled = tg.open_stream(path4, "b", seed=41)
-        assert list(pooled.words(5, 700, workers=workers)) == words
+        assert pooled_words(pooled, 5, 700, workers) == words
         assert pooled.counter.steps == stream.counter.steps
-    endless = pooled.words(0, boundary.NO_LAST_BLOCK, workers=2)
-    assert next(endless) == bytes(next(stream.words(0, 1)))
+    endless = pooled.ranges(0, boundary.NO_LAST_BLOCK, workers=2)
+    assert next(endless)[0][0] == bytes(next(stream.words(0, 1)))
     endless.close()
     assert multiprocessing.active_children() == []
 

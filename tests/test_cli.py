@@ -12,16 +12,19 @@ import sys
 import threading
 import time
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import tracegen as tg
-from tracegen import cli, verify
+from tracegen import boundary, cli, verify
 from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
-from tracegen.monoid import Heap, TraceJSON
-from tracegen.sampler import Sampler
+from tracegen.monoid import Heap, TraceJSON, iter_bits
+from tracegen.sampler import Sampler, _ramp
+
+from conftest import chorded_cycle, grid_model
 
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "p4.json")
 # pyproject.toml's pythonpath reaches this process only, not the
@@ -262,21 +265,47 @@ def test_stream_min_length_stops(capsys):
     assert all(r["length"] < 10 for r in records[:-1])
 
 
-@pytest.mark.parametrize("stop", [["--blocks", "1"], ["--blocks", "6"], ["--blocks", "600"],
-                                  ["--blocks", "2100"], ["--min-length", "2000"]],
-                         ids=["blocks-1", "blocks-6", "blocks-600", "blocks-2100", "min-length"])
+def _model_file(tmp_path, name, model):
+    """A model file of the given model."""
+    pairs = [[model.letters[i], model.letters[j]] for i, mask in enumerate(model.dependence)
+             for j in iter_bits(mask) if i < j]
+    model_file = tmp_path / f"{name}.json"
+    model_file.write_text(json.dumps({"letters": list(model.letters), "dependence": pairs}))
+    return str(model_file)
+
+
+# models on which a glued range's landing levels come to align late
+LATE_MODELS = {"chorded28": chorded_cycle(28, (0, 5, 11, 17, 23)), "grid5x5": grid_model(5, 5)}
+
+
+@pytest.mark.parametrize("model, stop", [
+    ("p4", ["--blocks", "1"]), ("p4", ["--blocks", "6"]), ("p4", ["--blocks", "600"]),
+    ("p4", ["--blocks", "2100"]), ("p4", ["--min-length", "2000"]),
+    ("chorded28", ["--blocks", "2100"]), ("chorded28", ["--min-length", "20000"]),
+    ("grid5x5", ["--blocks", "2100"]),
+], ids=["blocks-1", "blocks-6", "blocks-600", "blocks-2100", "min-length",
+        "chorded28-blocks-2100", "chorded28-min-length", "grid5x5-blocks-2100"])
 @pytest.mark.parametrize("emit", ["each-block", "final"])
-def test_stream_workers_output_is_byte_identical(capsys, emit, stop):
+def test_stream_workers_output_is_byte_identical(capsys, tmp_path, emit, model, stop):
     # the pool's ranges ramp from 16 blocks: 600 blocks end in ranges of 75
     # on 2 workers, 2100 blocks in ranges of 256, the cap, on 2 workers and
-    # of 175 on 3, and a length stop ramps towards endless ranges of 256
-    base = ["stream", "--model", MODEL, "--pivot-letter", "a", *stop, "--seed", "7",
-            "--emit", emit]
+    # of 175 on 3, and a length stop ramps towards endless ranges of 256;
+    # with --emit final the main process glues each range, but the range
+    # that holds a length stop, block by block up to it
+    if model == "p4":
+        base = ["stream", "--model", MODEL, "--pivot-letter", "a"]
+    else:
+        base = ["stream", "--model", _model_file(tmp_path, model, LATE_MODELS[model])]
+    base += [*stop, "--seed", "7", "--emit", emit]
     _, sequential, _ = run_cli(capsys, *base)
     for workers in ("2", "3"):
         _, parallel, _ = run_cli(capsys, *base, "--workers", workers)
         assert sequential == parallel, workers
     assert len(sequential.splitlines()) > 1
+    if stop[0] == "--min-length":
+        # the stop falls inside a range, not on the edge of one
+        edges = {r.stop for r in islice(_ramp(0, boundary.NO_LAST_BLOCK, 256), 40)}
+        assert json.loads(sequential.splitlines()[-1])["k"] not in edges
 
 
 def test_trace_records_are_in_json_dumps_layout(capsys):
@@ -331,8 +360,10 @@ def test_a_reader_that_closes_the_pipe_ends_the_stream_quietly(workers):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_ctrl_c_inside_a_block_ends_the_stream_after_that_block(capsys, monkeypatch, workers):
-    # SIGINT arrives while block 40 is half dropped on the heap: the final
-    # record is still the product of whole blocks, the first 40
+    # SIGINT arrives while block 40 is half dropped on the heap, or, with a
+    # pool, while the third range (blocks 49 to 112) is glued on it: the
+    # final record is still the product of whole blocks, the first 40, or
+    # the first 112, those of the ranges glued
     drops = []
 
     class InterruptedHeap(Heap):
@@ -344,15 +375,22 @@ def test_ctrl_c_inside_a_block_ends_the_stream_after_that_block(capsys, monkeypa
                 os.kill(os.getpid(), signal.SIGINT)
             super().extend(indices[len(indices) // 2:])
 
+        def glue(self, factors, landing):
+            drops.append(len(factors))
+            if len(drops) == 3:
+                os.kill(os.getpid(), signal.SIGINT)
+            return super().glue(factors, landing)
+
     monkeypatch.setattr(cli, "Heap", InterruptedHeap)
     handler = signal.getsignal(signal.SIGINT)
     code, out, err = run_cli(capsys, "stream", "--model", MODEL, "--emit", "final",
                              "--seed", "7", "--workers", workers)
     assert code == 0, err
     record = json.loads(out.splitlines()[-1])
+    k = 40 if workers == "1" else 16 + 32 + 64
     model = tg.load_model(MODEL)
-    xi = tg.open_stream(model, "a", seed=7).run(40)
-    assert record == {"k": 40, "final": tg.trace_to_lists(model, xi), "length": xi.length}
+    xi = tg.open_stream(model, "a", seed=7).run(k)
+    assert record == {"k": k, "final": tg.trace_to_lists(model, xi), "length": xi.length}
     assert signal.getsignal(signal.SIGINT) is handler
 
 

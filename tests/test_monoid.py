@@ -23,7 +23,7 @@ from tracegen.monoid import (
 )
 from tracegen.oracle import enumerate_traces
 
-from conftest import cliques, path_model, restrict
+from conftest import chorded_cycle, cliques, grid_model, path_model, restrict
 
 PATH4 = tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
 
@@ -323,6 +323,86 @@ def test_release_hands_out_the_final_levels_and_lowers_the_rest(mw, cuts):
         released += final
         assert heap.landing == [level - len(released) for level in whole.landing]
     assert tuple(released + heap.factors) == tg.normalize_indices(model, word).factors
+
+
+@given(model_and_word(max_len=40), st.lists(st.integers(0, 40), max_size=4), st.data())
+def test_glued_heaps_are_the_heap_of_the_whole_word(mw, cuts, data):
+    # the heap of a prefix, with the heaps of the next pieces of the word
+    # glued on in order, is the one-pass heap; pieces that miss a letter
+    # may never let the landing levels align, and then every level drops
+    model, word = mw
+    missing = data.draw(st.sampled_from([None, *range(model.size)]))
+    bounds = [0, *sorted(cuts), len(word)]
+    pieces = [word[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    pieces[1:] = [[i for i in piece if i != missing] for piece in pieces[1:]]
+    heap, whole = Heap(model), Heap(model)
+    heap.extend(pieces[0])
+    for piece in pieces[1:]:
+        part = Heap(model)
+        part.extend(piece)
+        assert 0 <= heap.glue(part.factors, part.landing) <= len(part.factors)
+    whole.extend([i for piece in pieces for i in piece])
+    assert heap.factors == whole.factors
+    assert heap.landing == whole.landing
+    assert heap.final_floor() == whole.final_floor()
+
+
+@pytest.mark.parametrize("model", [path_model(8), grid_model(3, 3), chorded_cycle(9, [0, 3])],
+                         ids=["path8", "grid3x3", "chorded9"])
+def test_glues_that_align_inside_a_heap_lay_the_rest_whole(model):
+    # on a connected model the landing levels of random words mostly align
+    # after the bottom few levels, so the level each letter was last seen
+    # on decides both where the rest is laid and when
+    def first_aligned(below, part):
+        # the first of 0, 1, 3, 7, ... levels of part that, dropped on the
+        # heap of the word below and alone, leave landing levels one
+        # constant apart, else all of them
+        k = 0
+        while k < len(part.factors):
+            bottom = [i for f in part.factors[:k] for i in iter_bits(f)]
+            on, alone = Heap(model), Heap(model)
+            on.extend(below + bottom)
+            alone.extend(bottom)
+            if len({h - a for h, a in zip(on.landing, alone.landing)}) == 1:
+                return k
+            k = 2 * k + 1
+        return len(part.factors)
+
+    rng = random.Random(1)
+    kinds = set()
+    for _ in range(40):
+        heap, whole = Heap(model), Heap(model)
+        for size in (40, 80, 80):
+            word = [rng.randrange(model.size) for _ in range(rng.randrange(size))]
+            part = Heap(model)
+            part.extend(word)
+            want = first_aligned(word_indices(whole.trace()), part)
+            k = heap.glue(part.factors, part.landing)
+            assert k == want
+            kinds.add("none" if k == 0 else "all" if k == len(part.factors) else "some")
+            whole.extend(word)
+            assert (heap.factors, heap.landing) == (whole.factors, whole.landing)
+    assert kinds == {"none", "some", "all"}
+
+
+@pytest.mark.parametrize("model", [tg.build_model("abcd", []),
+                                   tg.build_model("abcd", [("a", "b"), ("a", "c"), ("a", "d")])],
+                         ids=["edgeless", "star"])
+def test_a_glue_whose_landing_levels_never_align_drops_every_level(model):
+    # letter d stands 5 levels higher than b, and the glued word has only b
+    # and c, which leave that gap as it is: no shift ever fits every letter
+    rng = random.Random(4)
+    word = [rng.choice((1, 2)) for _ in range(60)]
+    heap, part, whole = Heap(model), Heap(model), Heap(model)
+    heap.extend([3] * 5)
+    part.extend(word)
+    whole.extend([3] * 5 + word)
+    assert heap.glue(part.factors, part.landing) == len(part.factors)
+    assert (heap.factors, heap.landing) == (whole.factors, whole.landing)
+    # onto an empty heap, where every letter lands on level 0, it drops none
+    empty = Heap(model)
+    assert empty.glue(part.factors, part.landing) == 0
+    assert (empty.factors, empty.landing) == (part.factors, part.landing)
 
 
 def peeled_factors(model, word):

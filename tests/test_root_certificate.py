@@ -20,7 +20,7 @@ from tracegen.mobius import (
     _sign_at,
 )
 
-from conftest import cycle_model, path_model, restrict
+from conftest import cycle_model, grid_model, path_model, restrict
 
 
 def _primitive(poly: list[int]) -> list[int]:
@@ -147,13 +147,6 @@ def wide_model(rng, n=28, chords=6):
         edges.add(frozenset((i, (i + rng.choice((2, 3))) % n)))
     pairs = sorted(tuple(sorted(e)) for e in edges)
     return tg.build_model(letters, [(letters[i], letters[j]) for i, j in pairs])
-
-
-def grid_model(rows, cols):
-    letters = [f"g{i}.{j}" for i in range(rows) for j in range(cols)]
-    pairs = [(f"g{i}.{j}", f"g{i + 1}.{j}") for i in range(rows - 1) for j in range(cols)]
-    pairs += [(f"g{i}.{j}", f"g{i}.{j + 1}") for i in range(rows) for j in range(cols - 1)]
-    return tg.build_model(letters, pairs)
 
 
 def _corpus():

@@ -4,8 +4,8 @@
 The model is the path x0 - x1 - ... - x(N-1) of ``--letters`` letters, or
 with ``--shape cycle`` the same path closed by the edge x(N-1) - x0.  The
 script draws ``--blocks`` boundary blocks (pivot x0) as letter index words,
-untimed, then times three things over those same words, best of
-``--repeat`` passes:
+untimed, then times these over those same words, best of ``--repeat``
+passes:
 
 - ``normalize_us``: ``normalize_indices`` of one block, per block;
 - ``extend_us``: ``Heap.extend`` of one block onto one heap grown from
@@ -15,6 +15,15 @@ untimed, then times three things over those same words, best of
   as a pool's workers drop their ranges, and each is glued in order;
   ``glue_dropped`` is the share of the range heaps' levels that the glue
   dropped piece by piece rather than laid whole;
+- ``glue_fallback_us`` and ``extend_fallback_us``: the glue where landing
+  levels never align, against ``Heap.extend``, per block.  The words lose
+  their letters x(N-2) and x(N-1), each is dropped, untimed, on a heap of
+  its own, and the heaps are glued in order, on the path whatever
+  ``--shape``, onto a heap that holds one piece of every letter, dropped
+  from x(N-1) down to x0; ``extend`` drops the same words on the same
+  heap.  There x(N-1) lands 2 levels up for good, and every other letter
+  at least 3 above where the glued word alone leaves it, so the glue
+  drops every level; that is checked, as is that both heaps agree;
 - ``final_floor_us``: one ``final_floor()`` call on that grown heap, over
   ``--calls`` calls, per call.
 
@@ -92,6 +101,40 @@ def main() -> None:
         dropped[:] = [heap.glue(*part) for part in parts]
         grown[:] = [heap]
 
+    path = model_of("path", args.letters)
+    kept = [[i for i in word if i < args.letters - 2] for word in words]
+    lone = []
+    for word in kept:
+        part = Heap(path)
+        part.extend(word)
+        lone.append((part.factors, part.landing))
+    fallback = []
+
+    def on_base():
+        heap = Heap(path)
+        heap.extend(reversed(range(args.letters)))
+        return heap
+
+    def glue_fallback():
+        heap = on_base()
+        dropped[:] = [heap.glue(*part) for part in lone]
+        fallback[:] = [heap]
+
+    def extend_fallback():
+        heap = on_base()
+        for word in kept:
+            heap.extend(word)
+        fallback[:] = [heap]
+
+    glue_fallback_s = best_of(args.repeat, glue_fallback)
+    glued = fallback[0]
+    if sum(dropped) != sum(len(f) for f, _ in lone):
+        raise SystemExit("a fallback glue laid levels whole")
+    extend_fallback_s = best_of(args.repeat, extend_fallback)
+    heap = fallback[0]
+    if (glued.factors, glued.landing) != (heap.factors, heap.landing):
+        raise SystemExit("the fallback's glued heap differs from the grown one")
+
     glue_s = best_of(args.repeat, glue_all)
     glued = grown[0]
     normalize_s = best_of(args.repeat, normalize_all)
@@ -121,6 +164,8 @@ def main() -> None:
         "extend_us": round(extend_s / args.blocks * 1e6, 2),
         "glue_us": round(glue_s / args.blocks * 1e6, 2),
         "glue_dropped": round(sum(dropped) / sum(len(f) for f, _ in parts), 4),
+        "glue_fallback_us": round(glue_fallback_s / args.blocks * 1e6, 2),
+        "extend_fallback_us": round(extend_fallback_s / args.blocks * 1e6, 2),
         "final_floor_us": round(floor_s / args.calls * 1e6, 3),
         "heap_levels": len(heap.factors),
         "digest": digest.hexdigest(),

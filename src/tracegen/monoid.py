@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 MAX_LETTERS = 64
@@ -229,8 +229,8 @@ def _drop(
 
 class Heap:
     """A heap of pieces under construction, for products built piece by
-    piece; ``normalize_indices`` drops pieces by the same loop, ``_drop``,
-    on bare lists.
+    piece; ``normalize_indices`` and the twin heap of ``glue`` drop pieces
+    by the same loop, ``_drop``, on bare lists.
 
     A heap starts empty.  ``factors`` are the height levels, bottom first,
     and ``landing[i]`` is the level the next piece labelled i lands on: one
@@ -257,21 +257,18 @@ class Heap:
         factors and landing levels, as ``extend`` would drop its word, and
         return how many of its levels were dropped piece by piece.
 
-        Landing levels evolve max-plus linearly: once this heap's exceed
-        those that the other's levels below k give alone by one constant
-        for every letter, its levels from k on land rigidly, that constant
-        higher, and are laid there whole.  Until then its levels are
-        dropped, and the constant is looked for after 0, 1, 3, 7, ... of
-        them; should it never come, every level is dropped."""
-        own, high = self.factors, self.landing
-        links = [(j, *nb) for j, nb in enumerate(self.neighbours)]  # each letter's dependence
-        last = [0] * len(high)  # one above the highest level below k holding each letter
+        Its bottom levels are dropped on this heap and on an empty twin
+        until their landing levels differ by a constant, the same for every
+        letter, looked for after 0, 1, 3, 7, ... levels.  Landing levels
+        evolve max-plus linearly, so its levels from there on land rigidly,
+        that constant above their own height, and are laid there whole;
+        should the constant never come, every level is dropped."""
+        own, high, neighbours = self.factors, self.landing, self.neighbours
+        twin, alone = [], [0] * len(high)
         k = 0
         while k < len(factors):
-            # each letter's landing level on factors[:k] alone
-            alone = [max([last[i] for i in link]) for link in links]
-            shift = high[0] - alone[0]
-            if all(h - a == shift for h, a in zip(high, alone)):
+            if len(set(map(sub, high, alone))) == 1:
+                shift = high[0] - alone[0]
                 # at is the landing level of any letter if k is 0, else of one
                 # in level k - 1, so it is at most top
                 at, top = k + shift, len(own)
@@ -281,14 +278,10 @@ class Heap:
                 high[:] = [level + shift for level in landing]
                 return k
             end = min(2 * k + 1, len(factors))
-            _drop(self.neighbours, own, high, [i for f in factors[k:end] for i in iter_bits(f)])
-            # the letters of the levels just dropped, found top down
-            left, k = reduce(or_, factors[k:end]), end
-            while left:
-                end -= 1
-                for i in iter_bits(factors[end] & left):
-                    last[i] = end + 1
-                left &= ~factors[end]
+            pieces = [i for f in factors[k:end] for i in iter_bits(f)]
+            _drop(neighbours, own, high, pieces)
+            _drop(neighbours, twin, alone, pieces)
+            k = end
         return k
 
     def final_floor(self) -> int:

@@ -13,6 +13,7 @@ from tracegen import boundary, mobius
 from tracegen.cli import main
 from tracegen.mobius import ROOT_MARGIN
 from tracegen.monoid import UNIT, Heap, word_indices
+from tracegen.sampler import _ramp
 
 from conftest import chorded_cycle, cycle_model, path_model, restrict
 
@@ -175,20 +176,36 @@ def test_first_prefixes_of_a_path16_stream_divide_it():
 @pytest.mark.parametrize("model", [path_model(4), path_model(16),
                                    chorded_cycle(28, (0, 5, 11, 17, 23))],
                          ids=["p4", "path16", "chorded28"])
-@pytest.mark.parametrize("when", ["every-block", "random"])
+@pytest.mark.parametrize("when", ["every-block", "random", "glued-ranges"])
 def test_released_factors_then_the_open_levels_are_the_run(model, when):
-    # factors released as the blocks go by, after every block or at random
-    # points, then the open levels, are the product of the blocks so far
+    # factors released as the blocks go by, after every block, at random
+    # points or, as the pooled CLI does, after each range of blocks is
+    # dropped on a heap of its own and glued on, then the open levels, are
+    # the product of the blocks so far
     rng = random.Random(5)
+    stream = tg.open_stream(model, "x0", seed=29)
+    if when == "glued-ranges":
+        batches = [list(stream.words(r.start, r.stop)) for r in _ramp(0, 2100, 256)]
+    else:
+        batches = [[word] for word in stream.words(0, 2100)]
     heap, whole = Heap(model), Heap(model)
     released = []
-    for n, word in enumerate(tg.open_stream(model, "x0", seed=29).words(0, 2100), 1):
-        heap.extend(word)
-        whole.extend(word)
-        if when == "every-block" or rng.random() < 0.1:
+    n = 0
+    for batch in batches:
+        if when == "glued-ranges":
+            part = Heap(model)
+            for word in batch:
+                part.extend(word)
+            heap.glue(part.factors, part.landing)
+        else:
+            heap.extend(batch[0])
+        for word in batch:
+            whole.extend(word)
+        n += len(batch)
+        if when != "random" or rng.random() < 0.1:
             released += heap.release()
         assert heap.final_floor() == whole.final_floor() - len(released)
-        if n in (1, 6, 600):
+        if n in (1, 6, 600) or when == "glued-ranges":
             assert released + heap.factors == whole.factors
     assert tuple(released + heap.factors) == tg.open_stream(model, "x0", seed=29).run(2100).factors
 

@@ -83,6 +83,11 @@ CASES = {
     "p4-maxdeg": (P4, "maxdeg", None),
     "p4-order": (P4, "order", ("c", "a", "d", "b")),
     "cycle5-lowindex": (cycle_model(5), "lowindex", None),
+    "cycle5-maxdeg": (cycle_model(5), "maxdeg", None),
+    "cycle5-order": (cycle_model(5), "order", ("x3", "x0", "x4", "x1", "x2")),
+    "path5-lowindex": (path_model(5), "lowindex", None),
+    "path5-maxdeg": (path_model(5), "maxdeg", None),
+    "path5-order": (path_model(5), "order", ("x2", "x4", "x0", "x3", "x1")),
     "path5-block": (path_model(5), "block", "x0"),
     "path5-block-x2": (path_model(5), "block", "x2"),
     "cycle5-block": (cycle_model(5), "block", "x0"),

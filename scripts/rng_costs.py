@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Cost split of the RNG layer, printed as one JSON line.
+"""Cost split of the RNG layer and of a finite sample, printed as one JSON line.
 
-Two splits, in microseconds:
+Three splits, in microseconds:
 
 - ``refill_us``: one refill of a run child (a chunk of ``--chunk``
   doubles), split into taking the shared generator's lock, writing the
@@ -13,10 +13,17 @@ Two splits, in microseconds:
   (absorb), generate_state's output words that seed PCG64 (seed), the
   first doubles and the state after them by LCG jumps (heads) and building
   the child objects; ``whole`` times ``RandomStream._run`` itself.
+- ``sample_us``: one finite sample, for each of two models, p4 at
+  ``p = 0.2`` and the tests' chorded 28-cycle at 0.6 of its root, split
+  into deriving its stream (the ``splits`` iterator alone), drawing its
+  word (``Sampler.draws`` over the same streams, less derive) and its
+  normal form (``normalize_indices`` over the drawn words); ``whole`` times
+  ``sample_many`` itself, its Sampler's set-up included.  ``--streams``
+  samples are timed per model, the sampler warmed by a first pass.
 
 Each part is timed alone over the same inputs, in a loop of its own, with
-the cost of an empty loop taken off, so the parts need not add up exactly
-to ``whole``.  ``first_refill_us`` is the first refill made in this
+the cost of an empty loop taken off (not in ``sample_us``, whose parts
+are whole passes), so the parts need not add up exactly to ``whole``.  ``first_refill_us`` is the first refill made in this
 process after ``import tracegen``, before any loop, by a run child, whose
 state was derived with its run; run the script in fresh interpreters to
 see how it varies.
@@ -25,14 +32,23 @@ see how it varies.
 """
 
 import argparse
+import itertools
 import json
 import platform
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from tracegen import sampler
-from tracegen.sampler import _MAX_CHUNK, _MIN_CHUNK, _SHARED, RandomStream
+from tracegen.mobius import smallest_root
+from tracegen.monoid import normalize_indices
+from tracegen.sampler import _MAX_CHUNK, _MIN_CHUNK, _SHARED, RandomStream, Sampler, SamplerParams
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from conftest import chorded_cycle, path_model  # noqa: E402
 
 
 def per_call_us(fn, items, repeat):
@@ -163,9 +179,35 @@ def stream_split(base, run, n_runs, repeat):
     return parts
 
 
+def sample_split(model, p, n, seed, repeat):
+    params = SamplerParams(p=p, seed=seed)
+    drawer = Sampler(model, params)
+    words = list(drawer.draws(RandomStream(seed).splits(0, n)))
+
+    def best_us(loop):
+        times = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            for _ in loop():
+                pass
+            times.append(time.perf_counter() - t0)
+        return min(times) / n * 1e6
+
+    derive = best_us(lambda: RandomStream(seed).splits(0, n))
+    parts = {
+        "derive": derive,
+        "draw": best_us(lambda: drawer.draws(RandomStream(seed).splits(0, n))) - derive,
+        "normal_form": best_us(lambda: map(normalize_indices, itertools.repeat(model), words)),
+    }
+    parts["sum"] = sum(parts.values())
+    parts["whole"] = best_us(lambda: sampler.sample_many(model, params, n))
+    return parts
+
+
 def main():
     parser = argparse.ArgumentParser(description="Cost split of the RNG layer")
-    parser.add_argument("--streams", type=int, default=20000, help="run children timed")
+    parser.add_argument("--streams", type=int, default=20000,
+                        help="run children timed, and samples timed per model")
     parser.add_argument("--chunk", type=int, default=_MIN_CHUNK,
                         choices=[_MIN_CHUNK, 2 * _MIN_CHUNK, _MAX_CHUNK])
     parser.add_argument("--run", type=int, default=256, help="streams per derived run")
@@ -190,8 +232,16 @@ def main():
         "refill_us": refill_split(children, args.chunk, args.repeat),
         "stream_us": stream_split(base, args.run, max(args.streams // args.run, 1), args.repeat),
     }
+    wide = chorded_cycle(28, (0, 5, 11, 17, 23))
+    record["sample_us"] = {
+        "p4": sample_split(path_model(4), 0.2, args.streams, args.seed, args.repeat),
+        "chorded28": sample_split(wide, 0.6 * smallest_root(wide), args.streams, args.seed,
+                                  args.repeat),
+    }
     for split in ("refill_us", "stream_us"):
         record[split] = {k: round(v, 3) for k, v in record[split].items()}
+    for name, parts in record["sample_us"].items():
+        record["sample_us"][name] = {k: round(v, 3) for k, v in parts.items()}
     print(json.dumps(record))
 
 

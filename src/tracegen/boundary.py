@@ -14,12 +14,12 @@ consecutive blocks interlock and the partial products converge to a
 boundary point with the uniform law.
 
 Each block is drawn from its own child random stream keyed by the block
-index, by one recipe, ``BlockStream.draw_block``, which also counts the
-block's step.  ``BlockStream.ranges``, the one ordered source of blocks,
-runs it in this process, one block at a time, or on a pool of workers,
-one range of blocks at a time; the workers can also drop each range on a
-heap of their own, for the reader to glue.  ``parallel_run`` and the CLI
-read it, and a replay and a run read its in-process part,
+index, by one recipe, ``BlockStream._draw_blocks``, which also counts
+each block's step.  ``BlockStream.ranges``, the one ordered source of
+blocks, runs it in this process, one block at a time, or on a pool of
+workers, one range of blocks at a time; the workers can also drop each
+range on a heap of their own, for the reader to glue.  ``parallel_run``
+and the CLI read it, and a replay and a run read its in-process part,
 ``BlockStream.words``, so the stream is restartable and its output is the
 same for any worker count.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .mobius import NotIrreducibleError, _components, smallest_root
 from .monoid import Heap, IndependenceModel, Trace, iter_bits, normalize_indices
@@ -87,10 +87,15 @@ class BlockStream:
     def draw_block(self, stream: RandomStream) -> list[int]:
         """Letter indices of one block drawn from ``stream``, apex last,
         and one step on the counter for the block."""
-        word = self._sampler.draw(stream)
-        word.append(self.pivot_index)
-        self.counter.steps += 1
-        return word
+        return next(self._draw_blocks((stream,)))
+
+    def _draw_blocks(self, streams: Iterable[RandomStream]) -> Iterator[list[int]]:
+        """``draw_block`` of each stream, in order, from one run of the sampler's ``draws``."""
+        apex, counter = self.pivot_index, self.counter
+        for word in self._sampler.draws(streams):
+            word.append(apex)
+            counter.steps += 1
+            yield word
 
     def words(self, start: int, stop: int) -> Iterator[Sequence[int]]:
         """The letter indices of blocks ``start`` to ``stop - 1`` (0 based), in order.
@@ -99,7 +104,7 @@ class BlockStream:
         range can be drawn, or redrawn, at will: ``next(words(i, i + 1))``
         replays block i.  ``ranges`` draws them on a pool of workers.
         """
-        yield from map(self.draw_block, self.stream.splits(start, stop))
+        return self._draw_blocks(self.stream.splits(start, stop))
 
     def ranges(self, start: int, stop: int, workers: int = 1,
                heaps: bool = False) -> Iterator[tuple[Sequence[Sequence[int]], tuple | None]]:

@@ -59,6 +59,11 @@ class IndependenceModel:
         return tuple(tuple(iter_bits(mask & ~(1 << i))) for i, mask in enumerate(self.dependence))
 
     @cached_property
+    def short_traces(self) -> tuple[Trace, ...]:
+        """The normal forms of the words under two letters: the unit, then letter i at i + 1."""
+        return (UNIT, *(Trace((1 << i,)) for i in range(self.size)))
+
+    @cached_property
     def size(self) -> int:
         return len(self.letters)
 
@@ -323,9 +328,11 @@ def normalize(model: IndependenceModel, word: Iterable[str]) -> Trace:
     return normalize_indices(model, [model.index_of(ch) for ch in word])
 
 
-def normalize_indices(model: IndependenceModel, indices: Iterable[int]) -> Trace:
+def normalize_indices(model: IndependenceModel, indices: Sequence[int]) -> Trace:
     """Normal form of a word given as letter indices: its pieces dropped on
-    an empty heap."""
+    an empty heap, or under two letters, read from ``model.short_traces``."""
+    if len(indices) < 2:
+        return model.short_traces[indices[0] + 1 if indices else 0]
     factors: list[int] = []
     _drop(model.neighbours, factors, [0] * model.size, indices)
     return Trace(tuple(factors))

@@ -8,8 +8,8 @@ S and T, draw the number K of pyramidal prefixes with apex a from a
 geometric law, then fill each prefix and the remainder the same way over
 the alphabet without a.  A Sampler serves one root state (S, T) and
 checks its masks and p once, when it is built: ``sample_many`` builds one
-per call and a ``BlockStream`` one for all its blocks, and a single draw
-is ``normalize_indices(model, Sampler(model, params).draw(stream))``.
+per call and a ``BlockStream`` one for all its blocks, and a run of draws
+is ``Sampler(model, params).draws(streams)``, one word per stream.
 Each state of the recursion is compiled once into a node holding its
 pivot, the log of its geometric parameter and its two children, and a
 draw runs the nodes on an explicit stack.  A visit to a state always runs
@@ -41,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -449,20 +449,20 @@ class Sampler:
     ever shrinks the subalphabet, which can only move the root up, so
     every state it reaches is in range too.
 
-    Built once and reused for every draw.  Each state (subset, candidates)
-    the recursion reaches is compiled on first use into a node
-    ``[pivot, log_r, zero_below, steps, steps_per_k, rest, link]``: the
-    pivot the rule picks, the log of the geometric parameter r at
-    ``params.p``, ``-expm1(log_r) * (1 - 2**-30)`` (2.0 when r is 0), below
-    which a uniform gives K = 0 with no log1p, the steps one visit of the
-    node and of its rest chain adds, the steps it adds per geometric unit,
-    and the rest and link children.  A child is None when it has no
-    candidates.
+    Built once and reused for every run of draws; ``draws`` draws a run in
+    one frame.  Each state (subset, candidates) the recursion reaches is
+    compiled on first use into a node ``[pivot, log_r, zero_below, steps,
+    steps_per_k, rest, link]``: the pivot the rule picks, the log of the
+    geometric parameter r at ``params.p``, ``-expm1(log_r) * (1 - 2**-30)``
+    (2.0 when r is 0), below which a uniform gives K = 0 with no log1p, the
+    steps one visit of the node and of its rest chain adds, the steps it
+    adds per geometric unit, and the rest and link children.  A child is
+    None when it has no candidates.
 
     A visit to a node always goes on down its rest chain (the nodes reached
     by rest children), so a node is compiled with its whole rest chain.  The
     link slot holds the link state until the node first draws K > 0, as
-    eager links would compile every reachable state; ``draw`` then puts
+    eager links would compile every reachable state; ``draws`` then puts
     ``[pivot, link node]`` there, pushed K times.  The root is compiled on
     the first draw.  A chain's visit steps are counted once per visit: the
     root's per draw, a link chain's in its parent's ``steps_per_k``.
@@ -488,8 +488,6 @@ class Sampler:
             self._order = tuple(model.index_of(ch) for ch in params.pivot_order)
         self._choose = getattr(self, f"_choose_{params.pivot}")
         self._nodes: dict[tuple[int, int], list] = {}
-        # the root's node, compiled on the first draw
-        self._root: list | None = None
 
     @staticmethod
     def _choose_lowindex(subset: int, candidates: int) -> int:
@@ -545,60 +543,68 @@ class Sampler:
         return node
 
     def draw(self, stream: RandomStream) -> list[int]:
-        """Letter indices of one sample from the root state, in a valid
-        linearisation order.
+        """Letter indices of one sample from the root state: ``draws`` of one stream."""
+        return next(self.draws((stream,)))
 
-        A node with K > 0 pushes its remainder, then K times its pivot and
-        its link child, onto a stack of nodes to fill and letters to emit,
-        so the letters come out in the recursion's order; with K = 0 it
-        reads only its threshold and runs its remainder next.  A chain's
-        steps are counted on entry, from its head node.  When the chunk runs
-        out, ``_refill`` draws the next one.
+    def draws(self, streams: Iterable[RandomStream]) -> Iterator[list[int]]:
+        """Letter indices of one sample from the root state per stream, in
+        a valid linearisation order, drawn in one frame as they are taken.
+
+        A node with K > 0 pushes its remainder, then K times its pivot and its
+        link child, onto a stack of nodes to fill and letters to emit, so the
+        letters come out in the recursion's order; with K = 0 it reads only its
+        threshold and runs its remainder next.  A chain's steps are counted on
+        entry, from its head node, and a sample's are on the counter before its
+        word is yielded.  When a chunk runs out, ``_refill`` draws the next.
         """
-        out: list[int] = []
-        node = self._root
-        if node is None:
-            if not self.root_state[1]:
-                self.counter.steps += 1
-                return out
-            node = self._root = self._node(self.root_state)
-        steps = node[3]
-        emit = out.append
+        counter = self.counter
+        if not self.root_state[1]:
+            for _ in streams:
+                counter.steps += 1
+                yield []
+            return
+        root = self._node(self.root_state)
+        log1p = math.log1p
         stack: list = []
         pop = stack.pop
-        take = stream._next
-        while True:
-            try:
-                u = take()
-            except StopIteration:
-                u = stream._refill()
-                take = stream._next
-            if u >= node[2] and (k := int(math.log1p(-u) / node[1])):
-                link = node[6]
-                if link.__class__ is tuple:
-                    head = self._node(link)
-                    node[4] += head[3]
-                    link = node[6] = [node[0], head]
-                steps += k * node[4]
-                if link is not None:
-                    if node[5] is not None:
-                        stack.append(node[5])
-                    stack += link * k
-                    node = pop()
+        for stream in streams:
+            out: list[int] = []
+            emit = out.append
+            node = root
+            steps = root[3]
+            take = stream._next
+            while True:
+                try:
+                    u = take()
+                except StopIteration:
+                    u = stream._refill()
+                    take = stream._next
+                if u >= node[2] and (k := int(log1p(-u) / node[1])):
+                    link = node[6]
+                    if link.__class__ is tuple:
+                        head = self._node(link)
+                        node[4] += head[3]
+                        link = node[6] = [node[0], head]
+                    steps += k * node[4]
+                    if link is not None:
+                        if node[5] is not None:
+                            stack.append(node[5])
+                        stack += link * k
+                        node = pop()
+                        continue
+                    out += [node[0]] * k
+                node = node[5]
+                if node is not None:
                     continue
-                out += [node[0]] * k
-            node = node[5]
-            if node is not None:
-                continue
-            while stack:
-                node = pop()
-                if node.__class__ is not int:
+                while stack:
+                    node = pop()
+                    if node.__class__ is not int:
+                        break
+                    emit(node)
+                else:
                     break
-                emit(node)
-            else:
-                break
-        self.counter.steps += steps
-        return out
+            counter.steps += steps
+            yield out
 
 
 def sample_many(
@@ -615,9 +621,9 @@ def sample_many(
 
     Sample i depends only on (seed, i), so the sequence is reproducible
     and insensitive to how many samples are drawn around it.  One Sampler
-    draws every sample; it is built, and its masks and p checked, by this
-    call, before any sample is drawn.
+    draws every sample, in one run of its ``draws``; it is built, and its
+    masks and p checked, by this call, before any sample is drawn.
     """
     sampler = Sampler(model, params, subset, target, counter)
     streams = RandomStream(params.seed).splits(0, n)
-    return map(normalize_indices, repeat(model), map(sampler.draw, streams))
+    return map(normalize_indices, repeat(model), sampler.draws(streams))

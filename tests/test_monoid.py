@@ -22,6 +22,7 @@ from tracegen.monoid import (
     word_indices,
 )
 from tracegen.oracle import enumerate_traces
+from tracegen.sampler import Sampler
 
 from conftest import chorded_cycle, cliques, grid_model, path_model, restrict
 
@@ -429,6 +430,35 @@ def peeled_factors(model, word):
 def test_normalize_indices_matches_peeled_factors(mw):
     model, word = mw
     assert tg.normalize_indices(model, word).factors == peeled_factors(model, word)
+
+
+def dropped_on_an_empty_heap(model, word):
+    """The normal form of a word by ``_drop`` alone."""
+    factors = []
+    monoid._drop(model.neighbours, factors, [0] * model.size, word)
+    return tg.Trace(tuple(factors))
+
+
+@pytest.mark.parametrize("model", [PATH4, path_model(16), chorded_cycle(12, [0, 5])],
+                         ids=["p4", "path16", "chorded12"])
+def test_words_under_two_letters_are_read_from_the_model(model):
+    assert tg.normalize_indices(model, []) == UNIT
+    assert tg.normalize_indices(model, b"") is UNIT
+    for i in range(model.size):
+        assert tg.normalize_indices(model, [i]) == dropped_on_an_empty_heap(model, [i])
+        assert tg.normalize_indices(model, bytes([i])) is model.short_traces[i + 1]
+    assert len(model.short_traces) == model.size + 1
+
+
+def test_reading_a_shared_short_trace_leaves_later_samples_alone():
+    params = tg.SamplerParams(p=0.2, seed=12)
+    for x in tg.sample_many(PATH4, params, 400):
+        assert x.length == sum(f.bit_count() for f in x.factors)
+    words = Sampler(PATH4, params).draws(tg.RandomStream(params.seed).splits(0, 400))
+    for x, word in zip(tg.sample_many(PATH4, params, 400), words):
+        fresh = dropped_on_an_empty_heap(PATH4, word)
+        assert (x, x.length) == (fresh, fresh.length)
+    assert {x.length for x in PATH4.short_traces} == {0, 1}
 
 
 def test_cliques_of_path4(path4):

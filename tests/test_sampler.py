@@ -122,11 +122,11 @@ def test_nodes_compile_on_the_first_draw_with_their_rest_chains():
     # first draw, which compiles the root's whole rest chain
     stream = tg.open_stream(path_model(16), "x5", seed=3)
     sampler = stream._sampler
-    assert sampler._nodes == {} and sampler._root is None
+    assert sampler._nodes == {}
     next(stream.words(0, 1))
     # the root's candidates x4 and x6 make a chain of two nodes, whose
     # visit costs 3 then 4 steps
-    chain, node = [], sampler._root
+    chain, node = [], sampler._nodes[sampler.root_state]
     while node is not None:
         chain.append(node)
         node = node[5]
@@ -408,6 +408,61 @@ def test_every_compiled_geometric_parameter_is_correctly_rounded(model, p):
         assert log_r == math.log(r), state
         assert zero_below == -math.expm1(log_r) * (1 - 2**-30), state
     assert len(nodes) > 1
+
+
+# -- a run of draws in one frame ------------------------------------------------
+
+DRAWS_CASES = {
+    "p4-lowindex": lambda: Sampler(PATH4, tg.SamplerParams(p=0.3)),
+    "p4-maxdeg": lambda: Sampler(PATH4, tg.SamplerParams(p=0.3, pivot="maxdeg")),
+    "p4-order": lambda: Sampler(
+        PATH4, tg.SamplerParams(p=0.3, pivot="order", pivot_order=("c", "a"))
+    ),
+    "path16-blocks": lambda: case_sampler(path_model(16), None),
+    "chorded28": lambda: case_sampler(CHORDED28, 0.6 * tg.smallest_root(CHORDED28)),
+    "no-candidates": lambda: Sampler(PATH4, tg.SamplerParams(p=0.2), target=0),
+}
+
+
+@pytest.mark.parametrize("case", DRAWS_CASES)
+def test_draws_over_a_run_equal_one_draw_per_stream(case):
+    run, single = DRAWS_CASES[case](), DRAWS_CASES[case]()
+    got = list(run.draws(tg.RandomStream(17).splits(0, 300)))
+    want = [single.draw(stream) for stream in tg.RandomStream(17).splits(0, 300)]
+    assert got == want
+    assert run.counter.steps == single.counter.steps
+    if case == "path16-blocks":
+        # a block longer than 72 letters read past its 8 derived doubles and
+        # its first refill of 64
+        assert any(len(word) > 72 for word in got)
+    if case == "no-candidates":
+        assert got == [[]] * 300 and run.counter.steps == 300
+
+
+@pytest.mark.parametrize("case", ["p4-lowindex", "no-candidates"])
+def test_an_empty_run_of_draws_adds_no_steps(case):
+    sampler = DRAWS_CASES[case]()
+    assert list(sampler.draws(iter(()))) == []
+    assert sampler.counter.steps == 0
+
+
+@pytest.mark.parametrize("case", ["p4-maxdeg", "chorded28"])
+def test_a_run_closed_partway_counts_only_the_words_it_yielded(case):
+    run, single = DRAWS_CASES[case](), DRAWS_CASES[case]()
+    words = run.draws(tg.RandomStream(4).splits(0, 300))
+    for stream in tg.RandomStream(4).splits(0, 40):
+        assert next(words) == single.draw(stream)
+        assert run.counter.steps == single.counter.steps
+    words.close()
+    assert run.counter.steps == single.counter.steps
+
+
+def test_block_words_equal_draw_block_over_the_same_splits():
+    ranged, single = tg.open_stream(path_model(16), "x3", 9), tg.open_stream(path_model(16), "x3", 9)
+    got = list(ranged.words(40, 340))
+    want = [single.draw_block(stream) for stream in single.stream.splits(40, 340)]
+    assert got == want
+    assert ranged.counter.steps == single.counter.steps
 
 
 class ChunkedValues:

@@ -7,7 +7,8 @@ sha256 of ``json.dumps([r.to_dict() for r in reports], sort_keys=True)``.
 Two checkouts that print the same line produce the same reports, byte for
 byte.  The reduced suite configurations and the path and cycle models are
 the test suite's own, imported from ``tests/``.  With ``--expect HEX`` the
-script exits 1 unless the digest is HEX.
+script exits 1 unless the digest is HEX.  The wall time spent in each
+suite goes to stderr, one line a suite.
 
     PYTHONPATH=src python scripts/report_digest.py --expect e4adb491d15d0c93e4dfaae3aed0344d9445189a0a541894050015053fc020b1
 """
@@ -16,6 +17,8 @@ import argparse
 import hashlib
 import json
 import sys
+import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,25 +39,33 @@ from tracegen.verify import (  # noqa: E402
 )
 
 
-def reports() -> list:
+def reports(wall: Counter) -> list:
+    """The reports, in digest order; wall[suite] gains the seconds spent in
+    each suite."""
+
+    def timed(suite, check, *args, **kwargs):
+        start = time.perf_counter()
+        got = check(*args, **kwargs)
+        wall[suite] += time.perf_counter() - start
+        return got
+
     p4 = build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
     star4 = build_model("abcd", [("a", "b"), ("a", "c"), ("a", "d")])
     triangle = build_model("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     out = []
     mobius = MobiusSuiteConfig(exhaustive_limit=4, sampled_checks=64)
     for model in (p4, star4, path_model(10), cycle_model(10)):
-        out += run_mobius_suite(model, seed=5, config=mobius)
+        out += timed("mobius", run_mobius_suite, model, seed=5, config=mobius)
     for model, pivot in ((p4, "a"), (p4, "b"), (star4, "a"), (triangle, "a")):
-        out += run_finite_suite(model, seed=5, config=replace(SMALL_FINITE, pivot_letter=pivot))
-        out += run_boundary_suite(
-            model, seed=5, config=replace(SMALL_BOUNDARY, pivot_letter=pivot)
-        )
-        out.append(verify_cylinders(model, pivot, 11, 3, 600))
-        out += verify_decomposition_law(
-            model, pivot, 0.5 * smallest_root(model), n=5000, seed=7
-        )
-    out.append(verify_cylinders(p4, "a", DEFAULT_SEED, 3, 2000))
-    out += run_boundary_suite(p4, seed=303, config=TINY_BOUNDARY)
+        out += timed("finite", run_finite_suite, model, seed=5,
+                     config=replace(SMALL_FINITE, pivot_letter=pivot))
+        out += timed("boundary", run_boundary_suite, model, seed=5,
+                     config=replace(SMALL_BOUNDARY, pivot_letter=pivot))
+        out.append(timed("cylinders", verify_cylinders, model, pivot, 11, 3, 600))
+        out += timed("decomposition", verify_decomposition_law,
+                     model, pivot, 0.5 * smallest_root(model), n=5000, seed=7)
+    out.append(timed("cylinders", verify_cylinders, p4, "a", DEFAULT_SEED, 3, 2000))
+    out += timed("boundary", run_boundary_suite, p4, seed=303, config=TINY_BOUNDARY)
     return out
 
 
@@ -62,7 +73,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
     args = parser.parse_args()
-    dicts = [r.to_dict() for r in reports()]
+    wall: Counter = Counter()
+    dicts = [r.to_dict() for r in reports(wall)]
+    for suite, seconds in wall.items():
+        print(f"{suite} {seconds:.2f} s", file=sys.stderr)
     digest = hashlib.sha256(json.dumps(dicts, sort_keys=True).encode()).hexdigest()
     print(len(dicts), digest)
     if args.expect is not None and digest != args.expect.lower():

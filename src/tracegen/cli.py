@@ -146,11 +146,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
               flush=True)
         try:
             for words, part in ranges:
-                if part and not 0 < args.min_length <= length + sum(map(len, words)):
+                size = sum(map(len, words)) if part else 0
+                if part and not 0 < args.min_length <= length + size:
                     # the run does not stop inside this range: its heap is glued whole
                     heap.glue(*part)
                     blocks += len(words)
-                    length += sum(map(len, words))
+                    length += size
                     words = ()
                 for word in words:
                     blocks += 1

@@ -11,7 +11,10 @@ of a factor depends on at least one letter of the preceding factor.  The
 geometric reading is a heap of pieces: each letter is a piece dropped on top
 of the current heap, it slides down past independent pieces and comes to
 rest on the highest dependent one.  Factor i of the normal form is exactly
-the set of pieces at height i.
+the set of pieces at height i.  A left divisor (a prefix) keeps every
+piece at its own height, so divisibility is decided on level masks: a
+divisor is the levels masked by a set of pieces that holds every piece
+below its own.
 
 Subsets of the alphabet are handled as integer bit masks throughout, with
 bit i standing for ``letters[i]``.  Alphabets are capped at 64 letters so a
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
@@ -372,53 +376,50 @@ def is_left_divisor(model: IndependenceModel, x: Trace, y: Trace) -> bool:
 def left_quotient(model: IndependenceModel, x: Trace, y: Trace) -> Trace | None:
     """The z with y == x . z, or None when x does not divide y.
 
-    A left divisor is a downward closed set of pieces of y, made of the
-    first occurrences of its letters.  One pass over y's canonical word
-    sends the occurrences x still needs to the head, failing if one rests
-    on a piece left behind, and every other piece to the tail.
+    One pass up y's levels: each level of x must lie in y's level at the
+    same height and hold no letter blocked by a piece of y that x leaves
+    out lower down.  The left-out pieces make up the quotient.
     """
-    need = [0] * model.size
-    for i in word_indices(x):
-        need[i] += 1
-    head: list[int] = []
+    dep = model.dependence
+    blocked = 0
     tail: list[int] = []
-    behind = 0
-    for i in word_indices(y):
-        if need[i]:
-            if behind >> i & 1:
-                return None
-            need[i] -= 1
-            head.append(i)
-        else:
+    for f, g in zip_longest(x.factors, y.factors, fillvalue=0):
+        if f & (blocked | ~g):
+            return None
+        for i in iter_bits(g ^ f):
             tail.append(i)
-            behind |= model.dependence[i]
-    if normalize_indices(model, head) != x:
-        return None
+            blocked |= dep[i]
     return normalize_indices(model, tail)
 
 
 def left_divisors(model: IndependenceModel, x: Trace, max_length: int) -> set[Trace]:
     """All left divisors of x of length at most max_length.
 
-    A divisor of length n + 1 is one of length n extended by a minimal
-    piece of its quotient, so the divisors are built level by level, each
-    mapped to its quotient and each found once.
+    A divisor is x's levels masked by a set of pieces that holds every
+    piece below its own, and its factors are the nonempty masks.  The
+    divisors of length n + 1 are those of length n with one more piece
+    that no left-out piece lies under, each kept once.
     """
     if max_length < 0:
         raise ValueError(f"max_length must be non-negative, got {max_length}")
-    out = {UNIT}
-    level = {UNIT: x}
+    dep = model.dependence
+    out = level = {()}
     for _ in range(max_length):
-        grown: dict[Trace, Trace] = {}
-        for d, q in level.items():
-            for i in iter_bits(q.factors[0] if q.factors else 0):
-                head = Trace((1 << i,))
-                e = concat(model, d, head)
-                if e not in grown:
-                    grown[e] = left_quotient(model, head, q)
-        out.update(grown)
+        grown: set[tuple[int, ...]] = set()
+        for d in level:
+            blocked = 0
+            for k, f in enumerate(x.factors):
+                held = d[k] if k < len(d) else 0
+                for i in iter_bits(f & ~held & ~blocked):
+                    grown.add((*d[:k], held | 1 << i, *d[k + 1:]))
+                if not held:
+                    # every piece above rests on a piece left out here
+                    break
+                for i in iter_bits(f & ~held):
+                    blocked |= dep[i]
+        out = out | grown
         level = grown
-    return out
+    return set(map(Trace, out))
 
 
 def is_pyramidal(model: IndependenceModel, x: Trace, letter: str) -> bool:
@@ -426,29 +427,6 @@ def is_pyramidal(model: IndependenceModel, x: Trace, letter: str) -> bool:
     maximal piece."""
     i = model.index_of(letter)
     return x.letter_count(i) == 1 and max_letters(model, x) == 1 << i
-
-
-def _first_piece_cone(dep: Sequence[int], word: Sequence[int], pivot: int) -> tuple[list[int], list[int]]:
-    """Split a word at the downward closure of its first pivot occurrence.
-
-    Returns (cone, rest) as index lists.  The cone is the set of pieces the
-    first pivot piece rests on, transitively, pivot included; it is computed
-    by a right to left sweep from the pivot position collecting letters
-    dependent on something already collected.
-    """
-    pos = word.index(pivot)
-    keep = [False] * (pos + 1)
-    keep[pos] = True
-    reach = dep[pivot]
-    for j in range(pos - 1, -1, -1):
-        b = word[j]
-        if reach & (1 << b):
-            keep[j] = True
-            reach |= dep[b]
-    cone = [word[j] for j in range(pos + 1) if keep[j]]
-    rest = [word[j] for j in range(pos + 1) if not keep[j]]
-    rest.extend(word[pos + 1:])
-    return cone, rest
 
 
 def pyramidal_decompose(
@@ -459,17 +437,28 @@ def pyramidal_decompose(
     With k occurrences of the letter in x, returns (parts, remainder) where
     parts has k traces, each pyramidal with apex ``letter``, the remainder
     has no occurrence of the letter, and the product of parts followed by
-    the remainder equals x.  Each part is the downward closure of the
-    lowest remaining occurrence of the letter.
+    the remainder equals x.  Part j is the j-th lowest occurrence of the
+    letter with every piece still left below it, taken by one sweep down
+    x's levels.
     """
     pivot = model.index_of(letter)
+    tops = [k for k, f in enumerate(x.factors) if f >> pivot & 1]
+    if not tops:
+        return [], x
     dep = model.dependence
-    word = word_indices(x)
+    left = list(x.factors)
     parts: list[Trace] = []
-    while pivot in word:
-        cone, word = _first_piece_cone(dep, word, pivot)
-        parts.append(normalize_indices(model, cone))
-    return parts, normalize_indices(model, word)
+    for top in tops:
+        left[top] ^= 1 << pivot
+        cone, reach = [pivot], dep[pivot]  # the part's word, read downwards
+        for lvl in range(top - 1, -1, -1):
+            take = left[lvl] & reach
+            left[lvl] ^= take
+            for i in iter_bits(take):
+                cone.append(i)
+                reach |= dep[i]
+        parts.append(normalize_indices(model, cone[::-1]))
+    return parts, normalize_indices(model, [i for f in left for i in iter_bits(f)])
 
 
 # ---------------------------------------------------------------------------

@@ -105,16 +105,11 @@ def pyramidal_block_table(
     """Exact block law of the boundary generator: each block v with apex
     ``pivot`` has probability p^|v|, tabulated up to length n_max."""
     i = model.index_of(pivot)
-    rest = model.full_mask & ~(1 << i)
-    lk = model.dependence[i]
     apex = Trace((1 << i,))
-    table: dict[Trace, float] = {}
-    if n_max >= 1:
-        for z in enumerate_traces(model, rest, n_max - 1):
-            if max_letters(model, z) & ~lk == 0:
-                v = concat(model, z, apex)
-                table[v] = p**v.length
-    return table
+    # the bodies: traces over the other letters with maximal pieces in the link
+    rest = model.full_mask & ~(1 << i)
+    bodies = probability_table(model, rest, model.dependence[i], p, n_max - 1) if n_max >= 1 else {}
+    return {v: p**v.length for v in (concat(model, z, apex) for z in bodies)}
 
 
 def series_coefficients(

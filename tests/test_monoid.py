@@ -208,21 +208,44 @@ def test_left_divisors_enumeration(path4):
 
 
 def test_left_divisors_finds_each_divisor_once(monkeypatch):
-    # 8 independent letters: every subset is a divisor, reached in 8! orders
+    # 8 independent letters: every subset is a divisor, reached in 8! orders;
+    # the search reads the free pieces of each divisor it keeps a bounded
+    # number of times, so one that reached a divisor once per order fails
     model = tg.build_model("abcdefgh", [])
     x = tg.normalize(model, "abcdefgh")
     calls = 0
-    quotient = monoid.left_quotient
+    bits = monoid.iter_bits
 
-    def counting(*args):
+    def counting(mask):
         nonlocal calls
         calls += 1
-        return quotient(*args)
+        return bits(mask)
 
-    monkeypatch.setattr(monoid, "left_quotient", counting)
+    monkeypatch.setattr(monoid, "iter_bits", counting)
     divisors = left_divisors(model, x, 8)
     assert divisors == {UNIT} | {tg.Trace((mask,)) for mask in range(1, 256)}
-    assert calls <= 2_048
+    assert calls <= 1_024
+
+
+@given(model_and_word(max_letters=4, max_len=6), st.data())
+def test_left_divisors_match_bruteforce(mw, data):
+    # the divisors of y of length at most L are the traces d of that length
+    # with y == d . z for some z, on random models of up to 4 letters; the
+    # quotient check and left_quotient agree with them
+    model, word = mw
+    y = tg.normalize_indices(model, word)
+    bound = data.draw(st.integers(0, 4))
+    short = enumerate_traces(model, None, bound)
+    tails = enumerate_traces(model, None, y.length)
+    brute = {
+        d for d in short
+        if any(tg.concat(model, d, z) == y for z in tails if z.length == y.length - d.length)
+    }
+    assert left_divisors(model, y, bound) == brute
+    for d in short:
+        q = tg.left_quotient(model, d, y)
+        assert tg.is_left_divisor(model, d, y) == (d in brute) == (q is not None)
+        assert q is None or tg.concat(model, d, q) == y
 
 
 @given(model_and_word(), st.data())

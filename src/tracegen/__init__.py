@@ -32,7 +32,6 @@ from .mobius import (
     MobiusPolynomial,
     MobiusTable,
     NotIrreducibleError,
-    RootNotFoundError,
     expected_length,
     is_irreducible,
     mobius_polynomial,
@@ -65,8 +64,8 @@ __all__ = [
     "left_quotient", "link", "load_model", "max_letters", "model_from_dict",
     "normalize", "normalize_indices", "pyramidal_decompose", "trace_to_lists",
     "MobiusPolynomial", "MobiusTable", "NotIrreducibleError",
-    "RootNotFoundError", "expected_length", "is_irreducible",
-    "mobius_polynomial", "recurrence_residual_coefficients", "smallest_root",
+    "expected_length", "is_irreducible", "mobius_polynomial",
+    "recurrence_residual_coefficients", "smallest_root",
     "RandomStream", "SamplerParams", "StepCounter", "sample_many",
     "BlockStream", "open_stream", "parallel_run",
 ]

@@ -122,7 +122,7 @@ class BlockStream:
         ranges run out or the iterator is closed.
         """
         if workers < 1:
-            raise ValueError("workers must be at least 1")
+            raise ValueError(f"workers must be at least 1, got {workers}")
         if workers == 1:
             yield from (((word,), None) for word in self.words(start, stop))
             return

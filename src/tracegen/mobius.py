@@ -15,26 +15,32 @@ runs it on a memo keyed by subset mask, so no clique is ever listed: a
 path of n letters reaches n + 1 subsets where it has Fibonacci many
 cliques.  It runs on coefficient tuples, memoised for one call only.
 
-The smallest root p_sigma is certified in exact integer arithmetic.
-Newton's iterates from 0, each step formed exactly and rounded once, give
-a candidate.  A gallop and a bisection over doubles with exact signs pin
-adjacent doubles x < x+ with mu(x) >= 0 > mu(x+), so a root lies in
-[x, x+).  Descartes' rule of signs, as used for real root isolation by
-Collins and Akritas (SYMSAC 1976), then proves that no root lies in
-(0, x): the Taylor shift (1 + t)^d mu(x / (1 + t)), formed by integer
-additions, has no sign variation.  So x is the true root rounded down to
-a double, the root itself whenever the root is a double.  The check
-cannot fail at the right double: p_sigma is the unique root of smallest
-modulus of a clique polynomial (Goldwurm and Santini, IPL 75, 2000), so
-no root lies in the disk on the diameter from 0 to x, and by the
-one-circle theorem the shift then has no sign variation.  These steps run
-once per connected component of the subalphabet.  mu of a disjoint union
-is the product of its components' mu, so p_sigma is the smallest of their
-roots, and each of those is simple (Krob, Mairesse and Michos, Discrete
-Math. 2003), so mu of its component changes sign there.  A pin above
-p_sigma fails the check and is followed by a bisection on the check below
-it.  The result is never above the true root and does not depend on numpy
-or the platform.
+The smallest root p_sigma is found in exact integer arithmetic by one
+check and one search.  The check is Descartes' rule of signs, as used for
+real root isolation by Collins and Akritas (SYMSAC 1976): when the Taylor
+shift (1 + t)^d mu(x / (1 + t)), formed by integer additions, has no sign
+variation, no root lies in (0, x).  On a clique polynomial the check is
+monotone in x.  It passes for every x <= p_sigma: p_sigma is the unique
+root of smallest modulus (Goldwurm and Santini, IPL 75, 2000), so no root
+lies in the open disk on the diameter from 0 to x, and by the one-circle
+theorem the shift then has no sign variation.  It fails for every
+x > p_sigma, as p_sigma then lies in (0, x).  So the largest double at
+which the check passes is p_sigma rounded down, the root itself whenever
+the root is a double.  The search finds it by a gallop over doubles from
+a candidate, then a bisection, both on the check.  The check passes at 0
+and fails at the double above 1, so the search always ends, and no sign
+of mu is evaluated on the way.  The result is never above the true root
+and does not depend on numpy or the platform.
+
+The candidate only sets where the search starts.  It is Newton's iterates
+from 0, each step formed exactly and rounded once; at a simple root they
+stop within a double of it, and the search takes two checks.  mu of a
+disjoint union is the product of its components' mu, so p_sigma is the
+smallest of their roots, and each of those is simple (Krob, Mairesse and
+Michos, Discrete Math. 2003).  The product has a multiple root where
+components share one, and there Newton's iterates crawl and stop far
+below it.  So the search runs once per connected component of the
+subalphabet.
 
 Everything here is deterministic.  A double p is a dyadic rational, so a
 polynomial value at p is computed exactly in integers and rounded once;
@@ -51,10 +57,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .monoid import IndependenceModel
-
-
-class RootNotFoundError(RuntimeError):
-    """No usable root of the Mobius polynomial was located in (0, 1]."""
 
 
 class NotIrreducibleError(ValueError):
@@ -138,12 +140,11 @@ def recurrence_residual_coefficients(
 
 
 def _scaled_value(coefficients, x) -> tuple[int, int]:
-    """An integer polynomial at a dyadic rational x (a double, or a
-    Fraction whose denominator is a power of two), as an integer v and a
-    shift s with value v / 2^s.
+    """An integer polynomial at a double x, as an integer v and a shift s
+    with value v / 2^s.
 
-    Such an x is n / 2^k, so 2^(k * degree) times the value is the integer
-    sum of c_i n^i 2^(k * (degree - i)), formed here by homogeneous Horner.
+    A double is n / 2^k, so 2^(k * degree) times the value is the
+    integer sum of c_i n^i 2^(k * (degree - i)), by homogeneous Horner.
     """
     n, d = x.as_integer_ratio()
     k = d.bit_length() - 1
@@ -161,13 +162,6 @@ def _rounded(pair: tuple[int, int]) -> float:
     return acc / (1 << shift)
 
 
-def _sign_at(coefficients, x) -> int:
-    """Exact sign of an integer polynomial at a dyadic rational x: a double,
-    or a Fraction whose denominator is a power of two."""
-    acc = _scaled_value(coefficients, x)[0]
-    return (acc > 0) - (acc < 0)
-
-
 def _bits(x: float) -> int:
     # positive doubles are ordered as their bit patterns
     return struct.unpack("<q", struct.pack("<d", x))[0]
@@ -182,9 +176,6 @@ _ONE_UP = _bits(1.0) + 1
 # Newton's iterates reach an isolated simple root in a few steps; the cap
 # bounds their slow crawl where many roots cluster just above it
 _NEWTON_STEPS = 64
-# halvings of the gap between two adjacent doubles, past which two roots
-# inside it are not told apart
-_SPLIT_STEPS = 1024
 
 
 def _newton(coefficients) -> float:
@@ -193,7 +184,7 @@ def _newton(coefficients) -> float:
     At x = n / 2^k one homogeneous Horner pass gives P(x) 2^(k d) and
     P'(x) 2^(k (d - 1)) as exact integers, so each step x - P(x) / P'(x)
     is one int / int division, rounded once.  The result is only a
-    candidate: the pin and the certificate decide.
+    candidate, where ``_floor_root`` starts its search.
     """
     x = 0.0
     for _ in range(_NEWTON_STEPS):
@@ -213,41 +204,9 @@ def _newton(coefficients) -> float:
     return x
 
 
-def _pin(coefficients, x: float) -> int | None:
-    """Bits of a double lo with P(lo) >= 0 > P at the next double, found by
-    a gallop over bit patterns from x and an exact-sign bisection; None
-    when P stays nonnegative from x up to the double above 1."""
-    lo = hi = _bits(x)
-    step = 1
-    if _sign_at(coefficients, x) >= 0:
-        while True:
-            hi = min(lo + step, _ONE_UP)
-            if _sign_at(coefficients, _double(hi)) < 0:
-                break
-            if hi == _ONE_UP:
-                return None
-            lo = hi
-            step *= 2
-    else:
-        # P(0) > 0 ends this gallop
-        while True:
-            lo = max(hi - step, 0)
-            if _sign_at(coefficients, _double(lo)) >= 0:
-                break
-            hi = lo
-            step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _sign_at(coefficients, _double(mid)) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _no_root_below(coefficients, x) -> bool:
     """Whether Descartes' rule of signs proves that P, with P(0) > 0, has
-    no root in (0, x), for a dyadic rational x.
+    no root in (0, x), for a double x: the one root check.
 
     With x = n / 2^k and d the degree, t -> x / (1 + t) maps the positive
     axis onto (0, x), and 2^(k d) (1 + t)^d P(x / (1 + t)) is R(1 + t) for
@@ -255,6 +214,8 @@ def _no_root_below(coefficients, x) -> bool:
     integer polynomial, which takes additions only.  Its leading
     coefficient is c_0 2^(k d) > 0, so zero sign variations means no
     negative coefficient; then it has no positive root, and P(x) >= 0.
+    On a clique polynomial it passes exactly at the x up to the smallest
+    root, as the module docstring shows.
     """
     n, den = x.as_integer_ratio()
     k = den.bit_length() - 1
@@ -272,42 +233,6 @@ def _no_root_below(coefficients, x) -> bool:
     return min(shifted) >= 0
 
 
-def _search_below(coefficients, hi: int) -> int:
-    """Bits of the double at or below the smallest root of a clique
-    polynomial P whose smallest root is simple, searched below the double
-    with bits hi, which fails the check.
-
-    The check passes at x exactly when x <= p_sigma (one-circle theorem
-    and Goldwurm-Santini), so a bisection on it ends at adjacent doubles
-    lo <= p_sigma < hi.  P changes sign at its simple smallest root, so a
-    negative value on (lo, hi] certifies the root there; when another root
-    lies between the same two doubles, the check splits the gap on dyadic
-    rationals until a point between them is found.
-    """
-    from fractions import Fraction  # this path only; it loads decimal
-
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _no_root_below(coefficients, _double(mid)):
-            lo = mid
-        else:
-            hi = mid
-    left, right = Fraction(_double(lo)), Fraction(_double(hi))
-    for _ in range(_SPLIT_STEPS):
-        if _sign_at(coefficients, right) < 0:
-            return lo
-        middle = (left + right) / 2
-        if _no_root_below(coefficients, middle):
-            left = middle
-        else:
-            right = middle
-    raise RootNotFoundError(
-        f"no certified root of {coefficients!r} between {_double(lo)!r} "
-        f"and {_double(lo + 1)!r}"
-    )
-
-
 def _components(dependence: tuple[int, ...], subset: int):
     """The connected components of the dependence graph on a subset, as
     masks, the component of its lowest letter first."""
@@ -323,37 +248,56 @@ def _components(dependence: tuple[int, ...], subset: int):
         subset ^= component
 
 
+def _floor_root(coefficients) -> float:
+    """The largest double at which ``_no_root_below`` passes: the smallest
+    root of a clique polynomial, rounded down to a double.
+
+    lo and hi are bit patterns of doubles where the check passes and
+    fails, at first 0 and the double above 1.  Probes gallop from Newton's
+    candidate, steps doubling, until the check turns; a bisection then
+    closes the gap to adjacent doubles.
+    """
+    lo, hi = 0, _ONE_UP
+    probe, step = _bits(_newton(coefficients)), 1
+    while lo < probe < hi:
+        # after the check turns, the probe lands outside (lo, hi)
+        if _no_root_below(coefficients, _double(probe)):
+            lo, probe = probe, probe + step
+        else:
+            hi, probe = probe, probe - step
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _no_root_below(coefficients, _double(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _double(lo)
+
+
 @lru_cache(maxsize=8192)
 def _smallest_root_cached(model: IndependenceModel, subset: int) -> float:
-    roots = []
-    for component in _components(model.dependence, subset):
-        coefficients = mobius_polynomial(model, component).coefficients
-        lo = _pin(coefficients, _newton(coefficients))
-        if lo is None or not _no_root_below(coefficients, _double(lo)):
-            # the candidate led past the smallest root
-            lo = _search_below(coefficients, _ONE_UP if lo is None else lo)
-        roots.append(_double(lo))
-    return min(roots)
+    # one search per component: its smallest root is simple, so Newton's
+    # candidate starts the search next to it
+    return min(
+        _floor_root(mobius_polynomial(model, component).coefficients)
+        for component in _components(model.dependence, subset)
+    )
 
 
 def smallest_root(model: IndependenceModel, subset: int | None = None) -> float:
     """Smallest positive root of the Mobius polynomial of a subalphabet,
     rounded down to a double.
 
-    The root r is real and lies in (0, 1].  It is the unique root of
-    smallest modulus (Goldwurm and Santini).  The polynomial is the product
-    of those of the connected components of the dependence graph, so r is
-    the smallest of their roots; each of those is simple (Krob, Mairesse
-    and Michos), though r has the multiplicity of the components that share
-    it.  The result is the largest double x <= r, r itself whenever r is a
-    double, and exact integer arithmetic certifies it on the component
-    that gives it: its polynomial is nonnegative at x and negative before
-    the next double, and the Taylor shift (1 + t)^d mu(x / (1 + t)) has no
-    sign variation, so by Descartes' rule no root lies in (0, x).  Newton's
-    iterates only propose x.  No floating point arithmetic decides
-    anything, so the result does not depend on the platform or on the
-    numpy version, and ``check_parameter``'s range admits only parameters
-    below the true root.
+    The root r is real, lies in (0, 1] and is the unique root of smallest
+    modulus (Goldwurm and Santini).  The result is the largest double
+    x <= r, r itself whenever r is a double.  It is the largest double at
+    which Descartes' rule, in exact integer arithmetic, proves that no root
+    lies in (0, x), found by one search on each connected component, as the
+    module docstring sets out; the search cannot fail.  No floating point
+    arithmetic decides anything, so the result does not depend on the
+    platform or on the numpy version, and ``check_parameter``'s range
+    admits only parameters below the true root.
     """
     mask = model.mask(subset)
     if mask == 0:

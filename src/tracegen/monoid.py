@@ -278,12 +278,12 @@ class Heap:
         while k < len(factors):
             if len(set(map(sub, high, alone))) == 1:
                 shift = high[0] - alone[0]
-                # at is the landing level of any letter if k is 0, else of one
-                # in level k - 1, so it is at most top
-                at, top = k + shift, len(own)
-                for lvl, f in enumerate(factors[k:k + top - at], at):
-                    own[lvl] |= f
-                own.extend(factors[k + top - at:])
+                # the rest lands at k + shift, on top: k + shift <= len(own),
+                # as it is a landing level here (every letter's if k is 0,
+                # else that of one in level k - 1); len(own) <= k + shift, as
+                # a top-level letter lands at len(own) or above and none lands
+                # above k on the twin
+                own.extend(factors[k:])
                 high[:] = [level + shift for level in landing]
                 return k
             end = min(2 * k + 1, len(factors))

@@ -344,7 +344,7 @@ def test_parallel_run_with_one_worker_is_the_open_stream_run(path4):
 
 
 def test_parallel_run_validates_workers(path4):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 0"):
         tg.parallel_run(path4, "a", seed=8, blocks=10, workers=0)
 
 

@@ -1,8 +1,9 @@
 """The certified smallest root against an independent reference: a Sturm
 sequence of the square-free part, found by a polynomial gcd, and a
 bisection over doubles with exact signs, which needs neither connected
-components nor Descartes' rule.  Also checks that the Descartes
-certificate can fail, and that the search below a failed pin recovers."""
+components nor Descartes' rule and evaluates its signs here.  Also checks
+that the Descartes check rejects doubles above the root, and that the
+search ends at the root from candidates far from it."""
 
 import math
 import random
@@ -11,16 +12,20 @@ import pytest
 
 import tracegen as tg
 from tracegen import mobius
-from tracegen.mobius import (
-    _bits,
-    _double,
-    _no_root_below,
-    _pin,
-    _search_below,
-    _sign_at,
-)
+from tracegen.mobius import _bits, _double, _floor_root, _no_root_below
 
 from conftest import cycle_model, grid_model, path_model, restrict
+
+
+def _sign(poly, x) -> int:
+    """Exact sign of an integer polynomial at a double x = n / d: the sign
+    of d^degree times its value, sum c_i n^i d^(degree - i), by Horner."""
+    n, d = x.as_integer_ratio()
+    value, scale = 0, 1
+    for c in reversed(poly):
+        value = value * n + c * scale
+        scale *= d
+    return (value > 0) - (value < 0)
 
 
 def _primitive(poly: list[int]) -> list[int]:
@@ -96,7 +101,7 @@ def _square_free_part(coefficients: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _variations(sturm, x):
-    signs = [s for s in (_sign_at(p, x) for p in sturm) if s]
+    signs = [s for s in (_sign(p, x) for p in sturm) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -127,11 +132,11 @@ def sturm_floor_root(coefficients):
     # and negative on (r, hi]: bisect on its exact sign.  Two roots left in
     # (lo, hi] means adjacent doubles with both roots strictly between, so
     # r rounds down to lo.
-    if found == 1 and _sign_at(square_free, _double(hi)) >= 0:
+    if found == 1 and _sign(square_free, _double(hi)) >= 0:
         return _double(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _sign_at(square_free, _double(mid)) >= 0:
+        if _sign(square_free, _double(mid)) >= 0:
             lo = mid
         else:
             hi = mid
@@ -223,20 +228,27 @@ def test_descartes_check_rejects_a_double_above_the_root(model, above):
     assert not _no_root_below(coefficients, above)
 
 
-def test_search_from_a_candidate_pinned_near_a_larger_root(monkeypatch):
-    # cycle8's Mobius polynomial changes sign downwards at 1/(2 + 2 cos(pi/8))
-    # and again at 1/(2 + 2 cos(5 pi/8)), about 0.8097: a candidate there is
-    # pinned at the larger root, the certificate fails, and the search below
-    # must still end at the smallest root
-    model = cycle_model(8)
+_newton = mobius._newton
+
+
+# candidates in place of Newton's: cycle8's Mobius polynomial changes sign
+# downwards at 1/(2 + 2 cos(pi/8)) and again at 1/(2 + 2 cos(5 pi/8)),
+# about 0.8097, a larger root where the check fails; Newton's own candidate
+# on path64 moved 2^20 doubles either way; and the two ends of (0, 1]
+@pytest.mark.parametrize("model, candidate", [
+    (cycle_model(8), lambda poly: 1 / (2 + 2 * math.cos(5 * math.pi / 8))),
+    (path_model(64), lambda poly: _double(_bits(_newton(poly)) + 2 ** 20)),
+    (path_model(64), lambda poly: _double(_bits(_newton(poly)) - 2 ** 20)),
+    (path_model(64), lambda poly: 0.0),
+    (path_model(64), lambda poly: 1.0),
+], ids=["cycle8-larger-root", "path64-up-2pow20", "path64-down-2pow20", "path64-zero", "path64-one"])
+def test_search_from_a_candidate_pinned_near_a_larger_root(monkeypatch, model, candidate):
+    # the search must end at the smallest root from any candidate, through
+    # smallest_root too
     coefficients = tg.mobius_polynomial(model).coefficients
     expected = sturm_floor_root(coefficients)
-    larger = 1 / (2 + 2 * math.cos(5 * math.pi / 8))
-    pin = _pin(coefficients, larger)
-    assert abs(_double(pin) - larger) < 1e-15
-    assert not _no_root_below(coefficients, _double(pin))
-    assert _double(_search_below(coefficients, pin)) == expected
-    monkeypatch.setattr(mobius, "_newton", lambda poly: larger)
+    monkeypatch.setattr(mobius, "_newton", candidate)
+    assert _floor_root(coefficients) == expected
     mobius._smallest_root_cached.cache_clear()
     try:
         assert tg.smallest_root(model) == expected
@@ -246,13 +258,14 @@ def test_search_from_a_candidate_pinned_near_a_larger_root(monkeypatch):
 
 def test_search_splits_two_roots_between_adjacent_doubles():
     # (1 - 3x)(2^60 + 1 - 3 2^60 x) has its roots 1/3 and 1/3 + 2^-60 / 3
-    # between the same two doubles: no double separates them, so the search
-    # goes on with dyadic rationals between the doubles
+    # between the same two doubles: no double separates them, and mu is
+    # positive at both, but the check fails at the upper double, where
+    # both roots lie below it, and passes at the lower one
     big = 1 << 60
     coefficients = (big + 1, -3 * big - 3 * (big + 1), 9 * big)
     assert _square_free_part(coefficients) == coefficients
     below = 1 / 3
-    assert _sign_at(coefficients, below) > 0
-    assert _sign_at(coefficients, math.nextafter(below, 1.0)) > 0
-    assert _double(_search_below(coefficients, _bits(0.5))) == below
+    assert _sign(coefficients, below) > 0
+    assert _sign(coefficients, math.nextafter(below, 1.0)) > 0
+    assert _floor_root(coefficients) == below
     assert sturm_floor_root(coefficients) == below

@@ -8,7 +8,8 @@ Two checkouts that print the same line produce the same reports, byte for
 byte.  The reduced suite configurations and the path and cycle models are
 the test suite's own, imported from ``tests/``.  With ``--expect HEX`` the
 script exits 1 unless the digest is HEX.  The wall time spent in each
-suite goes to stderr, one line a suite.
+suite goes to stderr, one line a suite, and then the peak resident set
+size of the process.
 
     PYTHONPATH=src python scripts/report_digest.py --expect e4adb491d15d0c93e4dfaae3aed0344d9445189a0a541894050015053fc020b1
 """
@@ -16,6 +17,7 @@ suite goes to stderr, one line a suite.
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from collections import Counter
@@ -77,6 +79,8 @@ def main() -> None:
     dicts = [r.to_dict() for r in reports(wall)]
     for suite, seconds in wall.items():
         print(f"{suite} {seconds:.2f} s", file=sys.stderr)
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    print(f"peak RSS {peak_kib / 1024:.1f} MB", file=sys.stderr)
     digest = hashlib.sha256(json.dumps(dicts, sort_keys=True).encode()).hexdigest()
     print(len(dicts), digest)
     if args.expect is not None and digest != args.expect.lower():

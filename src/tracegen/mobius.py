@@ -350,7 +350,7 @@ class MobiusTable:
         """
         bit = 1 << pivot_index
         if not subset & bit:
-            raise ValueError("pivot is not in the subset")
+            raise ValueError(f"pivot index {pivot_index} is not in the subset {subset:#b}")
         n, d = self.p.as_integer_ratio()
         num, num_shift = self._pair(subset & ~self.model.dependence[pivot_index])
         den, den_shift = self._pair(subset & ~bit)

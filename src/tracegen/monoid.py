@@ -79,7 +79,10 @@ class IndependenceModel:
         """A subset mask, the full alphabet when None, checked to lie in it."""
         mask = self.full_mask if subset is None else subset
         if mask >> len(self.letters):
-            raise ValueError("subset mask has bits outside the alphabet")
+            raise ValueError(
+                f"subset mask {mask:#b} has bits outside the alphabet "
+                f"of {len(self.letters)} letters"
+            )
         return mask
 
     def index_of(self, letter: str) -> int:

@@ -202,7 +202,7 @@ def geometric_bins(samples: Sequence[int], r: float) -> tuple[list[float], list[
     are aligned observed and expected counts.
     """
     if not 0.0 < r < 1.0:
-        raise ValueError("r must lie strictly between 0 and 1")
+        raise ValueError(f"r must lie strictly between 0 and 1, got r={r!r}")
     n = len(samples)
     k_max = 0
     while n * (1.0 - r) * r ** (k_max + 1) >= 5.0:

@@ -1,10 +1,18 @@
 """Statistical and structural verification suites.
 
 Each check produces a TestReport: a named statistic, the threshold it was
-held to, and the verdict.  All randomness is seeded, so every report is
-reproducible bit for bit from its parameters.  The exact references,
-every law table among them, come from the oracle module; the suites never
-compare a sampler against itself.
+held to, and the verdict.  The exact references, every law table among
+them, come from the oracle module; the suites never compare a sampler
+against itself.
+
+The suites are one table, ``CHECKS[suite]``: a tuple of rows
+``(seed offset, check)`` in report order.  A check is
+``check(model, seed, config) -> list[TestReport]``, one check or a group
+whose reports share draws, and it draws only from the seed it is given,
+the suite seed plus its offset.  So every report is reproducible bit for
+bit from its parameters, and no row reads another's draws.  One loop,
+``_walk``, runs a suite's rows in order; ``run_suite`` walks each suite it
+names.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -19,44 +28,18 @@ import numpy as np
 from . import DEFAULT_SEED, SUITES
 from .boundary import open_stream, parallel_run
 from .mobius import (
-    ROOT_MARGIN,
-    MobiusTable,
-    expected_length,
-    mobius_polynomial,
-    recurrence_residual_coefficients,
+    ROOT_MARGIN, MobiusTable, expected_length, mobius_polynomial, recurrence_residual_coefficients,
     smallest_root,
 )
 from .monoid import (
-    Heap,
-    IndependenceModel,
-    Trace,
-    clique_size_counts,
-    concat,
-    format_trace,
-    is_left_divisor,
-    is_pyramidal,
-    iter_bits,
-    left_divisors,
-    max_letters,
-    normalize_indices,
-    pyramidal_decompose,
+    Heap, IndependenceModel, Trace, clique_size_counts, concat, format_trace, is_left_divisor,
+    is_pyramidal, iter_bits, left_divisors, max_letters, normalize_indices, pyramidal_decompose,
 )
 from .oracle import (
-    _check_guardrails,
-    chi_square,
-    enumerate_traces,
-    exact_occurrence,
-    geometric_bins,
-    probability_table,
-    pyramidal_block_table,
-    tv_distance,
+    _check_guardrails, chi_square, enumerate_traces, exact_occurrence, geometric_bins,
+    probability_table, pyramidal_block_table, tv_distance,
 )
-from .sampler import (
-    RandomStream,
-    SamplerParams,
-    StepCounter,
-    sample_many,
-)
+from .sampler import RandomStream, SamplerParams, StepCounter, sample_many
 
 # the mobius suite walks the cliques of a subset only up to this many: a
 # random subset of a 48-letter path has about a million, up to 1e8
@@ -134,6 +117,11 @@ def _law_report(
     return TestReport.make(name, tv, threshold, "le", len(samples), seed, **details)
 
 
+def _failures(name: str, count: int, sample_size: int, seed: int, **details) -> TestReport:
+    """A count of failed comparisons, which passes at zero."""
+    return TestReport.make(name, count, 0, "le", sample_size, seed, **details)
+
+
 # ---------------------------------------------------------------------------
 # Decomposition law
 
@@ -173,6 +161,11 @@ def verify_decomposition_law(
             if k >= 2:
                 v1 = Trace(parts[1].factors[:-1])
                 pair_cells[min(v0.length, cap), min(v1.length, cap)] += 1
+    if not pair_cells:
+        raise ValueError(
+            f"n={n} samples: {pair_cells.total()} hold two pivots {pivot!r}, and the "
+            "pair-independence test needs at least one"
+        )
 
     reports = []
     observed, expected = geometric_bins(ks, r)
@@ -229,6 +222,8 @@ def verify_cylinders(
     One stream per run, the runs' streams derived together by
     ``RandomStream(seed).splits``.
     """
+    if runs < 1:
+        raise ValueError(f"runs={runs} draws no run: the cylinder law needs runs >= 1")
     blocks = open_stream(model, pivot, seed)
     p_star = blocks.p_star
 
@@ -295,15 +290,11 @@ class BoundarySuiteConfig:
 
 
 # ---------------------------------------------------------------------------
-# Mobius suite
+# Rows
 
-def run_mobius_suite(
-    model: IndependenceModel,
-    seed: int = DEFAULT_SEED,
-    config: MobiusSuiteConfig = MobiusSuiteConfig(),
-) -> list[TestReport]:
-    """Structural checks of the polynomial layer on one model."""
-    reports = []
+def _mobius_structure(model, seed, config: MobiusSuiteConfig) -> list[TestReport]:
+    """The polynomial layer's checks, one row: they share one mask
+    generator, and their draws interleave."""
     full = model.full_mask
     rng = random.Random(seed)
     exhaustive = model.size <= config.exhaustive_limit
@@ -322,24 +313,14 @@ def run_mobius_suite(
         for i in (iter_bits(x) if exhaustive else (rng.choice(list(iter_bits(x))),))
     ]
     violations = sum(
-        1
-        for x, i in pairs
-        if any(recurrence_residual_coefficients(model, x, model.letters[i]))
+        1 for x, i in pairs if any(recurrence_residual_coefficients(model, x, model.letters[i]))
     )
-    reports.append(
-        TestReport.make(
-            "pivot-deletion-identity-exact", violations, 0, "le",
-            len(pairs), seed,
-        )
-    )
+    reports = [_failures("pivot-deletion-identity-exact", violations, len(pairs), seed)]
 
     # the recurrence against the clique walk, two independent computations;
     # subsets with more cliques than the budget are not walked
     polys = {x: mobius_polynomial(model, x) for x, _ in pairs}
-    walked = [
-        x for x in sorted(polys)
-        if polys[x].clique_count() <= CLIQUE_WALK_LIMIT
-    ]
+    walked = [x for x in sorted(polys) if polys[x].clique_count() <= CLIQUE_WALK_LIMIT]
     violations = sum(
         1
         for x in walked
@@ -348,54 +329,33 @@ def run_mobius_suite(
         )
     )
     reports.append(
-        TestReport.make(
-            "mobius-matches-clique-walk", violations, 0, "le", len(walked), seed,
+        _failures(
+            "mobius-matches-clique-walk", violations, len(walked), seed,
             over_budget=len(polys) - len(walked),
         )
     )
 
     root = smallest_root(model)
     poly = mobius_polynomial(model)
-    worst = max(
-        poly.evaluate(root * j / 50) - (1.0 - root * j / 50) for j in range(51)
-    )
-    reports.append(
-        TestReport.make("mobius-upper-bound", worst, 1e-9, "le", 51, seed)
-    )
+    worst = max(poly.evaluate(root * j / 50) - (1.0 - root * j / 50) for j in range(51))
+    reports.append(TestReport.make("mobius-upper-bound", worst, 1e-9, "le", 51, seed))
 
-    worst = 0.0
-    checked = 0
+    # removing more letters cannot lower the root; big holds small, and a
+    # pair whose big leaves no letter is skipped
+    gaps = []
     for _ in range(config.chain_checks):
         small = rng.randrange(0, full + 1)
         big = small | rng.randrange(0, full + 1)
-        if full & ~small == 0 or full & ~big == 0:
-            continue
-        checked += 1
-        worst = max(
-            worst,
-            smallest_root(model, full & ~small) - smallest_root(model, full & ~big),
-        )
+        if full & ~big:
+            gaps.append(smallest_root(model, full & ~small) - smallest_root(model, full & ~big))
+    worst = max([0.0, *gaps])
     reports.append(
-        TestReport.make(
-            "root-monotone-under-removal", worst, 1e-12, "le", checked, seed,
-        )
+        TestReport.make("root-monotone-under-removal", worst, 1e-12, "le", len(gaps), seed)
     )
 
-    violations = 0
-    checked = 0
-    for x in masks(1):
-        px = smallest_root(model, x)
-        sub_poly = mobius_polynomial(model, x)
-        for j in range(1, 20):
-            q = px * j / 20
-            checked += 1
-            if sub_poly.evaluate(q) <= 0.0:
-                violations += 1
-    reports.append(
-        TestReport.make(
-            "positivity-below-root", violations, 0, "le", checked, seed,
-        )
-    )
+    below = [(mobius_polynomial(model, x), smallest_root(model, x)) for x in masks(1)]
+    violations = sum(sub.evaluate(px * j / 20) <= 0.0 for sub, px in below for j in range(1, 20))
+    reports.append(_failures("positivity-below-root", violations, 19 * len(below), seed))
 
     p = 0.5 * root
     table = MobiusTable(model, p)
@@ -403,23 +363,268 @@ def run_mobius_suite(
     violations = sum(
         1 for x in subsets if table.value(x) != mobius_polynomial(model, x).evaluate(p)
     )
-    reports.append(
-        TestReport.make("memo-coherence", violations, 0, "le", len(subsets), seed)
-    )
+    reports.append(_failures("memo-coherence", violations, len(subsets), seed))
 
     checks = [(frac * root, i) for frac in (0.25, 0.5, 0.75) for i in range(model.size)]
     wrong = sum(
         MobiusTable(model, q).occurrence(full, i) != exact_occurrence(model, full, i, q)
         for q, i in checks
     )
-    reports.append(
-        TestReport.make("occurrence-correctly-rounded", wrong, 0, "le", len(checks), seed)
-    )
+    reports.append(_failures("occurrence-correctly-rounded", wrong, len(checks), seed))
     return reports
 
 
+def _finite_p(model: IndependenceModel) -> float:
+    return 0.6 * smallest_root(model)
+
+
+def _pivot(model: IndependenceModel, config) -> str:
+    return config.pivot_letter or model.letters[0]
+
+
+def _finite_law(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
+    if config.n_law < 1:
+        raise ValueError(f"n_law={config.n_law} draws no sample: the law needs n_law >= 1")
+    p = _finite_p(model)
+    full = model.full_mask
+    samples = list(sample_many(model, SamplerParams(p=p, seed=seed), config.n_law))
+    exact = probability_table(model, full, full, p, SUPPORT_CUTOFF)
+    unit_freq = sum(1 for x in samples if x.is_unit) / len(samples)
+    unit_mass = mobius_polynomial(model, full).evaluate(p)
+    return [
+        _law_report(
+            "finite-law-tv", samples, exact, SUPPORT_CUTOFF, config.tv_threshold, seed, p=p
+        ),
+        TestReport.make(
+            "unit-mass", abs(unit_freq - unit_mass), config.unit_mass_threshold, "le",
+            config.n_law, seed, frequency=unit_freq, target=unit_mass,
+        ),
+    ]
+
+
+def _finite_mean(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
+    p = _finite_p(model)
+    target = expected_length(model, p)
+    drawn = sample_many(model, SamplerParams(p=p, seed=seed), config.n_mean)
+    observed = sum(x.length for x in drawn) / config.n_mean
+    return [
+        TestReport.make(
+            "mean-length", abs(observed - target) / target, config.mean_relative_threshold,
+            "le", config.n_mean, seed, observed=observed, target=target,
+        )
+    ]
+
+
+def _finite_decomposition(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
+    return verify_decomposition_law(
+        model, _pivot(model, config), _finite_p(model), config.n_decomposition, seed,
+        chi_alpha=config.chi_alpha / 2,
+    )
+
+
+def _finite_conditioned(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
+    """The sampler conditioned on the pivot's link, then on the pivot alone."""
+    reports = []
+    p = _finite_p(model)
+    full = model.full_mask
+    pivot_index = model.index_of(_pivot(model, config))
+    for label, target in (("link", model.dependence[pivot_index]), ("single", 1 << pivot_index)):
+        params = SamplerParams(p=p, seed=seed)
+        drawn = list(sample_many(model, params, config.n_conditioned, full, target))
+        escapes = sum(1 for x in drawn if max_letters(model, x) & ~target)
+        exact = probability_table(model, full, target, p, SUPPORT_CUTOFF)
+        reports += [
+            _failures(f"conditioned-max-inside-{label}", escapes, config.n_conditioned, seed),
+            _law_report(
+                f"conditioned-law-tv-{label}", drawn, exact, SUPPORT_CUTOFF,
+                config.conditioned_tv_threshold, seed,
+            ),
+        ]
+    return reports
+
+
+def _finite_pivot_rule(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
+    """The lowindex pivot rule's law (seed) against the maxdeg rule's (seed + 1)."""
+    p = _finite_p(model)
+    n = config.n_pivot_rule
+    low = list(sample_many(model, SamplerParams(p=p, seed=seed), n))
+    high = list(sample_many(model, SamplerParams(p=p, seed=seed + 1, pivot="maxdeg"), n))
+    tv = tv_distance(empirical_distribution(low), empirical_distribution(high), SUPPORT_CUTOFF)
+    return [TestReport.make("pivot-rule-invariance", tv, config.pivot_tv_threshold, "le", n, seed)]
+
+
+def _finite_determinism(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
+    """The first 200 of the law row's n_law draws, drawn again: 200 draws on
+    their own repeat them, and 200 at seed + 6 do not."""
+    p = _finite_p(model)
+    params = SamplerParams(p=p, seed=seed)
+    first = list(islice(sample_many(model, params, config.n_law), 200))
+    again = list(sample_many(model, params, 200))
+    other = list(sample_many(model, SamplerParams(p=p, seed=seed + 6), 200))
+    mismatch = sum(1 for a, b in zip(first, again) if a != b)
+    identical_other = all(a == b for a, b in zip(first, other))
+    return [_failures("determinism", mismatch + (1 if identical_other else 0), 200, seed)]
+
+
+def _finite_steps(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
+    ratios = []
+    counter = StepCounter()
+    before = 0
+    params = SamplerParams(p=_finite_p(model), seed=seed)
+    for x in sample_many(model, params, config.n_steps, counter=counter):
+        ratios.append((counter.steps - before) / ((model.size + 1) * (x.length + 1)))
+        before = counter.steps
+    fitted_c = 2.0 * max(ratios[: max(100, config.n_steps // 10)])
+    return [
+        TestReport.make(
+            "step-bound-linear", max(ratios), fitted_c, "le", config.n_steps, seed,
+            fitted_constant=fitted_c,
+        )
+    ]
+
+
+def _boundary_gap(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
+    stream = open_stream(model, _pivot(model, config), seed)
+    sub_root = smallest_root(model, stream.block_subset)
+    is_link = stream.block_target == model.dependence[stream.pivot_index]
+    return [
+        TestReport.make(
+            "critical-gap", sub_root - stream.p_star, ROOT_MARGIN, "ge", 1, seed,
+            p_star=stream.p_star, pivot_free_root=sub_root,
+        ),
+        _failures("block-conditioning-is-link", 0 if is_link else 1, 1, seed),
+    ]
+
+
+def _boundary_blocks(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
+    pivot = _pivot(model, config)
+    stream = open_stream(model, pivot, seed)
+    blocks = [stream.next_block() for _ in range(config.n_blocks_law)]
+    bad = sum(0 if is_pyramidal(model, b, pivot) else 1 for b in blocks)
+    exact = pyramidal_block_table(model, pivot, stream.p_star, SUPPORT_CUTOFF)
+    return [
+        _failures("blocks-pyramidal", bad, config.n_blocks_law, seed),
+        _law_report(
+            "block-law-tv", blocks, exact, SUPPORT_CUTOFF, config.tv_threshold, seed,
+            p_star=stream.p_star,
+        ),
+    ]
+
+
+def _boundary_prefixes(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
+    """Each block's heap against the one before: the block's concatenation
+    rebuilds it, the one before left-divides it, and it holds one more pivot."""
+    stream = open_stream(model, _pivot(model, config), seed)
+    heap = Heap(model)
+    prev = heap.trace()
+    comparisons = mono_bad = count_bad = 0
+    for k in range(1, config.k_monotone + 1):
+        word = stream.advance()
+        heap.extend(word)
+        now = heap.trace()
+        comparisons += len(now.factors)
+        if concat(model, prev, normalize_indices(model, word)) != now:
+            mono_bad += 1
+        if k <= config.k_divisor_check and not is_left_divisor(model, prev, now):
+            mono_bad += 1
+        if now.letter_count(stream.pivot_index) != k:
+            count_bad += 1
+        prev = now
+    return [
+        _failures(
+            "prefix-monotone", mono_bad, comparisons, seed,
+            blocks=config.k_monotone, division_checks=config.k_divisor_check,
+        ),
+        _failures("pivot-count-per-block", count_bad, config.k_monotone, seed),
+    ]
+
+
+def _boundary_growth(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
+    """Length linear in the block count, and steps within a constant
+    calibrated on the first blocks."""
+    stream = open_stream(model, _pivot(model, config), seed)
+    lengths = []
+    cum_bad = 0
+    calibrated: float | None = None
+    for k in range(1, config.k_linearity + 1):
+        stream.advance()
+        lengths.append(stream.length)
+        if k == max(50, config.k_linearity // 10):
+            calibrated = 2.0 * stream.counter.steps / (model.size * stream.length)
+        if calibrated is not None and (
+            stream.counter.steps > calibrated * model.size * stream.length
+        ):
+            cum_bad += 1
+    r_squared = float(np.corrcoef(range(1, config.k_linearity + 1), lengths)[0, 1] ** 2)
+    return [
+        TestReport.make(
+            "length-linear-in-blocks", r_squared, 0.99, "ge", config.k_linearity, seed
+        ),
+        _failures(
+            "step-bound-stream", cum_bad, config.k_linearity, seed, fitted_constant=calibrated
+        ),
+    ]
+
+
+def _boundary_parallel(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
+    """A pool's run against a serial one, and the serial run against its
+    replay and against the run at seed + 1."""
+    pivot = _pivot(model, config)
+    k = config.k_equivalence
+    sequential = open_stream(model, pivot, seed).run(k)
+    parallel = parallel_run(model, pivot, seed, k, workers=config.workers)
+    replay = open_stream(model, pivot, seed).run(k)
+    other = open_stream(model, pivot, seed + 1).run(k)
+    changed = (0 if replay == sequential else 1) + (1 if other == sequential else 0)
+    return [
+        _failures(
+            "parallel-equivalence", 0 if sequential == parallel else 1, k, seed,
+            workers=config.workers,
+        ),
+        _failures("determinism", changed, k, seed),
+    ]
+
+
+def _boundary_cylinders(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
+    return [
+        verify_cylinders(
+            model, _pivot(model, config), seed, config.x_max_len, config.cylinder_runs,
+            config.cylinder_threshold,
+        )
+    ]
+
+
 # ---------------------------------------------------------------------------
-# Finite sampler suite
+# The table, in report order: (seed offset, row) per suite
+
+CHECKS = {
+    "mobius": ((0, _mobius_structure),),
+    "finite": (
+        (0, _finite_law), (1, _finite_mean), (2, _finite_decomposition),
+        (3, _finite_conditioned), (4, _finite_pivot_rule), (0, _finite_determinism),
+        (7, _finite_steps),
+    ),
+    "boundary": (
+        (0, _boundary_gap), (1, _boundary_blocks), (2, _boundary_prefixes),
+        (3, _boundary_growth), (4, _boundary_parallel), (6, _boundary_cylinders),
+    ),
+}
+
+
+def _walk(suite: str, model: IndependenceModel, seed: int, config) -> list[TestReport]:
+    """The reports of a suite's rows in row order, each row run at the
+    suite seed plus its offset."""
+    return [r for offset, check in CHECKS[suite] for r in check(model, seed + offset, config)]
+
+
+def run_mobius_suite(
+    model: IndependenceModel,
+    seed: int = DEFAULT_SEED,
+    config: MobiusSuiteConfig = MobiusSuiteConfig(),
+) -> list[TestReport]:
+    """Structural checks of the polynomial layer on one model."""
+    return _walk("mobius", model, seed, config)
+
 
 def run_finite_suite(
     model: IndependenceModel,
@@ -427,132 +632,8 @@ def run_finite_suite(
     config: FiniteSuiteConfig = FiniteSuiteConfig(),
 ) -> list[TestReport]:
     """End to end statistical checks of the finite trace sampler."""
-    reports = []
-    full = model.full_mask
-    root = smallest_root(model)
-    p = 0.6 * root
-    pivot = config.pivot_letter or model.letters[0]
-    params = SamplerParams(p=p, seed=seed)
+    return _walk("finite", model, seed, config)
 
-    samples = list(sample_many(model, params, config.n_law))
-    exact = probability_table(model, full, full, p, SUPPORT_CUTOFF)
-    reports.append(
-        _law_report(
-            "finite-law-tv", samples, exact, SUPPORT_CUTOFF,
-            config.tv_threshold, seed, p=p,
-        )
-    )
-
-    unit_freq = sum(1 for x in samples if x.is_unit) / len(samples)
-    unit_mass = mobius_polynomial(model, full).evaluate(p)
-    reports.append(
-        TestReport.make(
-            "unit-mass", abs(unit_freq - unit_mass),
-            config.unit_mass_threshold, "le", config.n_law, seed,
-            frequency=unit_freq, target=unit_mass,
-        )
-    )
-
-    target_mean = expected_length(model, p)
-    mean_params = SamplerParams(p=p, seed=seed + 1)
-    total = 0
-    for x in sample_many(model, mean_params, config.n_mean):
-        total += x.length
-    observed_mean = total / config.n_mean
-    reports.append(
-        TestReport.make(
-            "mean-length", abs(observed_mean - target_mean) / target_mean,
-            config.mean_relative_threshold, "le", config.n_mean, seed + 1,
-            observed=observed_mean, target=target_mean,
-        )
-    )
-
-    reports.extend(
-        verify_decomposition_law(
-            model, pivot, p, config.n_decomposition, seed + 2,
-            chi_alpha=config.chi_alpha / 2,
-        )
-    )
-
-    pivot_index = model.index_of(pivot)
-    for label, target in (
-        ("link", model.dependence[pivot_index]),
-        ("single", 1 << pivot_index),
-    ):
-        cond_params = SamplerParams(p=p, seed=seed + 3)
-        drawn = list(
-            sample_many(model, cond_params, config.n_conditioned, full, target)
-        )
-        escapes = sum(
-            1 for x in drawn if max_letters(model, x) & ~target
-        )
-        reports.append(
-            TestReport.make(
-                f"conditioned-max-inside-{label}", escapes, 0, "le",
-                config.n_conditioned, seed + 3,
-            )
-        )
-        exact_cond = probability_table(model, full, target, p, SUPPORT_CUTOFF)
-        reports.append(
-            _law_report(
-                f"conditioned-law-tv-{label}", drawn, exact_cond,
-                SUPPORT_CUTOFF, config.conditioned_tv_threshold, seed + 3,
-            )
-        )
-
-    low = list(
-        sample_many(model, SamplerParams(p=p, seed=seed + 4), config.n_pivot_rule)
-    )
-    high = list(
-        sample_many(
-            model,
-            SamplerParams(p=p, seed=seed + 5, pivot="maxdeg"),
-            config.n_pivot_rule,
-        )
-    )
-    tv = tv_distance(
-        empirical_distribution(low), empirical_distribution(high),
-        SUPPORT_CUTOFF,
-    )
-    reports.append(
-        TestReport.make(
-            "pivot-rule-invariance", tv, config.pivot_tv_threshold, "le",
-            config.n_pivot_rule, seed + 4,
-        )
-    )
-
-    again = list(sample_many(model, params, 200))
-    mismatch = sum(1 for a, b in zip(samples[:200], again) if a != b)
-    other = list(sample_many(model, SamplerParams(p=p, seed=seed + 6), 200))
-    identical_other = all(a == b for a, b in zip(samples[:200], other))
-    reports.append(
-        TestReport.make(
-            "determinism", mismatch + (1 if identical_other else 0), 0, "le",
-            200, seed,
-        )
-    )
-
-    ratios = []
-    n_letters = model.size
-    counter = StepCounter()
-    before = 0
-    step_params = SamplerParams(p=p, seed=seed + 7)
-    for x in sample_many(model, step_params, config.n_steps, counter=counter):
-        ratios.append((counter.steps - before) / ((n_letters + 1) * (x.length + 1)))
-        before = counter.steps
-    calibration = max(ratios[: max(100, config.n_steps // 10)])
-    fitted_c = 2.0 * calibration
-    reports.append(
-        TestReport.make(
-            "step-bound-linear", max(ratios), fitted_c, "le",
-            config.n_steps, seed + 7, fitted_constant=fitted_c,
-        )
-    )
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Boundary suite
 
 def run_boundary_suite(
     model: IndependenceModel,
@@ -560,134 +641,7 @@ def run_boundary_suite(
     config: BoundarySuiteConfig = BoundarySuiteConfig(),
 ) -> list[TestReport]:
     """End to end checks of the boundary block generator."""
-    reports = []
-    pivot = config.pivot_letter or model.letters[0]
-    stream = open_stream(model, pivot, seed)
-    p_star = stream.p_star
-
-    sub_root = smallest_root(model, stream.block_subset)
-    reports.append(
-        TestReport.make(
-            "critical-gap", sub_root - p_star, ROOT_MARGIN, "ge", 1, seed,
-            p_star=p_star, pivot_free_root=sub_root,
-        )
-    )
-
-    reports.append(
-        TestReport.make(
-            "block-conditioning-is-link",
-            0 if stream.block_target == model.dependence[stream.pivot_index] else 1,
-            0, "le", 1, seed,
-        )
-    )
-
-    law_stream = open_stream(model, pivot, seed + 1)
-    blocks = [law_stream.next_block() for _ in range(config.n_blocks_law)]
-    bad = sum(0 if is_pyramidal(model, b, pivot) else 1 for b in blocks)
-    reports.append(
-        TestReport.make(
-            "blocks-pyramidal", bad, 0, "le", config.n_blocks_law, seed + 1,
-        )
-    )
-    exact_blocks = pyramidal_block_table(model, pivot, p_star, SUPPORT_CUTOFF)
-    reports.append(
-        _law_report(
-            "block-law-tv", blocks, exact_blocks, SUPPORT_CUTOFF,
-            config.tv_threshold, seed + 1, p_star=p_star,
-        )
-    )
-
-    pivot_index = law_stream.pivot_index
-    count_bad = 0
-    mono_stream = open_stream(model, pivot, seed + 2)
-    mono_heap = Heap(model)
-    comparisons = 0
-    mono_bad = 0
-    divisor_bad = 0
-    prev = mono_heap.trace()
-    for k in range(1, config.k_monotone + 1):
-        word = mono_stream.advance()
-        mono_heap.extend(word)
-        now = mono_heap.trace()
-        block = normalize_indices(model, word)
-        rebuilt = concat(model, prev, block)
-        comparisons += len(now.factors)
-        if rebuilt != now:
-            mono_bad += 1
-        if now.letter_count(pivot_index) != k:
-            count_bad += 1
-        if k <= config.k_divisor_check and not is_left_divisor(model, prev, now):
-            divisor_bad += 1
-        prev = now
-    reports.append(
-        TestReport.make(
-            "prefix-monotone", mono_bad + divisor_bad, 0, "le",
-            comparisons, seed + 2,
-            blocks=config.k_monotone, division_checks=config.k_divisor_check,
-        )
-    )
-    reports.append(
-        TestReport.make(
-            "pivot-count-per-block", count_bad, 0, "le",
-            config.k_monotone, seed + 2,
-        )
-    )
-
-    lin_stream = open_stream(model, pivot, seed + 3)
-    lengths = []
-    cum_bad = 0
-    n_letters = model.size
-    calibrated: float | None = None
-    for k in range(1, config.k_linearity + 1):
-        lin_stream.advance()
-        lengths.append(lin_stream.length)
-        if k == max(50, config.k_linearity // 10):
-            calibrated = 2.0 * lin_stream.counter.steps / (n_letters * lin_stream.length)
-        if calibrated is not None:
-            if lin_stream.counter.steps > calibrated * n_letters * lin_stream.length:
-                cum_bad += 1
-    r_squared = float(np.corrcoef(range(1, config.k_linearity + 1), lengths)[0, 1] ** 2)
-    reports.append(
-        TestReport.make(
-            "length-linear-in-blocks", r_squared, 0.99, "ge", config.k_linearity,
-            seed + 3,
-        )
-    )
-    reports.append(
-        TestReport.make(
-            "step-bound-stream", cum_bad, 0, "le", config.k_linearity, seed + 3,
-            fitted_constant=calibrated,
-        )
-    )
-
-    sequential = open_stream(model, pivot, seed + 4).run(config.k_equivalence)
-    parallel = parallel_run(
-        model, pivot, seed + 4, config.k_equivalence, workers=config.workers
-    )
-    reports.append(
-        TestReport.make(
-            "parallel-equivalence", 0 if sequential == parallel else 1, 0, "le",
-            config.k_equivalence, seed + 4, workers=config.workers,
-        )
-    )
-
-    replay = open_stream(model, pivot, seed + 4).run(config.k_equivalence)
-    other = open_stream(model, pivot, seed + 5).run(config.k_equivalence)
-    reports.append(
-        TestReport.make(
-            "determinism",
-            (0 if replay == sequential else 1) + (1 if other == sequential else 0),
-            0, "le", config.k_equivalence, seed + 4,
-        )
-    )
-
-    reports.append(
-        verify_cylinders(
-            model, pivot, seed + 6, config.x_max_len, config.cylinder_runs,
-            config.cylinder_threshold,
-        )
-    )
-    return reports
+    return _walk("boundary", model, seed, config)
 
 
 def run_suite(
@@ -705,15 +659,10 @@ def run_suite(
         # the finite and boundary suites enumerate the whole alphabet: apply
         # the oracle's letter cap before any suite samples
         _check_guardrails(model, model.full_mask, 0)
-    reports = []
-    if name in ("mobius", "all"):
-        reports.extend(run_mobius_suite(model, seed))
-    if name in ("finite", "all"):
-        reports.extend(
-            run_finite_suite(model, seed, FiniteSuiteConfig(pivot_letter=pivot_letter))
-        )
-    if name in ("boundary", "all"):
-        reports.extend(
-            run_boundary_suite(model, seed, BoundarySuiteConfig(pivot_letter=pivot_letter))
-        )
-    return reports
+    configs = {
+        "mobius": MobiusSuiteConfig(),
+        "finite": FiniteSuiteConfig(pivot_letter=pivot_letter),
+        "boundary": BoundarySuiteConfig(pivot_letter=pivot_letter),
+    }
+    suites = CHECKS if name == "all" else (name,)
+    return [r for suite in suites for r in _walk(suite, model, seed, configs[suite])]

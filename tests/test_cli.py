@@ -562,7 +562,7 @@ def test_verify_rejects_unknown_pivot_before_any_suite(capsys, monkeypatch, suit
     def refuse(*args, **kwargs):
         raise AssertionError("a suite ran before the pivot letter was checked")
 
-    monkeypatch.setattr(verify, "run_mobius_suite", refuse)
+    monkeypatch.setattr(verify, "CHECKS", {name: ((0, refuse),) for name in verify.CHECKS})
     code, out, err = run_cli(
         capsys, "verify", "--model", MODEL, "--suite", suite, "--pivot-letter", "zz"
     )

@@ -238,6 +238,11 @@ def test_occurrence_at_tiny_p(path4, p):
     assert r == float(1 - mu("abcd") / mu("bcd"))
 
 
+def test_occurrence_refuses_a_pivot_outside_the_subset(path4):
+    with pytest.raises(ValueError, match="pivot index 0 is not in the subset 0b1110"):
+        tg.MobiusTable(path4, 0.2).occurrence(0b1110, 0)
+
+
 def test_expected_length_validates_range(path4):
     full = path4.full_mask
     for bad in (0.5, 1 / 3, 0.0, -0.1):

@@ -508,6 +508,8 @@ def test_restrict_and_link(path4):
     assert letters_of(path4, link(path4, "a")) == ["a", "b"]
     with pytest.raises(ValueError, match="bits outside the alphabet"):
         restrict(path4, 0b10000)
+    with pytest.raises(ValueError, match="mask 0b10000 has bits outside the alphabet of 4 letters"):
+        restrict(path4, 0b10000)
 
 
 def test_build_model_validation():

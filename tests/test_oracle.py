@@ -203,7 +203,7 @@ def test_geometric_bins_tail_has_enough_mass():
 
 
 def test_geometric_bins_validates_r():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r=0.0"):
         geometric_bins([0], 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r=1.0"):
         geometric_bins([0], 1.0)

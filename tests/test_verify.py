@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import tracegen as tg
+from tracegen import verify
 from tracegen.boundary import BlockStream
 from tracegen.monoid import Heap
 from tracegen.oracle import enumerate_traces
@@ -162,6 +163,22 @@ def test_decomposition_law_standalone(path4):
     assert all(r.passed for r in reports)
 
 
+def test_decomposition_law_refuses_samples_without_two_pivots(path4):
+    # at seed 1 none of the 20 samples holds two pivots: the pair table is empty
+    with pytest.raises(ValueError, match="n=20 samples: 0 hold two pivots 'a'"):
+        verify_decomposition_law(path4, "a", 0.2, n=20, seed=1)
+
+
+def test_cylinders_refuse_zero_runs(path4):
+    with pytest.raises(ValueError, match="runs=0"):
+        verify_cylinders(path4, "a", runs=0)
+
+
+def test_finite_suite_refuses_zero_law_samples(path4):
+    with pytest.raises(ValueError, match="n_law=0"):
+        run_finite_suite(path4, config=FiniteSuiteConfig(n_law=0))
+
+
 def test_cylinders_standalone(path4):
     report = verify_cylinders(
         path4, "a", seed=505, x_max_len=1, runs=800, tolerance=0.06
@@ -309,6 +326,34 @@ def test_run_suite_dispatch(path4):
         run_suite("bogus", path4)
     reports = run_suite("mobius", path4, seed=9)
     assert reports and all(r.passed for r in reports)
+
+
+def test_run_suite_walks_the_rows_in_order_at_their_offsets(path4, monkeypatch):
+    walked = []
+
+    def row(label):
+        def check(model, seed, config):
+            walked.append((label, seed, config))
+            return [TestReport.make(label, 0, 0, "le", 1, seed)]
+        return check
+
+    monkeypatch.setattr(verify, "CHECKS", {
+        "mobius": ((0, row("m")),),
+        "finite": ((0, row("f0")), (3, row("f3")), (0, row("f0-again"))),
+        "boundary": ((1, row("b1")), (6, row("b6"))),
+    })
+    finite = FiniteSuiteConfig(pivot_letter="b")
+    boundary = BoundarySuiteConfig(pivot_letter="b")
+    reports = run_suite("all", path4, seed=100, pivot_letter="b")
+    assert [(r.name, r.seed) for r in reports] == [
+        ("m", 100), ("f0", 100), ("f3", 103), ("f0-again", 100), ("b1", 101), ("b6", 106),
+    ]
+    assert [config for _, _, config in walked] == [
+        MobiusSuiteConfig(), finite, finite, finite, boundary, boundary,
+    ]
+    walked.clear()
+    run_suite("finite", path4, seed=100)
+    assert [label for label, _, _ in walked] == ["f0", "f3", "f0-again"]
 
 
 # full to_dict() of two reports recorded before the divisor helpers, the

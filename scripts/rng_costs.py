@@ -26,7 +26,7 @@ Three splits, in microseconds, and the counts of a finite sample's memo:
   pass.
 - ``memo``: for each of the same models and words, the share of words
   whose form the memo held, the number of forms it held, and whether it
-  stood down (full, with fewer hits than forms, and then released).
+  stood down (full by draw 2 _MEMO_FORMS - 1, and then released).
 
 Each part is timed alone over the same inputs, in a loop of its own, with
 the cost of an empty loop taken off (not in ``sample_us``, whose parts
@@ -216,13 +216,16 @@ def sample_split(model, p, n, seed, repeat):
 
 def memo_counts(model, words):
     """How ``sample_many``'s memo of forms meets ``words``: the share of them
-    it held, the forms it held, and whether it stood down."""
-    memo = sampler._FormMemo(model)
-    rest = iter(words)
-    for _ in memo.fill(rest):
-        pass
-    stood_down = len(memo) == sampler._MEMO_FORMS and memo.hits < len(memo)
-    hits = memo.hits if stood_down else memo.hits + sum(bytes(word) in memo for word in rest)
+    it held, the forms it held, and whether it stood down, as it does when
+    it is full at draw 2 _MEMO_FORMS - 1."""
+    memo, hits, stood_down = sampler._FormMemo(model), 0, False
+    head = 2 * sampler._MEMO_FORMS - 1
+    for drawn, key in enumerate(map(bytes, words)):
+        if drawn == head and len(memo) >= sampler._MEMO_FORMS:
+            stood_down = True
+            break
+        hits += key in memo
+        memo[key]
     return {"hit_share": round(hits / len(words), 4), "forms": len(memo), "stood_down": stood_down}
 
 

@@ -71,7 +71,8 @@ class MobiusPolynomial:
 
     def evaluate(self, p: float) -> float:
         """Value at the double p, computed exactly and rounded once."""
-        return _rounded(_scaled_value(self.coefficients, float(p)))
+        value, _, k = _horner(self.coefficients, float(p))
+        return _rounded((value, k * (len(self.coefficients) - 1)))
 
     def clique_count(self) -> int:
         return sum(abs(c) for c in self.coefficients)
@@ -139,21 +140,21 @@ def recurrence_residual_coefficients(
     return tuple(out)
 
 
-def _scaled_value(coefficients, x) -> tuple[int, int]:
-    """An integer polynomial at a double x, as an integer v and a shift s
-    with value v / 2^s.
+def _horner(coefficients, x: float) -> tuple[int, int, int]:
+    """An integer polynomial P of degree d and its derivative at a double
+    x = n / 2^k, as exact integers: P(x) 2^(k d), P'(x) 2^(k (d - 1)) and k.
 
-    A double is n / 2^k, so 2^(k * degree) times the value is the
-    integer sum of c_i n^i 2^(k * (degree - i)), by homogeneous Horner.
+    2^(k d) P(x) is the integer sum of c_i n^i 2^(k (d - i)), by homogeneous
+    Horner, and the derivative's pass runs alongside it.
     """
-    n, d = x.as_integer_ratio()
-    k = d.bit_length() - 1
-    acc = 0
-    shift = 0
+    n, den = x.as_integer_ratio()
+    k = den.bit_length() - 1
+    value = slope = shift = 0
     for c in reversed(coefficients):
-        acc = acc * n + (c << shift)
+        slope = slope * n + value
+        value = value * n + (c << shift)
         shift += k
-    return acc, max(shift - k, 0)
+    return value, slope, k
 
 
 def _rounded(pair: tuple[int, int]) -> float:
@@ -181,23 +182,17 @@ _NEWTON_STEPS = 64
 def _newton(coefficients) -> float:
     """Newton's iterates for the smallest root, from 0 and while they rise.
 
-    At x = n / 2^k one homogeneous Horner pass gives P(x) 2^(k d) and
-    P'(x) 2^(k (d - 1)) as exact integers, so each step x - P(x) / P'(x)
-    is one int / int division, rounded once.  The result is only a
-    candidate, where ``_floor_root`` starts its search.
+    At x = n / 2^k, ``_horner`` gives P(x) 2^(k d) and P'(x) 2^(k (d - 1))
+    as exact integers, so each step x - P(x) / P'(x) is one int / int
+    division, rounded once.  The result is only a candidate, where
+    ``_floor_root`` starts its search.
     """
     x = 0.0
     for _ in range(_NEWTON_STEPS):
-        n, d = x.as_integer_ratio()
-        k = d.bit_length() - 1
-        value = slope = shift = 0
-        for c in reversed(coefficients):
-            slope = slope * n + value
-            value = value * n + (c << shift)
-            shift += k
+        value, slope, k = _horner(coefficients, x)
         if not slope:
             break
-        step = (n * slope - value) / (slope << k)
+        step = (x.as_integer_ratio()[0] * slope - value) / (slope << k)
         if not x < step <= 1.0:
             break
         x = step
@@ -381,6 +376,7 @@ def expected_length(model: IndependenceModel, p: float, subset: int | None = Non
     parameter p, mu' and mu each computed exactly and rounded once."""
     mask = model.mask(subset)
     check_parameter(model, mask, p)
-    poly = mobius_polynomial(model, mask)
-    slope = [d * c for d, c in enumerate(poly.coefficients)][1:]
-    return -p * _rounded(_scaled_value(slope, float(p))) / poly.evaluate(p)
+    coefficients = mobius_polynomial(model, mask).coefficients
+    value, slope, k = _horner(coefficients, float(p))
+    d = len(coefficients) - 1
+    return -p * _rounded((slope, k * (d - 1))) / _rounded((value, k * d))

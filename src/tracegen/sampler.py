@@ -10,8 +10,9 @@ the alphabet without a.  A Sampler serves one root state (S, T) and
 checks its masks and p once, when it is built: ``sample_many`` builds one
 per call and a ``BlockStream`` one for all its blocks, and a run of draws
 is ``Sampler(model, params).draws(streams)``, one word per stream.
-``sample_many`` reads each word's normal form from a bounded memo of the
-forms it has made, and drops only new words on a heap.
+``sample_many`` reads each word's normal form with one lookup in a bounded
+memo of the forms it has made, and drops only new words on a heap; a memo
+already full at draw 2 _MEMO_FORMS - 1 is released there.
 Each state of the recursion is compiled once into a node holding its
 pivot, the log of its geometric parameter and its two children, and a
 draw runs the nodes on an explicit stack.  A visit to a state always runs
@@ -42,7 +43,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -619,13 +620,12 @@ class _FormMemo(dict):
     """The normal forms one ``sample_many`` call has made, keyed by the bytes
     of their words' letter indices (all below 64).  A lookup that misses
     drops the word on a heap, and keeps its form while the memo holds fewer
-    than _MEMO_FORMS; ``fill`` counts its lookups that hit.  A hit is one
-    dict lookup; only a miss runs ``__missing__``."""
+    than _MEMO_FORMS.  A hit is one dict lookup; only a miss runs
+    ``__missing__``."""
 
     def __init__(self, model: IndependenceModel):
         super().__init__()
         self.model = model
-        self.hits = 0
 
     def __missing__(self, key: bytes) -> Trace:
         trace = normalize_indices(self.model, key)
@@ -633,32 +633,18 @@ class _FormMemo(dict):
             self[key] = trace
         return trace
 
-    def fill(self, words: Iterator[list[int]]) -> Iterator[Trace]:
-        """The normal forms of ``words`` until the memo is full."""
-        get = self.get
-        for word in words:
-            key = bytes(word)
-            trace = get(key)
-            if trace is None:
-                trace = self[key]  # __missing__, which keeps the form under the bound
-                if len(self) >= _MEMO_FORMS:
-                    yield trace
-                    return
-            else:
-                self.hits += 1
-            yield trace
-
 
 def _normal_forms(
     model: IndependenceModel, words: Iterator[list[int]]
 ) -> Iterator[Iterator[Trace]]:
-    """Iterators whose chain is the normal forms of ``words``: the memo's
-    ``fill``, then lookups in the full memo, where a hit runs no Python
-    code.  A memo that is full with fewer hits than forms stands down: it
-    is released, and the rest of the words are normalised one by one."""
+    """Iterators whose chain is the normal forms of ``words``: lookups in the
+    memo, where a hit runs no Python code, for the first 2 _MEMO_FORMS - 1
+    words and, unless the memo is full by then, for the rest.  A memo that
+    full has had fewer hits than forms, so it stands down: it is released,
+    and the rest of the words are normalised one by one."""
     memo = _FormMemo(model)
-    yield memo.fill(words)
-    if memo.hits < len(memo):
+    yield map(memo.__getitem__, map(bytes, islice(words, max(2 * _MEMO_FORMS - 1, 0))))
+    if len(memo) >= _MEMO_FORMS:
         del memo
         yield map(normalize_indices, repeat(model), words)
     else:

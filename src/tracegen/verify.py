@@ -250,6 +250,15 @@ def verify_cylinders(
 # ---------------------------------------------------------------------------
 # Suite configurations
 
+def _check_sizes(config, **least: int) -> None:
+    """Raise ValueError naming the first sample size of ``config`` below the
+    least its check can use."""
+    for name, low in least.items():
+        value = getattr(config, name)
+        if value < low:
+            raise ValueError(f"{name}={value} is too small: the suite needs {name} >= {low}")
+
+
 @dataclass(frozen=True)
 class MobiusSuiteConfig:
     exhaustive_limit: int = 8
@@ -273,6 +282,12 @@ class FiniteSuiteConfig:
     mean_relative_threshold: float = 0.02
     chi_alpha: float = 0.01
 
+    def __post_init__(self) -> None:
+        _check_sizes(
+            self, n_law=1, n_mean=1, n_decomposition=1, n_conditioned=1, n_pivot_rule=1,
+            n_steps=1,
+        )
+
 
 @dataclass(frozen=True)
 class BoundarySuiteConfig:
@@ -287,6 +302,12 @@ class BoundarySuiteConfig:
     workers: int = 8
     tv_threshold: float = 0.01
     cylinder_threshold: float = 0.015
+
+    def __post_init__(self) -> None:
+        # the length-linear check fits a line through k_linearity points
+        _check_sizes(
+            self, n_blocks_law=1, cylinder_runs=1, k_monotone=1, k_linearity=2, k_equivalence=1
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +404,6 @@ def _pivot(model: IndependenceModel, config) -> str:
 
 
 def _finite_law(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
-    if config.n_law < 1:
-        raise ValueError(f"n_law={config.n_law} draws no sample: the law needs n_law >= 1")
     p = _finite_p(model)
     full = model.full_mask
     samples = list(sample_many(model, SamplerParams(p=p, seed=seed), config.n_law))

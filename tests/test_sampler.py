@@ -473,7 +473,7 @@ def test_block_words_equal_draw_block_over_the_same_splits():
 # (model, params, target, n): n passes the draw at which the memo of 1,024
 # forms is full on the unconditioned p4 cases (11,640-11,901) and on path5
 # (7,373), not on the conditioned p4 (33,025); chorded28 fills it at draw
-# 1,047 with 23 hits, so it stands down
+# 1,047, before draw 2,047, so it stands down
 MEMO_CASES = {
     "p4-lowindex": (PATH4, tg.SamplerParams(p=0.2, seed=5), None, 13_000),
     "p4-maxdeg": (PATH4, tg.SamplerParams(p=0.2, seed=5, pivot="maxdeg"), None, 13_000),
@@ -533,35 +533,57 @@ def test_sample_many_equals_the_normal_forms_of_its_draws(case, bound, monkeypat
     assert counter.steps == want_counter.steps
 
 
-@pytest.mark.parametrize("case, bound", [("p4-lowindex", None), ("p4-maxdeg", 64), ("path5", None)])
-def test_the_memo_fills_to_its_bound_and_stays(case, bound, spy_memo, monkeypatch):
+def kept_memo(case, spy_memo):
+    """The memo of a ``sample_many`` call over a MEMO_CASES case, checked to
+    be not yet full at draw 2 _MEMO_FORMS - 1 and still held once the call
+    has drawn every sample, with its size."""
     model, params, target, n = MEMO_CASES[case]
+    head = 2 * sampler_module._MEMO_FORMS - 1
+    samples = tg.sample_many(model, params, n, None, target)
+    assert sum(1 for _ in islice(samples, head)) == head
+    (ref,) = spy_memo.made
+    assert len(ref()) < sampler_module._MEMO_FORMS
+    assert sum(1 for _ in islice(samples, n - head)) == n - head  # samples stays open
+    memo = ref()
+    assert memo is not None and len(memo) == spy_memo.largest
+    return len(memo)
+
+
+@pytest.mark.parametrize(
+    "case, bound",
+    [("p4-lowindex", None), ("p4-maxdeg", 64), ("p4-order", None), ("path5", None)],
+)
+def test_the_memo_fills_to_its_bound_and_stays(case, bound, spy_memo, monkeypatch):
     if bound is not None:
         monkeypatch.setattr(sampler_module, "_MEMO_FORMS", bound)
-    bound = sampler_module._MEMO_FORMS
-    samples = tg.sample_many(model, params, n, None, target)
-    assert sum(1 for _ in islice(samples, n)) == n  # samples stays open, with its memo
-    (memo,) = [ref() for ref in spy_memo.made]
-    assert memo is not None and len(memo) == spy_memo.largest == bound
-    assert memo.hits >= bound  # it did not stand down
+    assert kept_memo(case, spy_memo) == sampler_module._MEMO_FORMS
+
+
+def test_a_conditioned_memo_is_kept_before_it_fills(spy_memo):
+    model, params, target, n = MEMO_CASES["p4-link-a"]
+    words = Sampler(model, params, None, target).draws(tg.RandomStream(params.seed).splits(0, n))
+    assert kept_memo("p4-link-a", spy_memo) == len(set(map(bytes, words)))
 
 
 def test_the_memo_stands_down_where_words_do_not_repeat(spy_memo):
+    # full at draw 1,047, it serves lookups up to draw 2,047 and is released
+    # when the next sample is asked for
     model, params, _, n = MEMO_CASES["chorded28"]
+    head = 2 * sampler_module._MEMO_FORMS - 1
     samples = tg.sample_many(model, params, n)
-    for _ in range(1_200):
-        next(samples)
+    assert sum(1 for _ in islice(samples, head)) == head
     (ref,) = spy_memo.made
-    assert spy_memo.largest == sampler_module._MEMO_FORMS
+    assert len(ref()) == spy_memo.largest == sampler_module._MEMO_FORMS
+    next(samples)
     assert ref() is None  # released while the samples go on
-    assert sum(1 for _ in samples) == n - 1_200
+    assert sum(1 for _ in samples) == n - head - 1
 
 
 def test_equal_samples_are_one_object_and_stay_equal_to_fresh_forms():
     # The memo keeps the forms of the first 1,024 distinct words, so a
     # repeat of one of those is the object handed out first; a repeat of a
-    # later word is dropped afresh, unless it is shorter than two letters.
-    # Here 4,440 of the 5,543 samples of two or more letters are shared.
+    # later word is dropped afresh.  Here 4,440 of the 5,543 samples of two
+    # or more letters are shared.
     model, params, _, n = MEMO_CASES["p4-lowindex"]
     words = Sampler(model, params).draws(tg.RandomStream(params.seed).splits(0, n))
     first = {}
@@ -574,7 +596,7 @@ def test_equal_samples_are_one_object_and_stay_equal_to_fresh_forms():
         long_words += len(word) > 1
         if key in first:
             rank, y = first[key]
-            assert (x is y) == (rank < sampler_module._MEMO_FORMS or len(word) < 2)
+            assert (x is y) == (rank < sampler_module._MEMO_FORMS)
             shared += x is y and len(word) > 1
         else:
             first[key] = len(first), x
@@ -583,7 +605,7 @@ def test_equal_samples_are_one_object_and_stay_equal_to_fresh_forms():
 
 def test_chorded28_samples_keep_memory_bounded(monkeypatch):
     # The memo holds at most 1,024 forms, and on this model it stands down
-    # at draw 1,047, so 100,000 samples hold no more memory than a few
+    # at draw 2,047, so 100,000 samples hold no more memory than a few
     # thousand.  The words are drawn before tracing starts and replayed:
     # traced, the draws took 18.6 s and added a flat 0.6 MB.  This test
     # read a 0.35 MB peak; a memo that kept every form read 37.9 MB, and

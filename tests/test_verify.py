@@ -179,6 +179,31 @@ def test_finite_suite_refuses_zero_law_samples(path4):
         run_finite_suite(path4, config=FiniteSuiteConfig(n_law=0))
 
 
+# each suite size with the largest value its check cannot use: a mean or a
+# law of no samples, a line through one point, a check of no blocks
+TOO_SMALL = [
+    (FiniteSuiteConfig, "n_law", 0),
+    (FiniteSuiteConfig, "n_mean", 0),
+    (FiniteSuiteConfig, "n_decomposition", 0),
+    (FiniteSuiteConfig, "n_conditioned", 0),
+    (FiniteSuiteConfig, "n_pivot_rule", 0),
+    (FiniteSuiteConfig, "n_steps", 0),
+    (BoundarySuiteConfig, "n_blocks_law", 0),
+    (BoundarySuiteConfig, "cylinder_runs", 0),
+    (BoundarySuiteConfig, "k_monotone", 0),
+    (BoundarySuiteConfig, "k_linearity", 1),
+    (BoundarySuiteConfig, "k_equivalence", 0),
+]
+
+
+@pytest.mark.parametrize("config, name, value", TOO_SMALL, ids=[row[1] for row in TOO_SMALL])
+def test_suite_configs_refuse_sizes_their_checks_cannot_use(config, name, value):
+    for bad in (value, value - 1, -5):
+        with pytest.raises(ValueError, match=f"^{name}={bad} is too small"):
+            config(**{name: bad})
+    assert getattr(config(**{name: value + 1}), name) == value + 1
+
+
 def test_cylinders_standalone(path4):
     report = verify_cylinders(
         path4, "a", seed=505, x_max_len=1, runs=800, tolerance=0.06

@@ -6,10 +6,11 @@ Each run starts a fresh interpreter on ``stream --workers W --emit final
 --blocks N`` (by default perfbench's ``cli_stream_2w`` shape: the 16-letter
 path, 2 workers, 4,000 blocks), as ``python -m tracegen.cli`` would run it,
 but through this script's ``--child`` mode, which first wraps
-``BlockStream.ranges`` to note when ranges of blocks reach the CLI's loop
-(with a pool, each range's words and, for ``--emit final``, its heap; in
-one process, one block).  Each phase is the time from the start of the
-process, in ms:
+``BlockStream.ranges`` to note when ranges of blocks reach the loop that
+reads them, ``BlockStream.drop`` for ``--emit final`` (with a pool, each
+range as its heap, without its words, or for ``--emit each-block`` as its
+words; in one process, one block).  Each phase is the time from the start
+of the process, in ms:
 
 - ``header``: this script has read the header line;
 - ``first_word``: the loop has been handed its first range;

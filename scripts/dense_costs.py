@@ -57,8 +57,8 @@ def main() -> None:
     digest = hashlib.sha256()
     t0 = time.perf_counter()
     stream = open_stream(model, args.pivot, args.seed)
-    for _ in range(args.blocks):
-        digest.update(bytes(stream.advance()) + b"\xff")
+    for word in stream.words(0, args.blocks):
+        digest.update(bytes(word) + b"\xff")
     wall = time.perf_counter() - t0
     sampler = stream._sampler
     record = {

@@ -74,7 +74,7 @@ def main() -> None:
 
     model = model_of(args.shape, args.letters)
     stream = open_stream(model, "x0", args.seed)
-    words = [stream.advance() for _ in range(args.blocks)]
+    words = list(stream.words(0, args.blocks))
 
     def normalize_all():
         for word in words:

@@ -31,14 +31,10 @@ def main():
     print(f"{'pivot':>6} {'slope':>8} {'R^2':>10} {'steps/letter':>13}")
     for pivot in model.letters:
         stream = open_stream(model, pivot, seed=args.seed)
-        lengths = []
-        for _ in range(args.blocks):
-            stream.advance()
-            lengths.append(stream.length)
-        lengths = np.array(lengths)
+        lengths = np.cumsum([len(word) for word in stream.words(0, args.blocks)])
         slope, intercept = np.polyfit(ks, lengths, 1)
         r2 = float(np.corrcoef(ks, lengths)[0, 1] ** 2)
-        per_letter = stream.counter.steps / stream.length
+        per_letter = stream.counter.steps / lengths[-1]
         print(f"{pivot:>6} {slope:8.3f} {r2:10.6f} {per_letter:13.2f}")
 
 

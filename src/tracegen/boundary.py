@@ -17,9 +17,9 @@ Each block is drawn from its own child random stream keyed by the block
 index, by one recipe, ``BlockStream._draw_blocks``, which also counts
 each block's step.  ``BlockStream.ranges``, the one ordered source of
 blocks, runs it in this process, one block at a time, or on a pool of
-workers, one range of blocks at a time; the workers can also drop each
-range on a heap of their own, for the reader to glue.  ``parallel_run``
-and the CLI read it, and a replay and a run read its in-process part,
+workers, one range at a time, each dropped on a heap of its own if asked.
+``BlockStream.drop``, the one loop that drops blocks on a heap, reads it
+for ``run``, ``parallel_run`` and the CLI's final trace, and a replay reads
 ``BlockStream.words``, so the stream is restartable and its output is the
 same for any worker count.
 """
@@ -27,6 +27,7 @@ same for any worker count.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import closing
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -38,14 +39,14 @@ NO_LAST_BLOCK = 2**64  # an index no stream reaches: the stop of an endless run
 
 
 class BlockStream:
-    """Mutable generator state for one boundary run.
+    """The blocks of one boundary run, each drawn by its index.
 
-    Single owner: the stream mutates in place as blocks are drawn.  It
-    hands out blocks and keeps only their count and total length; a
-    caller that reads the product of the blocks drops them on a ``Heap``
-    of its own.  Its sampler's compiled nodes and ``MobiusTable`` pairs
-    still grow with the states a run reaches, without bound on a dense
-    model (ROADMAP item 16).
+    Block i depends only on (seed, i): ``words`` and ``ranges`` hand out
+    any range of blocks, and ``drop`` drops one on a ``Heap`` the caller
+    owns.  The only state that moves with the draws is the step counter,
+    the cursor of ``next_block`` and the sampler's compiled nodes and
+    ``MobiusTable`` pairs, which grow with the states a run reaches,
+    without bound on a dense model (ROADMAP item 16).
 
     Before any draw, the alphabet must be irreducible, the pivot one of its
     letters and the alphabet larger than one letter.  The sampler's range
@@ -77,12 +78,11 @@ class BlockStream:
         self._sampler = Sampler(
             model, SamplerParams(p=self.p_star), self.block_subset, self.block_target
         )
-        self.counter = self._sampler.counter
+        self.counter = self._sampler.counter  # perfbench reads it
         self.stream = RandomStream(self.seed)
-        # the words of blocks 0, 1, 2, ..., from streams derived in runs
-        self._words = self.words(0, NO_LAST_BLOCK)
-        self.blocks_done = 0
-        self.length = 0
+        self._words = self.words(0, NO_LAST_BLOCK)  # next_block's cursor, drawn in runs
+        self.blocks_done = 0  # perfbench reads it
+        self.length = 0  # perfbench reads it
 
     def draw_block(self, stream: RandomStream) -> list[int]:
         """Letter indices of one block drawn from ``stream``, apex last,
@@ -106,25 +106,26 @@ class BlockStream:
         """
         return self._draw_blocks(self.stream.splits(start, stop))
 
-    def ranges(self, start: int, stop: int, workers: int = 1,
-               heaps: bool = False) -> Iterator[tuple[Sequence[Sequence[int]], tuple | None]]:
+    def ranges(self, start: int, stop: int, workers: int = 1, heaps: bool = False
+               ) -> Iterator[tuple[range, Sequence | tuple, int]]:
         """Blocks ``start`` to ``stop - 1`` in consecutive ranges, in order,
-        each as its words and, if ``heaps`` is set and a pool drew it, the
-        ``(factors, landing)`` of its words dropped on a ``Heap``, for
-        ``Heap.glue``, else None.  In this process a range is one block.
+        each as its indices, its payload and the steps a pool worker spent on
+        it, which are not on ``counter``.  In this process a range is one
+        block, given as its word, its step counted by ``words``.
 
         With ``workers`` above one, a pool of that many processes draws
         the ranges of ``sampler._ramp``, ``2 * workers`` of them in flight:
         16 blocks first, each next one twice as long, up to ``ceil((stop -
-        start) / (4 * workers))`` blocks, at most _MAX_RUN.  Their words
-        come as ``bytes`` and their steps are added to ``counter`` as they
-        arrive.  The pool starts at the first range and shuts down when the
-        ranges run out or the iterator is closed.
+        start) / (4 * workers))`` blocks, at most _MAX_RUN, each given as its
+        words or, with ``heaps``, as the ``(factors, landing, letters)`` of a
+        ``Heap`` they are dropped on.  The pool starts at the first range and
+        shuts down when the ranges run out or the iterator is closed.
         """
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         if workers == 1:
-            yield from (((word,), None) for word in self.words(start, stop))
+            for i, word in enumerate(self.words(start, stop), start):
+                yield range(i, i + 1), (word,), 0
             return
         # the process pool costs an import that a single worker never needs
         from concurrent.futures import ProcessPoolExecutor
@@ -135,34 +136,57 @@ class BlockStream:
         try:
             in_flight = deque(pool.submit(_draw_range, r, heaps) for r in islice(ranges, 2 * workers))
             while in_flight:
-                words, part, spent = in_flight.popleft().result()
+                done = in_flight.popleft().result()
                 in_flight.extend(pool.submit(_draw_range, r, heaps) for r in islice(ranges, 1))
-                self.counter.steps += spent
-                yield words, part
+                yield done
         finally:
             pool.shutdown(cancel_futures=True)
 
-    def advance(self) -> list[int]:
-        """Draw the next block and return its letter indices."""
+    def drop(self, heap: Heap, start: int, stop: int, workers: int = 1,
+             min_length: int = 0) -> Iterator[tuple[int, int]]:
+        """Drop blocks ``start`` to ``stop - 1`` on ``heap``, in order, and
+        yield the ``(blocks, letters)`` dropped after each range of ``ranges``;
+        with ``min_length`` above 0, stop after the block that brings the
+        letters up to it.  A pooled range is glued whole unless that block
+        falls inside it; then it is redrawn here and dropped up to that block.
+        Only the blocks dropped count on ``counter``, as with one worker."""
+        blocks = letters = 0
+        with closing(self.ranges(start, stop, workers, heaps=True)) as ranges:
+            for r, payload, spent in ranges:
+                if workers > 1:
+                    factors, landing, size = payload
+                    if 0 < min_length <= letters + size:
+                        payload = self.words(r.start, r.stop)
+                    else:
+                        heap.glue(factors, landing)
+                        self.counter.steps += spent
+                        blocks, letters, payload = blocks + len(r), letters + size, ()
+                for word in payload:
+                    heap.extend(word)
+                    blocks, letters = blocks + 1, letters + len(word)
+                    if 0 < min_length <= letters:
+                        break
+                yield blocks, letters
+                if 0 < min_length <= letters:
+                    return
+
+    def next_block(self) -> Trace:  # perfbench reads it
+        """Draw the next block of the cursor and return it as a trace."""
         word = next(self._words)
         self.length += len(word)
         self.blocks_done += 1
-        return word
+        return normalize_indices(self.model, word)
 
-    def next_block(self) -> Trace:
-        """Draw the next block and return it as a trace."""
-        return normalize_indices(self.model, self.advance())
-
-    def run(self, blocks: int) -> Trace:
-        """Draw the next ``blocks`` blocks and return their product; on a
-        new stream that is the prefix xi_blocks."""
+    def run(self, blocks: int, workers: int = 1) -> Trace:  # perfbench reads it
+        """The product of blocks 0 to ``blocks - 1``, the prefix xi_blocks,
+        drawn on ``workers`` processes (see ``drop``)."""
         heap = Heap(self.model)
-        for _ in range(blocks):
-            heap.extend(self.advance())
+        for _ in self.drop(heap, 0, blocks, workers):
+            pass
         return heap.trace()
 
 
-def open_stream(model: IndependenceModel, pivot: str, seed: int) -> BlockStream:
+def open_stream(model: IndependenceModel, pivot: str, seed: int) -> BlockStream:  # perfbench reads it
     """A checked boundary stream: ``BlockStream(model, pivot, seed)``."""
     return BlockStream(model, pivot, seed)
 
@@ -181,39 +205,26 @@ def _open_worker_stream(model: IndependenceModel, pivot: str, seed: int) -> None
     _worker_stream = BlockStream(model, pivot, seed)
 
 
-def _draw_range(blocks: range, heaps: bool) -> tuple[list[bytes], tuple | None, int]:
-    """Worker body: the words of the given blocks, with ``heaps`` the
-    ``(factors, landing)`` of a ``Heap`` they are dropped on, else None, and
-    the steps spent drawing them.  A letter index is below 64, so each word
-    travels as bytes, one per letter."""
-    stream, part = _worker_stream, None
+def _draw_range(blocks: range, heaps: bool) -> tuple[range, list[bytes] | tuple, int]:
+    """Worker body: a range of ``BlockStream.ranges`` as it yields it.  A
+    letter index is below 64, so each word travels as bytes, one per letter."""
+    stream = _worker_stream
     before = stream.counter.steps
     words = [bytes(w) for w in stream.words(blocks.start, blocks.stop)]
     if heaps:
+        joined = b"".join(words)
         heap = Heap(stream.model)
-        heap.extend(b"".join(words))
-        part = heap.factors, heap.landing
-    return words, part, stream.counter.steps - before
+        heap.extend(joined)
+        words = heap.factors, heap.landing, len(joined)
+    return blocks, words, stream.counter.steps - before
 
 
 def parallel_run(model: IndependenceModel, pivot: str, seed: int, blocks: int, workers: int = 1,
-                 counter: StepCounter | None = None) -> Trace:
-    """The product of the first ``blocks`` blocks, drawn on ``workers``
-    processes (see ``BlockStream.ranges``): in this process each block is
-    dropped on one heap, and with a pool each worker drops its range on a
-    heap of its own, which this process glues onto the one heap.
-
-    Block i depends only on (seed, i), so the result, and the steps added
-    to ``counter``, are those of a sequential run with the same seed
-    whatever the worker count.
-    """
+                 counter: StepCounter | None = None) -> Trace:  # perfbench reads it
+    """``BlockStream(model, pivot, seed).run(blocks, workers)``, its steps
+    added to ``counter``: the same trace and steps for any worker count."""
     stream = open_stream(model, pivot, seed)
-    heap = Heap(model)
-    for words, part in stream.ranges(0, blocks, workers, heaps=True):
-        if part:
-            heap.glue(*part)
-        else:
-            heap.extend(words[0])
+    xi = stream.run(blocks, workers)
     if counter is not None:
         counter.steps += stream.counter.steps
-    return heap.trace()
+    return xi

@@ -132,39 +132,31 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     to_json = TraceJSON(model)
     heap = Heap(model)  # only --emit final drops blocks on it
     released: list[str] = []  # and keeps the JSON text of its final factors
-    # with a pool, --emit final has the workers drop their ranges on heaps
-    ranges = stream.ranges(0, args.blocks or boundary.NO_LAST_BLOCK, args.workers,
-                           heaps=not emit_each)
+    stop = args.blocks or boundary.NO_LAST_BLOCK
+    items = (stream.ranges(0, stop, args.workers) if emit_each
+             else stream.drop(heap, 0, stop, args.workers, args.min_length))
     blocks = length = status = 0
     # Ctrl-C ends the run after a whole block, or a whole glued range;
-    # closing the ranges stops the pool, if there is one
-    with _sigint_flag() as interrupted, contextlib.closing(ranges):
+    # closing the items stops the pool, if there is one
+    with _sigint_flag() as interrupted, contextlib.closing(items):
         # the header is a function of (model, pivot, seed) only, whatever the
         # worker count, and any pool starts after it, at the first range; it
         # is flushed, as --emit final prints nothing else before the end
         print(json.dumps({"seed": args.seed, "pivot": pivot, "p_star": stream.p_star}),
               flush=True)
         try:
-            for words, part in ranges:
-                size = sum(map(len, words)) if part else 0
-                if part and not 0 < args.min_length <= length + size:
-                    # the run does not stop inside this range: its heap is glued whole
-                    heap.glue(*part)
-                    blocks += len(words)
-                    length += size
-                    words = ()
-                for word in words:
-                    blocks += 1
-                    length += len(word)
-                    if emit_each:
+            for item in items:
+                if emit_each:
+                    for word in item[1]:
+                        blocks += 1
+                        length += len(word)
                         print(_record(blocks, "block", to_json(normalize_indices(model, word)),
                                       length),
                               flush=not args.blocks)
-                    else:
-                        heap.extend(word)
-                    if interrupted or 0 < args.min_length <= length:
-                        break
-                if not emit_each:
+                        if interrupted or 0 < args.min_length <= length:
+                            break
+                else:
+                    blocks, length = item
                     final = heap.release()
                     if final:
                         released.append(to_json.join(final))

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import DEFAULT_SEED, SUITES
-from .boundary import open_stream, parallel_run
+from .boundary import open_stream
 from .mobius import (
     ROOT_MARGIN, MobiusTable, expected_length, mobius_polynomial, recurrence_residual_coefficients,
     smallest_root,
@@ -473,16 +473,15 @@ def _finite_pivot_rule(model, seed, config: FiniteSuiteConfig) -> list[TestRepor
 
 
 def _finite_determinism(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
-    """The first 200 of the law row's n_law draws, drawn again: 200 draws on
-    their own repeat them, and 200 at seed + 6 do not."""
+    """The law row's first min(200, n_law) draws, the sample, repeated by
+    200 draws on their own, and those 200 against 200 at seed + 6."""
     p = _finite_p(model)
     params = SamplerParams(p=p, seed=seed)
     first = list(islice(sample_many(model, params, config.n_law), 200))
     again = list(sample_many(model, params, 200))
     other = list(sample_many(model, SamplerParams(p=p, seed=seed + 6), 200))
     mismatch = sum(1 for a, b in zip(first, again) if a != b)
-    identical_other = all(a == b for a, b in zip(first, other))
-    return [_failures("determinism", mismatch + (1 if identical_other else 0), 200, seed)]
+    return [_failures("determinism", mismatch + (1 if other == again else 0), len(first), seed)]
 
 
 def _finite_steps(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
@@ -518,7 +517,7 @@ def _boundary_gap(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
 def _boundary_blocks(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
     pivot = _pivot(model, config)
     stream = open_stream(model, pivot, seed)
-    blocks = [stream.next_block() for _ in range(config.n_blocks_law)]
+    blocks = [normalize_indices(model, w) for w in stream.words(0, config.n_blocks_law)]
     bad = sum(0 if is_pyramidal(model, b, pivot) else 1 for b in blocks)
     exact = pyramidal_block_table(model, pivot, stream.p_star, SUPPORT_CUTOFF)
     return [
@@ -537,8 +536,7 @@ def _boundary_prefixes(model, seed, config: BoundarySuiteConfig) -> list[TestRep
     heap = Heap(model)
     prev = heap.trace()
     comparisons = mono_bad = count_bad = 0
-    for k in range(1, config.k_monotone + 1):
-        word = stream.advance()
+    for k, word in enumerate(stream.words(0, config.k_monotone), 1):
         heap.extend(word)
         now = heap.trace()
         comparisons += len(now.factors)
@@ -563,16 +561,14 @@ def _boundary_growth(model, seed, config: BoundarySuiteConfig) -> list[TestRepor
     calibrated on the first blocks."""
     stream = open_stream(model, _pivot(model, config), seed)
     lengths = []
-    cum_bad = 0
+    length = cum_bad = 0
     calibrated: float | None = None
-    for k in range(1, config.k_linearity + 1):
-        stream.advance()
-        lengths.append(stream.length)
+    for k, word in enumerate(stream.words(0, config.k_linearity), 1):
+        length += len(word)
+        lengths.append(length)
         if k == max(50, config.k_linearity // 10):
-            calibrated = 2.0 * stream.counter.steps / (model.size * stream.length)
-        if calibrated is not None and (
-            stream.counter.steps > calibrated * model.size * stream.length
-        ):
+            calibrated = 2.0 * stream.counter.steps / (model.size * length)
+        if calibrated is not None and stream.counter.steps > calibrated * model.size * length:
             cum_bad += 1
     r_squared = float(np.corrcoef(range(1, config.k_linearity + 1), lengths)[0, 1] ** 2)
     return [
@@ -591,7 +587,7 @@ def _boundary_parallel(model, seed, config: BoundarySuiteConfig) -> list[TestRep
     pivot = _pivot(model, config)
     k = config.k_equivalence
     sequential = open_stream(model, pivot, seed).run(k)
-    parallel = parallel_run(model, pivot, seed, k, workers=config.workers)
+    parallel = open_stream(model, pivot, seed).run(k, config.workers)
     replay = open_stream(model, pivot, seed).run(k)
     other = open_stream(model, pivot, seed + 1).run(k)
     changed = (0 if replay == sequential else 1) + (1 if other == sequential else 0)

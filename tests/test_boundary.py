@@ -148,10 +148,11 @@ def test_accumulated_equals_block_product(path4):
     product = UNIT
     for _ in range(200):
         product = tg.concat(path4, product, stream.next_block())
-    other = tg.open_stream(path4, "a", seed=4)
-    assert other.run(200) == product
-    assert stream.length == other.length == product.length
-    assert stream.blocks_done == other.blocks_done == 200
+    # run draws blocks 0 to 199 by their keys, not from the cursor, which
+    # it leaves where it is
+    assert stream.run(200) == tg.open_stream(path4, "a", seed=4).run(200) == product
+    assert stream.length == product.length
+    assert stream.blocks_done == 200
 
 
 def test_prefixes_are_left_divisors(path4):
@@ -165,8 +166,8 @@ def test_first_prefixes_of_a_path16_stream_divide_it():
     stream = tg.open_stream(model, "x0", seed=13)
     heap = Heap(model)
     prefixes = []
-    for _ in range(50):
-        heap.extend(stream.advance())
+    for word in stream.words(0, 50):
+        heap.extend(word)
         prefixes.append(heap.trace())
     xi = prefixes[-1]
     assert all(tg.is_left_divisor(model, x, xi) for x in prefixes)
@@ -239,18 +240,27 @@ def test_words_replay_the_sequential_stream(path4):
         assert word == sequential[i]
 
 
-def test_words_equal_the_advance_calls_and_their_steps():
+def test_words_equal_the_next_block_calls_and_their_steps():
     # 300 blocks cross the runs of 1, 16, 32, 64, 128 and 256 streams
     model = path_model(6)
     stream = tg.open_stream(model, "x0", seed=19)
     ranged = tg.open_stream(model, "x0", seed=19)
-    assert list(ranged.words(0, 300)) == [stream.advance() for _ in range(300)]
+    words = list(ranged.words(0, 300))
+    assert [stream.next_block() for _ in range(300)] == [
+        tg.normalize_indices(model, w) for w in words]
     assert ranged.counter.steps == stream.counter.steps
+    assert (stream.blocks_done, stream.length) == (300, sum(map(len, words)))
 
 
 def pooled_words(stream, start, stop, workers):
-    """The words of blocks start to stop - 1, drawn in ranges on a pool."""
-    return [word for words, _ in stream.ranges(start, stop, workers) for word in words]
+    """The words of blocks start to stop - 1, drawn in ranges on a pool,
+    whose steps are added to the stream's counter."""
+    words = []
+    for blocks, payload, spent in stream.ranges(start, stop, workers):
+        assert (blocks.start, len(blocks)) == (start + len(words), len(payload))
+        words += payload
+        stream.counter.steps += spent
+    return words
 
 
 def test_words_straddling_a_key_of_2_to_the_32_equal_their_splits(path4):
@@ -267,10 +277,10 @@ def test_words_straddling_a_key_of_2_to_the_32_equal_their_splits(path4):
     assert pooled.counter.steps == alone.counter.steps
 
 
-def test_interleaved_run_advance_and_next_block_replay_every_block():
-    # run, advance and next_block share one iterator of run-derived
-    # streams; 300 blocks cross the runs of 1, 16, 32, 64, 128 and 256
-    # streams, and each run returns the product of its own blocks only
+def test_interleaved_run_and_next_block_replay_every_block():
+    # next_block reads one iterator of run-derived streams, which the runs
+    # in between leave where it is; 300 blocks cross the runs of 1, 16, 32,
+    # 64, 128 and 256 streams, and run(k) is the product of blocks 0 to k - 1
     model = path_model(6)
     stream = tg.open_stream(model, "x0", seed=17)
     replay = tg.open_stream(model, "x0", seed=17)
@@ -279,13 +289,16 @@ def test_interleaved_run_advance_and_next_block_replay_every_block():
     def product(blocks):
         return tg.normalize_indices(model, [i for b in blocks for i in words[b]])
 
+    def next_blocks(blocks):
+        return [stream.next_block() for _ in blocks] == [
+            tg.normalize_indices(model, words[b]) for b in blocks]
+
     assert stream.run(3) == product(range(3))
-    assert stream.advance() == words[3]
-    assert stream.next_block() == tg.normalize_indices(model, words[4])
-    assert stream.run(42) == product(range(5, 47))
-    assert stream.advance() == words[47]
-    assert stream.run(252) == product(range(48, 300))
-    assert stream.next_block() == tg.normalize_indices(model, words[300])
+    assert next_blocks(range(5))
+    assert stream.run(42) == product(range(42))
+    assert next_blocks(range(5, 48))
+    assert stream.run(301) == product(range(301))
+    assert next_blocks(range(48, 301))
     assert stream.blocks_done == 301
     assert stream.length == sum(len(w) for w in words)
 
@@ -330,7 +343,7 @@ def test_pooled_words_are_the_words_and_close_their_pool(path4):
         assert pooled_words(pooled, 5, 700, workers) == words
         assert pooled.counter.steps == stream.counter.steps
     endless = pooled.ranges(0, boundary.NO_LAST_BLOCK, workers=2)
-    assert next(endless)[0][0] == bytes(next(stream.words(0, 1)))
+    assert next(endless)[1][0] == bytes(next(stream.words(0, 1)))
     endless.close()
     assert multiprocessing.active_children() == []
 
@@ -346,6 +359,58 @@ def test_parallel_run_with_one_worker_is_the_open_stream_run(path4):
 def test_parallel_run_validates_workers(path4):
     with pytest.raises(ValueError, match="got 0"):
         tg.parallel_run(path4, "a", seed=8, blocks=10, workers=0)
+
+
+DROP_MODELS = {"p4": (path_model(4), 700), "path16": (PATH16, 600),
+               "chorded28": (chorded_cycle(28, (0, 5, 11, 17, 23)), 300)}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", DROP_MODELS)
+def test_drop_is_the_product_of_its_blocks(name, workers):
+    # a heap dropped on ranges of 1 block, or glued from pooled ranges that
+    # ramp from 16 blocks on, is the run and the product of the words
+    model, blocks = DROP_MODELS[name]
+    alone = tg.open_stream(model, "x0", seed=3)
+    words = list(alone.words(0, blocks))
+    stream = tg.open_stream(model, "x0", seed=3)
+    heap = Heap(model)
+    yields = list(stream.drop(heap, 0, blocks, workers))
+    xi = tg.normalize_indices(model, [i for w in words for i in w])
+    assert heap.trace() == xi == tg.open_stream(model, "x0", seed=3).run(blocks)
+    assert yields[-1] == (blocks, xi.length)
+    counts = [b for b, _ in yields]
+    assert counts == sorted(set(counts)) and (workers > 1 or counts == list(range(1, blocks + 1)))
+    assert stream.counter.steps == alone.counter.steps
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_length_stop_inside_a_pooled_range_is_that_of_one_worker(workers):
+    # the pool ramps through ranges ending at blocks 16, 48, 112, 240 and
+    # 496: block 307, which brings the letters to 50,000, lies in the last,
+    # which is redrawn here up to that block; only the blocks dropped count
+    stream = tg.open_stream(PATH16, "x0", seed=11)
+    heap = Heap(PATH16)
+    *_, last = stream.drop(heap, 0, boundary.NO_LAST_BLOCK, workers, min_length=50_000)
+    assert last == (307, 50_602)
+    assert (heap.trace().length, stream.counter.steps) == (50_602, 302_210)
+    assert heap.trace() == tg.open_stream(PATH16, "x0", seed=11).run(307)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_pooled_heap_carries_no_words(path4):
+    # a range comes as the factors and landing levels of its words dropped
+    # on a heap, its letter count and its steps, which stay off the counter
+    alone = tg.open_stream(path4, "b", seed=2)
+    pooled = tg.open_stream(path4, "b", seed=2)
+    for blocks, payload, spent in pooled.ranges(0, 100, workers=2, heaps=True):
+        before = alone.counter.steps
+        words = list(alone.words(blocks.start, blocks.stop))
+        part = Heap(path4)
+        part.extend([i for w in words for i in w])
+        assert payload == (part.factors, part.landing, sum(map(len, words)))
+        assert spent == alone.counter.steps - before
+    assert pooled.counter.steps == 0
 
 
 def test_equal_seeds_equal_runs_different_seeds_differ(path4):
@@ -364,11 +429,13 @@ def test_mean_block_length_is_finite_and_stable(path4):
 
 
 def test_counter_grows_linearly_with_blocks(path4):
+    # blocks 0 to 99, then 100 to 199, dropped on one heap
     stream = tg.open_stream(path4, "a", seed=12)
-    stream.run(100)
+    heap = Heap(path4)
+    assert list(stream.drop(heap, 0, 100))[-1][0] == 100
     at_100 = stream.counter.steps
-    stream.run(100)
-    assert stream.blocks_done == 200
+    assert list(stream.drop(heap, 100, 200))[-1][0] == 100
+    assert heap.trace() == tg.open_stream(path4, "a", seed=12).run(200)
     assert stream.counter.steps <= 2 * at_100 + 200 * 3 * (path4.size + 1)
 
 

@@ -2,11 +2,15 @@
 
 Several reach into package internals (``rng_costs.py`` uses
 ``RandomStream._run`` and ``_heads``, ``dense_costs.py`` a stream's sampler
-and table, ``cli_phases.py`` wraps ``BlockStream.words``), so a refactor
+and table, ``cli_phases.py`` wraps ``BlockStream.ranges``), so a refactor
 that breaks one shows here.  ``report_digest.py`` runs in full: its digest
-pins the 152 verify reports.
+pins the 152 verify reports.  The benchmark harness under perfbench/ binds
+stream names (``open_stream``, ``BlockStream.next_block``, ``blocks_done``,
+``length``, ``counter``, ``run`` and ``boundary.parallel_run``); a short
+traced run of its two stream workloads checks that they still hold.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -55,3 +59,13 @@ def test_cli_phases_refuses_fewer_than_two_runs():
     done = run_script("cli_phases.py", "--runs", "1")
     assert done.returncode == 2 and done.stdout == ""
     assert "at least 2 runs" in done.stderr
+
+
+@pytest.mark.parametrize("workload", ["boundary_path16", "cli_stream_2w"])
+def test_perfbench_stream_workloads_run_correctly(workload):
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seconds", "0.2", "--trace", "1"], capture_output=True, text=True,
+                          env=CHILD_ENV, cwd=ROOT, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0)

@@ -179,6 +179,15 @@ def test_finite_suite_refuses_zero_law_samples(path4):
         run_finite_suite(path4, config=FiniteSuiteConfig(n_law=0))
 
 
+def test_finite_determinism_compares_the_draws_it_has(path4):
+    # at n_law=1 the one law row draw is repeated, and the 200 draws at
+    # seed + 6 are compared with the 200 redrawn ones, not with that draw,
+    # which a unit sample at seed + 6 matched by chance
+    for n_law, compared in ((1, 1), (150, 150), (500, 200)):
+        [report] = verify._finite_determinism(path4, 3, FiniteSuiteConfig(n_law=n_law))
+        assert (report.name, report.statistic, report.sample_size) == ("determinism", 0, compared)
+
+
 # each suite size with the largest value its check cannot use: a mean or a
 # law of no samples, a line through one point, a check of no blocks
 TOO_SMALL = [

@@ -29,7 +29,7 @@ import random
 import resource
 import time
 
-from tracegen import build_model, open_stream
+from tracegen import BlockStream, build_model
 
 
 def dense_model(letters: int, degree: float):
@@ -56,7 +56,7 @@ def main() -> None:
     model = dense_model(args.letters, args.degree)
     digest = hashlib.sha256()
     t0 = time.perf_counter()
-    stream = open_stream(model, args.pivot, args.seed)
+    stream = BlockStream(model, args.pivot, args.seed)
     for word in stream.words(0, args.blocks):
         digest.update(bytes(word) + b"\xff")
     wall = time.perf_counter() - t0

@@ -41,7 +41,7 @@ import json
 import platform
 import time
 
-from tracegen import build_model, open_stream
+from tracegen import BlockStream, build_model
 from tracegen.monoid import Heap, normalize_indices
 
 
@@ -73,7 +73,7 @@ def main() -> None:
     args = parser.parse_args()
 
     model = model_of(args.shape, args.letters)
-    stream = open_stream(model, "x0", args.seed)
+    stream = BlockStream(model, "x0", args.seed)
     words = list(stream.words(0, args.blocks))
 
     def normalize_all():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tracegen import load_model, open_stream
+from tracegen import BlockStream, load_model
 
 DEFAULT_MODEL = Path(__file__).resolve().parent.parent / "models" / "p4.json"
 
@@ -30,7 +30,7 @@ def main():
     ks = np.arange(1, args.blocks + 1)
     print(f"{'pivot':>6} {'slope':>8} {'R^2':>10} {'steps/letter':>13}")
     for pivot in model.letters:
-        stream = open_stream(model, pivot, seed=args.seed)
+        stream = BlockStream(model, pivot, seed=args.seed)
         lengths = np.cumsum([len(word) for word in stream.words(0, args.blocks)])
         slope, intercept = np.polyfit(ks, lengths, 1)
         r2 = float(np.corrcoef(ks, lengths)[0, 1] ** 2)

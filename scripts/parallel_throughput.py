@@ -11,7 +11,7 @@ import os
 from pathlib import Path
 import time
 
-from tracegen import load_model, parallel_run
+from tracegen import BlockStream, load_model
 
 DEFAULT_MODEL = Path(__file__).resolve().parent.parent / "models" / "p4.json"
 
@@ -34,7 +34,7 @@ def main():
     print(f"{'workers':>8} {'seconds':>9} {'blocks/s':>10} {'identical':>10}")
     for workers in (int(w) for w in args.workers.split(",")):
         t0 = time.monotonic()
-        result = parallel_run(model, pivot, args.seed, args.blocks, workers=workers)
+        result = BlockStream(model, pivot, args.seed).run(args.blocks, workers)
         dt = time.monotonic() - t0
         if reference is None:
             reference = result

@@ -34,9 +34,7 @@ from tracegen import build_model, smallest_root, verify  # noqa: E402
 from tracegen.verify import (  # noqa: E402
     DEFAULT_SEED,
     MobiusSuiteConfig,
-    run_boundary_suite,
-    run_finite_suite,
-    run_mobius_suite,
+    run_checks,
     verify_cylinders,
     verify_decomposition_law,
 )
@@ -65,18 +63,16 @@ def reports(wall: Counter) -> list:
     out = []
     mobius = MobiusSuiteConfig(exhaustive_limit=4, sampled_checks=64)
     for model in (p4, star4, path_model(10), cycle_model(10)):
-        out += run_mobius_suite(model, seed=5, config=mobius)
+        out += run_checks(model, mobius, seed=5)
     for model, pivot in ((p4, "a"), (p4, "b"), (star4, "a"), (triangle, "a")):
-        out += run_finite_suite(model, seed=5, config=replace(SMALL_FINITE, pivot_letter=pivot))
-        out += run_boundary_suite(
-            model, seed=5, config=replace(SMALL_BOUNDARY, pivot_letter=pivot)
-        )
+        out += run_checks(model, replace(SMALL_FINITE, pivot_letter=pivot), seed=5)
+        out += run_checks(model, replace(SMALL_BOUNDARY, pivot_letter=pivot), seed=5)
         out.append(timed(verify_cylinders)(model, pivot, 11, 3, 600))
         out += timed(verify_decomposition_law)(
             model, pivot, 0.5 * smallest_root(model), n=5000, seed=7
         )
     out.append(timed(verify_cylinders)(p4, "a", DEFAULT_SEED, 3, 2000))
-    out += run_boundary_suite(p4, seed=303, config=TINY_BOUNDARY)
+    out += run_checks(p4, TINY_BOUNDARY, seed=303)
     return out
 
 

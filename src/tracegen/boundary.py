@@ -14,12 +14,12 @@ consecutive blocks interlock and the partial products converge to a
 boundary point with the uniform law.
 
 Each block is drawn from its own child random stream keyed by the block
-index, by one recipe, ``BlockStream._draw_blocks``, which also counts
-each block's step.  ``BlockStream.ranges``, the one ordered source of
+index, by one recipe, ``BlockStream.blocks``, which also counts each
+block's step.  ``BlockStream.ranges``, the one ordered source of
 blocks, runs it in this process, one block at a time, or on a pool of
 workers, one range at a time, each dropped on a heap of its own if asked.
 ``BlockStream.drop``, the one loop that drops blocks on a heap, reads it
-for ``run``, ``parallel_run`` and the CLI's final trace, and a replay reads
+for ``run`` and the CLI's final trace, and a replay reads
 ``BlockStream.words``, so the stream is restartable and its output is the
 same for any worker count.
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import closing
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -43,10 +44,10 @@ class BlockStream:
 
     Block i depends only on (seed, i): ``words`` and ``ranges`` hand out
     any range of blocks, and ``drop`` drops one on a ``Heap`` the caller
-    owns.  The only state that moves with the draws is the step counter,
-    the cursor of ``next_block`` and the sampler's compiled nodes and
-    ``MobiusTable`` pairs, which grow with the states a run reaches,
-    without bound on a dense model (ROADMAP item 16).
+    owns.  The only state that moves with the draws is the step counter
+    and the sampler's compiled nodes and ``MobiusTable`` pairs, which grow
+    with the states a run reaches, without bound on a dense model (ROADMAP
+    item 16).
 
     Before any draw, the alphabet must be irreducible, the pivot one of its
     letters and the alphabet larger than one letter.  The sampler's range
@@ -80,17 +81,10 @@ class BlockStream:
         )
         self.counter = self._sampler.counter  # perfbench reads it
         self.stream = RandomStream(self.seed)
-        self._words = self.words(0, NO_LAST_BLOCK)  # next_block's cursor, drawn in runs
-        self.blocks_done = 0  # perfbench reads it
-        self.length = 0  # perfbench reads it
 
-    def draw_block(self, stream: RandomStream) -> list[int]:
-        """Letter indices of one block drawn from ``stream``, apex last,
-        and one step on the counter for the block."""
-        return next(self._draw_blocks((stream,)))
-
-    def _draw_blocks(self, streams: Iterable[RandomStream]) -> Iterator[list[int]]:
-        """``draw_block`` of each stream, in order, from one run of the sampler's ``draws``."""
+    def blocks(self, streams: Iterable[RandomStream]) -> Iterator[list[int]]:
+        """One block per stream, from one run of the sampler's ``draws``, as letter
+        indices, apex last, its step counted; a stream given again draws on."""
         apex, counter = self.pivot_index, self.counter
         for word in self._sampler.draws(streams):
             word.append(apex)
@@ -104,7 +98,7 @@ class BlockStream:
         range can be drawn, or redrawn, at will: ``next(words(i, i + 1))``
         replays block i.  ``ranges`` draws them on a pool of workers.
         """
-        return self._draw_blocks(self.stream.splits(start, stop))
+        return self.blocks(self.stream.splits(start, stop))
 
     def ranges(self, start: int, stop: int, workers: int = 1, heaps: bool = False
                ) -> Iterator[tuple[range, Sequence | tuple, int]]:
@@ -170,13 +164,6 @@ class BlockStream:
                 if 0 < min_length <= letters:
                     return
 
-    def next_block(self) -> Trace:  # perfbench reads it
-        """Draw the next block of the cursor and return it as a trace."""
-        word = next(self._words)
-        self.length += len(word)
-        self.blocks_done += 1
-        return normalize_indices(self.model, word)
-
     def run(self, blocks: int, workers: int = 1) -> Trace:  # perfbench reads it
         """The product of blocks 0 to ``blocks - 1``, the prefix xi_blocks,
         drawn on ``workers`` processes (see ``drop``)."""
@@ -185,10 +172,41 @@ class BlockStream:
             pass
         return heap.trace()
 
+    # ---- perfbench only, down to the end of parallel_run: the frozen harness
+    # reads the cursor of next_block, open_stream and parallel_run, nothing in
+    # the package does, and they go as one deletion (ROADMAP item 24) ----
+    blocks_done = 0  # the blocks next_block has drawn
+    length = 0  # and their letters
 
-def open_stream(model: IndependenceModel, pivot: str, seed: int) -> BlockStream:  # perfbench reads it
+    @cached_property
+    def _words(self) -> Iterator[list[int]]:  # next_block's cursor, drawn in runs
+        return self.words(0, NO_LAST_BLOCK)
+
+    def next_block(self) -> Trace:
+        """Draw the next block of the cursor and return it as a trace."""
+        word = next(self._words)
+        self.length += len(word)
+        self.blocks_done += 1
+        return normalize_indices(self.model, word)
+
+
+def open_stream(model: IndependenceModel, pivot: str, seed: int) -> BlockStream:
     """A checked boundary stream: ``BlockStream(model, pivot, seed)``."""
     return BlockStream(model, pivot, seed)
+
+
+def parallel_run(model: IndependenceModel, pivot: str, seed: int, blocks: int, workers: int = 1,
+                 counter: StepCounter | None = None) -> Trace:
+    """``BlockStream(model, pivot, seed).run(blocks, workers)``, its steps
+    added to ``counter``: the same trace and steps for any worker count."""
+    stream = BlockStream(model, pivot, seed)
+    xi = stream.run(blocks, workers)
+    if counter is not None:
+        counter.steps += stream.counter.steps
+    return xi
+
+
+# ---- end of the perfbench-only block -----------------------------------
 
 
 # The stream a pool worker of BlockStream.ranges draws its ranges from,
@@ -219,12 +237,3 @@ def _draw_range(blocks: range, heaps: bool) -> tuple[range, list[bytes] | tuple,
     return blocks, words, stream.counter.steps - before
 
 
-def parallel_run(model: IndependenceModel, pivot: str, seed: int, blocks: int, workers: int = 1,
-                 counter: StepCounter | None = None) -> Trace:  # perfbench reads it
-    """``BlockStream(model, pivot, seed).run(blocks, workers)``, its steps
-    added to ``counter``: the same trace and steps for any worker count."""
-    stream = open_stream(model, pivot, seed)
-    xi = stream.run(blocks, workers)
-    if counter is not None:
-        counter.steps += stream.counter.steps
-    return xi

@@ -127,7 +127,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     pivot = args.pivot_letter or model.letters[0]
     # a ValueError here (a reducible or one letter model, an unknown pivot, a
     # missing gap below the pivot free root) exits 2 through main, before any output
-    stream = boundary.open_stream(model, pivot, args.seed)
+    stream = boundary.BlockStream(model, pivot, args.seed)
     emit_each = args.emit == "each-block"
     to_json = TraceJSON(model)
     heap = Heap(model)  # only --emit final drops blocks on it

@@ -392,7 +392,7 @@ class StepCounter:
     sampler adds a rest chain's visit steps, which its head node holds,
     once per visit, and each node's share per geometric unit, empty states
     included, so the totals are those of the plain recursion.
-    ``BlockStream.draw_block`` adds one more step per boundary block.
+    ``BlockStream.blocks`` adds one more step per boundary block.
     Callers add to ``steps``.
     """
 
@@ -487,14 +487,11 @@ class Sampler:
         self.root_state = (subset, subset & target)
         self.table = MobiusTable(model, params.p)
         self.counter = StepCounter() if counter is None else counter
-        if params.pivot == "order":
-            self._order = tuple(model.index_of(ch) for ch in params.pivot_order)
-        self._choose = getattr(self, f"_choose_{params.pivot}")
+        # "lowindex" is the order rule with no letter named
+        order = params.pivot_order if params.pivot == "order" else ()
+        self._order = tuple(model.index_of(ch) for ch in order)
+        self._choose = self._choose_maxdeg if params.pivot == "maxdeg" else self._choose_order
         self._nodes: dict[tuple[int, int], list] = {}
-
-    @staticmethod
-    def _choose_lowindex(subset: int, candidates: int) -> int:
-        return (candidates & -candidates).bit_length() - 1
 
     def _choose_maxdeg(self, subset: int, candidates: int) -> int:
         dep = self.model.dependence
@@ -532,7 +529,7 @@ class Sampler:
         # costs 1, the geometric draw K + 1, the K pivots and the remainder
         # one each: 3 + 2K; an empty child is never run, so its one step for
         # the visit is counted here.  A visit runs on down the rest chain,
-        # whose visit steps it adds; ``draw`` adds the link chain's visit
+        # whose visit steps it adds; ``draws`` adds the link chain's visit
         # steps to the 2 per unit when it resolves the link.
         node = self._nodes[state] = [
             pivot,
@@ -544,10 +541,6 @@ class Sampler:
             (rest, link_candidates) if link_candidates else None,
         ]
         return node
-
-    def draw(self, stream: RandomStream) -> list[int]:
-        """Letter indices of one sample from the root state: ``draws`` of one stream."""
-        return next(self.draws((stream,)))
 
     def draws(self, streams: Iterable[RandomStream]) -> Iterator[list[int]]:
         """Letter indices of one sample from the root state per stream, in

@@ -11,8 +11,8 @@ The suites are one table, ``CHECKS[suite]``: a tuple of rows
 whose reports share draws, and it draws only from the seed it is given,
 the suite seed plus its offset.  So every report is reproducible bit for
 bit from its parameters, and no row reads another's draws.  One loop,
-``_walk``, runs a suite's rows in order; ``run_suite`` walks each suite it
-names.
+``run_checks``, runs the rows of a config's suite in order; ``run_suite``
+runs it for each suite it names, with default configs.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
 
 from . import DEFAULT_SEED, SUITES
-from .boundary import open_stream
+from .boundary import BlockStream
 from .mobius import (
     ROOT_MARGIN, MobiusTable, expected_length, mobius_polynomial, recurrence_residual_coefficients,
     smallest_root,
@@ -220,18 +220,20 @@ def verify_cylinders(
     is the share of runs that have it as a prefix.
 
     One stream per run, the runs' streams derived together by
-    ``RandomStream(seed).splits``.
+    ``RandomStream(seed).splits``; a run's blocks are drawn one after the
+    other from its stream, only as many as it takes.
     """
     if runs < 1:
         raise ValueError(f"runs={runs} draws no run: the cylinder law needs runs >= 1")
-    blocks = open_stream(model, pivot, seed)
-    p_star = blocks.p_star
+    source = BlockStream(model, pivot, seed)
+    p_star = source.p_star
 
     hits: Counter[Trace] = Counter()
     for stream in RandomStream(seed).splits(0, runs):
         heap = Heap(model)
+        blocks = source.blocks(repeat(stream))
         while heap.final_floor() < x_max_len - 1:
-            heap.extend(blocks.draw_block(stream))
+            heap.extend(next(blocks))
         hits.update(left_divisors(model, Trace(tuple(heap.factors[:x_max_len])), x_max_len))
 
     details: dict[str, dict] = {}
@@ -261,13 +263,18 @@ def _check_sizes(config, **least: int) -> None:
 
 @dataclass(frozen=True)
 class MobiusSuiteConfig:
+    suite = "mobius"  # the rows of CHECKS it configures; not a field
     exhaustive_limit: int = 8
     sampled_checks: int = 512
     chain_checks: int = 100
 
+    def __post_init__(self) -> None:
+        _check_sizes(self, sampled_checks=1, chain_checks=1)
+
 
 @dataclass(frozen=True)
 class FiniteSuiteConfig:
+    suite = "finite"
     pivot_letter: str | None = None
     n_law: int = 200_000
     n_mean: int = 100_000
@@ -283,14 +290,17 @@ class FiniteSuiteConfig:
     chi_alpha: float = 0.01
 
     def __post_init__(self) -> None:
+        # the step bound calibrates on the first max(100, n_steps // 10) draws
+        # and needs one draw past them
         _check_sizes(
             self, n_law=1, n_mean=1, n_decomposition=1, n_conditioned=1, n_pivot_rule=1,
-            n_steps=1,
+            n_steps=101,
         )
 
 
 @dataclass(frozen=True)
 class BoundarySuiteConfig:
+    suite = "boundary"
     pivot_letter: str | None = None
     n_blocks_law: int = 100_000
     cylinder_runs: int = 10_000
@@ -304,9 +314,11 @@ class BoundarySuiteConfig:
     cylinder_threshold: float = 0.015
 
     def __post_init__(self) -> None:
-        # the length-linear check fits a line through k_linearity points
+        # the step bound calibrates on max(50, k_linearity // 10) blocks and
+        # needs one more; a pool of one worker is the serial run it is checked on
         _check_sizes(
-            self, n_blocks_law=1, cylinder_runs=1, k_monotone=1, k_linearity=2, k_equivalence=1
+            self, n_blocks_law=1, cylinder_runs=1, k_monotone=1, k_linearity=51,
+            k_equivalence=1, workers=2,
         )
 
 
@@ -502,7 +514,7 @@ def _finite_steps(model, seed, config: FiniteSuiteConfig) -> list[TestReport]:
 
 
 def _boundary_gap(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
-    stream = open_stream(model, _pivot(model, config), seed)
+    stream = BlockStream(model, _pivot(model, config), seed)
     sub_root = smallest_root(model, stream.block_subset)
     is_link = stream.block_target == model.dependence[stream.pivot_index]
     return [
@@ -516,7 +528,7 @@ def _boundary_gap(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
 
 def _boundary_blocks(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
     pivot = _pivot(model, config)
-    stream = open_stream(model, pivot, seed)
+    stream = BlockStream(model, pivot, seed)
     blocks = [normalize_indices(model, w) for w in stream.words(0, config.n_blocks_law)]
     bad = sum(0 if is_pyramidal(model, b, pivot) else 1 for b in blocks)
     exact = pyramidal_block_table(model, pivot, stream.p_star, SUPPORT_CUTOFF)
@@ -532,7 +544,7 @@ def _boundary_blocks(model, seed, config: BoundarySuiteConfig) -> list[TestRepor
 def _boundary_prefixes(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
     """Each block's heap against the one before: the block's concatenation
     rebuilds it, the one before left-divides it, and it holds one more pivot."""
-    stream = open_stream(model, _pivot(model, config), seed)
+    stream = BlockStream(model, _pivot(model, config), seed)
     heap = Heap(model)
     prev = heap.trace()
     comparisons = mono_bad = count_bad = 0
@@ -559,7 +571,7 @@ def _boundary_prefixes(model, seed, config: BoundarySuiteConfig) -> list[TestRep
 def _boundary_growth(model, seed, config: BoundarySuiteConfig) -> list[TestReport]:
     """Length linear in the block count, and steps within a constant
     calibrated on the first blocks."""
-    stream = open_stream(model, _pivot(model, config), seed)
+    stream = BlockStream(model, _pivot(model, config), seed)
     lengths = []
     length = cum_bad = 0
     calibrated: float | None = None
@@ -586,10 +598,10 @@ def _boundary_parallel(model, seed, config: BoundarySuiteConfig) -> list[TestRep
     replay and against the run at seed + 1."""
     pivot = _pivot(model, config)
     k = config.k_equivalence
-    sequential = open_stream(model, pivot, seed).run(k)
-    parallel = open_stream(model, pivot, seed).run(k, config.workers)
-    replay = open_stream(model, pivot, seed).run(k)
-    other = open_stream(model, pivot, seed + 1).run(k)
+    sequential = BlockStream(model, pivot, seed).run(k)
+    parallel = BlockStream(model, pivot, seed).run(k, config.workers)
+    replay = BlockStream(model, pivot, seed).run(k)
+    other = BlockStream(model, pivot, seed + 1).run(k)
     changed = (0 if replay == sequential else 1) + (1 if other == sequential else 0)
     return [
         _failures(
@@ -626,37 +638,10 @@ CHECKS = {
 }
 
 
-def _walk(suite: str, model: IndependenceModel, seed: int, config) -> list[TestReport]:
-    """The reports of a suite's rows in row order, each row run at the
-    suite seed plus its offset."""
-    return [r for offset, check in CHECKS[suite] for r in check(model, seed + offset, config)]
-
-
-def run_mobius_suite(
-    model: IndependenceModel,
-    seed: int = DEFAULT_SEED,
-    config: MobiusSuiteConfig = MobiusSuiteConfig(),
-) -> list[TestReport]:
-    """Structural checks of the polynomial layer on one model."""
-    return _walk("mobius", model, seed, config)
-
-
-def run_finite_suite(
-    model: IndependenceModel,
-    seed: int = DEFAULT_SEED,
-    config: FiniteSuiteConfig = FiniteSuiteConfig(),
-) -> list[TestReport]:
-    """End to end statistical checks of the finite trace sampler."""
-    return _walk("finite", model, seed, config)
-
-
-def run_boundary_suite(
-    model: IndependenceModel,
-    seed: int = DEFAULT_SEED,
-    config: BoundarySuiteConfig = BoundarySuiteConfig(),
-) -> list[TestReport]:
-    """End to end checks of the boundary block generator."""
-    return _walk("boundary", model, seed, config)
+def run_checks(model: IndependenceModel, config, seed: int = DEFAULT_SEED) -> list[TestReport]:
+    """The reports of the rows of ``config``'s suite, ``CHECKS[config.suite]``,
+    in row order, each row run at ``seed`` plus its offset."""
+    return [r for offset, check in CHECKS[config.suite] for r in check(model, seed + offset, config)]
 
 
 def run_suite(
@@ -674,10 +659,12 @@ def run_suite(
         # the finite and boundary suites enumerate the whole alphabet: apply
         # the oracle's letter cap before any suite samples
         _check_guardrails(model, model.full_mask, 0)
-    configs = {
-        "mobius": MobiusSuiteConfig(),
-        "finite": FiniteSuiteConfig(pivot_letter=pivot_letter),
-        "boundary": BoundarySuiteConfig(pivot_letter=pivot_letter),
-    }
-    suites = CHECKS if name == "all" else (name,)
-    return [r for suite in suites for r in _walk(suite, model, seed, configs[suite])]
+    configs = (
+        MobiusSuiteConfig(),
+        FiniteSuiteConfig(pivot_letter=pivot_letter),
+        BoundarySuiteConfig(pivot_letter=pivot_letter),
+    )
+    return [
+        r for config in configs if name in ("all", config.suite)
+        for r in run_checks(model, config, seed)
+    ]

@@ -269,7 +269,7 @@ def test_criterion_5_complexity_bounds():
     sampler = Sampler(PATH4, params, counter=counter)
     for i in range(10_000):
         before = counter.steps
-        x = normalize_indices(PATH4, sampler.draw(RandomStream(SEED + 5, (i,))))
+        x = normalize_indices(PATH4, next(sampler.draws((RandomStream(SEED + 5, (i,)),))))
         steps = counter.steps - before
         per_sample.append((steps, x.length))
         if i < 2000:

@@ -82,7 +82,7 @@ def squeeze_gap(monkeypatch):
 def test_gap_guard_raises_when_margin_missing(path4, monkeypatch):
     root = squeeze_gap(monkeypatch)(path4)
     with pytest.raises(ValueError) as exc:
-        tg.open_stream(path4, "a", seed=1)
+        tg.BlockStream(path4, "a", seed=1)
     assert f"root={root!r}" in str(exc.value)
     assert f"ROOT_MARGIN={ROOT_MARGIN!r}" in str(exc.value)
 
@@ -97,7 +97,7 @@ def test_stream_cli_exits_2_when_margin_missing(monkeypatch, capsys):
 
 
 def test_stream_critical_parameter_and_target(path4):
-    stream = tg.open_stream(path4, "a", seed=1)
+    stream = tg.BlockStream(path4, "a", seed=1)
     assert stream.p_star == pytest.approx(1 / 3, abs=1e-9)
     # the conditioning target of every block is the link of the pivot
     assert stream.block_target == path4.dependence[path4.index_of("a")]
@@ -105,10 +105,9 @@ def test_stream_critical_parameter_and_target(path4):
 
 
 def test_blocks_are_pivot_pyramidal(path4):
-    stream = tg.open_stream(path4, "b", seed=3)
-    for _ in range(2000):
-        block = stream.next_block()
-        assert tg.is_pyramidal(path4, block, "b")
+    stream = tg.BlockStream(path4, "b", seed=3)
+    for word in stream.words(0, 2000):
+        assert tg.is_pyramidal(path4, tg.normalize_indices(path4, word), "b")
 
 
 @pytest.mark.parametrize(
@@ -119,9 +118,9 @@ def test_blocks_at_critical_parameter_on_long_alphabets(model):
     # mu_S(p_sigma) is tiny next to the clique counts of these alphabets, so
     # an occurrence probability is only right if mu_S is evaluated exactly
     pivot = model.letters[0]
-    stream = tg.open_stream(model, pivot, seed=5)
-    for _ in range(200):
-        assert tg.is_pyramidal(model, stream.next_block(), pivot)
+    stream = tg.BlockStream(model, pivot, seed=5)
+    for word in stream.words(0, 200):
+        assert tg.is_pyramidal(model, tg.normalize_indices(model, word), pivot)
 
 
 @pytest.mark.parametrize(
@@ -138,32 +137,32 @@ def test_blocks_at_critical_parameter_on_long_alphabets(model):
 def test_blocks_at_critical_parameter_on_48_letters(model, blocks):
     # a 48-letter path has F(50), about 1.3e10, cliques: too many to list
     pivot = model.letters[0]
-    stream = tg.open_stream(model, pivot, seed=5)
-    for _ in range(blocks):
-        assert tg.is_pyramidal(model, stream.next_block(), pivot)
+    stream = tg.BlockStream(model, pivot, seed=5)
+    for word in stream.words(0, blocks):
+        assert tg.is_pyramidal(model, tg.normalize_indices(model, word), pivot)
 
 
 def test_accumulated_equals_block_product(path4):
-    stream = tg.open_stream(path4, "a", seed=4)
+    stream = tg.BlockStream(path4, "a", seed=4)
     product = UNIT
     for _ in range(200):
         product = tg.concat(path4, product, stream.next_block())
     # run draws blocks 0 to 199 by their keys, not from the cursor, which
     # it leaves where it is
-    assert stream.run(200) == tg.open_stream(path4, "a", seed=4).run(200) == product
+    assert stream.run(200) == tg.BlockStream(path4, "a", seed=4).run(200) == product
     assert stream.length == product.length
     assert stream.blocks_done == 200
 
 
 def test_prefixes_are_left_divisors(path4):
-    prefixes = [tg.open_stream(path4, "a", seed=5).run(k) for k in (1, 2, 3, 5, 8, 13)]
+    prefixes = [tg.BlockStream(path4, "a", seed=5).run(k) for k in (1, 2, 3, 5, 8, 13)]
     for before, after in zip(prefixes, prefixes[1:]):
         assert tg.is_left_divisor(path4, before, after)
 
 
 def test_first_prefixes_of_a_path16_stream_divide_it():
     model = path_model(16)
-    stream = tg.open_stream(model, "x0", seed=13)
+    stream = tg.BlockStream(model, "x0", seed=13)
     heap = Heap(model)
     prefixes = []
     for word in stream.words(0, 50):
@@ -184,7 +183,7 @@ def test_released_factors_then_the_open_levels_are_the_run(model, when):
     # dropped on a heap of its own and glued on, then the open levels, are
     # the product of the blocks so far
     rng = random.Random(5)
-    stream = tg.open_stream(model, "x0", seed=29)
+    stream = tg.BlockStream(model, "x0", seed=29)
     if when == "glued-ranges":
         batches = [list(stream.words(r.start, r.stop)) for r in _ramp(0, 2100, 256)]
     else:
@@ -208,7 +207,7 @@ def test_released_factors_then_the_open_levels_are_the_run(model, when):
         assert heap.final_floor() == whole.final_floor() - len(released)
         if n in (1, 6, 600) or when == "glued-ranges":
             assert released + heap.factors == whole.factors
-    assert tuple(released + heap.factors) == tg.open_stream(model, "x0", seed=29).run(2100).factors
+    assert tuple(released + heap.factors) == tg.BlockStream(model, "x0", seed=29).run(2100).factors
 
 
 def test_a_path16_heap_released_after_every_block_stays_small():
@@ -216,7 +215,7 @@ def test_a_path16_heap_released_after_every_block_stays_small():
     model = path_model(16)
     heap = Heap(model)
     most_open = 0
-    for word in tg.open_stream(model, "x0", seed=3).words(0, 5000):
+    for word in tg.BlockStream(model, "x0", seed=3).words(0, 5000):
         heap.extend(word)
         heap.release()
         most_open = max(most_open, len(heap.factors))
@@ -224,17 +223,17 @@ def test_a_path16_heap_released_after_every_block_stays_small():
 
 
 def test_pivot_count_tracks_blocks(path4):
-    stream = tg.open_stream(path4, "c", seed=6)
+    stream = tg.BlockStream(path4, "c", seed=6)
     xi = stream.run(500)
     assert xi.letter_count(path4.index_of("c")) == 500
 
 
 def test_words_replay_the_sequential_stream(path4):
-    stream = tg.open_stream(path4, "a", seed=7)
+    stream = tg.BlockStream(path4, "a", seed=7)
     sequential = [
         [path4.letters[i] for i in word_indices(stream.next_block())] for _ in range(50)
     ]
-    replay = tg.open_stream(path4, "a", seed=7)
+    replay = tg.BlockStream(path4, "a", seed=7)
     for i in (0, 7, 23, 49):
         word = [path4.letters[j] for j in next(replay.words(i, i + 1))]
         assert word == sequential[i]
@@ -243,8 +242,8 @@ def test_words_replay_the_sequential_stream(path4):
 def test_words_equal_the_next_block_calls_and_their_steps():
     # 300 blocks cross the runs of 1, 16, 32, 64, 128 and 256 streams
     model = path_model(6)
-    stream = tg.open_stream(model, "x0", seed=19)
-    ranged = tg.open_stream(model, "x0", seed=19)
+    stream = tg.BlockStream(model, "x0", seed=19)
+    ranged = tg.BlockStream(model, "x0", seed=19)
     words = list(ranged.words(0, 300))
     assert [stream.next_block() for _ in range(300)] == [
         tg.normalize_indices(model, w) for w in words]
@@ -264,15 +263,15 @@ def pooled_words(stream, start, stop, workers):
 
 
 def test_words_straddling_a_key_of_2_to_the_32_equal_their_splits(path4):
-    stream = tg.open_stream(path4, "b", seed=23)
+    stream = tg.BlockStream(path4, "b", seed=23)
     got = list(stream.words(2**32 - 2, 2**32 + 2))
-    want = [stream.draw_block(stream.stream.split(i)) for i in range(2**32 - 2, 2**32 + 2)]
+    want = [next(stream.blocks((stream.stream.split(i),))) for i in range(2**32 - 2, 2**32 + 2)]
     assert got == want
     # on 2 workers the 40 blocks come in ranges of 5, the fourth cut to 3
     # at 2**32
-    alone = tg.open_stream(path4, "b", seed=23)
+    alone = tg.BlockStream(path4, "b", seed=23)
     words = [bytes(w) for w in alone.words(2**32 - 18, 2**32 + 22)]
-    pooled = tg.open_stream(path4, "b", seed=23)
+    pooled = tg.BlockStream(path4, "b", seed=23)
     assert pooled_words(pooled, 2**32 - 18, 2**32 + 22, workers=2) == words
     assert pooled.counter.steps == alone.counter.steps
 
@@ -282,8 +281,8 @@ def test_interleaved_run_and_next_block_replay_every_block():
     # in between leave where it is; 300 blocks cross the runs of 1, 16, 32,
     # 64, 128 and 256 streams, and run(k) is the product of blocks 0 to k - 1
     model = path_model(6)
-    stream = tg.open_stream(model, "x0", seed=17)
-    replay = tg.open_stream(model, "x0", seed=17)
+    stream = tg.BlockStream(model, "x0", seed=17)
+    replay = tg.BlockStream(model, "x0", seed=17)
     words = [next(replay.words(b, b + 1)) for b in range(301)]  # one block each
 
     def product(blocks):
@@ -336,10 +335,10 @@ def test_parallel_run_ranges_match_sequential(request, model, blocks, workers):
 def test_pooled_words_are_the_words_and_close_their_pool(path4):
     # blocks 5 to 699 ramp from ranges of 16 to ranges of 87 on 2 workers,
     # and of 58 on 3
-    stream = tg.open_stream(path4, "b", seed=41)
+    stream = tg.BlockStream(path4, "b", seed=41)
     words = [bytes(w) for w in stream.words(5, 700)]
     for workers in (2, 3):
-        pooled = tg.open_stream(path4, "b", seed=41)
+        pooled = tg.BlockStream(path4, "b", seed=41)
         assert pooled_words(pooled, 5, 700, workers) == words
         assert pooled.counter.steps == stream.counter.steps
     endless = pooled.ranges(0, boundary.NO_LAST_BLOCK, workers=2)
@@ -351,7 +350,7 @@ def test_pooled_words_are_the_words_and_close_their_pool(path4):
 def test_parallel_run_with_one_worker_is_the_open_stream_run(path4):
     counter = tg.StepCounter()
     xi = tg.parallel_run(path4, "b", seed=31, blocks=150, workers=1, counter=counter)
-    stream = tg.open_stream(path4, "b", seed=31)
+    stream = tg.BlockStream(path4, "b", seed=31)
     assert xi == stream.run(150)
     assert counter.steps == stream.counter.steps
 
@@ -371,13 +370,13 @@ def test_drop_is_the_product_of_its_blocks(name, workers):
     # a heap dropped on ranges of 1 block, or glued from pooled ranges that
     # ramp from 16 blocks on, is the run and the product of the words
     model, blocks = DROP_MODELS[name]
-    alone = tg.open_stream(model, "x0", seed=3)
+    alone = tg.BlockStream(model, "x0", seed=3)
     words = list(alone.words(0, blocks))
-    stream = tg.open_stream(model, "x0", seed=3)
+    stream = tg.BlockStream(model, "x0", seed=3)
     heap = Heap(model)
     yields = list(stream.drop(heap, 0, blocks, workers))
     xi = tg.normalize_indices(model, [i for w in words for i in w])
-    assert heap.trace() == xi == tg.open_stream(model, "x0", seed=3).run(blocks)
+    assert heap.trace() == xi == tg.BlockStream(model, "x0", seed=3).run(blocks)
     assert yields[-1] == (blocks, xi.length)
     counts = [b for b, _ in yields]
     assert counts == sorted(set(counts)) and (workers > 1 or counts == list(range(1, blocks + 1)))
@@ -389,20 +388,20 @@ def test_a_length_stop_inside_a_pooled_range_is_that_of_one_worker(workers):
     # the pool ramps through ranges ending at blocks 16, 48, 112, 240 and
     # 496: block 307, which brings the letters to 50,000, lies in the last,
     # which is redrawn here up to that block; only the blocks dropped count
-    stream = tg.open_stream(PATH16, "x0", seed=11)
+    stream = tg.BlockStream(PATH16, "x0", seed=11)
     heap = Heap(PATH16)
     *_, last = stream.drop(heap, 0, boundary.NO_LAST_BLOCK, workers, min_length=50_000)
     assert last == (307, 50_602)
     assert (heap.trace().length, stream.counter.steps) == (50_602, 302_210)
-    assert heap.trace() == tg.open_stream(PATH16, "x0", seed=11).run(307)
+    assert heap.trace() == tg.BlockStream(PATH16, "x0", seed=11).run(307)
     assert multiprocessing.active_children() == []
 
 
 def test_a_pooled_heap_carries_no_words(path4):
     # a range comes as the factors and landing levels of its words dropped
     # on a heap, its letter count and its steps, which stay off the counter
-    alone = tg.open_stream(path4, "b", seed=2)
-    pooled = tg.open_stream(path4, "b", seed=2)
+    alone = tg.BlockStream(path4, "b", seed=2)
+    pooled = tg.BlockStream(path4, "b", seed=2)
     for blocks, payload, spent in pooled.ranges(0, 100, workers=2, heaps=True):
         before = alone.counter.steps
         words = list(alone.words(blocks.start, blocks.stop))
@@ -414,40 +413,40 @@ def test_a_pooled_heap_carries_no_words(path4):
 
 
 def test_equal_seeds_equal_runs_different_seeds_differ(path4):
-    a = tg.open_stream(path4, "a", seed=9).run(400)
-    b = tg.open_stream(path4, "a", seed=9).run(400)
-    c = tg.open_stream(path4, "a", seed=10).run(400)
+    a = tg.BlockStream(path4, "a", seed=9).run(400)
+    b = tg.BlockStream(path4, "a", seed=9).run(400)
+    c = tg.BlockStream(path4, "a", seed=10).run(400)
     assert a == b
     assert a != c
 
 
 def test_mean_block_length_is_finite_and_stable(path4):
     # lengths grow linearly: the mean block length settles near a constant
-    stream = tg.open_stream(path4, "a", seed=11)
+    stream = tg.BlockStream(path4, "a", seed=11)
     xi = stream.run(4000)
     assert 1.0 <= xi.length / 4000 <= 20.0
 
 
 def test_counter_grows_linearly_with_blocks(path4):
     # blocks 0 to 99, then 100 to 199, dropped on one heap
-    stream = tg.open_stream(path4, "a", seed=12)
+    stream = tg.BlockStream(path4, "a", seed=12)
     heap = Heap(path4)
     assert list(stream.drop(heap, 0, 100))[-1][0] == 100
     at_100 = stream.counter.steps
     assert list(stream.drop(heap, 100, 200))[-1][0] == 100
-    assert heap.trace() == tg.open_stream(path4, "a", seed=12).run(200)
+    assert heap.trace() == tg.BlockStream(path4, "a", seed=12).run(200)
     assert stream.counter.steps <= 2 * at_100 + 200 * 3 * (path4.size + 1)
 
 
 def test_run_and_next_block_are_pinned():
     # recorded before run() stopped normalising the blocks it discards
     model = path_model(16)
-    stream = tg.open_stream(model, "x0", 11)
+    stream = tg.BlockStream(model, "x0", 11)
     xi = stream.run(1000)
     assert (xi.length, stream.counter.steps) == (149193, 891050)
     digest = hashlib.sha256(json.dumps(tg.trace_to_lists(model, xi)).encode()).hexdigest()
     assert digest == "af21bfd65271570bc02f54707765c0ae9a5a4d4a745425840d075d588e5417a4"
-    stream = tg.open_stream(model, "x0", 11)
+    stream = tg.BlockStream(model, "x0", 11)
     blocks = [tg.trace_to_lists(model, stream.next_block()) for _ in range(200)]
     assert (stream.length, stream.counter.steps) == (36496, 217981)
     digest = hashlib.sha256(json.dumps(blocks).encode()).hexdigest()

@@ -617,7 +617,6 @@ def test_verify_refuses_models_past_the_oracle_cap_before_sampling(
         raise AssertionError("a suite sampled before the oracle cap was checked")
 
     monkeypatch.setattr(verify, "sample_many", refuse)
-    monkeypatch.setattr(Sampler, "draw", refuse)
     monkeypatch.setattr(Sampler, "draws", refuse)
     letters = [f"x{i}" for i in range(8)]
     model_file = tmp_path / "path8.json"

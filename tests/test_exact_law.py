@@ -33,7 +33,7 @@ def truncated_product(model, left, right, n):
 
 
 def exact_law(sampler, n):
-    """The law of ``sampler.draw`` on traces of length at most n.
+    """The law of a word of ``sampler.draws`` on traces of length at most n.
 
     A node's output is (L . a)^K . R, with K geometric of parameter r, L
     drawn in the link state and R in the rest state.  Pivots are read from
@@ -118,7 +118,7 @@ for name, model in CONNECTED4.items():
 def test_compiled_law_is_the_target_law_exactly(case):
     model, rule, order = CASES[case]
     if rule == "block":
-        stream = tg.open_stream(model, order, 0)
+        stream = tg.BlockStream(model, order, 0)
         params = tg.SamplerParams(p=stream.p_star)
         subset, target = stream.block_subset, stream.block_target
     else:

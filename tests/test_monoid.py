@@ -572,7 +572,7 @@ def test_trace_json_formatter_escapes_letter_names():
 
 def test_trace_json_formatter_on_a_4000_block_stream():
     model = path_model(16)
-    xi = tg.open_stream(model, "x0", seed=1).run(4000)
+    xi = tg.BlockStream(model, "x0", seed=1).run(4000)
     assert TraceJSON(model)(xi) == json.dumps(tg.trace_to_lists(model, xi))
 
 

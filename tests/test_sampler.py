@@ -97,7 +97,7 @@ def test_sample_many_equals_per_index_draws(path4, n):
     got = list(tg.sample_many(path4, params, n, counter=counter))
     sampler = Sampler(path4, params, counter=want_counter)
     root = tg.RandomStream(params.seed)
-    want = [tg.normalize_indices(path4, sampler.draw(root.split(i))) for i in range(n)]
+    want = [tg.normalize_indices(path4, next(sampler.draws((root.split(i),)))) for i in range(n)]
     assert got == want
     assert counter.steps == want_counter.steps
 
@@ -123,7 +123,7 @@ def test_sample_many_derives_its_first_stream_alone(path4, monkeypatch):
 def test_nodes_compile_on_the_first_draw_with_their_rest_chains():
     # neither a Sampler nor a BlockStream compiles anything before its
     # first draw, which compiles the root's whole rest chain
-    stream = tg.open_stream(path_model(16), "x5", seed=3)
+    stream = tg.BlockStream(path_model(16), "x5", seed=3)
     sampler = stream._sampler
     assert sampler._nodes == {}
     next(stream.words(0, 1))
@@ -158,7 +158,7 @@ def test_subset_sampling_allows_larger_p(path4):
     # the bcd subpath has root (3 - sqrt(5)) / 2, above 1/3
     bcd = path4.subset("bcd")
     params = tg.SamplerParams(p=0.35, seed=2)
-    word = Sampler(path4, params, bcd).draw(tg.RandomStream(params.seed))
+    word = next(Sampler(path4, params, bcd).draws((tg.RandomStream(params.seed),)))
     x = tg.normalize_indices(path4, word)
     for factor in x.factors:
         assert factor & ~bcd == 0
@@ -168,7 +168,7 @@ def test_subset_sampling_allows_larger_p(path4):
 
 def test_sample_determinism(path4):
     params = tg.SamplerParams(p=0.2, seed=11)
-    twice = [Sampler(path4, params).draw(tg.RandomStream(params.seed)) for _ in range(2)]
+    twice = [next(Sampler(path4, params).draws((tg.RandomStream(params.seed),))) for _ in range(2)]
     assert twice[0] == twice[1]
     first = list(tg.sample_many(path4, params, 50))
     again = list(tg.sample_many(path4, params, 50))
@@ -211,7 +211,7 @@ def test_unconditioned_counter_bound(path4):
     sampler = Sampler(path4, params)
     for i in range(2000):
         before = sampler.counter.steps
-        x = tg.normalize_indices(path4, sampler.draw(tg.RandomStream(8, (i,))))
+        x = tg.normalize_indices(path4, next(sampler.draws((tg.RandomStream(8, (i,)),))))
         assert sampler.counter.steps - before <= 3 * (n_letters + 1) * (x.length + 1)
 
 
@@ -270,7 +270,7 @@ def test_sample_calls_with_one_counter_are_pinned(path4):
     counter = tg.StepCounter()
     sampler = Sampler(path4, params, counter=counter)
     letters = sum(
-        tg.normalize_indices(path4, sampler.draw(tg.RandomStream(5, (i,)))).length
+        tg.normalize_indices(path4, next(sampler.draws((tg.RandomStream(5, (i,)),)))).length
         for i in range(500)
     )
     assert (letters, counter.steps) == (1634, 15233)
@@ -333,7 +333,7 @@ def test_compiled_draw_matches_recursion(case):
     sampler = Sampler(model, params, subset, target)
     for i in range(4):
         before = sampler.counter.steps
-        got = sampler.draw(tg.RandomStream(params.seed, (i,)))
+        got = next(sampler.draws((tg.RandomStream(params.seed, (i,)),)))
         want, steps = reference_draw(
             model, params, subset, target, tg.RandomStream(params.seed, (i,))
         )
@@ -343,7 +343,7 @@ def test_compiled_draw_matches_recursion(case):
 
 @pytest.mark.parametrize("model", [path_model(16), cycle_model(20)], ids=["path16", "cycle20"])
 def test_compiled_blocks_match_recursion_at_p_sigma(model):
-    stream = tg.open_stream(model, "x0", 23)
+    stream = tg.BlockStream(model, "x0", 23)
     params = tg.SamplerParams(p=stream.p_star)
     for i in range(200):
         before = stream.counter.steps
@@ -359,7 +359,7 @@ def test_compiled_blocks_match_recursion_at_p_sigma(model):
 def test_compiled_node_checks_geometric_parameter(path4, monkeypatch):
     monkeypatch.setattr(tg.MobiusTable, "occurrence", lambda self, subset, pivot: 1.0)
     with pytest.raises(ValueError, match=r"got 1\.0"):
-        Sampler(path4, tg.SamplerParams(p=0.2, seed=1)).draw(tg.RandomStream(1))
+        next(Sampler(path4, tg.SamplerParams(p=0.2, seed=1)).draws((tg.RandomStream(1),)))
 
 
 PATH4 = tg.build_model("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
@@ -370,7 +370,7 @@ def case_sampler(model, p):
     """A fresh Sampler over the full alphabet at p, or, when p is None,
     the block sampler of the stream pivoted at x0, at p_sigma."""
     if p is None:
-        stream = tg.open_stream(model, "x0", 0)
+        stream = tg.BlockStream(model, "x0", 0)
         return Sampler(
             model, tg.SamplerParams(p=stream.p_star), stream.block_subset, stream.block_target
         )
@@ -431,7 +431,7 @@ DRAWS_CASES = {
 def test_draws_over_a_run_equal_one_draw_per_stream(case):
     run, single = DRAWS_CASES[case](), DRAWS_CASES[case]()
     got = list(run.draws(tg.RandomStream(17).splits(0, 300)))
-    want = [single.draw(stream) for stream in tg.RandomStream(17).splits(0, 300)]
+    want = [next(single.draws((stream,))) for stream in tg.RandomStream(17).splits(0, 300)]
     assert got == want
     assert run.counter.steps == single.counter.steps
     if case == "path16-blocks":
@@ -454,16 +454,16 @@ def test_a_run_closed_partway_counts_only_the_words_it_yielded(case):
     run, single = DRAWS_CASES[case](), DRAWS_CASES[case]()
     words = run.draws(tg.RandomStream(4).splits(0, 300))
     for stream in tg.RandomStream(4).splits(0, 40):
-        assert next(words) == single.draw(stream)
+        assert next(words) == next(single.draws((stream,)))
         assert run.counter.steps == single.counter.steps
     words.close()
     assert run.counter.steps == single.counter.steps
 
 
-def test_block_words_equal_draw_block_over_the_same_splits():
-    ranged, single = tg.open_stream(path_model(16), "x3", 9), tg.open_stream(path_model(16), "x3", 9)
+def test_block_words_equal_single_block_draws_over_the_same_splits():
+    ranged, single = (tg.BlockStream(path_model(16), "x3", 9) for _ in range(2))
     got = list(ranged.words(40, 340))
-    want = [single.draw_block(stream) for stream in single.stream.splits(40, 340)]
+    want = [next(single.blocks((stream,))) for stream in single.stream.splits(40, 340)]
     assert got == want
     assert ranged.counter.steps == single.counter.steps
 
@@ -673,7 +673,7 @@ def test_zero_threshold_only_skips_draws_of_zero(model, p):
         rest = numpy_doubles(7, (i,), 10_000)
         for u in (below[0], below[-1], zero_below, edge, math.nextafter(edge, 0.0)):
             before = node_sampler.counter.steps
-            got = node_sampler.draw(ChunkedValues([u] + rest))
+            got = next(node_sampler.draws((ChunkedValues([u] + rest),)))
             want, steps = reference_draw(
                 model, params, subset, candidates, ChunkedValues([u] + rest)
             )
@@ -829,7 +829,7 @@ def test_wide_draws_from_run_children_refill_once(monkeypatch):
     once = 0
     for stream in children:
         sizes.clear()
-        sampler.draw(stream)
+        next(sampler.draws((stream,)))
         unread = sum(1 for _ in iter(stream._next, None))
         used = 8 + sum(sizes) - unread
         assert used >= 28

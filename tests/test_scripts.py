@@ -7,11 +7,15 @@ that breaks one shows here.  ``report_digest.py`` runs in full: its digest
 pins the 152 verify reports.  The benchmark harness under perfbench/ binds
 stream names (``open_stream``, ``BlockStream.next_block``, ``blocks_done``,
 ``length``, ``counter``, ``run`` and ``boundary.parallel_run``); a short
-traced run of its two stream workloads checks that they still hold.
+traced run of its two stream workloads checks that they still hold.  The
+names only it calls stay in one marked block of ``boundary.py``, and a
+parse of ``src/`` checks that nothing else in the package names them.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +73,43 @@ def test_perfbench_stream_workloads_run_correctly(workload):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0)
+
+
+PERFBENCH_ONLY = re.compile(r"\b(open_stream|parallel_run|next_block|blocks_done)\b")
+
+
+def names_and_lines(tree):
+    """(name, first line, last line) of every identifier and every word of a
+    string constant, docstrings included, in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words = PERFBENCH_ONLY.findall(node.value)
+        else:
+            words = [getattr(node, field, None) for field in ("id", "attr", "name", "asname", "arg")]
+        for word in words:
+            if isinstance(word, str) and PERFBENCH_ONLY.fullmatch(word):
+                yield word, node.lineno, node.end_lineno
+
+
+def test_only_the_marked_block_names_the_perfbench_only_api():
+    # the block in boundary.py, and the exports of __init__.py, go as one
+    # deletion once perfbench reads words, drop and --stats instead
+    found = []
+    for path in sorted((ROOT / "src" / "tracegen").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        spans = []
+        if path.name == "boundary.py":
+            lines = source.splitlines()
+            start = next(i for i, line in enumerate(lines, 1) if "---- perfbench only" in line)
+            stop = next(i for i, line in enumerate(lines, 1)
+                        if "---- end of the perfbench-only block" in line)
+            spans.append((start, stop))
+        if path.name == "__init__.py":
+            exports = [node for node in tree.body if isinstance(node, ast.ImportFrom)
+                       and node.module == "boundary" or isinstance(node, ast.Assign)
+                       and getattr(node.targets[0], "id", None) == "__all__"]
+            spans += [(node.lineno, node.end_lineno) for node in exports]
+        found += [(path.name, name, first) for name, first, last in names_and_lines(tree)
+                  if not any(lo <= first and last <= hi for lo, hi in spans)]
+    assert found == []

@@ -2,6 +2,7 @@
 
 import functools
 from collections import Counter
+from itertools import islice, repeat
 
 import pytest
 
@@ -16,9 +17,7 @@ from tracegen.verify import (
     FiniteSuiteConfig,
     MobiusSuiteConfig,
     TestReport,
-    run_boundary_suite,
-    run_finite_suite,
-    run_mobius_suite,
+    run_checks,
     run_suite,
     verify_cylinders,
     verify_decomposition_law,
@@ -40,7 +39,7 @@ def test_report_comparisons():
 
 
 def test_mobius_suite_passes(path4):
-    reports = run_mobius_suite(path4, seed=101)
+    reports = run_checks(path4, MobiusSuiteConfig(), seed=101)
     assert reports and all(r.passed for r in reports)
     names = {r.name for r in reports}
     assert "pivot-deletion-identity-exact" in names
@@ -54,12 +53,12 @@ def test_mobius_suite_on_larger_random_alphabet():
     pairs = [(letters[i], letters[i + 1]) for i in range(9)]
     model = tg.build_model(letters, pairs)
     config = MobiusSuiteConfig(exhaustive_limit=4, sampled_checks=64)
-    reports = run_mobius_suite(model, seed=5, config=config)
+    reports = run_checks(model, config, seed=5)
     assert all(r.passed for r in reports)
 
 
 def test_mobius_suite_walks_cliques_of_every_small_subset(path4):
-    reports = {r.name: r for r in run_mobius_suite(path4, seed=101)}
+    reports = {r.name: r for r in run_checks(path4, MobiusSuiteConfig(), seed=101)}
     walk = reports["mobius-matches-clique-walk"]
     assert walk.passed and walk.sample_size == 15
     assert walk.details == {"over_budget": 0}
@@ -70,7 +69,7 @@ def test_mobius_suite_on_a_48_letter_path():
     # budget are walked, the rest of the suite runs on the recurrence
     config = MobiusSuiteConfig(sampled_checks=32, chain_checks=10)
     reports = {
-        r.name: r for r in run_mobius_suite(path_model(48), seed=5, config=config)
+        r.name: r for r in run_checks(path_model(48), config, seed=5)
     }
     assert all(r.passed for r in reports.values())
     walk = reports["mobius-matches-clique-walk"]
@@ -95,7 +94,7 @@ SMALL_FINITE = FiniteSuiteConfig(
 
 
 def test_finite_suite_passes_at_reduced_size(path4):
-    reports = run_finite_suite(path4, seed=202, config=SMALL_FINITE)
+    reports = run_checks(path4, SMALL_FINITE, seed=202)
     failed = [r.name for r in reports if not r.passed]
     assert failed == []
     names = [r.name for r in reports]
@@ -116,8 +115,8 @@ def test_finite_suite_is_seed_deterministic(path4):
         conditioned_tv_threshold=1.0, pivot_tv_threshold=1.0,
         unit_mass_threshold=1.0, mean_relative_threshold=1.0, chi_alpha=0.0,
     )
-    first = run_finite_suite(path4, seed=7, config=config)
-    again = run_finite_suite(path4, seed=7, config=config)
+    first = run_checks(path4, config, seed=7)
+    again = run_checks(path4, config, seed=7)
     assert [r.statistic for r in first] == [r.statistic for r in again]
 
 
@@ -136,7 +135,7 @@ SMALL_BOUNDARY = BoundarySuiteConfig(
 
 
 def test_boundary_suite_passes_at_reduced_size(path4):
-    reports = run_boundary_suite(path4, seed=303, config=SMALL_BOUNDARY)
+    reports = run_checks(path4, SMALL_BOUNDARY, seed=303)
     failed = [r.name for r in reports if not r.passed]
     assert failed == []
     names = [r.name for r in reports]
@@ -176,7 +175,7 @@ def test_cylinders_refuse_zero_runs(path4):
 
 def test_finite_suite_refuses_zero_law_samples(path4):
     with pytest.raises(ValueError, match="n_law=0"):
-        run_finite_suite(path4, config=FiniteSuiteConfig(n_law=0))
+        run_checks(path4, FiniteSuiteConfig(n_law=0))
 
 
 def test_finite_determinism_compares_the_draws_it_has(path4):
@@ -189,19 +188,24 @@ def test_finite_determinism_compares_the_draws_it_has(path4):
 
 
 # each suite size with the largest value its check cannot use: a mean or a
-# law of no samples, a line through one point, a check of no blocks
+# law of no samples, a check of no subsets or no blocks, a step bound
+# checked only on the draws or blocks it was calibrated on, and a pool of
+# one worker, whose run is the serial run it is compared with
 TOO_SMALL = [
+    (MobiusSuiteConfig, "sampled_checks", 0),
+    (MobiusSuiteConfig, "chain_checks", 0),
     (FiniteSuiteConfig, "n_law", 0),
     (FiniteSuiteConfig, "n_mean", 0),
     (FiniteSuiteConfig, "n_decomposition", 0),
     (FiniteSuiteConfig, "n_conditioned", 0),
     (FiniteSuiteConfig, "n_pivot_rule", 0),
-    (FiniteSuiteConfig, "n_steps", 0),
+    (FiniteSuiteConfig, "n_steps", 100),
     (BoundarySuiteConfig, "n_blocks_law", 0),
     (BoundarySuiteConfig, "cylinder_runs", 0),
     (BoundarySuiteConfig, "k_monotone", 0),
-    (BoundarySuiteConfig, "k_linearity", 1),
+    (BoundarySuiteConfig, "k_linearity", 50),
     (BoundarySuiteConfig, "k_equivalence", 0),
+    (BoundarySuiteConfig, "workers", 1),
 ]
 
 
@@ -286,16 +290,16 @@ def fixed_run_bottoms(name, pivot):
     """The bottom three heap levels of each run after 192 blocks, drawn
     with no early stop; by then they are final in every run."""
     model = CYLINDER_MODELS[name]
-    blocks = tg.open_stream(model, pivot, CYLINDER_SEED)
+    source = tg.BlockStream(model, pivot, CYLINDER_SEED)
     bottoms = []
     for run_idx in range(CYLINDER_RUNS):
         stream = tg.RandomStream(CYLINDER_SEED, (run_idx,))
         heap = Heap(model)
-        for _ in range(192):
-            heap.extend(blocks.draw_block(stream))
+        for word in islice(source.blocks(repeat(stream)), 192):
+            heap.extend(word)
         assert heap.final_floor() >= 2
         bottoms.append(tuple(heap.factors[:3]))
-    return blocks.p_star, bottoms
+    return source.p_star, bottoms
 
 
 def reference_cylinders(name, pivot, x_max_len):
@@ -342,17 +346,18 @@ def test_cylinder_prefixes_are_counted_once_final():
 
 
 def test_cylinder_runs_stop_once_their_bottom_is_final(path4, monkeypatch):
-    draws = 0
-    draw_block = BlockStream.draw_block
+    drawn = 0
+    blocks = BlockStream.blocks
 
-    def counting(self, stream):
-        nonlocal draws
-        draws += 1
-        return draw_block(self, stream)
+    def counting(self, streams):
+        nonlocal drawn
+        for word in blocks(self, streams):
+            drawn += 1
+            yield word
 
-    monkeypatch.setattr(BlockStream, "draw_block", counting)
+    monkeypatch.setattr(BlockStream, "blocks", counting)
     verify_cylinders(path4, "a", seed=DEFAULT_SEED, x_max_len=3, runs=2_000)
-    assert draws <= 0.05 * 2_000 * 192
+    assert 2_000 <= drawn <= 0.05 * 2_000 * 192
 
 
 def test_run_suite_dispatch(path4):
@@ -452,7 +457,7 @@ def test_decomposition_reports_are_pinned(path4):
 
 
 def test_boundary_suite_reports_are_pinned(path4):
-    reports = run_boundary_suite(path4, seed=303, config=TINY_BOUNDARY)
+    reports = run_checks(path4, TINY_BOUNDARY, seed=303)
     assert [r.to_dict() for r in reports] == [
         dict(zip(REPORT_FIELDS, row)) for row in PINNED_TINY_BOUNDARY
     ]
@@ -488,7 +493,7 @@ def test_finite_suite_reports_are_pinned(path4):
         conditioned_tv_threshold=1.0, pivot_tv_threshold=1.0,
         unit_mass_threshold=1.0, mean_relative_threshold=1.0, chi_alpha=0.0,
     )
-    reports = run_finite_suite(path4, seed=7, config=config)
+    reports = run_checks(path4, config, seed=7)
     assert [r.to_dict() for r in reports] == [
         dict(zip(REPORT_FIELDS, row)) for row in PINNED_FINITE
     ]
